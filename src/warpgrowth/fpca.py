@@ -7,6 +7,16 @@ operator is diagonalized through the weighted symmetric eigenproblem of
 flip so the quadrature integral of each eigenfunction is nonnegative,
 breaking exact ties by the sign at the right endpoint.
 
+:func:`fit_fpca` takes one of two spectral paths. With fewer series than
+grid points (n < m) the covariance has rank at most n - 1, and the
+spectrum comes from a thin SVD of the weighted centred sample
+``(H - mu) W^{1/2} / sqrt(n)``, padded with zeros to length m. Otherwise
+it forms the m x m surface with :func:`covariance_function` and solves it
+with :func:`eigendecompose`. :func:`eigendecompose` is the path checked
+against the Jacobi oracle of the acceptance suite, and the tests check the
+SVD path against it. Both paths share one tail for the eigenvalue floor,
+quadrature normalization and the sign rule.
+
 Mean and covariance sums run in name-sorted series order, so refitting a
 permuted sample reproduces the model bit for bit.
 """
@@ -123,6 +133,8 @@ def eigendecompose(g: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, np.ndarra
     ``phi_k = W^{-1/2} v_k``, normalized so the quadrature norm is 1.
     Returns the full spectrum in nonincreasing order (one function per
     grid point); negatives within rounding of zero are floored at 0.
+    This is the reference path: the acceptance suite checks it against a
+    Jacobi oracle, and :func:`fit_fpca` uses it whenever n >= m.
 
     Raises
     ------
@@ -138,25 +150,53 @@ def eigendecompose(g: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, np.ndarra
         raise NumericalError("covariance surface is asymmetric beyond tolerance")
     g = (g + g.T) / 2.0
 
-    w = trapezoid_weights(m)
-    sqrt_w = np.sqrt(w)
-    b = g * np.outer(sqrt_w, sqrt_w)
-    vals, vecs = scipy.linalg.eigh(b)
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
+    sqrt_w = np.sqrt(trapezoid_weights(m))
+    vals, vecs = scipy.linalg.eigh(g * np.outer(sqrt_w, sqrt_w))
+    return _spectrum(vals[::-1], vecs[:, ::-1], m)
 
+
+def _spectrum(vals: np.ndarray, vecs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shared tail of both spectral paths: functions from weighted eigenvectors.
+
+    ``vals`` are eigenvalues of ``W^{1/2} G W^{1/2}`` in nonincreasing order
+    and the columns of ``vecs`` the matching orthonormal eigenvectors (at
+    most ``m`` of them). Floors tiny negative eigenvalues at zero, pads the
+    spectrum with zeros to length ``m``, maps the vectors to functions
+    ``phi_k = W^{-1/2} v_k`` of unit quadrature norm and applies the sign
+    rule: nonnegative quadrature integral, exact ties broken by a
+    nonnegative value at the right endpoint.
+    """
     floor = 1e-10 * max(float(vals[0]), 0.0)
     vals = np.where((vals < 0.0) & (vals >= -floor), 0.0, vals)
+    vals = np.concatenate([vals, np.zeros(m - vals.shape[0])])
 
-    phi = vecs.T / sqrt_w
-    norms = np.sqrt((phi**2 @ w))
-    phi = phi / norms[:, None]
+    w = trapezoid_weights(m)
+    phi = vecs.T / np.sqrt(w)
+    phi = phi / np.sqrt(phi**2 @ w)[:, None]
     integrals = phi @ w
-    for k in range(m):
-        s = integrals[k]
-        if s < -1e-12 or (abs(s) <= 1e-12 and phi[k, -1] < 0.0):
-            phi[k] = -phi[k]
-    return vals, phi
+    flip = (integrals < -1e-12) | ((np.abs(integrals) <= 1e-12) & (phi[:, -1] < 0.0))
+    return vals, np.where(flip[:, None], -phi, phi)
+
+
+def _sample_spectrum(h: np.ndarray, mu: np.ndarray, full: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Spectrum of the divisor-n sample covariance from a thin SVD of the sample.
+
+    The right singular vectors of ``(H - mu) W^{1/2} / sqrt(n)`` are the
+    eigenvectors of ``W^{1/2} G W^{1/2}`` and its squared singular values
+    the eigenvalues, so the m x m surface is never formed. Returns the
+    spectrum padded with zeros to length m and ``min(n, m)`` eigenfunctions,
+    or all ``m`` (an orthonormal completion) when ``full`` is set.
+    """
+    n, m = h.shape
+    sqrt_w = np.sqrt(trapezoid_weights(m))
+    a = (h - mu) * (sqrt_w / np.sqrt(n))
+    _, sv, vt = scipy.linalg.svd(a, full_matrices=full)
+    return _spectrum(sv**2, vt.T, m)
+
+
+def _scores(h: np.ndarray, mu: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Quadrature projections ``s_ik = <h_i - mu, phi_k>``, one row per warp."""
+    return (h - mu) @ (phi * trapezoid_weights(h.shape[1])).T
 
 
 def project_scores(warps: WarpSet, model: FpcaModel) -> np.ndarray:
@@ -172,9 +212,7 @@ def project_scores(warps: WarpSet, model: FpcaModel) -> np.ndarray:
     """
     if warps.grid.n_points != model.grid.n_points or not warps.grid.normalized:
         raise GridError("warps are not on the model's normalized grid")
-    h = warps.matrix()
-    weighted_phi = model.eigenfunctions * model.weights
-    return (h - model.mean) @ weighted_phi.T
+    return _scores(warps.matrix(), model.mean, model.eigenfunctions)
 
 
 def fit_fpca(
@@ -191,6 +229,13 @@ def fit_fpca(
     smallest count whose cumulative variance fraction reaches
     ``var_threshold`` (at least one).
 
+    With fewer included series than grid points the spectrum comes from a
+    thin SVD of the weighted centred sample instead of an eigensolve of the
+    m x m covariance; the eigenvalues are padded with zeros to length m, so
+    ``eigenvalues`` and ``total_variance`` mean the same on both paths.
+    Components beyond the sample rank are an orthonormal completion of the
+    null space. Scores use the same projection as :func:`project_scores`.
+
     Raises
     ------
     SampleSizeError
@@ -204,9 +249,12 @@ def fit_fpca(
     if included.n_series < 2:
         raise SampleSizeError(f"need at least 2 series after exclusion, got {included.n_series}")
 
-    mu = mean_function(included)
-    g = covariance_function(included)
-    vals, phi = eigendecompose(g, warps.grid)
+    h = _sorted_matrix(included)
+    mu = h.mean(axis=0)
+    if h.shape[0] < h.shape[1]:
+        vals, phi = _sample_spectrum(h, mu)
+    else:
+        vals, phi = eigendecompose(covariance_function(included), warps.grid)
 
     total = float(vals.sum())
     fractions = vals / total if total > 0.0 else np.zeros_like(vals)
@@ -218,9 +266,12 @@ def fit_fpca(
         cumulative = np.cumsum(fractions)
         reached = np.nonzero(cumulative >= var_threshold - 1e-15)[0]
         n_retained = int(reached[0]) + 1 if reached.size else vals.shape[0]
+    if n_retained > phi.shape[0]:
+        # More components than the thin SVD gives: complete the basis. The
+        # added functions span the null space, so the spectrum is unchanged.
+        _, phi = _sample_spectrum(h, mu, full=True)
 
-    weights = trapezoid_weights(warps.grid.n_points)
-    scores = (warps.matrix() - mu) @ (phi[:n_retained] * weights).T
+    scores = _scores(warps.matrix(), mu, phi[:n_retained])
     return FpcaModel(
         grid=warps.grid,
         mean=mu,

@@ -140,6 +140,49 @@ def _mean_r2(fits: list[WindowFit]) -> float:
     return math.fsum(sorted(f.r2 for f in fits)) / len(fits)
 
 
+def _window_r2(logs_t: np.ndarray, length: int) -> np.ndarray:
+    """Free-intercept R^2 of every series on every window of one length.
+
+    ``logs_t`` holds log values with months along axis 0 and series along
+    axis 1. Returns the (n_offsets, n_series) matrix whose row ``o`` scores
+    the window starting at month offset ``o``. Window means, ``Sxy``,
+    ``SST`` and ``SSE`` accumulate over the ``length`` positions on
+    (n_offsets, n_series) arrays, so memory stays O(n_offsets * n_series).
+    R^2 keeps the residual form ``1 - SSE / SST`` (``SST == 0`` gives 1),
+    clipped to [0, 1]; an exact exponential therefore scores exactly 1.
+    """
+    n_off = logs_t.shape[0] - length + 1
+    tc = np.arange(length, dtype=float)
+    tc -= tc.mean()
+    stt = float(np.sum(tc**2))
+
+    def window(j: int) -> np.ndarray:
+        return logs_t[j : j + n_off]
+
+    mean = window(0).copy()
+    for j in range(1, length):
+        mean += window(j)
+    mean /= length
+
+    sxy = np.zeros_like(mean)
+    sst = np.zeros_like(mean)
+    yc = np.empty_like(mean)
+    for j in range(length):
+        np.subtract(window(j), mean, out=yc)
+        sxy += tc[j] * yc
+        sst += yc * yc
+    beta = sxy / stt
+
+    sse = np.zeros_like(mean)
+    for j in range(length):
+        np.subtract(window(j), mean, out=yc)
+        yc -= beta * tc[j]
+        sse += yc * yc
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r2 = np.where(sst > 0.0, 1.0 - sse / sst, 1.0)
+    return np.clip(r2, 0.0, 1.0)
+
+
 def search_interval(panel: Panel, lengths=DEFAULT_WINDOW_LENGTHS) -> IntervalSearchResult:
     """Scan every contiguous window of the requested lengths for the best fit.
 
@@ -148,6 +191,13 @@ def search_interval(panel: Panel, lengths=DEFAULT_WINDOW_LENGTHS) -> IntervalSea
     r2 across series wins. Ties break to the earliest start, then to the
     shortest length. The scanned panel must be gap-free (apply
     :func:`warpgrowth.timeseries.restrict` first to drop series with gaps).
+
+    The scan is batched: one call of a vectorized kernel per length scores
+    all offsets and series at once, in O(n_series * n_months) memory, with
+    the same residual R^2 that :func:`fit_window_free` computes (equal to
+    within rounding). Per-window means are sorted ``math.fsum`` sums, so
+    the choice does not depend on series order. The returned per-series
+    fits and ``mean_r2`` come from :func:`fit_window_free` on the winner.
 
     Raises
     ------
@@ -168,39 +218,28 @@ def search_interval(panel: Panel, lengths=DEFAULT_WINDOW_LENGTHS) -> IntervalSea
     if gappy:
         raise MissingDataError(f"series with gaps on the scanned grid (restrict first): {gappy}")
 
-    logs = np.log(np.vstack([s.values for s in panel.series]))
+    logs_t = np.ascontiguousarray(np.log(np.vstack([s.values for s in panel.series])).T)
     m = panel.grid.n_points
 
     best_key: tuple[float, int, int] | None = None
-    best: tuple[tuple[int, int], int, float] | None = None
+    best: tuple[tuple[int, int], int] | None = None
     for length in lengths:
         if length > m:
             continue
-        tau = np.arange(length, dtype=float)
-        tc = tau - tau.mean()
-        stt = float(np.sum(tc**2))
-        for offset in range(m - length + 1):
-            yw = logs[:, offset : offset + length]
-            yc = yw - yw.mean(axis=1, keepdims=True)
-            beta = (yc @ tc) / stt
-            resid = yc - beta[:, None] * tc
-            sse = np.sum(resid**2, axis=1)
-            sst = np.sum(yc**2, axis=1)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                r2 = np.where(sst > 0.0, 1.0 - sse / sst, 1.0)
-            r2 = np.clip(r2, 0.0, 1.0)
+        r2 = np.sort(_window_r2(logs_t, length), axis=1)
+        for offset, row in enumerate(r2.tolist()):
             # Sorted sum keeps the mean invariant to series ordering.
-            mean_r2 = math.fsum(np.sort(r2)) / r2.size
+            mean_r2 = math.fsum(row) / len(row)
             start = panel.grid.start_month + offset
             # Maximize r2; among ties prefer the earliest start, then the
             # shortest length (negated so a plain tuple max applies).
             key = (mean_r2, -start, -length)
             if best_key is None or key > best_key:
                 best_key = key
-                best = ((start, start + length - 1), length, mean_r2)
+                best = ((start, start + length - 1), length)
     if best is None:
         raise WindowError(f"no window of lengths {lengths} fits inside the {m}-point grid")
-    window, length, _ = best
+    window, length = best
     fits = tuple(fit_window_free(s, panel.grid, window) for s in panel.series)
     return IntervalSearchResult(window, length, _mean_r2(list(fits)), fits)
 

@@ -1,8 +1,8 @@
 """Trapezoidal quadrature on uniform grids.
 
-All inner products and integrals in the package use the same weight vector,
-so eigenfunctions stay orthonormal under the exact discretization that
-produced them.
+All inner products and integrals in the package are dot products with the
+same weight vector, so eigenfunctions stay orthonormal under the exact
+discretization that produced them.
 """
 
 import numpy as np
@@ -22,17 +22,3 @@ def trapezoid_weights(n_points: int, length: float = 1.0) -> np.ndarray:
     w[-1] = dt / 2.0
     return w
 
-
-def inner_product(f: np.ndarray, g: np.ndarray, weights: np.ndarray) -> float:
-    """Weighted inner product <f, g> = sum_i w_i f_i g_i."""
-    return float(np.dot(weights, f * g))
-
-
-def norm_sq(f: np.ndarray, weights: np.ndarray) -> float:
-    """Squared weighted L2 norm of f."""
-    return inner_product(f, f, weights)
-
-
-def integrate(f: np.ndarray, weights: np.ndarray) -> float:
-    """Quadrature integral of f."""
-    return float(np.dot(weights, f))

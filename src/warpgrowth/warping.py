@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import GridError, MissingDataError, RateError
 from .growthfit import AlphaEstimates, WindowFit
-from .quadrature import trapezoid_weights
 from .timeseries import Panel, PriceSeries, TimeGrid
 
 
@@ -262,13 +261,3 @@ def warps_from_csv(csv_text: str, alphas: dict[str, float] | None = None) -> War
         warps.append(WarpFunction(name, grid, data[:, j + 1], alpha))
     return WarpSet(grid, tuple(warps))
 
-
-def warp_energy(warp: WarpFunction, t_from: float = 0.0) -> float:
-    """Quadrature L2 norm squared of the warp on (t_from, 1]."""
-    t = warp.grid.points
-    mask = t > t_from
-    if mask.sum() < 2:
-        return 0.0
-    vals = warp.values[mask]
-    w = trapezoid_weights(vals.shape[0], length=float(t[-1] - t[mask][0]))
-    return float(np.dot(w, vals**2))

@@ -278,6 +278,90 @@ class TestFitAndProject:
             assert np.array_equal(m1.scores[i1], m2.scores[i2])
 
 
+def quadrature_gram(phi, w):
+    return (phi * w) @ phi.T
+
+
+class TestSampleSpectrum:
+    """fit_fpca's n < m SVD path against eigendecompose of the covariance."""
+
+    def test_generic_sample_matches_covariance_path(self):
+        rng = np.random.default_rng(11)
+        n, m = 12, 41
+        t = np.linspace(0, 1, m)
+        ws = make_warpset(t + 0.1 * rng.standard_normal((n, m)))
+        model = fit_fpca(ws, k=n - 1)
+        vals, phi = eigendecompose(covariance_function(ws), ws.grid)
+        lam1 = vals[0]
+        assert model.eigenvalues.shape == (m,)
+        assert np.abs(model.eigenvalues - vals).max() <= 1e-12 * lam1
+        assert model.total_variance == pytest.approx(float(vals.sum()), rel=1e-12)
+        w = model.weights
+        gaps = np.minimum(vals[:-1] - vals[1:], np.r_[np.inf, vals[:-2] - vals[1:-1]])
+        separated = [k for k in range(n - 1) if gaps[k] > 1e-3 * lam1]
+        assert len(separated) >= n - 3
+        for k in separated:
+            # Same sign rule on both paths: compare without re-aligning.
+            d = model.eigenfunctions[k] - phi[k]
+            assert np.sqrt(np.sum(w * d**2)) < 1e-8
+
+    def test_near_equal_pair_spans_same_subspace(self):
+        m = 33
+        t = np.linspace(0, 1, m)
+        w = trapezoid_weights(m)
+        basis = []
+        # The third function has a clearly nonzero integral, so its sign is
+        # fixed by the rule rather than by rounding at the right endpoint.
+        for f in (np.sin(2 * np.pi * t), np.cos(2 * np.pi * t), t**2):
+            for b in basis:
+                f = f - np.sum(w * f * b) * b
+            basis.append(f / np.sqrt(np.sum(w * f**2)))
+        # Orthogonal, mean-zero score columns: eigenvalues 1, 1 + 1e-10, 0.04.
+        c1 = np.array([1.0, -1.0, 1.0, -1.0, 0.0, 0.0]) * np.sqrt(1.5)
+        c2 = np.array([1.0, 1.0, -1.0, -1.0, 0.0, 0.0]) * np.sqrt(1.5 * (1.0 + 1e-10))
+        c3 = np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0]) * np.sqrt(0.12)
+        ws = make_warpset(t + np.column_stack([c1, c2, c3]) @ np.vstack(basis))
+        model = fit_fpca(ws, k=3)
+        vals, phi = eigendecompose(covariance_function(ws), ws.grid)
+        np.testing.assert_allclose(model.eigenvalues[:3], vals[:3], rtol=0, atol=1e-12)
+        proj_svd = model.eigenfunctions[:2].T @ model.eigenfunctions[:2]
+        proj_eig = phi[:2].T @ phi[:2]
+        assert np.abs(proj_svd - proj_eig).max() < 1e-8
+        d = model.eigenfunctions[2] - phi[2]
+        assert np.sqrt(np.sum(w * d**2)) < 1e-8
+
+    def test_k_above_sample_rank(self):
+        ws = smooth_sample(n=5, m=21, seed=9)
+        for k in (5, 10, 21):
+            model = fit_fpca(ws, k=k)
+            assert model.eigenfunctions.shape == (k, 21)
+            gram = quadrature_gram(model.eigenfunctions, model.weights)
+            assert np.abs(gram - np.eye(k)).max() < 1e-10
+            # Rank 4: five centred rows, one linear dependency.
+            assert np.abs(model.eigenvalues[4:]).max() <= 1e-12 * model.eigenvalues[0]
+            assert np.all(np.isfinite(model.scores))
+
+    def test_zero_variance_sample(self):
+        t = np.linspace(0, 1, 15)
+        ws = make_warpset([t, t, t, t])
+        model = fit_fpca(ws)
+        vals, _ = eigendecompose(covariance_function(ws), ws.grid)
+        # The centred sample is exactly zero; the covariance path only
+        # reaches zero within rounding of h'h / n - mu mu'.
+        assert np.all(model.eigenvalues == 0.0)
+        assert np.abs(vals).max() <= 1e-15
+        assert model.total_variance == 0.0
+        assert model.n_retained == 15
+        gram = quadrature_gram(model.eigenfunctions, model.weights)
+        assert np.abs(gram - np.eye(15)).max() < 1e-10
+        assert np.all(model.scores == 0.0)
+
+    def test_in_sample_scores_equal_projection(self):
+        ws = smooth_sample(n=10, seed=12)
+        model = fit_fpca(ws, exclude=("w02",), k=3)
+        assert np.array_equal(model.scores, project_scores(ws, model))
+
+
 class TestModesOfVariation:
     def test_gamma_zero_is_mean(self):
         model = fit_fpca(smooth_sample(), k=2)

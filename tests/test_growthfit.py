@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from warpgrowth.errors import MissingDataError, WindowError
 from warpgrowth.growthfit import (
     ALPHA_FLOOR,
+    DEFAULT_WINDOW_LENGTHS,
+    _window_r2,
     estimate_alphas,
     fit_window_fixed,
     fit_window_free,
@@ -176,6 +178,76 @@ class TestSearchInterval:
         panel = Panel(grid, (PriceSeries("A", vals2, mask),))
         with pytest.raises(MissingDataError):
             search_interval(panel, (24,))
+
+
+def brute_force_search(panel, lengths):
+    """Reference scan: one fit_window_free call per series and window, same tie rule."""
+    best_key = None
+    for length in sorted(set(lengths)):
+        for offset in range(panel.grid.n_points - length + 1):
+            start = panel.grid.start_month + offset
+            window = (start, start + length - 1)
+            r2 = [fit_window_free(s, panel.grid, window).r2 for s in panel.series]
+            key = (math.fsum(sorted(r2)) / len(r2), -start, -length)
+            if best_key is None or key > best_key:
+                best_key, best = key, window
+    return best
+
+
+@st.composite
+def random_panels(draw):
+    """Gap-free panels: exponential trends with per-series noise (possibly none)."""
+    n_series = draw(st.integers(min_value=1, max_value=6))
+    n_points = draw(st.integers(min_value=3, max_value=48))
+    lengths = draw(st.lists(st.integers(min_value=3, max_value=n_points), min_size=1, max_size=3))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    t = np.arange(n_points, dtype=float)
+    series = []
+    for i in range(n_series):
+        noise = draw(st.sampled_from([0.0, 1e-3, 0.05]))
+        alpha = rng.uniform(1e-3, 0.03)
+        logs = alpha * t + noise * rng.standard_normal(n_points)
+        series.append(PriceSeries(f"s{i}", rng.uniform(50.0, 150.0) * np.exp(logs)))
+    start_month = draw(st.integers(min_value=0, max_value=300))
+    return Panel(TimeGrid(start_month, n_points), tuple(series)), lengths
+
+
+class TestBatchedScan:
+    @settings(max_examples=60, deadline=None)
+    @given(case=random_panels())
+    def test_kernel_matches_per_window_fits(self, case):
+        panel, lengths = case
+        logs_t = np.log(np.vstack([s.values for s in panel.series])).T.copy()
+        for length in set(lengths):
+            r2 = _window_r2(logs_t, length)
+            assert r2.shape == (panel.grid.n_points - length + 1, panel.n_series)
+            for offset in range(r2.shape[0]):
+                start = panel.grid.start_month + offset
+                for i, s in enumerate(panel.series):
+                    ref = fit_window_free(s, panel.grid, (start, start + length - 1)).r2
+                    assert abs(r2[offset, i] - ref) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=random_panels())
+    def test_selection_matches_brute_force(self, case):
+        panel, lengths = case
+        assert search_interval(panel, lengths).best_window == brute_force_search(panel, lengths)
+
+    def test_all_windows_tie_on_exact_exponentials(self):
+        # Every window scores exactly 1.0, so the tie rule alone decides:
+        # earliest start, then shortest length. A shortcut R^2 of
+        # Sxy^2 / (Stt * SST) lands within rounding of 1 instead and would
+        # pick whichever window happened to round highest.
+        panel = exponential_panel([0.003, 0.009, 0.017], n_points=90, start_month=12)
+        logs_t = np.log(np.vstack([s.values for s in panel.series])).T.copy()
+        for length in DEFAULT_WINDOW_LENGTHS:
+            assert np.all(_window_r2(logs_t, length) == 1.0)
+        res = search_interval(panel)
+        assert res.best_window == (12, 35)
+        assert res.window_length_months == 24
+        assert res.mean_r2 == 1.0
+        assert brute_force_search(panel, DEFAULT_WINDOW_LENGTHS) == (12, 35)
 
 
 class TestEstimateAlphas:

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _table
 from . import simulate as sim
 from .errors import (
     ConfigError,
@@ -341,12 +342,7 @@ def cmd_diagnose(args) -> int:
         window_series = PriceSeries(s.name, s.values[lo:], s.missing[lo:])
         residuals.append(second_order_diagnostic(window_series, w, w.alpha_used))
 
-    table = io.StringIO()
-    writer = csv.writer(table, lineterminator="\n")
-    writer.writerow(["t_normalized", *warpset.names])
-    t = warpset.grid.points
-    for i in range(warpset.grid.n_points):
-        writer.writerow([f"{t[i]:.17g}", *(f"{r[i]:.17g}" for r in residuals)])
+    table = _table.write_table(["t_normalized", *warpset.names], [warpset.grid.points, *residuals])
 
     summary = {
         "per_series": [
@@ -355,7 +351,7 @@ def cmd_diagnose(args) -> int:
         ]
     }
     out = Path(args.output_dir)
-    _write_text(out / "diagnostics.csv", table.getvalue())
+    _write_text(out / "diagnostics.csv", table)
     _write_json(out / "diagnostics_summary.json", summary)
     worst = max(row["max_abs_residual"] for row in summary["per_series"])
     print(f"diagnose: {warpset.n_series} series, largest second-order residual {worst:.4g}")

@@ -23,13 +23,11 @@ permuted sample reproduces the model bit for bit.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from ._table import write_table
 from .errors import (
     DegenerateRegressorError,
     EmptySampleError,
@@ -150,6 +148,8 @@ def eigendecompose(g: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, np.ndarra
         raise NumericalError("covariance surface is asymmetric beyond tolerance")
     g = (g + g.T) / 2.0
 
+    import scipy.linalg  # deferred: commands that never solve skip its import cost
+
     sqrt_w = np.sqrt(trapezoid_weights(m))
     vals, vecs = scipy.linalg.eigh(g * np.outer(sqrt_w, sqrt_w))
     return _spectrum(vals[::-1], vecs[:, ::-1], m)
@@ -187,6 +187,8 @@ def _sample_spectrum(h: np.ndarray, mu: np.ndarray, full: bool = False) -> tuple
     spectrum padded with zeros to length m and ``min(n, m)`` eigenfunctions,
     or all ``m`` (an orthonormal completion) when ``full`` is set.
     """
+    import scipy.linalg  # deferred, as in eigendecompose
+
     n, m = h.shape
     sqrt_w = np.sqrt(trapezoid_weights(m))
     a = (h - mu) * (sqrt_w / np.sqrt(n))
@@ -362,29 +364,13 @@ def eigenfunctions_to_csv(model: FpcaModel) -> str:
     Layout matches the warp export: one ``t_normalized`` column followed by
     value columns, floats at 17 significant digits.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
     ks = range(1, model.n_retained + 1)
-    writer.writerow(
-        ["t_normalized", "mean", *(f"phi_{k}" for k in ks), *(f"phi_scaled_{k}" for k in ks)]
-    )
-    t = model.grid.points
+    header = ["t_normalized", "mean", *(f"phi_{k}" for k in ks), *(f"phi_scaled_{k}" for k in ks)]
     roots = np.sqrt(np.maximum(model.eigenvalues[: model.n_retained], 0.0))
     scaled = model.eigenfunctions * roots[:, None]
-    for i in range(model.grid.n_points):
-        row = [f"{t[i]:.17g}", f"{model.mean[i]:.17g}"]
-        row += [f"{v:.17g}" for v in model.eigenfunctions[:, i]]
-        row += [f"{v:.17g}" for v in scaled[:, i]]
-        writer.writerow(row)
-    return out.getvalue()
+    return write_table(header, [model.grid.points, model.mean, model.eigenfunctions, scaled])
 
 
 def modes_to_csv(modes: ModesOfVariation, grid: TimeGrid) -> str:
     """Modes-of-variation plot data: ``t,gamma_-2,...,gamma_2``."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["t", *(f"gamma_{g:g}" for g in modes.gammas)])
-    t = grid.points
-    for i in range(grid.n_points):
-        writer.writerow([f"{t[i]:.17g}", *(f"{c[i]:.17g}" for c in modes.curves)])
-    return out.getvalue()
+    return write_table(["t", *(f"gamma_{g:g}" for g in modes.gammas)], [grid.points, modes.curves])

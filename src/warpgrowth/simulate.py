@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.interpolate
 
+from ._table import read_table, write_table
 from .errors import ConfigError, WarpGrowthError
 from .fpca import eigendecompose, fit_fpca
 from .growthfit import DEFAULT_WINDOW_LENGTHS, estimate_alphas, search_interval
@@ -152,6 +152,8 @@ def default_truth(seed: int = 0) -> SimTruth:
     ``0.01 * 0.2^(k-1)``; the first two components carry 96% of the total
     variance.
     """
+    import scipy.interpolate  # deferred: importing the package stays scipy-free
+
     grid = TimeGrid(DEFAULT_T0, DEFAULT_T1 - DEFAULT_T0 + 1)
     m = grid.n_points
     u = np.linspace(0.0, 1.0, m)
@@ -581,18 +583,10 @@ def save_truth(truth: SimTruth, directory: str | Path, stem: str = "truth") -> P
     t = np.linspace(0.0, 1.0, truth.grid.n_points)
 
     mean_path = directory / f"{stem}_mean.csv"
-    with open(mean_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t_normalized", "mean"])
-        for i in range(truth.grid.n_points):
-            writer.writerow([f"{t[i]:.17g}", f"{truth.mean[i]:.17g}"])
-
+    mean_path.write_text(write_table(["t_normalized", "mean"], [t, truth.mean]), newline="")
     phi_path = directory / f"{stem}_eigenfunctions.csv"
-    with open(phi_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t_normalized", *(f"phi_{k + 1}" for k in range(truth.n_components))])
-        for i in range(truth.grid.n_points):
-            writer.writerow([f"{t[i]:.17g}", *(f"{v:.17g}" for v in truth.eigenfunctions[:, i])])
+    phi_header = ["t_normalized", *(f"phi_{k + 1}" for k in range(truth.n_components))]
+    phi_path.write_text(write_table(phi_header, [t, truth.eigenfunctions]), newline="")
 
     manifest = {
         "t0_month": truth.grid.start_month,
@@ -624,14 +618,10 @@ def load_truth(manifest_path: str | Path) -> SimTruth:
     base = manifest_path.parent
 
     with open(base / manifest["mean_csv"]) as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    mean = np.array([float(r[1]) for r in rows[1:]])
-
+        mean = read_table(fh.read())[1][:, 1].copy()
     with open(base / manifest["eigenfunctions_csv"]) as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    phi = np.array([[float(c) for c in r[1:]] for r in rows[1:]]).T
-    if phi.size == 0:
-        phi = phi.reshape(0, mean.shape[0])
+        # One component per row, laid out like default_truth's eigenfunctions.
+        phi = read_table(fh.read())[1][:, 1:].copy().T
 
     grid = TimeGrid(int(manifest["t0_month"]), int(manifest["t1_month"]) - int(manifest["t0_month"]) + 1)
     return SimTruth(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -170,12 +171,59 @@ class Panel:
         raise KeyError(name)
 
 
+_TINY = float(np.finfo(float).tiny)
+
+
+def _value_problem(v: float) -> str | None:
+    """Why a parsed cell value is not a valid index level, or None if it is."""
+    if not v > 0:
+        return "is not positive"
+    if v == math.inf:
+        return "is not finite"
+    if v < _TINY:
+        return f"is subnormal (below {_TINY!r})"
+    return None
+
+
+def _raise_first_bad_cell(data_rows: list[list[str]], names: list[str]) -> None:
+    """Raise the error for the first bad value cell in row-major order.
+
+    Called only once a bad cell is known to exist.
+    """
+    for i, row in enumerate(data_rows):
+        for j, cell in enumerate(row[1:]):
+            cell = cell.strip()
+            if not cell:
+                continue
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ValueError(f"row {i + 2}, column {names[j]!r}: cannot parse {cell!r}") from None
+            problem = _value_problem(v)
+            if problem:
+                raise ValueError(f"row {i + 2}, column {names[j]!r}: value {cell!r} {problem}")
+    raise AssertionError("vectorised value check and cell scan disagree")
+
+
 def parse_panel(csv_text: str) -> Panel:
     """Parse a panel from CSV text.
 
     Expected layout: header ``date,<name1>,<name2>,...``; one row per month
-    with strictly consecutive ``YYYY-MM`` dates; empty cells mark missing
-    values; every non-empty cell must parse to a positive number.
+    with strictly consecutive ``YYYY-MM`` dates; empty (or blank) cells
+    mark missing values. Every other cell must parse to a finite number of
+    at least ``np.finfo(float).tiny``: zero, negatives, ``nan``, ``inf``
+    and subnormals such as ``1e-320`` are rejected, because the pipeline
+    takes their logarithm.
+
+    Raises
+    ------
+    SchemaError
+        On a bad header or a row with the wrong number of cells.
+    GridError
+        On fewer than 2 rows, a malformed date or non-consecutive months.
+    ValueError
+        On a bad value cell; the message names the first one in row-major
+        order as ``row N, column 'X'`` (rows counted from 1 at the header).
     """
     reader = csv.reader(io.StringIO(csv_text))
     rows = [row for row in reader if row]
@@ -208,23 +256,20 @@ def parse_panel(csv_text: str) -> Panel:
                 f"non-consecutive months: {month_label(prev)} followed by {month_label(cur)}"
             )
 
+    # One conversion per cell, one row at a time: blank cells become NaN.
     n = len(data_rows)
     values = np.empty((len(names), n))
-    missing = np.zeros((len(names), n), dtype=bool)
-    for i, row in enumerate(data_rows):
-        for j, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            if not cell:
-                missing[j, i] = True
-                values[j, i] = np.nan
-                continue
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ValueError(f"row {i + 2}, column {names[j]!r}: cannot parse {cell!r}") from None
-            if not v > 0:
-                raise ValueError(f"row {i + 2}, column {names[j]!r}: value {cell!r} is not positive")
-            values[j, i] = v
+    try:
+        for i, row in enumerate(data_rows):
+            values[:, i] = [float(c) if c.strip() else math.nan for c in row[1:]]
+    except ValueError:
+        _raise_first_bad_cell(data_rows, names)
+    # NaN marks a blank cell, unless the cell spelled out "nan".
+    missing = np.isnan(values)
+    for j, i in zip(*np.nonzero(missing)):
+        missing[j, i] = not data_rows[i][j + 1].strip()
+    if not (((values >= _TINY) & (values < math.inf)) | missing).all():
+        _raise_first_bad_cell(data_rows, names)
 
     grid = TimeGrid(months[0], n)
     series = tuple(PriceSeries(name, values[j], missing[j]) for j, name in enumerate(names))

@@ -12,12 +12,11 @@ an earlier date, and values outside [0, 1] are kept as-is.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import read_table, write_table
 from .errors import GridError, MissingDataError, RateError
 from .growthfit import AlphaEstimates, WindowFit
 from .timeseries import Panel, PriceSeries, TimeGrid
@@ -227,37 +226,48 @@ def identity_deviation(warp: WarpFunction) -> float:
 def warps_to_csv(warpset: WarpSet) -> str:
     """Export warps as ``t_normalized,<name1>,<name2>,...`` rows.
 
-    Floats carry 17 significant digits so a read-back is exact.
+    The first column is the normalized grid ``linspace(0, 1, m)``, which
+    :func:`warps_from_csv` checks on the way back in. Floats carry 17
+    significant digits so a read-back is exact.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["t_normalized", *warpset.names])
-    t = warpset.grid.points
-    cols = [w.values for w in warpset.warps]
-    for i in range(warpset.grid.n_points):
-        writer.writerow([f"{t[i]:.17g}", *(f"{c[i]:.17g}" for c in cols)])
-    return out.getvalue()
+    columns = [warpset.grid.points, *(w.values for w in warpset.warps)]
+    return write_table(["t_normalized", *warpset.names], columns)
 
 
 def warps_from_csv(csv_text: str, alphas: dict[str, float] | None = None) -> WarpSet:
     """Read a warp CSV back into a :class:`WarpSet`.
 
-    The CSV does not carry month metadata, so the grid is rebuilt as a
-    normalized grid anchored at month 0. Per-series rates can be supplied
-    to repopulate ``alpha_used``; otherwise it is set to 1.
+    The ``t_normalized`` column must hold at least 2 rows and equal
+    ``linspace(0, 1, m)`` within 1e-12, so a truncated file or one on
+    another spacing is rejected rather than silently regridded. The CSV
+    does not carry month metadata, so the grid is rebuilt as a normalized
+    grid anchored at month 0. Per-series rates can be supplied to
+    repopulate ``alpha_used``; otherwise it is set to 1.
+
+    Raises
+    ------
+    GridError
+        If the first column is not ``t_normalized``, there are fewer than
+        2 rows, or the column is off the uniform grid (the message names
+        the first mismatching row, counted from 1 at the header).
+    SchemaError
+        If a row is ragged or a cell is not a number.
     """
-    reader = csv.reader(io.StringIO(csv_text))
-    rows = [row for row in reader if row]
-    if not rows or rows[0][0] != "t_normalized":
+    header, data = read_table(csv_text)
+    if not header or header[0] != "t_normalized":
         raise GridError("warp CSV must start with a 't_normalized' header column")
-    names = rows[0][1:]
-    data = np.array([[float(c) for c in row] for row in rows[1:]])
-    if data.shape[0] < 2:
+    m = data.shape[0]
+    if m < 2:
         raise GridError("warp CSV needs at least 2 rows")
-    grid = TimeGrid(0, data.shape[0], normalized=True)
+    grid = TimeGrid(0, m, normalized=True)
+    off = np.flatnonzero(~(np.abs(data[:, 0] - grid.points) <= 1e-12))
+    if off.size:
+        i = int(off[0])
+        raise GridError(
+            f"row {i + 2}: t_normalized {float(data[i, 0])!r} is not point {i} of a uniform {m}-point grid on [0, 1]"
+        )
     warps = []
-    for j, name in enumerate(names):
+    for j, name in enumerate(header[1:]):
         alpha = 1.0 if alphas is None else alphas.get(name, 1.0)
         warps.append(WarpFunction(name, grid, data[:, j + 1], alpha))
     return WarpSet(grid, tuple(warps))
-

@@ -45,3 +45,49 @@ def oracle_eigendecompose(g, grid):
         phi = vecs[:, k] / np.sqrt(w)
         funcs[k] = phi / np.sqrt(np.sum(w * phi**2))
     return vals, funcs
+
+
+def csv_table_per_cell(header, columns):
+    """Column table written cell by cell: csv.writer rows of ``f"{v:.17g}"`` strings."""
+    import csv
+    import io
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for i in range(len(columns[0]) if columns else 0):
+        writer.writerow([f"{c[i]:.17g}" for c in columns])
+    return out.getvalue()
+
+
+def parse_cells_per_cell(data_rows, names):
+    """Panel cells converted one at a time, rows in file order.
+
+    Returns (values, missing) as (series, months) arrays, or raises the
+    ValueError for the first bad cell in row-major order: unparseable,
+    not > 0, infinite, or below the smallest normal double.
+    """
+    tiny = np.finfo(float).tiny
+    n = len(data_rows)
+    values = np.empty((len(names), n))
+    missing = np.zeros((len(names), n), dtype=bool)
+    for i, row in enumerate(data_rows):
+        for j, cell in enumerate(row[1:]):
+            cell = cell.strip()
+            where = f"row {i + 2}, column {names[j]!r}"
+            if not cell:
+                missing[j, i] = True
+                values[j, i] = np.nan
+                continue
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ValueError(f"{where}: cannot parse {cell!r}") from None
+            if not v > 0:
+                raise ValueError(f"{where}: value {cell!r} is not positive")
+            if np.isinf(v):
+                raise ValueError(f"{where}: value {cell!r} is not finite")
+            if v < tiny:
+                raise ValueError(f"{where}: value {cell!r} is subnormal (below {float(tiny)!r})")
+            values[j, i] = v
+    return values, missing

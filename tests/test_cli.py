@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import warpgrowth
 from warpgrowth.cli import main
 from warpgrowth.simulate import SimTruth, save_truth
 from warpgrowth.timeseries import TimeGrid, month_label, serialize_panel
@@ -55,6 +60,15 @@ class TestFitCommand:
         code = main(["fit", "--input", str(tmp_path / "nope.csv"), "--output-dir", str(out)])
         assert code == 2
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e-320"])
+    def test_non_finite_or_subnormal_value_exits_2(self, tmp_path, capsys, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"date,A,B\n2000-01,100,5\n2000-02,101,{cell}\n2000-03,102,6\n")
+        out = tmp_path / "out"
+        assert main(["fit", "--input", str(path), "--output-dir", str(out)]) == 2
+        assert "row 3, column 'B'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_lengths_exit_4(self, exp_csv, tmp_path):
         code = main(
@@ -179,6 +193,16 @@ class TestFpcaCommand:
         )
         assert code == 3
 
+    def test_truncated_warp_csv_exits_2(self, tmp_path, capsys):
+        t = np.linspace(0, 1, 20)
+        path = self._warp_csv(tmp_path, np.vstack([t, 2 * t, t**2]), ["a", "b", "c"])
+        lines = Path(path).read_text().splitlines()
+        Path(path).write_text("\n".join(lines[:16]) + "\n")  # header + the first 15 rows
+        out = tmp_path / "out"
+        assert main(["fpca", "--input", path, "--output-dir", str(out), "--k", "1"]) == 2
+        assert "uniform 15-point grid" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_threshold_exit_4(self, tmp_path):
         t = np.linspace(0, 1, 10)
         path = self._warp_csv(tmp_path, np.vstack([t, 2 * t]), ["a", "b"])
@@ -287,6 +311,35 @@ class TestDeterminism:
         assert results[0].keys() == results[1].keys()
         for name in results[0]:
             assert results[0][name] == results[1][name], f"{name} differs between reruns"
+
+
+class TestImportHygiene:
+    def test_package_import_leaves_scipy_unloaded(self):
+        code = """
+import sys
+import warpgrowth.cli
+import warpgrowth
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+
+import numpy as np
+from warpgrowth import TimeGrid, WarpFunction, WarpSet, default_truth, fit_fpca
+
+truth = default_truth()
+grid = TimeGrid(0, truth.grid.n_points, normalized=True)
+curves = [truth.mean + 0.01 * i * truth.eigenfunctions[i % 3] for i in range(5)]
+sample = WarpSet(grid, tuple(WarpFunction(f"s{i}", grid, h, 0.01) for i, h in enumerate(curves)))
+assert fit_fpca(sample, k=2).n_retained == 2  # n < m: thin SVD
+small = TimeGrid(0, 4, normalized=True)
+rows = np.random.default_rng(0).standard_normal((6, 4))
+sample = WarpSet(small, tuple(WarpFunction(f"s{i}", small, h, 0.01) for i, h in enumerate(rows)))
+assert fit_fpca(sample, k=2).n_retained == 2  # n >= m: eigendecompose
+assert "scipy.linalg" in sys.modules and "scipy.interpolate" in sys.modules
+"""
+        src = str(Path(warpgrowth.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestMonthLabelHelp:

@@ -1,0 +1,106 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from warpgrowth._table import read_table, write_table
+from warpgrowth.errors import SchemaError
+
+from oracles import csv_table_per_cell
+
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1.5]
+
+floats = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+def same_bits(a, b):
+    """Equal element for element, -0.0 apart from 0.0, every NaN alike."""
+    a, b = np.asarray(a), np.asarray(b)
+    both_nan = np.isnan(a) & np.isnan(b)
+    return a.shape == b.shape and bool(np.all(both_nan | (a.view(np.int64) == b.view(np.int64))))
+
+
+@st.composite
+def tables(draw):
+    n_cols = draw(st.integers(min_value=1, max_value=4))
+    n_rows = draw(st.integers(min_value=0, max_value=6))
+    header = draw(st.lists(st.sampled_from(["t", "a,b", 'q"x', "", " s ", "é"]) | st.text(max_size=5),
+                           min_size=n_cols, max_size=n_cols))
+    columns = [np.array(draw(st.lists(floats, min_size=n_rows, max_size=n_rows)), dtype=float)
+               for _ in range(n_cols)]
+    return header, columns
+
+
+class TestWriteTable:
+    @settings(max_examples=200, deadline=None)
+    @given(tables())
+    def test_equals_per_cell_writer(self, table):
+        header, columns = table
+        assume(not any("\r" in name for name in header))  # quoted since; see below
+        assert write_table(header, columns) == csv_table_per_cell(header, columns)
+
+    def test_special_values_single_column(self):
+        column = np.array(SPECIAL)
+        text = write_table(["v"], [column])
+        assert text == csv_table_per_cell(["v"], [column])
+        assert text.splitlines()[1:5] == ["nan", "inf", "-inf", "-0"]
+
+    def test_quoted_names_round_trip(self):
+        header = ["t_normalized", "Dallas, TX", 'say "hi"']
+        text = write_table(header, [np.linspace(0, 1, 3), np.ones((2, 3))])
+        assert text.splitlines()[0] == 't_normalized,"Dallas, TX","say ""hi"""'
+        assert read_table(text)[0] == header
+
+    def test_carriage_return_in_name_is_quoted(self):
+        # A cell-by-cell csv.writer with a "\n" terminator leaves "\r" unquoted,
+        # which csv.reader then refuses; the table writer quotes it.
+        header = ["t", "a\rb", "c\nd"]
+        text = write_table(header, [np.zeros(2)] * 3)
+        assert text.splitlines(keepends=True)[-2:] == ["0,0,0\n"] * 2
+        assert read_table(text)[0] == header
+
+    def test_two_dimensional_blocks_stack_as_columns(self):
+        block = np.arange(6.0).reshape(2, 3)
+        text = write_table(["t", "a", "b"], [np.zeros(3), block])
+        assert text == csv_table_per_cell(["t", "a", "b"], [np.zeros(3), block[0], block[1]])
+
+    def test_header_width_must_match(self):
+        with pytest.raises(ValueError, match="2 header cells for 3 columns"):
+            write_table(["t", "a"], [np.zeros(2), np.ones((2, 2))])
+
+
+class TestReadTable:
+    @settings(max_examples=100, deadline=None)
+    @given(tables())
+    def test_round_trip_is_bit_exact(self, table):
+        header, columns = table
+        got_header, data = read_table(write_table(header, columns))
+        assert data.shape == (len(columns[0]), len(columns))
+        assert got_header == header
+        for j, column in enumerate(columns):
+            assert same_bits(data[:, j], column)
+
+    def test_blank_lines_skipped(self):
+        header, data = read_table("t,a\n\n0,1\n\n1,2\n")
+        assert header == ["t", "a"]
+        np.testing.assert_array_equal(data, [[0, 1], [1, 2]])
+
+    def test_header_only_and_empty(self):
+        header, data = read_table("t,a\n")
+        assert header == ["t", "a"] and data.shape == (0, 2)
+        header, data = read_table("")
+        assert header == [] and data.shape == (0, 0)
+
+    def test_ragged_row_names_row(self):
+        with pytest.raises(SchemaError, match="row 3: expected 2 cells, got 1"):
+            read_table("t,a\n0,1\n0.5\n1,2\n")
+
+    def test_rows_all_wider_than_header(self):
+        with pytest.raises(SchemaError, match="row 2: expected 2 cells, got 3"):
+            read_table("t,a\n0,1,2\n1,2,3\n")
+
+    def test_unparseable_cell_names_row_and_column(self):
+        with pytest.raises(SchemaError, match="row 3, column 'a': cannot parse 'x'"):
+            read_table("t,a\n0,1\n1,x\n")

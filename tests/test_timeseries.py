@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,8 @@ from warpgrowth.timeseries import (
     restrict,
     serialize_panel,
 )
+
+from oracles import parse_cells_per_cell
 
 
 class TestMonthMath:
@@ -114,6 +119,97 @@ class TestParsePanel:
     def test_ragged_row_rejected(self):
         with pytest.raises(SchemaError, match="row 3"):
             parse_panel("date,A,B\n2000-01,100,5\n2000-02,101\n")
+
+    @pytest.mark.parametrize(
+        "cell, problem",
+        [
+            ("inf", "is not finite"),
+            ("Infinity", "is not finite"),
+            ("-inf", "is not positive"),
+            ("1e-320", "is subnormal"),
+            ("nan", "is not positive"),
+        ],
+    )
+    def test_non_finite_and_subnormal_rejected(self, cell, problem):
+        with pytest.raises(ValueError, match=f"row 3, column 'B': value '{cell}' {problem}"):
+            parse_panel(f"date,A,B\n2000-01,100,5\n2000-02,101,{cell}\n")
+
+    def test_smallest_normal_accepted(self):
+        panel = parse_panel("date,A\n2000-01,2.2250738585072014e-308\n2000-02,1e308\n")
+        assert panel.series[0].values.tolist() == [2.2250738585072014e-308, 1e308]
+
+    def test_blank_cell_is_missing(self):
+        panel = parse_panel("date,A,B\n2000-01, ,5\n2000-02,101,6\n")
+        assert panel.get("A").missing.tolist() == [True, False]
+
+    def test_first_bad_cell_in_row_major_order(self):
+        # An unparseable cell later in the file does not mask an earlier bad value.
+        text = "date,A,B\n2000-01,100,5\n2000-02,101,0\n2000-03,oops,7\n"
+        with pytest.raises(ValueError, match="row 3, column 'B': value '0' is not positive"):
+            parse_panel(text)
+
+
+PANEL_CELLS = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300).map(repr),
+    st.floats(min_value=1e-6, max_value=1e9).map(lambda v: f" {v:.6g} "),
+    st.integers(min_value=1, max_value=10**6).map(str),
+    st.sampled_from(["", " ", "1e-5", "2.2250738585072014e-308"]),
+)
+BAD_CELLS = st.sampled_from(["0", "-1", "-0.0", "oops", "inf", "-inf", "nan", "1e-320", "4.9e-324", "1e999"])
+
+
+def panel_text(start, grid_cells):
+    """CSV text with consecutive months from ``start``; ``grid_cells`` holds one list per row."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["date", *(f"s{j}" for j in range(len(grid_cells[0])))])
+    for i, cells in enumerate(grid_cells):
+        writer.writerow([month_label(start + i), *cells])
+    return out.getvalue()
+
+
+def reference_parse(text):
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    return parse_cells_per_cell(rows[1:], [c.strip() for c in rows[0][1:]])
+
+
+class TestParsePanelMatchesPerCellReference:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_rows=st.integers(min_value=2, max_value=8),
+        n_cols=st.integers(min_value=1, max_value=5),
+        data=st.data(),
+    )
+    def test_values_and_masks_identical(self, n_rows, n_cols, data):
+        cells = [[data.draw(PANEL_CELLS) for _ in range(n_cols)] for _ in range(n_rows)]
+        text = panel_text(200, cells)
+        values, missing = reference_parse(text)
+        panel = parse_panel(text)
+        for j, s in enumerate(panel.series):
+            np.testing.assert_array_equal(s.missing, missing[j])
+            present = ~missing[j]
+            assert np.array_equal(s.values[present], values[j][present])
+            assert np.isnan(s.values[missing[j]]).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_rows=st.integers(min_value=2, max_value=8),
+        n_cols=st.integers(min_value=1, max_value=5),
+        data=st.data(),
+    )
+    def test_same_first_bad_cell(self, n_rows, n_cols, data):
+        cells = [[data.draw(PANEL_CELLS) for _ in range(n_cols)] for _ in range(n_rows)]
+        n_bad = data.draw(st.integers(min_value=1, max_value=4))
+        for _ in range(n_bad):
+            i = data.draw(st.integers(min_value=0, max_value=n_rows - 1))
+            j = data.draw(st.integers(min_value=0, max_value=n_cols - 1))
+            cells[i][j] = data.draw(BAD_CELLS)
+        text = panel_text(200, cells)
+        with pytest.raises(ValueError) as expected:
+            reference_parse(text)
+        with pytest.raises(ValueError) as got:
+            parse_panel(text)
+        assert str(got.value) == str(expected.value)
 
 
 class TestSerializeRoundTrip:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpgrowth.errors import GridError, MissingDataError, RateError
+from warpgrowth.errors import GridError, MissingDataError, RateError, SchemaError
 from warpgrowth.growthfit import estimate_alphas, search_interval
 from warpgrowth.timeseries import Panel, PriceSeries, TimeGrid
 from warpgrowth.warping import (
@@ -145,6 +145,52 @@ class TestWarpSetPipeline:
         assert again.names == ws.names
         for a, b in zip(again.warps, ws.warps):
             assert np.array_equal(a.values, b.values)
+
+
+def warp_csv_text(t, columns):
+    lines = ["t_normalized," + ",".join(f"w{j}" for j in range(len(columns)))]
+    lines += [",".join(f"{v:.17g}" for v in (t[i], *(c[i] for c in columns))) for i in range(len(t))]
+    return "\n".join(lines) + "\n"
+
+
+class TestWarpCsvGrid:
+    def test_linspace_grid_accepted(self):
+        t = np.linspace(0.0, 1.0, 11)
+        ws = warps_from_csv(warp_csv_text(t, [t, 2 * t]))
+        assert ws.grid.n_points == 11 and ws.names == ("w0", "w1")
+
+    def test_truncated_file_rejected(self):
+        # The first 7 rows of an 11-point export are not a 7-point grid on [0, 1].
+        t = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(GridError, match="row 3: t_normalized 0.1 is not point 1 of a uniform 7-point grid"):
+            warps_from_csv(warp_csv_text(t[:7], [t[:7]]))
+
+    def test_shifted_grid_rejected(self):
+        t = np.linspace(0.0, 1.0, 11) + 0.01
+        with pytest.raises(GridError, match="row 2: "):
+            warps_from_csv(warp_csv_text(t, [t]))
+
+    def test_other_spacing_rejected_at_first_mismatch(self):
+        t = np.linspace(0.0, 1.0, 11) ** 2
+        with pytest.raises(GridError, match="row 3: "):
+            warps_from_csv(warp_csv_text(t, [t]))
+
+    def test_rounding_within_tolerance_accepted(self):
+        t = np.linspace(0.0, 1.0, 11)
+        ws = warps_from_csv(warp_csv_text(t + 5e-13, [t]))
+        assert ws.grid.n_points == 11
+
+    def test_single_row_rejected(self):
+        with pytest.raises(GridError, match="at least 2 rows"):
+            warps_from_csv("t_normalized,a\n0,0\n")
+
+    def test_nan_grid_value_rejected(self):
+        with pytest.raises(GridError, match="row 3: t_normalized nan"):
+            warps_from_csv("t_normalized,a\n0,0\nnan,1\n")
+
+    def test_ragged_row_rejected(self):
+        with pytest.raises(SchemaError, match="row 3"):
+            warps_from_csv("t_normalized,a\n0,0\n1\n")
 
 
 def _diag_residual(m, hfun, alpha_norm, xfun=None):

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import GridError, SchemaError
 
 
 def write_table(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
@@ -70,3 +70,13 @@ def read_table(text: str) -> tuple[list[str], np.ndarray]:
                 except ValueError:
                     raise SchemaError(f"row {lineno}, column {name!r}: cannot parse {cell!r}") from None
     return header, data.reshape(len(body), len(header))
+
+
+def check_unit_grid(column: np.ndarray) -> None:
+    """Raise GridError, naming the first bad row, unless ``column`` is ``linspace(0, 1, m)`` within 1e-12."""
+    off = np.flatnonzero(~(np.abs(column - np.linspace(0.0, 1.0, len(column))) <= 1e-12))
+    if off.size:
+        i = int(off[0])
+        raise GridError(
+            f"row {i + 2}: t_normalized {float(column[i])!r} is not point {i} of a uniform {len(column)}-point grid on [0, 1]"
+        )

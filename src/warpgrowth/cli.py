@@ -337,8 +337,7 @@ def cmd_diagnose(args) -> int:
     lo = panel.grid.index_of(warpset.grid.start_month)
 
     residuals = []
-    for w in warpset.warps:
-        s = panel.get(w.series_name)
+    for s, w in zip(panel.series, warpset.warps):  # compute_warp_set keeps panel order
         window_series = PriceSeries(s.name, s.values[lo:], s.missing[lo:])
         residuals.append(second_order_diagnostic(window_series, w, w.alpha_used))
 

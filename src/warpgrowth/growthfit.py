@@ -1,9 +1,10 @@
 """Undisturbed-window selection and per-series growth-rate estimation.
 
-Two fitters operate on log index values over a month window:
+Two least-squares fits of log index values on months since the window
+start share one (window length x series) block of logs and one R^2 rule:
 
-* a free-intercept ordinary least squares fit, used to score candidate
-  windows by their coefficient of determination, and
+* a free-intercept fit, batched over every window of a length, used to
+  score candidate windows by their coefficient of determination, and
 * a fixed-intercept fit that pins the intercept at the log value of the
   window start and estimates only the growth rate, used for the final
   per-series rate estimates.
@@ -80,25 +81,76 @@ class AlphaEstimates:
         return np.array([f.alpha for f in self.fits])
 
 
-def _window_slice(series: PriceSeries, grid: TimeGrid, window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+def _window_logs(series, grid: TimeGrid, window: tuple[int, int]) -> np.ndarray:
+    """Log values of ``series`` on ``window`` as a (window length, n_series) block.
+
+    Raises WindowError under 3 points, GridError for a window end off the
+    grid and MissingDataError for a gap inside the window.
+    """
     start, end = window
-    lo = grid.index_of(start)
-    hi = grid.index_of(end)
+    lo, hi = grid.index_of(start), grid.index_of(end)
     if hi - lo + 1 < 3:
         raise WindowError(f"window [{start}, {end}] has fewer than 3 points")
-    if not series.complete_on(lo, hi):
-        raise MissingDataError(f"series {series.name!r} has missing values inside window [{start}, {end}]")
-    y = np.log(series.values[lo : hi + 1])
-    tau = np.arange(hi - lo + 1, dtype=float)
-    return tau, y
+    gappy = [s.name for s in series if not s.complete_on(lo, hi)]
+    if gappy:
+        raise MissingDataError(f"series with missing values inside window [{start}, {end}]: {gappy}")
+    return np.ascontiguousarray(np.log(np.vstack([s.values[lo : hi + 1] for s in series])).T)
 
 
-def _r2_from_residuals(resid: np.ndarray, y: np.ndarray) -> float:
-    sst = float(np.sum((y - y.mean()) ** 2))
-    if sst == 0.0:
-        return 1.0
-    r2 = 1.0 - float(np.sum(resid**2)) / sst
-    return min(1.0, max(0.0, r2))
+def _r2(sse: np.ndarray, sst: np.ndarray) -> np.ndarray:
+    """R^2 in residual form ``1 - SSE / SST``, clipped to [0, 1]; ``SST == 0`` gives 1."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.clip(np.where(sst > 0.0, 1.0 - sse / sst, 1.0), 0.0, 1.0)
+
+
+def _free_ols(logs_t: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Free-intercept OLS of every series on every window of one length.
+
+    ``logs_t`` holds log values with months along axis 0 and series along
+    axis 1. Returns ``(alpha, intercept, r2)``, each (n_offsets, n_series),
+    row ``o`` for the window starting at month offset ``o``. Sums accumulate
+    on (n_offsets, n_series) arrays, so memory stays O(n_offsets * n_series).
+    The mean is taken of values less the window's first, so a flat window
+    has ``SST == 0`` exactly and scores 1; the residual form scores an exact
+    exponential exactly 1.
+    """
+    n_off = logs_t.shape[0] - length + 1
+    tbar = (length - 1) / 2.0
+    tc = np.arange(length, dtype=float) - tbar
+    stt = float(np.sum(tc**2))
+
+    def window(j: int) -> np.ndarray:
+        return logs_t[j : j + n_off]
+
+    anchor = window(0)
+    mean = np.zeros_like(anchor)
+    yc = np.empty_like(anchor)
+    for j in range(1, length):
+        np.subtract(window(j), anchor, out=yc)
+        mean += yc
+    mean /= length
+    # The window mean of log X; on a flat window it is the anchor itself.
+    mean += anchor
+
+    sxy, sst = np.zeros_like(mean), np.zeros_like(mean)
+    for j in range(length):
+        np.subtract(window(j), mean, out=yc)
+        sxy += tc[j] * yc
+        sst += yc * yc
+    alpha = sxy / stt
+
+    sse = np.zeros_like(mean)
+    for j in range(length):
+        np.subtract(window(j), mean, out=yc)
+        yc -= alpha * tc[j]
+        sse += yc * yc
+    return alpha, mean - alpha * tbar, _r2(sse, sst)
+
+
+def _free_fits(series, window: tuple[int, int], logs: np.ndarray) -> tuple[WindowFit, ...]:
+    """Free-intercept fits of ``series`` on ``window`` from their (length, n_series) log block."""
+    alpha, intercept, r2 = (a[0].tolist() for a in _free_ols(logs, logs.shape[0]))
+    return tuple(WindowFit(s.name, window, *fit) for s, *fit in zip(series, alpha, intercept, r2))
 
 
 def fit_window_free(series: PriceSeries, grid: TimeGrid, window: tuple[int, int]) -> WindowFit:
@@ -107,14 +159,7 @@ def fit_window_free(series: PriceSeries, grid: TimeGrid, window: tuple[int, int]
     Minimizes ``sum_t (log X(t) - intercept - alpha * (t - t_start))^2``.
     A constant series has zero total variation and is assigned r2 = 1.
     """
-    tau, y = _window_slice(series, grid, window)
-    tc = tau - tau.mean()
-    stt = float(np.sum(tc**2))
-    yc = y - y.mean()
-    alpha = float(np.dot(tc, yc)) / stt
-    intercept = float(y.mean() - alpha * tau.mean())
-    resid = yc - alpha * tc
-    return WindowFit(series.name, window, alpha, intercept, _r2_from_residuals(resid, y))
+    return _free_fits((series,), window, _window_logs((series,), grid, window))[0]
 
 
 def fit_window_fixed(series: PriceSeries, grid: TimeGrid, window: tuple[int, int]) -> WindowFit:
@@ -125,79 +170,23 @@ def fit_window_fixed(series: PriceSeries, grid: TimeGrid, window: tuple[int, int
     clamped below at ``ALPHA_FLOOR`` to keep the rate positive; clamped
     results are flagged.
     """
-    tau, y = _window_slice(series, grid, window)
-    d = y - y[0]
-    alpha = float(np.dot(tau, d)) / float(np.sum(tau**2))
-    clamped = alpha < ALPHA_FLOOR
-    if clamped:
-        alpha = ALPHA_FLOOR
-    resid = d - alpha * tau
-    return WindowFit(series.name, window, alpha, float(y[0]), _r2_from_residuals(resid, y), clamped)
-
-
-def _mean_r2(fits: list[WindowFit]) -> float:
-    # Sort before summing so the mean is invariant to series ordering.
-    return math.fsum(sorted(f.r2 for f in fits)) / len(fits)
-
-
-def _window_r2(logs_t: np.ndarray, length: int) -> np.ndarray:
-    """Free-intercept R^2 of every series on every window of one length.
-
-    ``logs_t`` holds log values with months along axis 0 and series along
-    axis 1. Returns the (n_offsets, n_series) matrix whose row ``o`` scores
-    the window starting at month offset ``o``. Window means, ``Sxy``,
-    ``SST`` and ``SSE`` accumulate over the ``length`` positions on
-    (n_offsets, n_series) arrays, so memory stays O(n_offsets * n_series).
-    R^2 keeps the residual form ``1 - SSE / SST`` (``SST == 0`` gives 1),
-    clipped to [0, 1]; an exact exponential therefore scores exactly 1.
-    """
-    n_off = logs_t.shape[0] - length + 1
-    tc = np.arange(length, dtype=float)
-    tc -= tc.mean()
-    stt = float(np.sum(tc**2))
-
-    def window(j: int) -> np.ndarray:
-        return logs_t[j : j + n_off]
-
-    mean = window(0).copy()
-    for j in range(1, length):
-        mean += window(j)
-    mean /= length
-
-    sxy = np.zeros_like(mean)
-    sst = np.zeros_like(mean)
-    yc = np.empty_like(mean)
-    for j in range(length):
-        np.subtract(window(j), mean, out=yc)
-        sxy += tc[j] * yc
-        sst += yc * yc
-    beta = sxy / stt
-
-    sse = np.zeros_like(mean)
-    for j in range(length):
-        np.subtract(window(j), mean, out=yc)
-        yc -= beta * tc[j]
-        sse += yc * yc
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r2 = np.where(sst > 0.0, 1.0 - sse / sst, 1.0)
-    return np.clip(r2, 0.0, 1.0)
+    return estimate_alphas(Panel(grid, (series,)), window).fits[0]
 
 
 def search_interval(panel: Panel, lengths=DEFAULT_WINDOW_LENGTHS) -> IntervalSearchResult:
     """Scan every contiguous window of the requested lengths for the best fit.
 
     Every window of each length that lies fully inside the panel grid is
-    scored with the free-intercept fitter; the window with the largest mean
+    scored with the free-intercept fit; the window with the largest mean
     r2 across series wins. Ties break to the earliest start, then to the
     shortest length. The scanned panel must be gap-free (apply
     :func:`warpgrowth.timeseries.restrict` first to drop series with gaps).
 
-    The scan is batched: one call of a vectorized kernel per length scores
-    all offsets and series at once, in O(n_series * n_months) memory, with
-    the same residual R^2 that :func:`fit_window_free` computes (equal to
-    within rounding). Per-window means are sorted ``math.fsum`` sums, so
-    the choice does not depend on series order. The returned per-series
-    fits and ``mean_r2`` come from :func:`fit_window_free` on the winner.
+    One kernel call per length fits all offsets and series at once, in
+    O(n_series * n_months) memory; per-window means are sorted
+    ``math.fsum`` sums, so the choice does not depend on series order. The
+    per-series fits are the kernel's (as in :func:`fit_window_free`) on
+    the winning window, and ``mean_r2`` is the score that won.
 
     Raises
     ------
@@ -214,34 +203,25 @@ def search_interval(panel: Panel, lengths=DEFAULT_WINDOW_LENGTHS) -> IntervalSea
         raise WindowError("no window lengths requested")
     if lengths[0] < 3:
         raise WindowError(f"window length {lengths[0]} is shorter than 3 months")
-    gappy = [s.name for s in panel.series if s.missing.any()]
-    if gappy:
-        raise MissingDataError(f"series with gaps on the scanned grid (restrict first): {gappy}")
+    grid = panel.grid
+    logs_t = _window_logs(panel.series, grid, (grid.start_month, grid.end_month))
 
-    logs_t = np.ascontiguousarray(np.log(np.vstack([s.values for s in panel.series])).T)
-    m = panel.grid.n_points
-
-    best_key: tuple[float, int, int] | None = None
-    best: tuple[tuple[int, int], int] | None = None
-    for length in lengths:
-        if length > m:
-            continue
-        r2 = np.sort(_window_r2(logs_t, length), axis=1)
-        for offset, row in enumerate(r2.tolist()):
-            # Sorted sum keeps the mean invariant to series ordering.
-            mean_r2 = math.fsum(row) / len(row)
-            start = panel.grid.start_month + offset
-            # Maximize r2; among ties prefer the earliest start, then the
-            # shortest length (negated so a plain tuple max applies).
-            key = (mean_r2, -start, -length)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = ((start, start + length - 1), length)
-    if best is None:
-        raise WindowError(f"no window of lengths {lengths} fits inside the {m}-point grid")
-    window, length = best
-    fits = tuple(fit_window_free(s, panel.grid, window) for s in panel.series)
-    return IntervalSearchResult(window, length, _mean_r2(list(fits)), fits)
+    # Sorted sums keep each mean invariant to series ordering. The smallest
+    # key has the largest mean r2, then the earliest start, then the
+    # shortest length.
+    keys = [
+        (-math.fsum(row) / len(row), offset, length)
+        for length in lengths
+        if length <= grid.n_points
+        for offset, row in enumerate(np.sort(_free_ols(logs_t, length)[2], axis=1).tolist())
+    ]
+    if not keys:
+        raise WindowError(f"no window of lengths {lengths} fits inside the {grid.n_points}-point grid")
+    neg_mean_r2, lo, length = min(keys)
+    window = (grid.start_month + lo, grid.start_month + lo + length - 1)
+    # Elementwise arithmetic on the winner's rows repeats the scan's bits.
+    fits = _free_fits(panel.series, window, logs_t[lo : lo + length])
+    return IntervalSearchResult(window, length, -neg_mean_r2, fits)
 
 
 def estimate_alphas(panel: Panel, window: tuple[int, int]) -> AlphaEstimates:
@@ -250,8 +230,15 @@ def estimate_alphas(panel: Panel, window: tuple[int, int]) -> AlphaEstimates:
     Also reports the cross-series mean and standard deviation (n-1
     denominator) of the estimated rates.
     """
-    fits = tuple(fit_window_fixed(s, panel.grid, window) for s in panel.series)
-    alphas = np.array([f.alpha for f in fits])
-    mean = float(alphas.mean())
-    sd = float(alphas.std(ddof=1)) if alphas.size > 1 else 0.0
-    return AlphaEstimates(fits, mean, sd)
+    logs = _window_logs(panel.series, panel.grid, window)
+    tau = np.arange(logs.shape[0], dtype=float)
+    d = logs - logs[0]
+    alpha = tau @ d / float(np.sum(tau**2))
+    clamped = alpha < ALPHA_FLOOR
+    alpha[clamped] = ALPHA_FLOOR
+    sse = np.sum((d - np.outer(tau, alpha)) ** 2, axis=0)
+    sst = np.sum((d - d.mean(axis=0)) ** 2, axis=0)
+    rows = zip(panel.series, alpha.tolist(), logs[0].tolist(), _r2(sse, sst).tolist(), clamped.tolist())
+    fits = tuple(WindowFit(s.name, window, *fit) for s, *fit in rows)
+    sd = float(alpha.std(ddof=1)) if alpha.size > 1 else 0.0
+    return AlphaEstimates(fits, float(alpha.mean()), sd)

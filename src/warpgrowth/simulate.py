@@ -32,8 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._table import read_table, write_table
-from .errors import ConfigError, WarpGrowthError
+from ._table import check_unit_grid, read_table, write_table
+from .errors import ConfigError, SchemaError, WarpGrowthError
 from .fpca import eigendecompose, fit_fpca
 from .growthfit import DEFAULT_WINDOW_LENGTHS, estimate_alphas, search_interval
 from .quadrature import trapezoid_weights
@@ -607,6 +607,15 @@ def save_truth(truth: SimTruth, directory: str | Path, stem: str = "truth") -> P
     return manifest_path
 
 
+def _read_truth_table(path: Path, n_columns: int) -> np.ndarray:
+    """A truth CSV: a uniform ``t_normalized`` column first, ``n_columns`` or more in all."""
+    data = read_table(path.read_text())[1]
+    if data.shape[1] < n_columns:
+        raise SchemaError(f"truth CSV {str(path)!r} has {data.shape[1]} columns, needs at least {n_columns}")
+    check_unit_grid(data[:, 0])
+    return data
+
+
 def load_truth(manifest_path: str | Path) -> SimTruth:
     """Load a truth manifest written by :func:`save_truth` (or by hand)."""
     manifest_path = Path(manifest_path)
@@ -617,11 +626,10 @@ def load_truth(manifest_path: str | Path) -> SimTruth:
             raise ConfigError(f"truth manifest is missing {key!r}")
     base = manifest_path.parent
 
-    with open(base / manifest["mean_csv"]) as fh:
-        mean = read_table(fh.read())[1][:, 1].copy()
-    with open(base / manifest["eigenfunctions_csv"]) as fh:
-        # One component per row, laid out like default_truth's eigenfunctions.
-        phi = read_table(fh.read())[1][:, 1:].copy().T
+    mean = _read_truth_table(base / manifest["mean_csv"], 2)[:, 1].copy()
+    # One component per row, laid out like default_truth's eigenfunctions.
+    n_phi_columns = 1 + len(manifest["eigenvalues"])
+    phi = _read_truth_table(base / manifest["eigenfunctions_csv"], n_phi_columns)[:, 1:].copy().T
 
     grid = TimeGrid(int(manifest["t0_month"]), int(manifest["t1_month"]) - int(manifest["t0_month"]) + 1)
     return SimTruth(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._table import read_table, write_table
+from ._table import check_unit_grid, read_table, write_table
 from .errors import GridError, MissingDataError, RateError
 from .growthfit import AlphaEstimates, WindowFit
 from .timeseries import Panel, PriceSeries, TimeGrid
@@ -259,13 +259,8 @@ def warps_from_csv(csv_text: str, alphas: dict[str, float] | None = None) -> War
     m = data.shape[0]
     if m < 2:
         raise GridError("warp CSV needs at least 2 rows")
+    check_unit_grid(data[:, 0])
     grid = TimeGrid(0, m, normalized=True)
-    off = np.flatnonzero(~(np.abs(data[:, 0] - grid.points) <= 1e-12))
-    if off.size:
-        i = int(off[0])
-        raise GridError(
-            f"row {i + 2}: t_normalized {float(data[i, 0])!r} is not point {i} of a uniform {m}-point grid on [0, 1]"
-        )
     warps = []
     for j, name in enumerate(header[1:]):
         alpha = 1.0 if alphas is None else alphas.get(name, 1.0)

@@ -91,3 +91,33 @@ def parse_cells_per_cell(data_rows, names):
                 raise ValueError(f"{where}: value {cell!r} is subnormal (below {float(tiny)!r})")
             values[j, i] = v
     return values, missing
+
+
+def free_fit_per_series(series, grid, window):
+    """Free-intercept OLS of one series on one window, written out with numpy sums.
+
+    The values are anchored at the window-start log value, so a flat window
+    has zero total variation and scores r2 = 1.
+    """
+    from warpgrowth.errors import MissingDataError, WindowError
+    from warpgrowth.growthfit import WindowFit
+
+    start, end = window
+    lo = grid.index_of(start)
+    hi = grid.index_of(end)
+    if hi - lo + 1 < 3:
+        raise WindowError(f"window [{start}, {end}] has fewer than 3 points")
+    if not series.complete_on(lo, hi):
+        raise MissingDataError(f"series {series.name!r} has missing values inside window [{start}, {end}]")
+    y = np.log(series.values[lo : hi + 1])
+    tau = np.arange(hi - lo + 1, dtype=float)
+    d = y - y[0]
+    tc = tau - tau.mean()
+    stt = float(np.sum(tc**2))
+    dc = d - d.mean()
+    alpha = float(np.dot(tc, dc)) / stt
+    intercept = float(y[0] + d.mean() - alpha * tau.mean())
+    resid = dc - alpha * tc
+    sst = float(np.sum(dc**2))
+    r2 = 1.0 if sst == 0.0 else min(1.0, max(0.0, 1.0 - float(np.sum(resid**2)) / sst))
+    return WindowFit(series.name, window, alpha, intercept, r2)

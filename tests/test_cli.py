@@ -248,6 +248,31 @@ class TestSimulateCommand:
         report = json.loads((out / "sim_report.json").read_text())
         assert report["aggregates"]["ase"]["mean"] < 1e-10
 
+    def _saved_truth(self, tmp_path):
+        grid = TimeGrid(144, 60)
+        truth = SimTruth(grid, np.linspace(0, 1, 60), np.empty((0, 60)), np.empty(0), n=6)
+        return save_truth(truth, tmp_path / "truth")
+
+    def test_narrow_truth_csv_is_input_error(self, tmp_path, capsys):
+        manifest = self._saved_truth(tmp_path)
+        mean_csv = manifest.parent / json.loads(manifest.read_text())["mean_csv"]
+        rows = mean_csv.read_text().splitlines()
+        mean_csv.write_text("".join(row.split(",")[0] + "\n" for row in rows))
+        code = main(["simulate", "--output-dir", str(tmp_path / "o"), "--truth", str(manifest)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and mean_csv.name in err
+        assert not (tmp_path / "o").exists()
+
+    def test_truth_csv_off_the_unit_grid_is_input_error(self, tmp_path, capsys):
+        manifest = self._saved_truth(tmp_path)
+        mean_csv = manifest.parent / json.loads(manifest.read_text())["mean_csv"]
+        header, *rows = mean_csv.read_text().splitlines()
+        mean_csv.write_text(header + "\n" + "".join("0.5," + row.split(",")[1] + "\n" for row in rows))
+        code = main(["simulate", "--output-dir", str(tmp_path / "o"), "--truth", str(manifest)])
+        assert code == 2
+        assert "not point 0 of a uniform 60-point grid" in capsys.readouterr().err
+
     def test_requires_truth_choice(self, tmp_path):
         assert main(["simulate", "--output-dir", str(tmp_path / "o")]) == 4
 

@@ -9,7 +9,7 @@ from warpgrowth.errors import MissingDataError, WindowError
 from warpgrowth.growthfit import (
     ALPHA_FLOOR,
     DEFAULT_WINDOW_LENGTHS,
-    _window_r2,
+    _free_ols,
     estimate_alphas,
     fit_window_fixed,
     fit_window_free,
@@ -18,6 +18,7 @@ from warpgrowth.growthfit import (
 from warpgrowth.timeseries import Panel, PriceSeries, TimeGrid
 
 from conftest import exponential_panel
+from oracles import free_fit_per_series
 
 
 def series_on(values, start_month=0, missing=None):
@@ -181,13 +182,13 @@ class TestSearchInterval:
 
 
 def brute_force_search(panel, lengths):
-    """Reference scan: one fit_window_free call per series and window, same tie rule."""
+    """Reference scan: one per-series oracle fit per series and window, same tie rule."""
     best_key = None
     for length in sorted(set(lengths)):
         for offset in range(panel.grid.n_points - length + 1):
             start = panel.grid.start_month + offset
             window = (start, start + length - 1)
-            r2 = [fit_window_free(s, panel.grid, window).r2 for s in panel.series]
+            r2 = [free_fit_per_series(s, panel.grid, window).r2 for s in panel.series]
             key = (math.fsum(sorted(r2)) / len(r2), -start, -length)
             if best_key is None or key > best_key:
                 best_key, best = key, window
@@ -196,7 +197,7 @@ def brute_force_search(panel, lengths):
 
 @st.composite
 def random_panels(draw):
-    """Gap-free panels: exponential trends with per-series noise (possibly none)."""
+    """Gap-free panels: exponential trends with per-series noise (possibly none), or flat series."""
     n_series = draw(st.integers(min_value=1, max_value=6))
     n_points = draw(st.integers(min_value=3, max_value=48))
     lengths = draw(st.lists(st.integers(min_value=3, max_value=n_points), min_size=1, max_size=3))
@@ -205,8 +206,10 @@ def random_panels(draw):
     t = np.arange(n_points, dtype=float)
     series = []
     for i in range(n_series):
-        noise = draw(st.sampled_from([0.0, 1e-3, 0.05]))
+        noise = draw(st.sampled_from(["flat", 0.0, 1e-3, 0.05]))
         alpha = rng.uniform(1e-3, 0.03)
+        if noise == "flat":
+            alpha, noise = 0.0, 0.0
         logs = alpha * t + noise * rng.standard_normal(n_points)
         series.append(PriceSeries(f"s{i}", rng.uniform(50.0, 150.0) * np.exp(logs)))
     start_month = draw(st.integers(min_value=0, max_value=300))
@@ -220,13 +223,15 @@ class TestBatchedScan:
         panel, lengths = case
         logs_t = np.log(np.vstack([s.values for s in panel.series])).T.copy()
         for length in set(lengths):
-            r2 = _window_r2(logs_t, length)
+            alpha, intercept, r2 = _free_ols(logs_t, length)
             assert r2.shape == (panel.grid.n_points - length + 1, panel.n_series)
             for offset in range(r2.shape[0]):
                 start = panel.grid.start_month + offset
                 for i, s in enumerate(panel.series):
-                    ref = fit_window_free(s, panel.grid, (start, start + length - 1)).r2
-                    assert abs(r2[offset, i] - ref) <= 1e-12
+                    ref = free_fit_per_series(s, panel.grid, (start, start + length - 1))
+                    assert abs(r2[offset, i] - ref.r2) <= 1e-12
+                    assert abs(alpha[offset, i] - ref.alpha) <= 1e-12
+                    assert abs(intercept[offset, i] - ref.intercept) <= 1e-12 * abs(ref.intercept)
 
     @settings(max_examples=60, deadline=None)
     @given(case=random_panels())
@@ -242,12 +247,26 @@ class TestBatchedScan:
         panel = exponential_panel([0.003, 0.009, 0.017], n_points=90, start_month=12)
         logs_t = np.log(np.vstack([s.values for s in panel.series])).T.copy()
         for length in DEFAULT_WINDOW_LENGTHS:
-            assert np.all(_window_r2(logs_t, length) == 1.0)
+            assert np.all(_free_ols(logs_t, length)[2] == 1.0)
         res = search_interval(panel)
         assert res.best_window == (12, 35)
         assert res.window_length_months == 24
         assert res.mean_r2 == 1.0
         assert brute_force_search(panel, DEFAULT_WINDOW_LENGTHS) == (12, 35)
+
+    @pytest.mark.parametrize("value", [100.0, 95.3, 1.0, 0.37, 250.0, 1e6, 123.456])
+    def test_constant_series_scores_one_at_every_length(self, value):
+        # A flat window has zero total variation whatever rounding the log
+        # and the window mean incur, so every fit assigns r2 = 1.
+        for length in range(3, 61):
+            s, grid = series_on([value] * length)
+            alpha, _, r2 = _free_ols(np.log(np.full((length, 1), value)), length)
+            assert alpha[0, 0] == 0.0 and r2[0, 0] == 1.0
+            free = fit_window_free(s, grid, (0, length - 1))
+            assert free.alpha == 0.0 and free.r2 == 1.0
+            fixed = fit_window_fixed(s, grid, (0, length - 1))
+            assert fixed.clamped and fixed.r2 == 1.0
+            assert free_fit_per_series(s, grid, (0, length - 1)).r2 == 1.0
 
 
 class TestEstimateAlphas:

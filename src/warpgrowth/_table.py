@@ -1,20 +1,36 @@
-"""The one column-table format shared by every float CSV artifact.
+"""The package's one CSV dialect and its file-reading boundary.
 
-A column table is a header row of names followed by one row per grid point
-with a float in every column, written at 17 significant digits so a
-read-back is exact. The warp, diagnostic, eigenfunction, mode and truth
-CSVs all use it, with ``t_normalized`` (or ``t``) as the first column.
+Every CSV artifact is written here, floats at 17 significant digits so a
+read-back is exact: column tables (``t_normalized`` or ``t`` first, a float
+in every cell) by :func:`write_table`, mixed rows by :func:`write_rows`.
+Input files go through :func:`read_file`, so malformed content raises a
+typed error (SchemaError, GridError) naming the file, never a builtin.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Sequence
+import json
+import reprlib
+import sys
+from collections.abc import Callable, Iterable, Sequence
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import GridError, SchemaError
+from .errors import GridError, SchemaError, WarpGrowthError
+
+
+def _line_writer() -> Callable[[Sequence], str]:
+    """Render one row as a CSV line ending in ``"\\n"``.
+
+    csv's own ``"\\r\\n"`` terminator makes it quote ``"\\r"`` as well as
+    ``"\\n"``; ``writerow`` returns the line that ``write`` hands back.
+    """
+    writerow = csv.writer(SimpleNamespace(write=lambda line: line)).writerow
+    return lambda cells: writerow(cells)[:-2] + "\n"
 
 
 def write_table(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
@@ -31,13 +47,77 @@ def write_table(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
     body = np.vstack(columns).T
     if body.shape[1] != len(header):
         raise ValueError(f"{len(header)} header cells for {body.shape[1]} columns")
-    # csv quotes a field holding a character of the line terminator, so the
-    # default "\r\n" makes it quote names with "\r" as well as "\n"; the
-    # header then ends in "\n" like every other row.
-    head = io.StringIO()
-    csv.writer(head).writerow(header)
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
-    return head.getvalue()[:-2] + "\n" + "".join([row_format % tuple(row) for row in body.tolist()])
+    return _line_writer()(header) + "".join([row_format % tuple(row) for row in body.tolist()])
+
+
+def write_rows(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Render a header and rows of mixed cells as CSV text, quoted like :func:`write_table`'s header.
+
+    Float cells (numpy floats included) are written at ``"%.17g"``, other
+    cells as their ``str``.
+    """
+    line = _line_writer()
+    return line(header) + "".join([line(["%.17g" % c if isinstance(c, float) else c for c in row]) for row in rows])
+
+
+def csv_rows(text: str) -> list[list[str]]:
+    """The non-blank rows of CSV text; SchemaError naming the line where :mod:`csv` fails (a cell over its size limit)."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        return [row for row in reader if row]
+    except csv.Error as exc:
+        raise SchemaError(f"line {reader.line_num}: {exc}") from None
+
+
+def read_file(path: str | Path, parse: Callable[[str], object]):
+    """``parse`` of the UTF-8 text of file ``path``, line endings untranslated as :mod:`csv` expects.
+
+    Text that is not UTF-8 or not valid JSON raises SchemaError naming the
+    file; a typed error of ``parse`` gets the path put in front of its
+    message. ``OSError`` passes through.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return parse(fh.read())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+    except WarpGrowthError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+_REQUIRED = object()
+_INT_LIMITS = {int: 2**63 - 1, float: sys.float_info.max}
+
+
+def _is(value, kind) -> bool:
+    """Whether a JSON value is a ``kind`` (``[kind]``: a list of them); an int in range is a float, a bool is neither."""
+    if isinstance(kind, list):
+        return type(value) is list and all(_is(v, kind[0]) for v in value)
+    if type(value) is int and kind in _INT_LIMITS:
+        return abs(value) <= _INT_LIMITS[kind]
+    return type(value) is kind
+
+
+def json_field(obj, key: str, kind, where: str, error: type[WarpGrowthError] = SchemaError, default=_REQUIRED):
+    """``obj[key]`` of a parsed JSON object, checked to be a ``kind`` (floats come back as ``float``).
+
+    ``kind`` is ``int``, ``float``, ``str``, ``bool``, ``dict`` or a list
+    of one of them such as ``[float]``. A missing key gives ``default`` if
+    one is passed. Otherwise ``error`` names ``where`` and ``key``.
+    """
+    if type(obj) is not dict:
+        raise error(f"{where} must be an object, got {reprlib.repr(obj)}")
+    if key not in obj and default is not _REQUIRED:
+        return default
+    if key not in obj:
+        raise error(f"{where} is missing {key!r}")
+    value = obj[key]
+    if not _is(value, kind):
+        name = f"list of {kind[0].__name__}" if isinstance(kind, list) else kind.__name__
+        raise error(f"{where}: {key!r} must be {name}, got {reprlib.repr(value)}")
+    return float(value) if kind is float else value
 
 
 def read_table(text: str) -> tuple[list[str], np.ndarray]:
@@ -49,10 +129,11 @@ def read_table(text: str) -> tuple[list[str], np.ndarray]:
     Raises
     ------
     SchemaError
-        If a row has a different number of cells than the header, or a
-        cell is not a number. Rows are counted from 1 at the header.
+        If :func:`csv_rows` fails, a row has a different number of cells
+        than the header, or a cell is not a number. Rows are counted from
+        1 at the header.
     """
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    rows = csv_rows(text)
     if not rows:
         return [], np.empty((0, 0))
     header, body = rows[0], rows[1:]

@@ -7,16 +7,15 @@ CSV, ``fpca`` decomposes a warp CSV, ``simulate`` runs the Monte Carlo
 study, and ``diagnose`` emits second-order model residuals.
 
 Exit codes are a stable contract: 0 success, 2 input error, 3 numerical
-failure, 4 configuration error. Outputs are written only after the whole
-computation succeeds, and identical inputs plus an identical seed yield
-byte-identical artifacts.
+failure, 4 configuration error, each declared by its ``WarpGrowthError``
+class; any other exception is a bug. Outputs are written only after the
+whole computation succeeds, and identical inputs plus an identical seed
+yield byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -25,19 +24,7 @@ import numpy as np
 
 from . import _table
 from . import simulate as sim
-from .errors import (
-    ConfigError,
-    DegenerateRegressorError,
-    EmptyPanelError,
-    EmptySampleError,
-    GridError,
-    MissingDataError,
-    NumericalError,
-    RateError,
-    SampleSizeError,
-    SchemaError,
-    WindowError,
-)
+from .errors import ConfigError, WarpGrowthError
 from .fpca import (
     eigenfunctions_to_csv,
     fit_fpca,
@@ -59,29 +46,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_CONFIG = 4
-
-_INPUT_ERRORS = (
-    FileNotFoundError,
-    IsADirectoryError,
-    PermissionError,
-    SchemaError,
-    GridError,
-    MissingDataError,
-    EmptyPanelError,
-    WindowError,
-    ValueError,
-    KeyError,
-    json.JSONDecodeError,
-)
-_NUMERICAL_ERRORS = (
-    RateError,
-    NumericalError,
-    EmptySampleError,
-    SampleSizeError,
-    DegenerateRegressorError,
-    IndexError,
-    np.linalg.LinAlgError,
-)
+_EXIT_LABELS = {EXIT_INPUT: "input error", EXIT_NUMERICAL: "numerical failure", EXIT_CONFIG: "configuration error"}
 
 
 def _parse_month(token: str) -> int:
@@ -111,7 +76,7 @@ def _parse_lengths(text: str) -> tuple[int, ...]:
 
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
@@ -119,39 +84,33 @@ def _write_json(path: Path, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=True) + "\n")
 
 
-def _read_panel(path: str) -> Panel:
-    with open(path) as fh:
-        return parse_panel(fh.read())
+def _parse_fit_artifact(text: str) -> tuple[tuple[int, int], tuple[int, int], list[WindowFit]]:
+    """The fit window, panel restriction and per-series fits of a fit artifact, every field type-checked."""
+    artifact = json.loads(text)
+    field = _table.json_field
 
+    def span(obj, where: str) -> tuple[int, int]:
+        return field(obj, "start", int, where), field(obj, "end", int, where)
 
-def _read_fit_artifact(path: Path) -> dict:
-    with open(path) as fh:
-        artifact = json.load(fh)
-    for key in ("window", "alpha_estimates", "analysis"):
-        if key not in artifact:
-            raise SchemaError(f"fit artifact {path} is missing {key!r}")
-    return artifact
-
-
-def _fits_from_artifact(artifact: dict) -> list[WindowFit]:
-    window = (artifact["window"]["start"], artifact["window"]["end"])
+    window = span(field(artifact, "window", dict, "fit artifact"), "window")
+    analysis = field(artifact, "analysis", dict, "fit artifact")
+    restriction = span(field(analysis, "restriction", dict, "analysis"), "analysis.restriction")
+    rows = field(field(artifact, "alpha_estimates", dict, "fit artifact"), "per_series", [dict], "alpha_estimates")
     fits = []
-    for row in artifact["alpha_estimates"]["per_series"]:
-        fits.append(
-            WindowFit(
-                series_name=row["name"],
-                window=window,
-                alpha=row["alpha"],
-                intercept=row["intercept"],
-                r2=row["r2"],
-                clamped=row.get("clamped", False),
-            )
-        )
-    return fits
+    for i, row in enumerate(rows):
+        where = f"alpha_estimates.per_series[{i}]"
+        name = field(row, "name", str, where)
+        alpha, intercept, r2 = (field(row, key, float, where) for key in ("alpha", "intercept", "r2"))
+        fits.append(WindowFit(name, window, alpha, intercept, r2, field(row, "clamped", bool, where, default=False)))
+    return window, restriction, fits
+
+
+def _read_fit_artifact(path: Path) -> tuple[tuple[int, int], tuple[int, int], list[WindowFit]]:
+    return _table.read_file(path, _parse_fit_artifact)
 
 
 def _restricted_panel(args) -> tuple[Panel, list[str], tuple[int, int]]:
-    panel = _read_panel(args.input)
+    panel = _table.read_file(args.input, parse_panel)
     window = _parse_window(args.window) if args.window else (panel.grid.start_month, panel.grid.end_month)
     panel, dropped = restrict(panel, *window)
     return panel, dropped, window
@@ -195,39 +154,26 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _warps_for_artifact(args, artifact: dict):
-    panel = _read_panel(args.input)
-    analysis = artifact["analysis"]
-    panel, _ = restrict(panel, analysis["restriction"]["start"], analysis["restriction"]["end"])
-    fits = _fits_from_artifact(artifact)
-    start = artifact["window"]["start"]
-    t0 = artifact["window"]["end"]
-    return panel, compute_warp_set(panel, fits, window_start_month=start, t0_month=t0)
+def _warps_for_artifact(args):
+    window, restriction, fits = _read_fit_artifact(_fit_path(args))
+    panel, _ = restrict(_table.read_file(args.input, parse_panel), *restriction)
+    return panel, compute_warp_set(panel, fits, window_start_month=window[0], t0_month=window[1])
 
 
 def cmd_warp(args) -> int:
-    artifact = _read_fit_artifact(_fit_path(args))
-    _, warpset = _warps_for_artifact(args, artifact)
-
-    setbacks = io.StringIO()
-    writer = csv.writer(setbacks, lineterminator="\n")
-    writer.writerow(["name", "alpha", "h_end", "setback_normalized", "setback_months", "reliable"])
+    _, warpset = _warps_for_artifact(args)
     months = warpset.grid.elapsed_months
-    for w in warpset.warps:
-        writer.writerow(
-            [
-                w.series_name,
-                f"{w.alpha_used:.17g}",
-                f"{w.values[-1]:.17g}",
-                f"{w.setback:.17g}",
-                f"{w.setback * months:.17g}",
-                int(w.reliable),
-            ]
-        )
+    setbacks = _table.write_rows(
+        ["name", "alpha", "h_end", "setback_normalized", "setback_months", "reliable"],
+        (
+            [w.series_name, w.alpha_used, w.values[-1], w.setback, w.setback * months, int(w.reliable)]
+            for w in warpset.warps
+        ),
+    )
 
     out = Path(args.output_dir)
     _write_text(out / "warps.csv", warps_to_csv(warpset))
-    _write_text(out / "setbacks.csv", setbacks.getvalue())
+    _write_text(out / "setbacks.csv", setbacks)
     mean_setback = float(np.mean([w.setback for w in warpset.warps]))
     print(
         f"warp: {warpset.n_series} series on {warpset.grid.n_points} points, "
@@ -237,28 +183,20 @@ def cmd_warp(args) -> int:
 
 
 def cmd_fpca(args) -> int:
-    with open(args.input) as fh:
-        warpset = warps_from_csv(fh.read())
+    warpset = _table.read_file(args.input, warps_from_csv)
     exclude = tuple(name.strip() for name in args.exclude.split(",") if name.strip()) if args.exclude else ()
-    if args.k is not None and args.k < 1:
-        raise ConfigError(f"--k must be at least 1, got {args.k}")
     if not 0 < args.var_threshold <= 1:
         raise ConfigError(f"--var-threshold must be in (0, 1], got {args.var_threshold}")
     model = fit_fpca(warpset, exclude=exclude, k=args.k, var_threshold=args.var_threshold)
-
-    scores_csv = io.StringIO()
-    writer = csv.writer(scores_csv, lineterminator="\n")
-    writer.writerow(["name", "out_of_sample", *(f"score_{k + 1}" for k in range(model.n_retained))])
-    for i, name in enumerate(model.score_names):
-        writer.writerow(
-            [name, int(model.out_of_sample[i]), *(f"{s:.17g}" for s in model.scores[i])]
-        )
+    scores = _table.write_rows(
+        ["name", "out_of_sample", *(f"score_{k + 1}" for k in range(model.n_retained))],
+        ([name, int(model.out_of_sample[i]), *model.scores[i].tolist()] for i, name in enumerate(model.score_names)),
+    )
 
     regression = None
     fit_path = _fit_path(args)
     if fit_path.exists():
-        artifact = _read_fit_artifact(fit_path)
-        alphas = {row["name"]: row["alpha"] for row in artifact["alpha_estimates"]["per_series"]}
+        alphas = {f.series_name: f.alpha for f in _read_fit_artifact(fit_path)[2]}
         in_sample = [
             (i, name)
             for i, name in enumerate(model.score_names)
@@ -279,7 +217,7 @@ def cmd_fpca(args) -> int:
     out = Path(args.output_dir)
     _write_json(out / "fpca_model.json", model_to_json_dict(model))
     _write_text(out / "eigenfunctions.csv", eigenfunctions_to_csv(model))
-    _write_text(out / "scores.csv", scores_csv.getvalue())
+    _write_text(out / "scores.csv", scores)
     for k in (1, 2):
         if k <= model.n_retained:
             _write_text(out / f"modes_k{k}.csv", modes_to_csv(modes_of_variation(model, k), model.grid))
@@ -332,8 +270,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    artifact = _read_fit_artifact(_fit_path(args))
-    panel, warpset = _warps_for_artifact(args, artifact)
+    panel, warpset = _warps_for_artifact(args)
     lo = panel.grid.index_of(warpset.grid.start_month)
 
     residuals = []
@@ -409,19 +346,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: 0, the code a WarpGrowthError's class declares, 2 for an OSError; a bug propagates."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"warpgrowth {args.command}: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
-        print(f"warpgrowth {args.command}: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except _INPUT_ERRORS as exc:
-        print(f"warpgrowth {args.command}: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except WarpGrowthError as exc:
+        code, error = exc.exit_code, exc
+    except OSError as exc:
+        code, error = EXIT_INPUT, exc
+    print(f"warpgrowth {args.command}: {_EXIT_LABELS[code]}: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

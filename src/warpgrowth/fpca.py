@@ -29,6 +29,7 @@ import numpy as np
 
 from ._table import write_table
 from .errors import (
+    ConfigError,
     DegenerateRegressorError,
     EmptySampleError,
     GridError,
@@ -137,7 +138,8 @@ def eigendecompose(g: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, np.ndarra
     Raises
     ------
     NumericalError
-        If ``g`` is asymmetric beyond tolerance.
+        If ``g`` is asymmetric beyond tolerance, not finite, or the
+        eigensolver fails.
     """
     g = np.asarray(g, dtype=float)
     m = grid.n_points
@@ -147,12 +149,21 @@ def eigendecompose(g: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, np.ndarra
     if float(np.abs(g - g.T).max()) > 1e-8 * scale:
         raise NumericalError("covariance surface is asymmetric beyond tolerance")
     g = (g + g.T) / 2.0
+    sqrt_w = np.sqrt(trapezoid_weights(m))
+    vals, vecs = _solve("eigh", g * np.outer(sqrt_w, sqrt_w))
+    return _spectrum(vals[::-1], vecs[:, ::-1], m)
 
+
+def _solve(name: str, a: np.ndarray, **kwargs):
+    """``scipy.linalg.<name>(a)``; non-finite input or a LAPACK failure raises NumericalError."""
     import scipy.linalg  # deferred: commands that never solve skip its import cost
 
-    sqrt_w = np.sqrt(trapezoid_weights(m))
-    vals, vecs = scipy.linalg.eigh(g * np.outer(sqrt_w, sqrt_w))
-    return _spectrum(vals[::-1], vecs[:, ::-1], m)
+    if not np.isfinite(a).all():
+        raise NumericalError(f"cannot run {name} on non-finite values")
+    try:
+        return getattr(scipy.linalg, name)(a, **kwargs)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(f"{name} failed: {exc}") from None
 
 
 def _spectrum(vals: np.ndarray, vecs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -187,12 +198,10 @@ def _sample_spectrum(h: np.ndarray, mu: np.ndarray, full: bool = False) -> tuple
     spectrum padded with zeros to length m and ``min(n, m)`` eigenfunctions,
     or all ``m`` (an orthonormal completion) when ``full`` is set.
     """
-    import scipy.linalg  # deferred, as in eigendecompose
-
     n, m = h.shape
     sqrt_w = np.sqrt(trapezoid_weights(m))
     a = (h - mu) * (sqrt_w / np.sqrt(n))
-    _, sv, vt = scipy.linalg.svd(a, full_matrices=full)
+    _, sv, vt = _solve("svd", a, full_matrices=full)
     return _spectrum(sv**2, vt.T, m)
 
 
@@ -240,13 +249,20 @@ def fit_fpca(
 
     Raises
     ------
+    ConfigError
+        If ``exclude`` names a series not in the sample, or ``k`` is
+        outside ``[1, m]`` for an ``m``-point grid.
     SampleSizeError
         If fewer than 2 series remain after exclusion.
+    NumericalError
+        If the sample or its covariance is not finite, or a solver fails.
     """
     exclude = tuple(exclude)
     unknown = [name for name in exclude if name not in warps.names]
     if unknown:
-        raise KeyError(f"excluded names not in the sample: {unknown}")
+        raise ConfigError(f"excluded names not in the sample: {unknown}")
+    if k is not None and not 1 <= k <= warps.grid.n_points:
+        raise ConfigError(f"k must be in [1, {warps.grid.n_points}], got {k}")
     included = WarpSet(warps.grid, tuple(w for w in warps.warps if w.series_name not in exclude))
     if included.n_series < 2:
         raise SampleSizeError(f"need at least 2 series after exclusion, got {included.n_series}")
@@ -261,8 +277,6 @@ def fit_fpca(
     total = float(vals.sum())
     fractions = vals / total if total > 0.0 else np.zeros_like(vals)
     if k is not None:
-        if not 1 <= k <= vals.shape[0]:
-            raise IndexError(f"k must be in [1, {vals.shape[0]}], got {k}")
         n_retained = int(k)
     else:
         cumulative = np.cumsum(fractions)

@@ -22,17 +22,15 @@ from ``(seed, replicate index)``, so results do not depend on scheduling.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ._table import check_unit_grid, read_table, write_table
+from ._table import check_unit_grid, json_field, read_file, read_table, write_rows, write_table
 from .errors import ConfigError, SchemaError, WarpGrowthError
 from .fpca import eigendecompose, fit_fpca
 from .growthfit import DEFAULT_WINDOW_LENGTHS, estimate_alphas, search_interval
@@ -111,9 +109,9 @@ class SimTruth:
                 raise ConfigError("eigenfunctions are not orthonormal under the grid quadrature")
         if self.n < 1:
             raise ConfigError(f"sample size must be positive, got {self.n}")
-        if not (0 < self.x0_range[0] <= self.x0_range[1]):
+        if len(self.x0_range) != 2 or not (0 < self.x0_range[0] <= self.x0_range[1]):
             raise ConfigError(f"invalid x0 range {self.x0_range}")
-        if not (0 < self.alpha_range[0] <= self.alpha_range[1]):
+        if len(self.alpha_range) != 2 or not (0 < self.alpha_range[0] <= self.alpha_range[1]):
             raise ConfigError(f"invalid alpha range {self.alpha_range}")
         if not self.cap > 0:
             raise ConfigError(f"cap must be positive, got {self.cap}")
@@ -323,66 +321,35 @@ class SimReport:
             "truth_two_component_fraction": self.truth_two_component_fraction,
             "aggregates": self.aggregates,
             "housing_study_reference": self.reference,
-            "replicates": [
-                {
-                    "index": r.index,
-                    "failed": r.failed,
-                    "error": r.error,
-                    "window_start": r.window_start,
-                    "window_end": r.window_end,
-                    "mean_r2": r.mean_r2,
-                    "ase": r.ase,
-                    "rise": r.rise,
-                    "rise_excluded": r.rise_excluded,
-                    "phi_sq_err": list(r.phi_sq_err),
-                    "eigenvalue_rel_sq_err": list(r.eigenvalue_rel_sq_err),
-                    "var_explained_2": r.var_explained_2,
-                }
-                for r in self.replicates
-            ],
+            "replicates": [asdict(r) for r in self.replicates],
         }
 
     def replicates_to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
+        header = (
+            "replicate,failed,window_start,window_end,mean_r2,ase,rise,rise_excluded,"
+            "phi1_sq_err,phi2_sq_err,lambda1_rel_sq_err,lambda2_rel_sq_err,var_explained_2"
+        ).split(",")
+        rows = (
             [
-                "replicate",
-                "failed",
-                "window_start",
-                "window_end",
-                "mean_r2",
-                "ase",
-                "rise",
-                "rise_excluded",
-                "phi1_sq_err",
-                "phi2_sq_err",
-                "lambda1_rel_sq_err",
-                "lambda2_rel_sq_err",
-                "var_explained_2",
+                r.index,
+                int(r.failed),
+                "" if r.window_start is None else r.window_start,
+                "" if r.window_end is None else r.window_end,
+                r.mean_r2, r.ase, r.rise, r.rise_excluded,
+                *(*r.phi_sq_err, math.nan, math.nan)[:2],
+                *(*r.eigenvalue_rel_sq_err, math.nan, math.nan)[:2],
+                r.var_explained_2,
             ]
+            for r in self.replicates
         )
-        for r in self.replicates:
-            phi = list(r.phi_sq_err) + [float("nan")] * (2 - len(r.phi_sq_err))
-            lam = list(r.eigenvalue_rel_sq_err) + [float("nan")] * (2 - len(r.eigenvalue_rel_sq_err))
-            writer.writerow(
-                [
-                    r.index,
-                    int(r.failed),
-                    "" if r.window_start is None else r.window_start,
-                    "" if r.window_end is None else r.window_end,
-                    f"{r.mean_r2:.17g}",
-                    f"{r.ase:.17g}",
-                    f"{r.rise:.17g}",
-                    r.rise_excluded,
-                    f"{phi[0]:.17g}",
-                    f"{phi[1]:.17g}",
-                    f"{lam[0]:.17g}",
-                    f"{lam[1]:.17g}",
-                    f"{r.var_explained_2:.17g}",
-                ]
-            )
-        return out.getvalue()
+        return write_rows(header, rows)
+
+
+def _seed(truth: SimTruth, seed: int | None) -> int:
+    seed = truth.seed if seed is None else int(seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _replicate_rng(seed: int, index: int) -> np.random.Generator:
@@ -451,7 +418,7 @@ def run_study(truth: SimTruth, n_replicates: int, seed: int | None = None, n_job
     """
     if n_replicates < 1:
         raise ConfigError(f"need at least 1 replicate, got {n_replicates}")
-    seed = truth.seed if seed is None else int(seed)
+    seed = _seed(truth, seed)
 
     indices = range(n_replicates)
     if n_jobs > 1:
@@ -507,14 +474,9 @@ class ConvergenceResult:
         }
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
         names = list(self.errors)
-        writer.writerow(["n", *names])
-        for i, n in enumerate(self.sizes):
-            writer.writerow([n, *(f"{self.errors[k][i]:.17g}" for k in names)])
-        writer.writerow(["slope", *(f"{self.slopes[k]:.17g}" for k in names)])
-        return out.getvalue()
+        rows = [[n, *(self.errors[k][i] for k in names)] for i, n in enumerate(self.sizes)]
+        return write_rows(["n", *names], [*rows, ["slope", *(self.slopes[k] for k in names)]])
 
 
 def convergence_sweep(
@@ -531,7 +493,7 @@ def convergence_sweep(
     sizes = tuple(int(n) for n in sizes)
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigError(f"sizes must be at least 2 increasing entries, got {sizes}")
-    seed = truth.seed if seed is None else int(seed)
+    seed = _seed(truth, seed)
 
     m = truth.grid.n_points
     grid = TimeGrid(truth.grid.start_month, m, normalized=True)
@@ -609,7 +571,7 @@ def save_truth(truth: SimTruth, directory: str | Path, stem: str = "truth") -> P
 
 def _read_truth_table(path: Path, n_columns: int) -> np.ndarray:
     """A truth CSV: a uniform ``t_normalized`` column first, ``n_columns`` or more in all."""
-    data = read_table(path.read_text())[1]
+    data = read_file(path, read_table)[1]
     if data.shape[1] < n_columns:
         raise SchemaError(f"truth CSV {str(path)!r} has {data.shape[1]} columns, needs at least {n_columns}")
     check_unit_grid(data[:, 0])
@@ -617,29 +579,30 @@ def _read_truth_table(path: Path, n_columns: int) -> np.ndarray:
 
 
 def load_truth(manifest_path: str | Path) -> SimTruth:
-    """Load a truth manifest written by :func:`save_truth` (or by hand)."""
+    """Load a truth manifest written by :func:`save_truth` (or by hand).
+
+    A missing or mistyped manifest field raises ConfigError; a malformed
+    file raises SchemaError or GridError.
+    """
     manifest_path = Path(manifest_path)
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    for key in ("t0_month", "t1_month", "eigenvalues", "mean_csv", "eigenfunctions_csv"):
-        if key not in manifest:
-            raise ConfigError(f"truth manifest is missing {key!r}")
+    manifest = read_file(manifest_path, json.loads)
+
+    def get(key: str, kind, *default):
+        return json_field(manifest, key, kind, "truth manifest", ConfigError, *default)
+
+    t0, t1, eigenvalues = get("t0_month", int), get("t1_month", int), get("eigenvalues", [float])
     base = manifest_path.parent
-
-    mean = _read_truth_table(base / manifest["mean_csv"], 2)[:, 1].copy()
+    mean = _read_truth_table(base / get("mean_csv", str), 2)[:, 1].copy()
     # One component per row, laid out like default_truth's eigenfunctions.
-    n_phi_columns = 1 + len(manifest["eigenvalues"])
-    phi = _read_truth_table(base / manifest["eigenfunctions_csv"], n_phi_columns)[:, 1:].copy().T
-
-    grid = TimeGrid(int(manifest["t0_month"]), int(manifest["t1_month"]) - int(manifest["t0_month"]) + 1)
+    phi = _read_truth_table(base / get("eigenfunctions_csv", str), 1 + len(eigenvalues))[:, 1:].copy().T
     return SimTruth(
-        grid=grid,
+        grid=TimeGrid(t0, t1 - t0 + 1),
         mean=mean,
         eigenfunctions=phi,
-        eigenvalues=np.array(manifest["eigenvalues"], dtype=float),
-        n=int(manifest.get("n", 20)),
-        x0_range=tuple(manifest.get("x0_range", (85.0, 100.0))),
-        alpha_range=tuple(manifest.get("alpha_range", (0.003, 0.018))),
-        cap=float(manifest.get("cap", 300.0)),
-        seed=int(manifest.get("seed", 0)),
+        eigenvalues=np.array(eigenvalues, dtype=float),
+        n=get("n", int, 20),
+        x0_range=tuple(get("x0_range", [float], (85.0, 100.0))),
+        alpha_range=tuple(get("alpha_range", [float], (0.003, 0.018))),
+        cap=get("cap", float, 300.0),
+        seed=get("seed", int, 0),
     )

@@ -7,14 +7,13 @@ Under this convention December 1998 is month 144, November 2000 is month
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._table import csv_rows, write_rows
 from .errors import EmptyPanelError, GridError, SchemaError
 
 EPOCH_YEAR = 1987
@@ -198,10 +197,10 @@ def _raise_first_bad_cell(data_rows: list[list[str]], names: list[str]) -> None:
             try:
                 v = float(cell)
             except ValueError:
-                raise ValueError(f"row {i + 2}, column {names[j]!r}: cannot parse {cell!r}") from None
+                raise SchemaError(f"row {i + 2}, column {names[j]!r}: cannot parse {cell!r}") from None
             problem = _value_problem(v)
             if problem:
-                raise ValueError(f"row {i + 2}, column {names[j]!r}: value {cell!r} {problem}")
+                raise SchemaError(f"row {i + 2}, column {names[j]!r}: value {cell!r} {problem}")
     raise AssertionError("vectorised value check and cell scan disagree")
 
 
@@ -218,15 +217,15 @@ def parse_panel(csv_text: str) -> Panel:
     Raises
     ------
     SchemaError
-        On a bad header or a row with the wrong number of cells.
+        On a bad header, a row with the wrong number of cells, text that
+        :mod:`csv` cannot split (such as a cell over its field size limit),
+        or a bad value cell; for a bad value the message names the first
+        one in row-major order as ``row N, column 'X'`` (rows counted from 1
+        at the header).
     GridError
         On fewer than 2 rows, a malformed date or non-consecutive months.
-    ValueError
-        On a bad value cell; the message names the first one in row-major
-        order as ``row N, column 'X'`` (rows counted from 1 at the header).
     """
-    reader = csv.reader(io.StringIO(csv_text))
-    rows = [row for row in reader if row]
+    rows = csv_rows(csv_text)
     if not rows:
         raise SchemaError("empty input")
     header = rows[0]
@@ -237,9 +236,6 @@ def parse_panel(csv_text: str) -> Panel:
         raise SchemaError("no series columns after the date column")
     if any(not n for n in names):
         raise SchemaError("empty series name in header")
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise SchemaError(f"duplicate series names: {dupes}")
 
     data_rows = rows[1:]
     if len(data_rows) < 2:
@@ -280,17 +276,13 @@ def serialize_panel(panel: Panel) -> str:
     """Serialize a panel to the same CSV layout ``parse_panel`` accepts.
 
     Values are written with ``repr`` so parse(serialize(p)) reproduces the
-    panel bit-exactly.
+    panel bit-exactly; names are quoted where :mod:`csv` needs it.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["date", *panel.names])
-    for i, month in enumerate(panel.grid.months):
-        row = [month_label(int(month))]
-        for s in panel.series:
-            row.append("" if s.missing[i] else repr(float(s.values[i])))
-        writer.writerow(row)
-    return out.getvalue()
+    rows = (
+        [month_label(int(month)), *("" if s.missing[i] else repr(float(s.values[i])) for s in panel.series)]
+        for i, month in enumerate(panel.grid.months)
+    )
+    return write_rows(["date", *panel.names], rows)
 
 
 def restrict(panel: Panel, from_month: int, to_month: int) -> tuple[Panel, list[str]]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import check_unit_grid, read_table, write_table
-from .errors import GridError, MissingDataError, RateError
+from .errors import GridError, MissingDataError, RateError, SchemaError
 from .growthfit import AlphaEstimates, WindowFit
 from .timeseries import Panel, PriceSeries, TimeGrid
 
@@ -137,12 +137,14 @@ def compute_warp_set(
     window_start_month: int | None = None,
     t0_month: int | None = None,
 ) -> WarpSet:
-    """Warping functions for every panel series from its fitted rate."""
+    """Warping functions for every panel series from its fitted rate; SchemaError if a series has none."""
     fits = alphas.fits if isinstance(alphas, AlphaEstimates) else tuple(alphas)
     by_name = {f.series_name: f for f in fits}
     warps = []
     for s in panel.series:
-        f = by_name[s.name]
+        f = by_name.get(s.name)
+        if f is None:
+            raise SchemaError(f"no fitted rate for series {s.name!r}")
         warps.append(
             compute_warp(s, panel.grid, f.alpha, window_start_month, t0_month, reliable=not f.clamped)
         )
@@ -234,15 +236,14 @@ def warps_to_csv(warpset: WarpSet) -> str:
     return write_table(["t_normalized", *warpset.names], columns)
 
 
-def warps_from_csv(csv_text: str, alphas: dict[str, float] | None = None) -> WarpSet:
+def warps_from_csv(csv_text: str) -> WarpSet:
     """Read a warp CSV back into a :class:`WarpSet`.
 
     The ``t_normalized`` column must hold at least 2 rows and equal
     ``linspace(0, 1, m)`` within 1e-12, so a truncated file or one on
     another spacing is rejected rather than silently regridded. The CSV
-    does not carry month metadata, so the grid is rebuilt as a normalized
-    grid anchored at month 0. Per-series rates can be supplied to
-    repopulate ``alpha_used``; otherwise it is set to 1.
+    carries neither month metadata nor rates, so the grid is rebuilt as a
+    normalized grid anchored at month 0 and every ``alpha_used`` is 1.
 
     Raises
     ------
@@ -251,7 +252,8 @@ def warps_from_csv(csv_text: str, alphas: dict[str, float] | None = None) -> War
         2 rows, or the column is off the uniform grid (the message names
         the first mismatching row, counted from 1 at the header).
     SchemaError
-        If a row is ragged or a cell is not a number.
+        If a row is ragged, a cell is not a finite number, or :mod:`csv`
+        cannot split the text.
     """
     header, data = read_table(csv_text)
     if not header or header[0] != "t_normalized":
@@ -260,9 +262,9 @@ def warps_from_csv(csv_text: str, alphas: dict[str, float] | None = None) -> War
     if m < 2:
         raise GridError("warp CSV needs at least 2 rows")
     check_unit_grid(data[:, 0])
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        raise SchemaError(f"row {i + 2}, column {header[j]!r}: value {float(data[i, j])!r} is not finite")
     grid = TimeGrid(0, m, normalized=True)
-    warps = []
-    for j, name in enumerate(header[1:]):
-        alpha = 1.0 if alphas is None else alphas.get(name, 1.0)
-        warps.append(WarpFunction(name, grid, data[:, j + 1], alpha))
-    return WarpSet(grid, tuple(warps))
+    return WarpSet(grid, tuple(WarpFunction(name, grid, data[:, j + 1], 1.0) for j, name in enumerate(header[1:])))

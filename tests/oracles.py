@@ -60,6 +60,23 @@ def csv_table_per_cell(header, columns):
     return out.getvalue()
 
 
+def csv_rows_per_row(header, rows):
+    """Mixed rows written one ``csv.writer`` row at a time, floats as ``f"{v:.17g}"`` strings.
+
+    The writer that served the setbacks, scores, replicate, convergence and
+    panel CSVs before they moved to ``warpgrowth._table.write_rows``.
+    """
+    import csv
+    import io
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{c:.17g}" if isinstance(c, float) else c for c in row])
+    return out.getvalue()
+
+
 def parse_cells_per_cell(data_rows, names):
     """Panel cells converted one at a time, rows in file order.
 

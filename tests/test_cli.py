@@ -338,6 +338,79 @@ class TestDeterminism:
             assert results[0][name] == results[1][name], f"{name} differs between reruns"
 
 
+class TestInputBoundary:
+    """Bad input files exit 2 with a message naming the file; bad flags exit 4."""
+
+    @pytest.fixture
+    def chain(self, exp_csv, tmp_path):
+        out = tmp_path / "out"
+        assert main(["fit", "--input", exp_csv, "--output-dir", str(out)]) == 0
+        assert main(["warp", "--input", exp_csv, "--output-dir", str(out)]) == 0
+        return out
+
+    def test_panel_cell_over_csv_field_limit(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("date,A\n2000-01,100\n2000-02," + "9" * 200_000 + "\n")
+        assert main(["fit", "--input", str(path), "--output-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "field larger than field limit" in err
+
+    def test_warp_cell_over_csv_field_limit(self, chain, capsys):
+        path = chain / "warps.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + "," + "9" * 200_000
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["fpca", "--input", str(path), "--output-dir", str(chain / "f")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "line 4" in err
+
+    def test_fit_artifact_alpha_of_wrong_type(self, exp_csv, chain, capsys):
+        path = chain / "fit.json"
+        artifact = json.loads(path.read_text())
+        artifact["alpha_estimates"]["per_series"][1]["alpha"] = "x"
+        path.write_text(json.dumps(artifact))
+        assert main(["warp", "--input", exp_csv, "--output-dir", str(chain)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: alpha_estimates.per_series[1]: 'alpha' must be float, got 'x'" in err
+
+    def test_fit_row_missing_alpha_names_the_row(self, exp_csv, chain, capsys):
+        path = chain / "fit.json"
+        artifact = json.loads(path.read_text())
+        del artifact["alpha_estimates"]["per_series"][3]["alpha"]
+        path.write_text(json.dumps(artifact))
+        assert main(["diagnose", "--input", exp_csv, "--output-dir", str(chain)]) == 2
+        assert "alpha_estimates.per_series[3] is missing 'alpha'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--k", "999"], ["--k", "0"], ["--exclude", "nope"]])
+    def test_out_of_range_fpca_flags_are_configuration_errors(self, chain, capsys, flags):
+        code = main(["fpca", "--input", str(chain / "warps.csv"), "--output-dir", str(chain / "f"), *flags])
+        assert code == 4
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_negative_seed_is_configuration_error(self, tmp_path):
+        code = main(["simulate", "--output-dir", str(tmp_path / "o"), "--default-truth", "--seed", "-1"])
+        assert code == 4
+
+    def test_non_utf8_panel(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("date,Zürich\n2000-01,100\n2000-02,101\n".encode("latin-1"))
+        assert main(["fit", "--input", str(path), "--output-dir", str(tmp_path / "o")]) == 2
+        assert str(path) in capsys.readouterr().err
+
+
+class TestBugsAreNotExitCodes:
+    """A builtin exception raised inside the package is a bug: it propagates out of main."""
+
+    @pytest.mark.parametrize("error", [ValueError, KeyError, IndexError])
+    def test_builtin_error_propagates(self, exp_csv, tmp_path, monkeypatch, error):
+        def broken(*args, **kwargs):
+            raise error("internal bug")
+
+        monkeypatch.setattr("warpgrowth.cli.search_interval", broken)
+        with pytest.raises(error, match="internal bug"):
+            main(["fit", "--input", exp_csv, "--output-dir", str(tmp_path / "o")])
+
+
 class TestImportHygiene:
     def test_package_import_leaves_scipy_unloaded(self):
         code = """

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from warpgrowth.errors import (
+    ConfigError,
     DegenerateRegressorError,
     EmptySampleError,
     GridError,
@@ -217,7 +218,7 @@ class TestFitAndProject:
 
     def test_exclusion_of_unknown_name(self):
         ws = smooth_sample(n=4)
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError):
             fit_fpca(ws, exclude=("nope",))
 
     def test_too_few_after_exclusion(self):

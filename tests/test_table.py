@@ -5,10 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from warpgrowth._table import read_table, write_table
+from warpgrowth._table import csv_rows, read_table, write_rows, write_table
 from warpgrowth.errors import SchemaError
 
-from oracles import csv_table_per_cell
+from oracles import csv_rows_per_row, csv_table_per_cell
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1.5]
 
@@ -69,6 +69,41 @@ class TestWriteTable:
     def test_header_width_must_match(self):
         with pytest.raises(ValueError, match="2 header cells for 3 columns"):
             write_table(["t", "a"], [np.zeros(2), np.ones((2, 2))])
+
+
+NAMES = st.sampled_from(["t", "a,b", 'q"x', "", " s ", "é", "a\nb"]) | st.text(max_size=5)
+CELLS = st.one_of(floats, st.integers(min_value=-10**20, max_value=10**20), NAMES, st.booleans())
+
+
+class TestWriteRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        header=st.lists(NAMES, min_size=1, max_size=4),
+        rows=st.lists(st.lists(CELLS, max_size=5), max_size=5),
+        numpy_floats=st.booleans(),
+    )
+    def test_equals_per_row_writer(self, header, rows, numpy_floats):
+        assume(not any("\r" in str(c) for c in [*header, *(c for row in rows for c in row)]))
+        if numpy_floats:
+            rows = [[np.float64(c) if isinstance(c, float) else c for c in row] for row in rows]
+        assert write_rows(header, rows) == csv_rows_per_row(header, rows)
+
+    def test_carriage_return_is_quoted(self):
+        # The per-row writer with a "\n" terminator wrote "a\rb" bare, which
+        # csv.reader refuses.
+        text = write_rows(["name", "a\rb"], [["c\rd", 0.5, 2]])
+        assert text == 'name,"a\rb"\n"c\rd",0.5,2\n'
+        assert csv_rows(text) == [["name", "a\rb"], ["c\rd", "0.5", "2"]]
+
+    def test_header_matches_table_header(self):
+        header = ["t", "a\rb", 'q"x', "c,d"]
+        assert write_rows(header, []) == write_table(header, [np.zeros(0)] * 4)
+
+
+class TestCsvRows:
+    def test_field_over_the_csv_limit_is_schema_error(self):
+        with pytest.raises(SchemaError, match="line 2: field larger than field limit"):
+            csv_rows("a,b\n1," + "9" * 200_000 + "\n")
 
 
 class TestReadTable:

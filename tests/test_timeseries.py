@@ -89,15 +89,15 @@ class TestParsePanel:
         assert not panel.get("B").missing.any()
 
     def test_zero_value_rejected_with_location(self):
-        with pytest.raises(ValueError, match="row 3.*'A'"):
+        with pytest.raises(SchemaError, match="row 3.*'A'"):
             parse_panel("date,A\n2000-01,100\n2000-02,0\n")
 
     def test_negative_value_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError):
             parse_panel("date,A\n2000-01,100\n2000-02,-1\n")
 
     def test_unparseable_cell(self):
-        with pytest.raises(ValueError, match="row 2"):
+        with pytest.raises(SchemaError, match="row 2"):
             parse_panel("date,A\n2000-01,oops\n2000-02,100\n")
 
     def test_non_consecutive_months(self):
@@ -131,7 +131,7 @@ class TestParsePanel:
         ],
     )
     def test_non_finite_and_subnormal_rejected(self, cell, problem):
-        with pytest.raises(ValueError, match=f"row 3, column 'B': value '{cell}' {problem}"):
+        with pytest.raises(SchemaError, match=f"row 3, column 'B': value '{cell}' {problem}"):
             parse_panel(f"date,A,B\n2000-01,100,5\n2000-02,101,{cell}\n")
 
     def test_smallest_normal_accepted(self):
@@ -145,7 +145,7 @@ class TestParsePanel:
     def test_first_bad_cell_in_row_major_order(self):
         # An unparseable cell later in the file does not mask an earlier bad value.
         text = "date,A,B\n2000-01,100,5\n2000-02,101,0\n2000-03,oops,7\n"
-        with pytest.raises(ValueError, match="row 3, column 'B': value '0' is not positive"):
+        with pytest.raises(SchemaError, match="row 3, column 'B': value '0' is not positive"):
             parse_panel(text)
 
 
@@ -207,7 +207,7 @@ class TestParsePanelMatchesPerCellReference:
         text = panel_text(200, cells)
         with pytest.raises(ValueError) as expected:
             reference_parse(text)
-        with pytest.raises(ValueError) as got:
+        with pytest.raises(SchemaError) as got:
             parse_panel(text)
         assert str(got.value) == str(expected.value)
 
@@ -342,3 +342,32 @@ class TestPanelInvariants:
         grid = TimeGrid(1, 3)
         with pytest.raises(GridError):
             Panel(grid, (PriceSeries("A", np.array([1.0, 2.0])),))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        names=st.lists(
+            st.text(alphabet=st.sampled_from(list(',"\r\n aZé漢-')), min_size=1, max_size=6).filter(
+                lambda name: name.strip() == name
+            ),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        ),
+        n_points=st.integers(min_value=2, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_round_trip_with_quoted_names(self, names, n_points, seed):
+        # "\r" in a name was written unquoted, and csv.reader refused it.
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid(150, n_points)
+        series = []
+        for name in names:
+            mask = rng.random(n_points) < 0.2
+            values = np.where(mask, np.nan, rng.uniform(1.0, 500.0, n_points))
+            series.append(PriceSeries(name, values, mask))
+        panel = Panel(grid, tuple(series))
+        again = parse_panel(serialize_panel(panel))
+        assert again.names == panel.names
+        for a, b in zip(again.series, panel.series):
+            np.testing.assert_array_equal(a.missing, b.missing)
+            assert np.array_equal(a.values[~a.missing], b.values[~b.missing])

@@ -149,7 +149,7 @@ def read_table(text: str) -> tuple[list[str], np.ndarray]:
                 try:
                     float(cell)
                 except ValueError:
-                    raise SchemaError(f"row {lineno}, column {name!r}: cannot parse {cell!r}") from None
+                    raise SchemaError(f"row {lineno}, column {name!r}: cannot parse {reprlib.repr(cell)}") from None
     return header, data.reshape(len(body), len(header))
 
 

@@ -128,8 +128,9 @@ def eigendecompose(g: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, np.ndarra
     """Eigenvalues and orthonormal eigenfunctions of the covariance operator.
 
     Solves the symmetric eigenproblem of ``W^{1/2} G W^{1/2}`` with
-    trapezoid weights ``W`` and maps eigenvectors back to functions
-    ``phi_k = W^{-1/2} v_k``, normalized so the quadrature norm is 1.
+    trapezoid weights ``W`` by ``numpy.linalg.eigh`` and maps eigenvectors
+    back to functions ``phi_k = W^{-1/2} v_k``, normalized so the
+    quadrature norm is 1.
     Returns the full spectrum in nonincreasing order (one function per
     grid point); negatives within rounding of zero are floored at 0.
     This is the reference path: the acceptance suite checks it against a
@@ -150,20 +151,21 @@ def eigendecompose(g: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, np.ndarra
         raise NumericalError("covariance surface is asymmetric beyond tolerance")
     g = (g + g.T) / 2.0
     sqrt_w = np.sqrt(trapezoid_weights(m))
-    vals, vecs = _solve("eigh", g * np.outer(sqrt_w, sqrt_w))
+    vals, vecs = _solve(np.linalg.eigh, g * np.outer(sqrt_w, sqrt_w))
     return _spectrum(vals[::-1], vecs[:, ::-1], m)
 
 
-def _solve(name: str, a: np.ndarray, **kwargs):
-    """``scipy.linalg.<name>(a)``; non-finite input or a LAPACK failure raises NumericalError."""
-    import scipy.linalg  # deferred: commands that never solve skip its import cost
+def _solve(solver, a: np.ndarray, **kwargs):
+    """Run ``solver``, a ``numpy.linalg`` routine, on ``a``.
 
+    Non-finite input or a LAPACK failure raises NumericalError.
+    """
     if not np.isfinite(a).all():
-        raise NumericalError(f"cannot run {name} on non-finite values")
+        raise NumericalError(f"cannot run {solver.__name__} on non-finite values")
     try:
-        return getattr(scipy.linalg, name)(a, **kwargs)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"{name} failed: {exc}") from None
+        return solver(a, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{solver.__name__} failed: {exc}") from None
 
 
 def _spectrum(vals: np.ndarray, vecs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,16 +194,17 @@ def _spectrum(vals: np.ndarray, vecs: np.ndarray, m: int) -> tuple[np.ndarray, n
 def _sample_spectrum(h: np.ndarray, mu: np.ndarray, full: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Spectrum of the divisor-n sample covariance from a thin SVD of the sample.
 
-    The right singular vectors of ``(H - mu) W^{1/2} / sqrt(n)`` are the
-    eigenvectors of ``W^{1/2} G W^{1/2}`` and its squared singular values
-    the eigenvalues, so the m x m surface is never formed. Returns the
-    spectrum padded with zeros to length m and ``min(n, m)`` eigenfunctions,
-    or all ``m`` (an orthonormal completion) when ``full`` is set.
+    The right singular vectors of ``(H - mu) W^{1/2} / sqrt(n)``, from
+    ``numpy.linalg.svd``, are the eigenvectors of ``W^{1/2} G W^{1/2}`` and
+    its squared singular values the eigenvalues, so the m x m surface is
+    never formed. Returns the spectrum padded with zeros to length m and
+    ``min(n, m)`` eigenfunctions, or all ``m`` (an orthonormal completion)
+    when ``full`` is set.
     """
     n, m = h.shape
     sqrt_w = np.sqrt(trapezoid_weights(m))
     a = (h - mu) * (sqrt_w / np.sqrt(n))
-    _, sv, vt = _solve("svd", a, full_matrices=full)
+    _, sv, vt = _solve(np.linalg.svd, a, full_matrices=full)
     return _spectrum(sv**2, vt.T, m)
 
 
@@ -328,6 +331,10 @@ def score_rate_regression(scores: np.ndarray, alphas: np.ndarray) -> list[Regres
         If fewer than 3 observations are supplied.
     DegenerateRegressorError
         If the rates have zero variance.
+    NumericalError
+        If a sum of squares or cross-products (or the product of the two
+        sums of squares) is not finite, as when rates near the float range
+        overflow.
     """
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     alphas = np.asarray(alphas, dtype=float)
@@ -337,18 +344,21 @@ def score_rate_regression(scores: np.ndarray, alphas: np.ndarray) -> list[Regres
         raise ValueError(f"{scores.shape[0]} score rows vs {alphas.shape[0]} rates")
     if alphas.shape[0] < 3:
         raise SampleSizeError(f"regression needs at least 3 points, got {alphas.shape[0]}")
-    xc = alphas - alphas.mean()
-    sxx = float(np.sum(xc**2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = alphas - alphas.mean()
+        sxx = float(np.sum(xc**2))
+        yc = [col - col.mean() for col in scores.T]
+        sxy = [float(np.dot(xc, y)) for y in yc]
+        syy = [float(np.sum(y**2)) for y in yc]
+    if not np.isfinite([sxx, *sxy, *syy, *(sxx * yy for yy in syy)]).all():
+        raise NumericalError("score-rate regression sums are not finite")
     if sxx == 0.0:
         raise DegenerateRegressorError("growth rates have zero variance")
     lines = []
-    for col in scores.T:
-        yc = col - col.mean()
-        sxy = float(np.dot(xc, yc))
-        syy = float(np.sum(yc**2))
-        slope = sxy / sxx
+    for col, xy, yy in zip(scores.T, sxy, syy):
+        slope = xy / sxx
         intercept = float(col.mean() - slope * alphas.mean())
-        corr = sxy / np.sqrt(sxx * syy) if syy > 0.0 else 0.0
+        corr = xy / np.sqrt(sxx * yy) if yy > 0.0 else 0.0
         lines.append(RegressionLine(slope, intercept, float(corr)))
     return lines
 

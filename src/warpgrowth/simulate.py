@@ -135,6 +135,39 @@ class SimTruth:
         return self.mean - self.mean[0]
 
 
+def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cubic spline through ``(x, y)`` with ``s'(x[0]) = 0`` and ``s''(x[-1]) = 0``.
+
+    Solves the spline's linear system for the knot second derivatives
+    ``M``: the clamped left end ``2 h_0 M_0 + h_0 M_1 = 6 (y_1 - y_0) / h_0``,
+    one C2 continuity row per interior knot, and the natural right end
+    ``M_{-1} = 0``. Returns power-basis coefficients of shape
+    ``(4, len(x) - 1)``: row ``k`` multiplies ``(v - x_i) ** (3 - k)`` on
+    ``[x_i, x_{i+1}]``.
+    """
+    h = np.diff(x)
+    slope = np.diff(y) / h
+    n = x.shape[0]
+    a = np.zeros((n, n))
+    rhs = np.zeros(n)
+    a[0, :2] = 2.0 * h[0], h[0]
+    rhs[0] = 6.0 * slope[0]
+    for i in range(1, n - 1):
+        a[i, i - 1 : i + 2] = h[i - 1], 2.0 * (h[i - 1] + h[i]), h[i]
+        rhs[i] = 6.0 * (slope[i] - slope[i - 1])
+    a[-1, -1] = 1.0
+    m = np.linalg.solve(a, rhs)
+    return np.vstack([np.diff(m) / (6.0 * h), m[:-1] / 2.0, slope - h * (2.0 * m[:-1] + m[1:]) / 6.0, y[:-1]])
+
+
+def _spline_values(coefficients: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Evaluate the piecewise cubic from :func:`_spline_coefficients` at ``v`` within ``[x[0], x[-1]]``."""
+    i = np.clip(np.searchsorted(x, v, side="right") - 1, 0, x.shape[0] - 2)
+    dv = v - x[i]
+    c = coefficients[:, i]
+    return ((c[0] * dv + c[1]) * dv + c[2]) * dv + c[3]
+
+
 def default_truth(seed: int = 0) -> SimTruth:
     """Bundled synthetic truth shaped like the housing-index application.
 
@@ -148,10 +181,10 @@ def default_truth(seed: int = 0) -> SimTruth:
     at the window start with zero slope, so generated samples stay
     anchored and near-exponential early on), with geometric eigenvalues
     ``0.01 * 0.2^(k-1)``; the first two components carry 96% of the total
-    variance.
+    variance. The boom-bust bump is a cubic spline through six knots,
+    clamped at the left end (zero slope where the disturbance starts) and
+    natural at the right end (zero second derivative).
     """
-    import scipy.interpolate  # deferred: importing the package stays scipy-free
-
     grid = TimeGrid(DEFAULT_T0, DEFAULT_T1 - DEFAULT_T0 + 1)
     m = grid.n_points
     u = np.linspace(0.0, 1.0, m)
@@ -159,12 +192,12 @@ def default_truth(seed: int = 0) -> SimTruth:
 
     knots_v = np.array([0.0, 0.25, 0.45, 0.65, 0.85, 1.0])
     knots_b = np.array([0.0, 0.18, 0.42, 0.05, -0.42, -0.38])
-    bump = scipy.interpolate.CubicSpline(knots_v, knots_b, bc_type=((1, 0.0), "natural"))
+    bump = _spline_coefficients(knots_v, knots_b)
     mean = u.copy()
     late = u > u0
     v = (u[late] - u0) / (1.0 - u0)
     ripple = 0.03 * 4.0 * v * (1.0 - v) * np.sin(2.0 * np.pi * 7.0 * v)
-    mean[late] += bump(v) + ripple
+    mean[late] += _spline_values(bump, knots_v, v) + ripple
 
     n_components = 10
     w = trapezoid_weights(m)

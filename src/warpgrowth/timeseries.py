@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ def month_index(label: str) -> int:
     """Convert a ``YYYY-MM`` label to a month index (1987-01 -> 1)."""
     m = _DATE_RE.match(label.strip())
     if not m:
-        raise GridError(f"malformed date {label!r}; expected YYYY-MM")
+        raise GridError(f"malformed date {reprlib.repr(label)}; expected YYYY-MM")
     year, month = int(m.group(1)), int(m.group(2))
     if not 1 <= month <= 12:
         raise GridError(f"month out of range in date {label!r}")
@@ -197,10 +198,10 @@ def _raise_first_bad_cell(data_rows: list[list[str]], names: list[str]) -> None:
             try:
                 v = float(cell)
             except ValueError:
-                raise SchemaError(f"row {i + 2}, column {names[j]!r}: cannot parse {cell!r}") from None
+                raise SchemaError(f"row {i + 2}, column {names[j]!r}: cannot parse {reprlib.repr(cell)}") from None
             problem = _value_problem(v)
             if problem:
-                raise SchemaError(f"row {i + 2}, column {names[j]!r}: value {cell!r} {problem}")
+                raise SchemaError(f"row {i + 2}, column {names[j]!r}: value {reprlib.repr(cell)} {problem}")
     raise AssertionError("vectorised value check and cell scan disagree")
 
 
@@ -230,7 +231,7 @@ def parse_panel(csv_text: str) -> Panel:
         raise SchemaError("empty input")
     header = rows[0]
     if header[0].strip() != "date":
-        raise SchemaError(f"first header cell must be 'date', got {header[0]!r}")
+        raise SchemaError(f"first header cell must be 'date', got {reprlib.repr(header[0])}")
     names = [c.strip() for c in header[1:]]
     if not names:
         raise SchemaError("no series columns after the date column")

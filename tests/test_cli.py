@@ -193,6 +193,20 @@ class TestFpcaCommand:
         )
         assert code == 3
 
+    def test_overflowing_fit_rate_exits_3(self, exp_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["fit", "--input", exp_csv, "--output-dir", str(out)]) == 0
+        assert main(["warp", "--input", exp_csv, "--output-dir", str(out)]) == 0
+        path = out / "fit.json"
+        artifact = json.loads(path.read_text())
+        artifact["alpha_estimates"]["per_series"][0]["alpha"] = -1e308
+        path.write_text(json.dumps(artifact))
+        fpca_out = tmp_path / "fpca"
+        code = main(["fpca", "--input", str(out / "warps.csv"), "--output-dir", str(fpca_out), "--fit", str(path)])
+        assert code == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not (fpca_out / "score_alpha_regression.json").exists()
+
     def test_truncated_warp_csv_exits_2(self, tmp_path, capsys):
         t = np.linspace(0, 1, 20)
         path = self._warp_csv(tmp_path, np.vstack([t, 2 * t, t**2]), ["a", "b", "c"])
@@ -355,14 +369,28 @@ class TestInputBoundary:
         err = capsys.readouterr().err
         assert str(path) in err and "field larger than field limit" in err
 
+        # Under the field limit the cell is read, and the message echoes it truncated.
+        for cell in ("x" * 100_000, "9" * 100_000):  # not a number; a number that overflows
+            path.write_text("date,A\n2000-01,100\n2000-02," + cell + "\n")
+            assert main(["fit", "--input", str(path), "--output-dir", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert str(path) in err and "row 3, column 'A'" in err and len(err) < 500
+
     def test_warp_cell_over_csv_field_limit(self, chain, capsys):
         path = chain / "warps.csv"
         lines = path.read_text().splitlines()
-        lines[3] = lines[3].rsplit(",", 1)[0] + "," + "9" * 200_000
+        head, last = lines[3].rsplit(",", 1)[0], lines[0].rsplit(",", 1)[1]
+        lines[3] = head + "," + "9" * 200_000
         path.write_text("\n".join(lines) + "\n")
         assert main(["fpca", "--input", str(path), "--output-dir", str(chain / "f")]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "line 4" in err
+
+        lines[3] = head + "," + "x" * 100_000
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["fpca", "--input", str(path), "--output-dir", str(chain / "f")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"row 4, column {last!r}" in err and len(err) < 500
 
     def test_fit_artifact_alpha_of_wrong_type(self, exp_csv, chain, capsys):
         path = chain / "fit.json"
@@ -412,16 +440,12 @@ class TestBugsAreNotExitCodes:
 
 
 class TestImportHygiene:
-    def test_package_import_leaves_scipy_unloaded(self):
+    def test_package_import_leaves_scipy_unloaded(self, exp_csv, tmp_path):
         code = """
 import sys
-import warpgrowth.cli
-import warpgrowth
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not loaded, loaded
-
 import numpy as np
 from warpgrowth import TimeGrid, WarpFunction, WarpSet, default_truth, fit_fpca
+from warpgrowth.cli import main
 
 truth = default_truth()
 grid = TimeGrid(0, truth.grid.n_points, normalized=True)
@@ -432,12 +456,21 @@ small = TimeGrid(0, 4, normalized=True)
 rows = np.random.default_rng(0).standard_normal((6, 4))
 sample = WarpSet(small, tuple(WarpFunction(f"s{i}", small, h, 0.01) for i, h in enumerate(rows)))
 assert fit_fpca(sample, k=2).n_retained == 2  # n >= m: eigendecompose
-assert "scipy.linalg" in sys.modules and "scipy.interpolate" in sys.modules
+
+panel, out = sys.argv[1:]
+for command in ("fit", "warp", "diagnose"):
+    assert main([command, "--input", panel, "--output-dir", out]) == 0
+assert main(["fpca", "--input", out + "/warps.csv", "--output-dir", out, "--k", "2"]) == 0
+assert main(["simulate", "--default-truth", "--replicates", "2", "--seed", "0", "--output-dir", out + "/sim"]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
 """
         src = str(Path(warpgrowth.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        argv = [sys.executable, "-c", code, exp_csv, str(tmp_path / "out")]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out" / "score_alpha_regression.json").exists()
 
 
 class TestMonthLabelHelp:

@@ -5,6 +5,7 @@ which must return one of the documented exit codes and never raise: a
 traceback on bad input is a bug.
 """
 
+import copy
 import json
 
 import pytest
@@ -92,7 +93,9 @@ def mutated_json(draw, text):
         if draw(st.booleans()):
             del parent[key]
         else:
-            parent[key] = draw(WRONG_JSON | st.just("y" * 200_000))
+            # A copy: the lists and dicts in WRONG_JSON are shared between
+            # examples, and a later mutation of this document must not edit them.
+            parent[key] = copy.deepcopy(draw(WRONG_JSON | st.just("y" * 200_000)))
     data = json.dumps(doc).encode()
     cut = draw(st.sampled_from(["keep", "truncate", "bytes"]))
     if cut == "truncate":

@@ -416,6 +416,17 @@ class TestScoreRateRegression:
         with pytest.raises(SampleSizeError):
             score_rate_regression(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize(
+        "scores, alphas",
+        [
+            ([[1.0], [2.0], [3.0]], [-1e308, 0.01, 0.02]),  # sum of squares overflows
+            ([[-1.0], [1.0], [0.0]], [1.7e308, -1.7e308, 0.01]),  # used to give NaN slope
+        ],
+    )
+    def test_overflowing_rates_are_numerical_errors(self, scores, alphas):
+        with np.errstate(all="raise"), pytest.raises(NumericalError):
+            score_rate_regression(np.array(scores), np.array(alphas))
+
 
 class TestExports:
     def test_json_dict_structure(self):

@@ -15,7 +15,9 @@ from warpgrowth.growthfit import (
     fit_window_free,
     search_interval,
 )
+from warpgrowth.simulate import _replicate_rng, default_truth, generate_replicate
 from warpgrowth.timeseries import Panel, PriceSeries, TimeGrid
+from warpgrowth.warping import compute_warp_set
 
 from conftest import exponential_panel
 from oracles import free_fit_per_series
@@ -287,3 +289,61 @@ class TestEstimateAlphas:
         est = estimate_alphas(panel, (144, 167))
         assert [f.series_name for f in est.fits] == ["zz", "aa"]
         assert est.fits[0].alpha == pytest.approx(0.012, rel=1e-10)
+
+
+TRUTH = default_truth()
+REPLICATE_INDEX = st.integers(min_value=0, max_value=10_000)
+CHAIN = settings(max_examples=15, deadline=None)
+
+
+def replicate_panel(index):
+    return generate_replicate(TRUTH, _replicate_rng(0, index)).panel
+
+
+def fit_chain(panel):
+    """Window search, fixed-intercept rates and warps, as in one study replicate; rates and warps by name."""
+    search = search_interval(panel, DEFAULT_WINDOW_LENGTHS)
+    estimates = estimate_alphas(panel, search.best_window)
+    warps = compute_warp_set(
+        panel, estimates, window_start_month=panel.grid.start_month, t0_month=search.best_window[1]
+    )
+    rates = {f.series_name: f.alpha for f in estimates.fits}
+    return search, rates, {w.series_name: w.values for w in warps.warps}
+
+
+class TestChainInvariances:
+    """Metamorphic relations of the model on default-truth replicates, drawn by index."""
+
+    @CHAIN
+    @given(index=REPLICATE_INDEX, order=st.permutations(range(TRUTH.n)))
+    def test_series_permutation(self, index, order):
+        panel = replicate_panel(index)
+        search, rates, warps = fit_chain(panel)
+        search_p, rates_p, warps_p = fit_chain(Panel(panel.grid, tuple(panel.series[i] for i in order)))
+        assert search_p.best_window == search.best_window
+        assert search_p.mean_r2 == search.mean_r2
+        assert rates_p == rates
+        assert all(np.array_equal(warps_p[name], warps[name]) for name in warps)
+
+    @CHAIN
+    @given(index=REPLICATE_INDEX, k=st.integers(min_value=-143, max_value=500))
+    def test_start_month_shift(self, index, k):
+        panel = replicate_panel(index)
+        search, rates, _ = fit_chain(panel)
+        shifted = Panel(TimeGrid(panel.grid.start_month + k, panel.grid.n_points), panel.series)
+        search_s, rates_s, _ = fit_chain(shifted)
+        assert search_s.best_window == (search.best_window[0] + k, search.best_window[1] + k)
+        assert search_s.mean_r2 == search.mean_r2
+        assert rates_s == rates
+
+    @CHAIN
+    @given(index=REPLICATE_INDEX, scales=st.lists(st.floats(1e-3, 1e3), min_size=TRUTH.n, max_size=TRUTH.n))
+    def test_per_series_scaling(self, index, scales):
+        panel = replicate_panel(index)
+        search, rates, warps = fit_chain(panel)
+        scaled = Panel(panel.grid, tuple(PriceSeries(s.name, c * s.values) for s, c in zip(panel.series, scales)))
+        search_c, rates_c, warps_c = fit_chain(scaled)
+        assert search_c.best_window == search.best_window
+        for name, alpha in rates.items():
+            assert abs(rates_c[name] - alpha) <= 1e-12 * alpha
+            assert np.abs(warps_c[name] - warps[name]).max() <= 1e-12

@@ -17,6 +17,7 @@ from warpgrowth.simulate import (
     save_truth,
     sign_aligned_sq_error,
 )
+from warpgrowth.simulate import _spline_coefficients, _spline_values
 from warpgrowth.timeseries import TimeGrid
 
 
@@ -69,6 +70,49 @@ class TestSimTruthValidation:
             identity_truth(alpha_range=(0.0, 0.01))
         with pytest.raises(ConfigError):
             identity_truth(x0_range=(100.0, 85.0))
+
+
+class TestBumpSpline:
+    """The default truth's cubic spline, checked by its defining conditions."""
+
+    KNOTS = [
+        ([0.0, 0.25, 0.45, 0.65, 0.85, 1.0], [0.0, 0.18, 0.42, 0.05, -0.42, -0.38]),  # default_truth
+        ([0.0, 0.1, 0.35, 0.4, 0.8, 1.0], [0.3, -1.0, 2.5, 2.4, 0.0, 1.0]),
+    ]
+
+    @staticmethod
+    def ends(c, h):
+        """Value, first and second derivative of each piece at its right end."""
+        return (
+            ((c[0] * h + c[1]) * h + c[2]) * h + c[3],
+            (3.0 * c[0] * h + 2.0 * c[1]) * h + c[2],
+            6.0 * c[0] * h + 2.0 * c[1],
+        )
+
+    @pytest.mark.parametrize("x, y", KNOTS)
+    def test_interpolates_knots(self, x, y):
+        x, y = np.array(x), np.array(y)
+        s = _spline_values(_spline_coefficients(x, y), x, x)
+        assert np.abs(s - y).max() <= 1e-15
+
+    @pytest.mark.parametrize("x, y", KNOTS)
+    def test_clamped_left_natural_right(self, x, y):
+        x, y = np.array(x), np.array(y)
+        c = _spline_coefficients(x, y)
+        scale = np.abs(c).max()
+        _, _, second = self.ends(c, np.diff(x))
+        assert abs(c[2, 0]) <= 1e-14 * scale  # s'(x_0) = 0
+        assert abs(second[-1]) <= 1e-14 * scale  # s''(x_5) = 0
+
+    @pytest.mark.parametrize("x, y", KNOTS)
+    def test_c2_at_interior_knots(self, x, y):
+        x, y = np.array(x), np.array(y)
+        c = _spline_coefficients(x, y)
+        scale = np.abs(c).max()
+        value, first, second = self.ends(c, np.diff(x))
+        assert np.abs(value[:-1] - c[3, 1:]).max() <= 1e-15
+        assert np.abs(first[:-1] - c[2, 1:]).max() <= 1e-14 * scale
+        assert np.abs(second[:-1] - 2.0 * c[1, 1:]).max() <= 1e-14 * scale
 
 
 class TestGenerateReplicate:

@@ -45,7 +45,7 @@ series = []
 for name, (boom, bust) in profiles.items():
     x = 95.0 * np.exp(rates[name] * warped_months(boom, bust))
     series.append(PriceSeries(name, x))
-panel = Panel(grid, tuple(series))
+panel = Panel.from_series(grid, tuple(series))
 
 # ---------------------------------------------------------------------------
 # Window selection: scan every 2-, 3- and 5-year window and keep the one

@@ -37,7 +37,7 @@ outlier_b = truth.mean - 5.0 * np.sqrt(truth.eigenvalues[1]) * truth.eigenfuncti
 warps = [WarpFunction(f"market{i:02d}", grid, rows[i], 1.0) for i in range(n_regular)]
 warps.append(WarpFunction("outlier_boom", grid, outlier_a, 1.0))
 warps.append(WarpFunction("outlier_bust", grid, outlier_b, 1.0))
-sample = WarpSet(grid, tuple(warps))
+sample = WarpSet.from_warps(grid, tuple(warps))
 
 # ---------------------------------------------------------------------------
 # Fit with the outliers excluded; they still receive projected scores.

@@ -24,9 +24,6 @@ from .errors import (
     WindowError,
 )
 from .fpca import (
-    FpcaModel,
-    ModesOfVariation,
-    RegressionLine,
     covariance_function,
     eigendecompose,
     fit_fpca,
@@ -37,8 +34,6 @@ from .fpca import (
 )
 from .growthfit import (
     ALPHA_FLOOR,
-    AlphaEstimates,
-    IntervalSearchResult,
     WindowFit,
     estimate_alphas,
     fit_window_fixed,
@@ -46,9 +41,6 @@ from .growthfit import (
     search_interval,
 )
 from .simulate import (
-    ConvergenceResult,
-    Replicate,
-    SimReport,
     SimTruth,
     convergence_sweep,
     default_truth,
@@ -82,26 +74,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALPHA_FLOOR",
-    "AlphaEstimates",
     "ConfigError",
-    "ConvergenceResult",
     "DegenerateRegressorError",
     "EmptyPanelError",
     "EmptySampleError",
-    "FpcaModel",
     "GridError",
-    "IntervalSearchResult",
     "MissingDataError",
-    "ModesOfVariation",
     "NumericalError",
     "Panel",
     "PriceSeries",
     "RateError",
-    "RegressionLine",
-    "Replicate",
     "SampleSizeError",
     "SchemaError",
-    "SimReport",
     "SimTruth",
     "TimeGrid",
     "WarpFunction",

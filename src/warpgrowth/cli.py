@@ -39,7 +39,7 @@ from .growthfit import (
     estimate_alphas,
     search_interval,
 )
-from .timeseries import Panel, PriceSeries, month_index, month_label, parse_panel, restrict
+from .timeseries import month_index, month_label, parse_panel, restrict
 from .warping import compute_warp_set, second_order_diagnostic, warps_from_csv, warps_to_csv
 
 EXIT_OK = 0
@@ -105,19 +105,10 @@ def _parse_fit_artifact(text: str) -> tuple[tuple[int, int], tuple[int, int], li
     return window, restriction, fits
 
 
-def _read_fit_artifact(path: Path) -> tuple[tuple[int, int], tuple[int, int], list[WindowFit]]:
-    return _table.read_file(path, _parse_fit_artifact)
-
-
-def _restricted_panel(args) -> tuple[Panel, list[str], tuple[int, int]]:
-    panel = _table.read_file(args.input, parse_panel)
-    window = _parse_window(args.window) if args.window else (panel.grid.start_month, panel.grid.end_month)
-    panel, dropped = restrict(panel, *window)
-    return panel, dropped, window
-
-
 def cmd_fit(args) -> int:
-    panel, dropped, restriction = _restricted_panel(args)
+    panel = _table.read_file(args.input, parse_panel)
+    restriction = _parse_window(args.window) if args.window else (panel.grid.start_month, panel.grid.end_month)
+    panel, dropped = restrict(panel, *restriction)
     lengths = _parse_lengths(args.window_lengths)
     result = search_interval(panel, lengths)
     estimates = estimate_alphas(panel, result.best_window)
@@ -155,7 +146,7 @@ def cmd_fit(args) -> int:
 
 
 def _warps_for_artifact(args):
-    window, restriction, fits = _read_fit_artifact(_fit_path(args))
+    window, restriction, fits = _table.read_file(_fit_path(args), _parse_fit_artifact)
     panel, _ = restrict(_table.read_file(args.input, parse_panel), *restriction)
     return panel, compute_warp_set(panel, fits, window_start_month=window[0], t0_month=window[1])
 
@@ -163,18 +154,18 @@ def _warps_for_artifact(args):
 def cmd_warp(args) -> int:
     _, warpset = _warps_for_artifact(args)
     months = warpset.grid.elapsed_months
+    h_end = warpset.values[:, -1]
+    setback = 1.0 - h_end
+    columns = (warpset.alpha_used, h_end, setback, setback * months, warpset.reliable.astype(int))
     setbacks = _table.write_rows(
         ["name", "alpha", "h_end", "setback_normalized", "setback_months", "reliable"],
-        (
-            [w.series_name, w.alpha_used, w.values[-1], w.setback, w.setback * months, int(w.reliable)]
-            for w in warpset.warps
-        ),
+        zip(warpset.names, *(c.tolist() for c in columns)),
     )
 
     out = Path(args.output_dir)
     _write_text(out / "warps.csv", warps_to_csv(warpset))
     _write_text(out / "setbacks.csv", setbacks)
-    mean_setback = float(np.mean([w.setback for w in warpset.warps]))
+    mean_setback = float(np.mean(setback))
     print(
         f"warp: {warpset.n_series} series on {warpset.grid.n_points} points, "
         f"mean time setback {mean_setback * months:.1f} months"
@@ -196,23 +187,15 @@ def cmd_fpca(args) -> int:
     regression = None
     fit_path = _fit_path(args)
     if fit_path.exists():
-        alphas = {f.series_name: f.alpha for f in _read_fit_artifact(fit_path)[2]}
-        in_sample = [
-            (i, name)
-            for i, name in enumerate(model.score_names)
-            if not model.out_of_sample[i] and name in alphas
-        ]
-        if len(in_sample) >= 3:
-            rows = np.array([model.scores[i] for i, _ in in_sample])
-            rates = np.array([alphas[name] for _, name in in_sample])
-            lines = score_rate_regression(rows, rates)
-            regression = {
-                "n": len(in_sample),
-                "components": [
-                    {"component": k + 1, "slope": l.slope, "intercept": l.intercept, "correlation": l.correlation}
-                    for k, l in enumerate(lines)
-                ],
-            }
+        alphas = {f.series_name: f.alpha for f in _table.read_file(fit_path, _parse_fit_artifact)[2]}
+        rows = [i for i, name in enumerate(model.score_names) if not model.out_of_sample[i] and name in alphas]
+        if len(rows) >= 3:
+            lines = score_rate_regression(model.scores[rows], [alphas[model.score_names[i]] for i in rows])
+            components = [
+                {"component": k + 1, "slope": l.slope, "intercept": l.intercept, "correlation": l.correlation}
+                for k, l in enumerate(lines)
+            ]
+            regression = {"n": len(rows), "components": components}
 
     out = Path(args.output_dir)
     _write_json(out / "fpca_model.json", model_to_json_dict(model))
@@ -243,10 +226,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate needs --truth MANIFEST or --default-truth")
     if args.replicates < 1:
         raise ConfigError(f"--replicates must be at least 1, got {args.replicates}")
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
 
-    report = sim.run_study(truth, args.replicates, seed=args.seed, n_jobs=args.threads)
+    report = sim.run_study(truth, args.replicates, seed=args.seed)
     sweep = None
     if args.convergence_sweep:
         sweep = sim.convergence_sweep(truth, (25, 100, 400), repeats=50, seed=args.seed)
@@ -271,21 +252,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     panel, warpset = _warps_for_artifact(args)
-    lo = panel.grid.index_of(warpset.grid.start_month)
-
-    residuals = []
-    for s, w in zip(panel.series, warpset.warps):  # compute_warp_set keeps panel order
-        window_series = PriceSeries(s.name, s.values[lo:], s.missing[lo:])
-        residuals.append(second_order_diagnostic(window_series, w, w.alpha_used))
-
-    table = _table.write_table(["t_normalized", *warpset.names], [warpset.grid.points, *residuals])
-
-    summary = {
-        "per_series": [
-            {"name": w.series_name, "max_abs_residual": float(np.abs(r).max())}
-            for w, r in zip(warpset.warps, residuals)
-        ]
-    }
+    residuals = second_order_diagnostic(panel, warpset)
+    table = _table.write_table(["t_normalized", *warpset.names], [warpset.grid.points, residuals])
+    max_abs = np.abs(residuals).max(axis=1).tolist()
+    summary = {"per_series": [{"name": name, "max_abs_residual": r} for name, r in zip(warpset.names, max_abs)]}
     out = Path(args.output_dir)
     _write_text(out / "diagnostics.csv", table)
     _write_json(out / "diagnostics_summary.json", summary)
@@ -333,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--default-truth", action="store_true")
     simulate.add_argument("--replicates", type=int, default=100)
     simulate.add_argument("--seed", type=int, default=None)
-    simulate.add_argument("--threads", type=int, default=1)
     simulate.add_argument("--convergence-sweep", action="store_true")
     simulate.set_defaults(func=cmd_simulate)
 

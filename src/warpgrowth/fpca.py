@@ -98,9 +98,10 @@ class RegressionLine:
     correlation: float
 
 
-def _sorted_matrix(warps: WarpSet) -> np.ndarray:
-    order = sorted(range(warps.n_series), key=lambda i: warps.warps[i].series_name)
-    return np.vstack([warps.warps[i].values for i in order])
+def _sorted_matrix(warps: WarpSet, exclude=()) -> np.ndarray:
+    """Warp rows in name order, less the ``exclude`` names, so sums over series do not depend on their order."""
+    order = sorted((i for i, name in enumerate(warps.names) if name not in exclude), key=warps.names.__getitem__)
+    return warps.values[order]
 
 
 def mean_function(warps: WarpSet) -> np.ndarray:
@@ -115,12 +116,14 @@ def covariance_function(warps: WarpSet) -> np.ndarray:
 
     ``G(s, t) = (1/n) sum_i h_i(s) h_i(t) - mu(s) mu(t)``.
     """
-    n = warps.n_series
-    if n < 2:
-        raise SampleSizeError(f"covariance needs at least 2 series, got {n}")
-    h = _sorted_matrix(warps)
+    if warps.n_series < 2:
+        raise SampleSizeError(f"covariance needs at least 2 series, got {warps.n_series}")
+    return _covariance(_sorted_matrix(warps))
+
+
+def _covariance(h: np.ndarray) -> np.ndarray:
     mu = h.mean(axis=0)
-    g = (h.T @ h) / n - np.outer(mu, mu)
+    g = (h.T @ h) / h.shape[0] - np.outer(mu, mu)
     return (g + g.T) / 2.0
 
 
@@ -226,7 +229,7 @@ def project_scores(warps: WarpSet, model: FpcaModel) -> np.ndarray:
     """
     if warps.grid.n_points != model.grid.n_points or not warps.grid.normalized:
         raise GridError("warps are not on the model's normalized grid")
-    return _scores(warps.matrix(), model.mean, model.eigenfunctions)
+    return _scores(warps.values, model.mean, model.eigenfunctions)
 
 
 def fit_fpca(
@@ -266,16 +269,15 @@ def fit_fpca(
         raise ConfigError(f"excluded names not in the sample: {unknown}")
     if k is not None and not 1 <= k <= warps.grid.n_points:
         raise ConfigError(f"k must be in [1, {warps.grid.n_points}], got {k}")
-    included = WarpSet(warps.grid, tuple(w for w in warps.warps if w.series_name not in exclude))
-    if included.n_series < 2:
-        raise SampleSizeError(f"need at least 2 series after exclusion, got {included.n_series}")
+    h = _sorted_matrix(warps, exclude)
+    if h.shape[0] < 2:
+        raise SampleSizeError(f"need at least 2 series after exclusion, got {h.shape[0]}")
 
-    h = _sorted_matrix(included)
     mu = h.mean(axis=0)
     if h.shape[0] < h.shape[1]:
         vals, phi = _sample_spectrum(h, mu)
     else:
-        vals, phi = eigendecompose(covariance_function(included), warps.grid)
+        vals, phi = eigendecompose(_covariance(h), warps.grid)
 
     total = float(vals.sum())
     fractions = vals / total if total > 0.0 else np.zeros_like(vals)
@@ -290,7 +292,7 @@ def fit_fpca(
         # added functions span the null space, so the spectrum is unchanged.
         _, phi = _sample_spectrum(h, mu, full=True)
 
-    scores = _scores(warps.matrix(), mu, phi[:n_retained])
+    scores = _scores(warps.values, mu, phi[:n_retained])
     return FpcaModel(
         grid=warps.grid,
         mean=mu,
@@ -300,18 +302,19 @@ def fit_fpca(
         n_retained=n_retained,
         scores=scores,
         score_names=warps.names,
-        out_of_sample=np.array([w.series_name in exclude for w in warps.warps]),
-        n_sample=included.n_series,
+        out_of_sample=np.array([name in exclude for name in warps.names]),
+        n_sample=h.shape[0],
     )
 
 
 def modes_of_variation(model: FpcaModel, k: int, gammas=DEFAULT_GAMMAS) -> ModesOfVariation:
     """Curves ``mu + gamma * sqrt(lambda_k) * phi_k`` for each gamma.
 
-    ``k`` is 1-based and must refer to a retained component.
+    ``k`` is 1-based and must refer to a retained component (ConfigError
+    otherwise).
     """
     if not 1 <= k <= model.n_retained:
-        raise IndexError(f"component {k} outside retained range [1, {model.n_retained}]")
+        raise ConfigError(f"component {k} outside retained range [1, {model.n_retained}]")
     lam = max(float(model.eigenvalues[k - 1]), 0.0)
     phi = model.eigenfunctions[k - 1]
     gammas = tuple(float(g) for g in gammas)
@@ -327,6 +330,8 @@ def score_rate_regression(scores: np.ndarray, alphas: np.ndarray) -> list[Regres
 
     Raises
     ------
+    ConfigError
+        If the score rows and the rates differ in number.
     SampleSizeError
         If fewer than 3 observations are supplied.
     DegenerateRegressorError
@@ -341,7 +346,7 @@ def score_rate_regression(scores: np.ndarray, alphas: np.ndarray) -> list[Regres
     if scores.shape[0] == 1 and alphas.shape[0] != 1:
         scores = scores.T
     if scores.shape[0] != alphas.shape[0]:
-        raise ValueError(f"{scores.shape[0]} score rows vs {alphas.shape[0]} rates")
+        raise ConfigError(f"{scores.shape[0]} score rows vs {alphas.shape[0]} rates")
     if alphas.shape[0] < 3:
         raise SampleSizeError(f"regression needs at least 3 points, got {alphas.shape[0]}")
     with np.errstate(over="ignore", invalid="ignore"):

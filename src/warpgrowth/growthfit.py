@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingDataError, WindowError
+from .errors import WindowError
 from .timeseries import Panel, PriceSeries, TimeGrid
 
 #: Lower clamp for the fixed-intercept growth rate; the model requires
@@ -81,20 +81,18 @@ class AlphaEstimates:
         return np.array([f.alpha for f in self.fits])
 
 
-def _window_logs(series, grid: TimeGrid, window: tuple[int, int]) -> np.ndarray:
-    """Log values of ``series`` on ``window`` as a (window length, n_series) block.
+def _window_logs(panel: Panel, window: tuple[int, int]) -> np.ndarray:
+    """Log values of the panel on ``window`` as a C-contiguous (window length, n_series) block.
 
     Raises WindowError under 3 points, GridError for a window end off the
     grid and MissingDataError for a gap inside the window.
     """
     start, end = window
-    lo, hi = grid.index_of(start), grid.index_of(end)
+    lo, hi = panel.grid.index_of(start), panel.grid.index_of(end)
     if hi - lo + 1 < 3:
         raise WindowError(f"window [{start}, {end}] has fewer than 3 points")
-    gappy = [s.name for s in series if not s.complete_on(lo, hi)]
-    if gappy:
-        raise MissingDataError(f"series with missing values inside window [{start}, {end}]: {gappy}")
-    return np.ascontiguousarray(np.log(np.vstack([s.values[lo : hi + 1] for s in series])).T)
+    panel.check_complete(lo, hi)
+    return np.ascontiguousarray(np.log(panel.values[:, lo : hi + 1]).T)
 
 
 def _r2(sse: np.ndarray, sst: np.ndarray) -> np.ndarray:
@@ -147,10 +145,10 @@ def _free_ols(logs_t: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray, 
     return alpha, mean - alpha * tbar, _r2(sse, sst)
 
 
-def _free_fits(series, window: tuple[int, int], logs: np.ndarray) -> tuple[WindowFit, ...]:
-    """Free-intercept fits of ``series`` on ``window`` from their (length, n_series) log block."""
+def _free_fits(names: tuple[str, ...], window: tuple[int, int], logs: np.ndarray) -> tuple[WindowFit, ...]:
+    """Free-intercept fits of the named series on ``window`` from their (length, n_series) log block."""
     alpha, intercept, r2 = (a[0].tolist() for a in _free_ols(logs, logs.shape[0]))
-    return tuple(WindowFit(s.name, window, *fit) for s, *fit in zip(series, alpha, intercept, r2))
+    return tuple(WindowFit(name, window, *fit) for name, *fit in zip(names, alpha, intercept, r2))
 
 
 def fit_window_free(series: PriceSeries, grid: TimeGrid, window: tuple[int, int]) -> WindowFit:
@@ -159,7 +157,8 @@ def fit_window_free(series: PriceSeries, grid: TimeGrid, window: tuple[int, int]
     Minimizes ``sum_t (log X(t) - intercept - alpha * (t - t_start))^2``.
     A constant series has zero total variation and is assigned r2 = 1.
     """
-    return _free_fits((series,), window, _window_logs((series,), grid, window))[0]
+    panel = Panel.from_series(grid, (series,))
+    return _free_fits(panel.names, window, _window_logs(panel, window))[0]
 
 
 def fit_window_fixed(series: PriceSeries, grid: TimeGrid, window: tuple[int, int]) -> WindowFit:
@@ -170,7 +169,7 @@ def fit_window_fixed(series: PriceSeries, grid: TimeGrid, window: tuple[int, int
     clamped below at ``ALPHA_FLOOR`` to keep the rate positive; clamped
     results are flagged.
     """
-    return estimate_alphas(Panel(grid, (series,)), window).fits[0]
+    return estimate_alphas(Panel.from_series(grid, (series,)), window).fits[0]
 
 
 def search_interval(panel: Panel, lengths=DEFAULT_WINDOW_LENGTHS) -> IntervalSearchResult:
@@ -204,7 +203,7 @@ def search_interval(panel: Panel, lengths=DEFAULT_WINDOW_LENGTHS) -> IntervalSea
     if lengths[0] < 3:
         raise WindowError(f"window length {lengths[0]} is shorter than 3 months")
     grid = panel.grid
-    logs_t = _window_logs(panel.series, grid, (grid.start_month, grid.end_month))
+    logs_t = _window_logs(panel, (grid.start_month, grid.end_month))
 
     # Sorted sums keep each mean invariant to series ordering. The smallest
     # key has the largest mean r2, then the earliest start, then the
@@ -220,7 +219,7 @@ def search_interval(panel: Panel, lengths=DEFAULT_WINDOW_LENGTHS) -> IntervalSea
     neg_mean_r2, lo, length = min(keys)
     window = (grid.start_month + lo, grid.start_month + lo + length - 1)
     # Elementwise arithmetic on the winner's rows repeats the scan's bits.
-    fits = _free_fits(panel.series, window, logs_t[lo : lo + length])
+    fits = _free_fits(panel.names, window, logs_t[lo : lo + length])
     return IntervalSearchResult(window, length, -neg_mean_r2, fits)
 
 
@@ -230,7 +229,7 @@ def estimate_alphas(panel: Panel, window: tuple[int, int]) -> AlphaEstimates:
     Also reports the cross-series mean and standard deviation (n-1
     denominator) of the estimated rates.
     """
-    logs = _window_logs(panel.series, panel.grid, window)
+    logs = _window_logs(panel, window)
     tau = np.arange(logs.shape[0], dtype=float)
     d = logs - logs[0]
     alpha = tau @ d / float(np.sum(tau**2))
@@ -238,7 +237,7 @@ def estimate_alphas(panel: Panel, window: tuple[int, int]) -> AlphaEstimates:
     alpha[clamped] = ALPHA_FLOOR
     sse = np.sum((d - np.outer(tau, alpha)) ** 2, axis=0)
     sst = np.sum((d - d.mean(axis=0)) ** 2, axis=0)
-    rows = zip(panel.series, alpha.tolist(), logs[0].tolist(), _r2(sse, sst).tolist(), clamped.tolist())
-    fits = tuple(WindowFit(s.name, window, *fit) for s, *fit in rows)
+    rows = zip(panel.names, alpha.tolist(), logs[0].tolist(), _r2(sse, sst).tolist(), clamped.tolist())
+    fits = tuple(WindowFit(name, window, *fit) for name, *fit in rows)
     sd = float(alpha.std(ddof=1)) if alpha.size > 1 else 0.0
     return AlphaEstimates(fits, float(alpha.mean()), sd)

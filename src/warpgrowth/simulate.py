@@ -16,15 +16,15 @@ model fitted on real data can be fed back in as the truth. Generation
 rescales to calendar months internally: a normalized warp value u
 corresponds to ``u * elapsed_months`` months of market time.
 
-Randomness is counter-based (Philox) with per-replicate streams derived
-from ``(seed, replicate index)``, so results do not depend on scheduling.
+Each replicate's panel is one n x m array, filled row by row as candidates
+are accepted. Randomness is counter-based (Philox), one stream per
+``(seed, replicate index)``, and replicates run in index order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -35,7 +35,7 @@ from .errors import ConfigError, SchemaError, WarpGrowthError
 from .fpca import eigendecompose, fit_fpca
 from .growthfit import DEFAULT_WINDOW_LENGTHS, estimate_alphas, search_interval
 from .quadrature import trapezoid_weights
-from .timeseries import Panel, PriceSeries, TimeGrid
+from .timeseries import Panel, TimeGrid
 from .warping import compute_warp_set
 
 #: Default simulation grid: December 1998 through July 2013 in month
@@ -241,7 +241,7 @@ def generate_replicate(truth: SimTruth, rng: np.random.Generator) -> Replicate:
     months = float(truth.grid.elapsed_months)
     root_lam = np.sqrt(truth.eigenvalues)
 
-    series = []
+    values = np.empty((truth.n, m))
     alphas = np.empty(truth.n)
     warps = np.empty((truth.n, m))
     scores = np.empty((truth.n, truth.n_components))
@@ -262,12 +262,13 @@ def generate_replicate(truth: SimTruth, rng: np.random.Generator) -> Replicate:
                     f"truth is incompatible with the cap {truth.cap}"
                 )
             continue
-        series.append(PriceSeries(f"sim{accepted + 1:02d}", x))
+        values[accepted] = x
         alphas[accepted] = alpha
         warps[accepted] = h_anchored
         scores[accepted] = xi
         accepted += 1
-    return Replicate(Panel(TimeGrid(truth.grid.start_month, m), tuple(series)), alphas, warps, scores)
+    names = tuple(f"sim{i + 1:02d}" for i in range(truth.n))
+    return Replicate(Panel(TimeGrid(truth.grid.start_month, m), names, values), alphas, warps, scores)
 
 
 def _fsum_mean(values) -> float:
@@ -445,20 +446,17 @@ def _mean_sd(values: list[float]) -> dict:
 def run_study(truth: SimTruth, n_replicates: int, seed: int | None = None, n_jobs: int = 1) -> SimReport:
     """Repeat generation + full estimation and aggregate the error metrics.
 
-    Replicates draw independent Philox streams keyed by (seed, index), so
-    the report is byte-identical for identical inputs regardless of
-    ``n_jobs``. Failed replicates are recorded, not dropped.
+    Replicates run in index order, each on its own Philox stream keyed by
+    (seed, index), so the report is byte-identical for identical inputs.
+    ``n_jobs`` has no effect: replicates hold the interpreter lock for most
+    of their time, and a thread pool ran slower than this loop. Failed
+    replicates are recorded, not dropped.
     """
     if n_replicates < 1:
         raise ConfigError(f"need at least 1 replicate, got {n_replicates}")
     seed = _seed(truth, seed)
 
-    indices = range(n_replicates)
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(lambda i: _run_one_replicate(truth, seed, i), indices))
-    else:
-        results = [_run_one_replicate(truth, seed, i) for i in indices]
+    results = [_run_one_replicate(truth, seed, i) for i in range(n_replicates)]
 
     ok = [r for r in results if not r.failed]
     aggregates: dict = {"n_succeeded": len(ok)}

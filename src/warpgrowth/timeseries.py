@@ -3,6 +3,10 @@
 Month indices count months since a fixed epoch: index 1 is January 1987.
 Under this convention December 1998 is month 144, November 2000 is month
 167 and July 2013 is month 319.
+
+A :class:`Panel` holds n series as n x m value and missing-flag arrays,
+validated once when built; stages work on its row masks and column slices,
+and :class:`PriceSeries` is its one-row view.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._table import csv_rows, write_rows
-from .errors import EmptyPanelError, GridError, SchemaError
+from .errors import EmptyPanelError, GridError, MissingDataError, SchemaError
 
 EPOCH_YEAR = 1987
 
@@ -38,11 +42,6 @@ def month_label(index: int) -> str:
     year = EPOCH_YEAR + (index - 1) // 12
     month = (index - 1) % 12 + 1
     return f"{year:04d}-{month:02d}"
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -99,83 +98,12 @@ class TimeGrid:
             )
         return month - self.start_month
 
-    def subgrid(self, from_month: int, to_month: int) -> "TimeGrid":
-        if to_month < from_month:
-            raise GridError("empty window: to_month precedes from_month")
-        self.index_of(from_month)
-        self.index_of(to_month)
-        return TimeGrid(from_month, to_month - from_month + 1, normalized=self.normalized)
-
-
-@dataclass(frozen=True)
-class PriceSeries:
-    """One market's index values with a per-point missing mask."""
-
-    name: str
-    values: np.ndarray
-    missing: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        missing = (
-            np.zeros(values.shape, dtype=bool)
-            if self.missing is None
-            else np.asarray(self.missing, dtype=bool)
-        )
-        if values.ndim != 1 or missing.shape != values.shape:
-            raise ValueError(f"series {self.name!r}: values and mask must be equal-length 1-D arrays")
-        present = values[~missing]
-        if present.size and not np.all(present > 0):
-            raise ValueError(f"series {self.name!r}: non-missing values must be positive")
-        object.__setattr__(self, "values", _readonly(values))
-        object.__setattr__(self, "missing", _readonly(missing))
-
-    @property
-    def n_points(self) -> int:
-        return self.values.shape[0]
-
-    def complete_on(self, lo: int, hi: int) -> bool:
-        """True when no value is missing on the inclusive index range [lo, hi]."""
-        return not self.missing[lo : hi + 1].any()
-
-
-@dataclass(frozen=True)
-class Panel:
-    """Ordered collection of series sharing one monthly grid."""
-
-    grid: TimeGrid
-    series: tuple[PriceSeries, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "series", tuple(self.series))
-        for s in self.series:
-            if s.n_points != self.grid.n_points:
-                raise GridError(f"series {s.name!r} has {s.n_points} points, grid has {self.grid.n_points}")
-        names = [s.name for s in self.series]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise SchemaError(f"duplicate series names: {dupes}")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.series)
-
-    @property
-    def n_series(self) -> int:
-        return len(self.series)
-
-    def get(self, name: str) -> PriceSeries:
-        for s in self.series:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
 
 _TINY = float(np.finfo(float).tiny)
 
 
 def _value_problem(v: float) -> str | None:
-    """Why a parsed cell value is not a valid index level, or None if it is."""
+    """Why a value is not a valid index level, or None if it is."""
     if not v > 0:
         return "is not positive"
     if v == math.inf:
@@ -185,11 +113,96 @@ def _value_problem(v: float) -> str | None:
     return None
 
 
-def _raise_first_bad_cell(data_rows: list[list[str]], names: list[str]) -> None:
-    """Raise the error for the first bad value cell in row-major order.
+def _set_rows(obj, names: tuple[str, ...], shape: tuple[int, ...]) -> None:
+    """Store ``obj.values`` and ``obj.missing`` (None: none missing) read-only; GridError unless both
+    have ``shape``, SchemaError naming the first present value that is not finite or is below ``_TINY``."""
+    values = np.ascontiguousarray(obj.values, dtype=float)
+    missing = np.zeros(shape, dtype=bool) if obj.missing is None else np.ascontiguousarray(obj.missing, dtype=bool)
+    if values.shape != shape or missing.shape != shape:
+        raise GridError(f"values {values.shape} and mask {missing.shape} of {len(names)} series must be {shape}")
+    rows = (len(names), shape[-1])
+    bad = np.argwhere(~(((values >= _TINY) & (values < math.inf)) | missing).reshape(rows))
+    if bad.size:
+        i, j = bad[0]
+        v = float(values.reshape(rows)[i, j])
+        raise SchemaError(f"series {names[i]!r}, point {j}: value {v!r} {_value_problem(v)}")
+    for key, a in (("values", values), ("missing", missing)):
+        a.setflags(write=False)
+        object.__setattr__(obj, key, a)
 
-    Called only once a bad cell is known to exist.
+
+@dataclass(frozen=True)
+class PriceSeries:
+    """One market's index values and missing mask: the one-row view of a :class:`Panel`, checked like its rows."""
+
+    name: str
+    values: np.ndarray
+    missing: np.ndarray = field(default=None)  # type: ignore[assignment]
+
+    def __post_init__(self):
+        _set_rows(self, (self.name,), (np.size(self.values),))
+
+
+@dataclass(frozen=True)
+class Panel:
+    """n series on one monthly grid, as read-only C-contiguous n x m arrays.
+
+    Row ``i`` of ``values`` and ``missing`` (default: none missing) belongs
+    to ``names[i]``. Every value not masked must be finite and at least
+    ``np.finfo(float).tiny``, as in :func:`parse_panel`. A shape mismatch
+    raises GridError, duplicate names or a bad value SchemaError.
     """
+
+    grid: TimeGrid
+    names: tuple[str, ...]
+    values: np.ndarray
+    missing: np.ndarray = field(default=None)  # type: ignore[assignment]
+
+    def __post_init__(self):
+        names = tuple(self.names)
+        object.__setattr__(self, "names", names)
+        if len(set(names)) != len(names):
+            dupes = sorted({n for n in names if names.count(n) > 1})
+            raise SchemaError(f"duplicate series names: {dupes}")
+        _set_rows(self, names, (len(names), self.grid.n_points))
+
+    @classmethod
+    def from_series(cls, grid: TimeGrid, series) -> "Panel":
+        """Stack :class:`PriceSeries` rows, in order, into a panel on ``grid``."""
+        series = tuple(series)
+        for s in series:
+            if s.values.size != grid.n_points:
+                raise GridError(f"series {s.name!r} has {s.values.size} points, grid has {grid.n_points}")
+        shape = (len(series), grid.n_points)
+        values = np.array([s.values for s in series], dtype=float).reshape(shape)
+        return cls(grid, [s.name for s in series], values, np.array([s.missing for s in series], dtype=bool).reshape(shape))
+
+    @property
+    def n_series(self) -> int:
+        return len(self.names)
+
+    @property
+    def series(self) -> tuple[PriceSeries, ...]:
+        """One :class:`PriceSeries` view per row."""
+        return tuple(map(PriceSeries, self.names, self.values, self.missing))
+
+    def get(self, name: str) -> PriceSeries:
+        if name not in self.names:
+            raise KeyError(name)
+        i = self.names.index(name)
+        return PriceSeries(name, self.values[i], self.missing[i])
+
+    def check_complete(self, lo: int, hi: int) -> None:
+        """MissingDataError naming every series with a missing value on the inclusive index range [lo, hi]."""
+        gappy = self.missing[:, lo : hi + 1].any(axis=1)
+        if gappy.any():
+            start = self.grid.start_month
+            names = [name for name, gap in zip(self.names, gappy.tolist()) if gap]
+            raise MissingDataError(f"series with missing values inside months [{start + lo}, {start + hi}]: {names}")
+
+
+def _raise_first_bad_cell(data_rows: list[list[str]], names: list[str]) -> None:
+    """Raise the error for the first bad value cell in row-major order, if there is one."""
     for i, row in enumerate(data_rows):
         for j, cell in enumerate(row[1:]):
             cell = cell.strip()
@@ -202,7 +215,6 @@ def _raise_first_bad_cell(data_rows: list[list[str]], names: list[str]) -> None:
             problem = _value_problem(v)
             if problem:
                 raise SchemaError(f"row {i + 2}, column {names[j]!r}: value {reprlib.repr(cell)} {problem}")
-    raise AssertionError("vectorised value check and cell scan disagree")
 
 
 def parse_panel(csv_text: str) -> Panel:
@@ -261,16 +273,17 @@ def parse_panel(csv_text: str) -> Panel:
             values[:, i] = [float(c) if c.strip() else math.nan for c in row[1:]]
     except ValueError:
         _raise_first_bad_cell(data_rows, names)
+        raise
     # NaN marks a blank cell, unless the cell spelled out "nan".
     missing = np.isnan(values)
     for j, i in zip(*np.nonzero(missing)):
         missing[j, i] = not data_rows[i][j + 1].strip()
-    if not (((values >= _TINY) & (values < math.inf)) | missing).all():
+    try:
+        return Panel(TimeGrid(months[0], n), tuple(names), values, missing)
+    except SchemaError:
+        # A bad level is reported by its cell; duplicate names pass through.
         _raise_first_bad_cell(data_rows, names)
-
-    grid = TimeGrid(months[0], n)
-    series = tuple(PriceSeries(name, values[j], missing[j]) for j, name in enumerate(names))
-    return Panel(grid, series)
+        raise
 
 
 def serialize_panel(panel: Panel) -> str:
@@ -279,10 +292,8 @@ def serialize_panel(panel: Panel) -> str:
     Values are written with ``repr`` so parse(serialize(p)) reproduces the
     panel bit-exactly; names are quoted where :mod:`csv` needs it.
     """
-    rows = (
-        [month_label(int(month)), *("" if s.missing[i] else repr(float(s.values[i])) for s in panel.series)]
-        for i, month in enumerate(panel.grid.months)
-    )
+    columns = zip(panel.grid.months.tolist(), panel.values.T.tolist(), panel.missing.T.tolist())
+    rows = ([month_label(month), *("" if gap else repr(v) for v, gap in zip(vals, gaps))] for month, vals, gaps in columns)
     return write_rows(["date", *panel.names], rows)
 
 
@@ -290,7 +301,8 @@ def restrict(panel: Panel, from_month: int, to_month: int) -> tuple[Panel, list[
     """Restrict a panel to the inclusive month window [from_month, to_month].
 
     Series with any missing value inside the window are dropped rather than
-    imputed; the dropped names are returned alongside the new panel.
+    imputed; the dropped names are returned alongside the new panel, whose
+    rows keep their order.
 
     Raises
     ------
@@ -299,17 +311,14 @@ def restrict(panel: Panel, from_month: int, to_month: int) -> tuple[Panel, list[
     EmptyPanelError
         If every series is dropped.
     """
-    sub = panel.grid.subgrid(from_month, to_month)
-    lo = panel.grid.index_of(from_month)
-    hi = panel.grid.index_of(to_month)
-
-    kept = []
-    dropped = []
-    for s in panel.series:
-        if s.complete_on(lo, hi):
-            kept.append(PriceSeries(s.name, s.values[lo : hi + 1], s.missing[lo : hi + 1]))
-        else:
-            dropped.append(s.name)
-    if not kept:
+    if to_month < from_month:
+        raise GridError("empty window: to_month precedes from_month")
+    cols = slice(panel.grid.index_of(from_month), panel.grid.index_of(to_month) + 1)
+    gappy = panel.missing[:, cols].any(axis=1)
+    if gappy.all():
         raise EmptyPanelError(f"all {panel.n_series} series have gaps inside the window")
-    return Panel(sub, tuple(kept)), dropped
+    kept = ~gappy
+    names = np.array(panel.names, dtype=object)
+    sub = TimeGrid(from_month, to_month - from_month + 1, normalized=panel.grid.normalized)
+    restricted = Panel(sub, tuple(names[kept]), panel.values[kept, cols], panel.missing[kept, cols])
+    return restricted, names[gappy].tolist()

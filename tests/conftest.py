@@ -14,7 +14,7 @@ def exponential_panel(alphas, x0s=None, start_month=144, n_points=176, names=Non
     series = tuple(
         PriceSeries(name, x0 * np.exp(a * t)) for name, a, x0 in zip(names, alphas, x0s)
     )
-    return Panel(grid, series)
+    return Panel.from_series(grid, series)
 
 
 @pytest.fixture

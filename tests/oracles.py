@@ -124,7 +124,7 @@ def free_fit_per_series(series, grid, window):
     hi = grid.index_of(end)
     if hi - lo + 1 < 3:
         raise WindowError(f"window [{start}, {end}] has fewer than 3 points")
-    if not series.complete_on(lo, hi):
+    if series.missing[lo : hi + 1].any():
         raise MissingDataError(f"series {series.name!r} has missing values inside window [{start}, {end}]")
     y = np.log(series.values[lo : hi + 1])
     tau = np.arange(hi - lo + 1, dtype=float)

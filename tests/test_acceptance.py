@@ -106,11 +106,11 @@ def _fitted_models_for_suite():
     basis = np.vstack([np.sin(np.pi * k * t) for k in range(1, 5)])
     coef = rng.standard_normal((12, 4)) * np.array([0.3, 0.15, 0.08, 0.03])
     rows = t + coef @ basis
-    ws = WarpSet(grid, tuple(WarpFunction(f"w{i}", grid, rows[i], 1.0) for i in range(12)))
+    ws = WarpSet.from_warps(grid, tuple(WarpFunction(f"w{i}", grid, rows[i], 1.0) for i in range(12)))
     models.append((fit_fpca(ws, k=6), ws))
 
     rank1 = np.vstack([t + 0.3 * basis[0], t - 0.3 * basis[0]])
-    ws1 = WarpSet(grid, tuple(WarpFunction(f"r{i}", grid, rank1[i], 1.0) for i in range(2)))
+    ws1 = WarpSet.from_warps(grid, tuple(WarpFunction(f"r{i}", grid, rank1[i], 1.0) for i in range(2)))
     models.append((fit_fpca(ws1, k=2), ws1))
 
     truth = default_truth()
@@ -140,7 +140,7 @@ def test_criterion_4_karhunen_loeve_reconstruction():
     xi = rng.standard_normal((n, truth.n_components))
     rows = truth.mean + (xi * np.sqrt(truth.eigenvalues)) @ truth.eigenfunctions
     grid = TimeGrid(truth.grid.start_month, truth.grid.n_points, normalized=True)
-    ws = WarpSet(grid, tuple(WarpFunction(f"w{i:02d}", grid, rows[i], 1.0) for i in range(n)))
+    ws = WarpSet.from_warps(grid, tuple(WarpFunction(f"w{i:02d}", grid, rows[i], 1.0) for i in range(n)))
     model = fit_fpca(ws, k=n - 1)
     w = model.weights
     centered = ws.matrix() - model.mean

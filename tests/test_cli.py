@@ -94,7 +94,7 @@ class TestWarpCommand:
         grid = TimeGrid(144, 60)
         from warpgrowth.timeseries import Panel, PriceSeries
 
-        panel = Panel(grid, (PriceSeries("flat", np.full(60, 120.0)),))
+        panel = Panel.from_series(grid, (PriceSeries("flat", np.full(60, 120.0)),))
         path = write_panel(tmp_path / "flat.csv", panel)
         out = tmp_path / "out"
         main(["fit", "--input", path, "--output-dir", str(out)])
@@ -114,7 +114,7 @@ class TestWarpCommand:
         grid = TimeGrid(144, 60)
         t = np.arange(60.0)
         x = 100.0 * np.exp(0.01 * np.minimum(t, 24.0))
-        panel = Panel(grid, (PriceSeries("stall", x),))
+        panel = Panel.from_series(grid, (PriceSeries("stall", x),))
         path = write_panel(tmp_path / "stall.csv", panel)
         out = tmp_path / "out"
         main(["fit", "--input", path, "--output-dir", str(out)])
@@ -450,11 +450,11 @@ from warpgrowth.cli import main
 truth = default_truth()
 grid = TimeGrid(0, truth.grid.n_points, normalized=True)
 curves = [truth.mean + 0.01 * i * truth.eigenfunctions[i % 3] for i in range(5)]
-sample = WarpSet(grid, tuple(WarpFunction(f"s{i}", grid, h, 0.01) for i, h in enumerate(curves)))
+sample = WarpSet.from_warps(grid, tuple(WarpFunction(f"s{i}", grid, h, 0.01) for i, h in enumerate(curves)))
 assert fit_fpca(sample, k=2).n_retained == 2  # n < m: thin SVD
 small = TimeGrid(0, 4, normalized=True)
 rows = np.random.default_rng(0).standard_normal((6, 4))
-sample = WarpSet(small, tuple(WarpFunction(f"s{i}", small, h, 0.01) for i, h in enumerate(rows)))
+sample = WarpSet.from_warps(small, tuple(WarpFunction(f"s{i}", small, h, 0.01) for i, h in enumerate(rows)))
 assert fit_fpca(sample, k=2).n_retained == 2  # n >= m: eigendecompose
 
 panel, out = sys.argv[1:]

@@ -31,7 +31,7 @@ def make_warpset(rows, start_month=0, names=None):
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     grid = TimeGrid(start_month, rows.shape[1], normalized=True)
     names = names or [f"w{i:02d}" for i in range(rows.shape[0])]
-    return WarpSet(grid, tuple(WarpFunction(n, grid, r, 1.0) for n, r in zip(names, rows)))
+    return WarpSet.from_warps(grid, tuple(WarpFunction(n, grid, r, 1.0) for n, r in zip(names, rows)))
 
 
 class TestMeanFunction:
@@ -53,7 +53,7 @@ class TestMeanFunction:
     def test_empty_sample(self):
         grid = TimeGrid(0, 4, normalized=True)
         with pytest.raises(EmptySampleError):
-            mean_function(WarpSet(grid, ()))
+            mean_function(WarpSet.from_warps(grid, ()))
 
 
 class TestCovarianceFunction:
@@ -266,7 +266,7 @@ class TestFitAndProject:
     def test_permutation_gives_bit_identical_eigenfunctions(self):
         ws = smooth_sample(n=10, seed=8)
         perm = [7, 2, 9, 0, 4, 1, 8, 3, 6, 5]
-        permuted = WarpSet(ws.grid, tuple(ws.warps[i] for i in perm))
+        permuted = WarpSet.from_warps(ws.grid, tuple(ws.warps[i] for i in perm))
         m1 = fit_fpca(ws, k=4)
         m2 = fit_fpca(permuted, k=4)
         assert np.array_equal(m1.eigenfunctions, m2.eigenfunctions)
@@ -386,7 +386,7 @@ class TestModesOfVariation:
 
     def test_component_out_of_range(self):
         model = fit_fpca(smooth_sample(), k=2)
-        with pytest.raises(IndexError):
+        with pytest.raises(ConfigError):
             modes_of_variation(model, 3)
 
 

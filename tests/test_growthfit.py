@@ -138,7 +138,7 @@ class TestSearchInterval:
         late = t >= 30
         x[late] *= np.exp(0.1 * np.sin(0.4 * (t[late] - 30)))
         grid = TimeGrid(0, 90)
-        panel = Panel(grid, (PriceSeries("A", x),))
+        panel = Panel.from_series(grid, (PriceSeries("A", x),))
         res = search_interval(panel, (24,))
         assert res.best_window[1] <= 35
 
@@ -150,8 +150,8 @@ class TestSearchInterval:
             for i in range(1, 5)
         ]
         grid = TimeGrid(0, 60)
-        res_fwd = search_interval(Panel(grid, tuple(series)), (24, 36))
-        res_rev = search_interval(Panel(grid, tuple(reversed(series))), (24, 36))
+        res_fwd = search_interval(Panel.from_series(grid, tuple(series)), (24, 36))
+        res_rev = search_interval(Panel.from_series(grid, tuple(reversed(series))), (24, 36))
         assert res_fwd.best_window == res_rev.best_window
         assert res_fwd.mean_r2 == res_rev.mean_r2
 
@@ -178,7 +178,7 @@ class TestSearchInterval:
         mask = np.zeros(40, dtype=bool)
         mask[5] = True
         grid = TimeGrid(0, 40)
-        panel = Panel(grid, (PriceSeries("A", vals2, mask),))
+        panel = Panel.from_series(grid, (PriceSeries("A", vals2, mask),))
         with pytest.raises(MissingDataError):
             search_interval(panel, (24,))
 
@@ -215,7 +215,7 @@ def random_panels(draw):
         logs = alpha * t + noise * rng.standard_normal(n_points)
         series.append(PriceSeries(f"s{i}", rng.uniform(50.0, 150.0) * np.exp(logs)))
     start_month = draw(st.integers(min_value=0, max_value=300))
-    return Panel(TimeGrid(start_month, n_points), tuple(series)), lengths
+    return Panel.from_series(TimeGrid(start_month, n_points), tuple(series)), lengths
 
 
 class TestBatchedScan:
@@ -319,7 +319,7 @@ class TestChainInvariances:
     def test_series_permutation(self, index, order):
         panel = replicate_panel(index)
         search, rates, warps = fit_chain(panel)
-        search_p, rates_p, warps_p = fit_chain(Panel(panel.grid, tuple(panel.series[i] for i in order)))
+        search_p, rates_p, warps_p = fit_chain(Panel.from_series(panel.grid, tuple(panel.series[i] for i in order)))
         assert search_p.best_window == search.best_window
         assert search_p.mean_r2 == search.mean_r2
         assert rates_p == rates
@@ -330,7 +330,7 @@ class TestChainInvariances:
     def test_start_month_shift(self, index, k):
         panel = replicate_panel(index)
         search, rates, _ = fit_chain(panel)
-        shifted = Panel(TimeGrid(panel.grid.start_month + k, panel.grid.n_points), panel.series)
+        shifted = Panel.from_series(TimeGrid(panel.grid.start_month + k, panel.grid.n_points), panel.series)
         search_s, rates_s, _ = fit_chain(shifted)
         assert search_s.best_window == (search.best_window[0] + k, search.best_window[1] + k)
         assert search_s.mean_r2 == search.mean_r2
@@ -341,7 +341,7 @@ class TestChainInvariances:
     def test_per_series_scaling(self, index, scales):
         panel = replicate_panel(index)
         search, rates, warps = fit_chain(panel)
-        scaled = Panel(panel.grid, tuple(PriceSeries(s.name, c * s.values) for s, c in zip(panel.series, scales)))
+        scaled = Panel.from_series(panel.grid, tuple(PriceSeries(s.name, c * s.values) for s, c in zip(panel.series, scales)))
         search_c, rates_c, warps_c = fit_chain(scaled)
         assert search_c.best_window == search.best_window
         for name, alpha in rates.items():

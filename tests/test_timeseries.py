@@ -58,7 +58,7 @@ class TestTimeGrid:
 
 class TestPriceSeries:
     def test_nonpositive_value_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError, match="series 'A', point 1: value 0.0 is not positive"):
             PriceSeries("A", np.array([100.0, 0.0]))
 
     def test_nonpositive_allowed_when_masked(self):
@@ -66,7 +66,7 @@ class TestPriceSeries:
         assert s.missing[1]
 
     def test_mask_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(GridError):
             PriceSeries("A", np.array([100.0, 101.0]), np.array([False]))
 
     def test_values_are_readonly(self):
@@ -249,7 +249,7 @@ class TestSerializeRoundTrip:
             vals = vals.copy()
             vals[mask] = np.nan
             series.append(PriceSeries(f"s{j}", vals, mask))
-        panel = Panel(grid, tuple(series))
+        panel = Panel.from_series(grid, tuple(series))
         again = parse_panel(serialize_panel(panel))
         assert again.grid == panel.grid
         assert again.names == panel.names
@@ -301,7 +301,7 @@ class TestRestrict:
         # January 1987 through July 2013, restricted to Dec 1998 .. Jul 2013.
         grid = TimeGrid(1, 319)
         t = np.arange(319, dtype=float)
-        panel = Panel(grid, (PriceSeries("A", 100 * np.exp(0.002 * t)),))
+        panel = Panel.from_series(grid, (PriceSeries("A", 100 * np.exp(0.002 * t)),))
         sub, _ = restrict(panel, month_index("1998-12"), month_index("2013-07"))
         assert sub.grid.n_points == 176
 
@@ -336,12 +336,12 @@ class TestPanelInvariants:
         grid = TimeGrid(1, 2)
         s = PriceSeries("A", np.array([1.0, 2.0]))
         with pytest.raises(SchemaError):
-            Panel(grid, (s, PriceSeries("A", np.array([3.0, 4.0]))))
+            Panel.from_series(grid, (s, PriceSeries("A", np.array([3.0, 4.0]))))
 
     def test_length_mismatch(self):
         grid = TimeGrid(1, 3)
         with pytest.raises(GridError):
-            Panel(grid, (PriceSeries("A", np.array([1.0, 2.0])),))
+            Panel.from_series(grid, (PriceSeries("A", np.array([1.0, 2.0])),))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -365,7 +365,7 @@ class TestPanelInvariants:
             mask = rng.random(n_points) < 0.2
             values = np.where(mask, np.nan, rng.uniform(1.0, 500.0, n_points))
             series.append(PriceSeries(name, values, mask))
-        panel = Panel(grid, tuple(series))
+        panel = Panel.from_series(grid, tuple(series))
         again = parse_panel(serialize_panel(panel))
         assert again.names == panel.names
         for a, b in zip(again.series, panel.series):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpgrowth.errors import GridError, MissingDataError, RateError, SchemaError
+from warpgrowth.errors import ConfigError, GridError, MissingDataError, RateError, SchemaError
 from warpgrowth.growthfit import estimate_alphas, search_interval
 from warpgrowth.timeseries import Panel, PriceSeries, TimeGrid
 from warpgrowth.warping import (
@@ -122,7 +122,7 @@ class TestBaselineGrowth:
         grid = TimeGrid(0, 5)
         with pytest.raises(RateError):
             baseline_growth(float("nan"), 100.0, grid)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             baseline_growth(0.01, 0.0, grid)
 
 
@@ -131,7 +131,7 @@ class TestWarpSetPipeline:
         t = np.arange(40.0)
         decline = PriceSeries("down", 100.0 * np.exp(-0.01 * t))
         growth = PriceSeries("up", 100.0 * np.exp(0.01 * t))
-        panel = Panel(TimeGrid(0, 40), (growth, decline))
+        panel = Panel.from_series(TimeGrid(0, 40), (growth, decline))
         est = estimate_alphas(panel, (0, 23))
         ws = compute_warp_set(panel, est, t0_month=23)
         assert ws.get("up").reliable

@@ -11,7 +11,6 @@ import numpy as np
 
 from warpgrowth import (
     Panel,
-    PriceSeries,
     TimeGrid,
     compute_warp_set,
     estimate_alphas,
@@ -41,11 +40,9 @@ profiles = {
 }
 rates = {"steady": 0.011, "boomer": 0.006, "boombust": 0.004}
 
-series = []
-for name, (boom, bust) in profiles.items():
-    x = 95.0 * np.exp(rates[name] * warped_months(boom, bust))
-    series.append(PriceSeries(name, x))
-panel = Panel.from_series(grid, tuple(series))
+# One row per market: the panel holds the whole sample as one n x m array.
+values = [95.0 * np.exp(rates[name] * warped_months(boom, bust)) for name, (boom, bust) in profiles.items()]
+panel = Panel(grid, tuple(profiles), values)
 
 # ---------------------------------------------------------------------------
 # Window selection: scan every 2-, 3- and 5-year window and keep the one
@@ -58,8 +55,9 @@ print(f"best window: {month_label(start)}..{month_label(end)} "
 
 estimates = estimate_alphas(panel, result.best_window)
 print("\nper-market growth rates on the window:")
-for fit in estimates.fits:
-    print(f"  {fit.series_name:9s} alpha = {fit.alpha * 100:6.3f}% per month (R^2 {fit.r2:.4f})")
+fits = estimates.fits
+for name, alpha, r2 in zip(fits.names, fits.alpha, fits.r2):
+    print(f"  {name:9s} alpha = {alpha * 100:6.3f}% per month (R^2 {r2:.4f})")
 print(f"  mean {estimates.mean_alpha * 100:.3f}%/mo, sd {estimates.sd_alpha * 100:.3f}%/mo")
 
 # ---------------------------------------------------------------------------
@@ -70,11 +68,11 @@ print(f"  mean {estimates.mean_alpha * 100:.3f}%/mo, sd {estimates.sd_alpha * 10
 # ---------------------------------------------------------------------------
 warps = compute_warp_set(panel, estimates, t0_month=end)
 months = warps.grid.elapsed_months
+setback = 1.0 - warps.values[:, -1]
 print("\nwarping summary:")
-for w in warps.warps:
-    peak = w.values.max()
-    print(f"  {w.series_name:9s} peak market-time {peak:5.2f}, "
-          f"end {w.values[-1]:5.2f}, setback {w.setback * months:6.1f} months")
+for name, h, lag in zip(warps.names, warps.values, setback):
+    print(f"  {name:9s} peak market-time {h.max():5.2f}, "
+          f"end {h[-1]:5.2f}, setback {lag * months:6.1f} months")
 
 print("\nnote: the 'boombust' market ends furthest behind calendar time,")
 print("even though all three markets obey the same two-year growth anchor.")

@@ -12,7 +12,6 @@ import numpy as np
 
 from warpgrowth import (
     TimeGrid,
-    WarpFunction,
     WarpSet,
     fit_fpca,
     modes_of_variation,
@@ -34,10 +33,11 @@ rows = truth.mean + (xi * np.sqrt(truth.eigenvalues)) @ truth.eigenfunctions
 outlier_a = truth.mean + 4.5 * np.sqrt(truth.eigenvalues[0]) * truth.eigenfunctions[0]
 outlier_b = truth.mean - 5.0 * np.sqrt(truth.eigenvalues[1]) * truth.eigenfunctions[1]
 
-warps = [WarpFunction(f"market{i:02d}", grid, rows[i], 1.0) for i in range(n_regular)]
-warps.append(WarpFunction("outlier_boom", grid, outlier_a, 1.0))
-warps.append(WarpFunction("outlier_bust", grid, outlier_b, 1.0))
-sample = WarpSet.from_warps(grid, tuple(warps))
+# The sample is one warp set: a row per market, with its rate (1 per
+# normalized window here), t0 and reliability flag.
+names = [f"market{i:02d}" for i in range(n_regular)] + ["outlier_boom", "outlier_bust"]
+n = len(names)
+sample = WarpSet(grid, names, np.vstack([rows, outlier_a, outlier_b]), np.ones(n), np.zeros(n), np.ones(n, dtype=bool))
 
 # ---------------------------------------------------------------------------
 # Fit with the outliers excluded; they still receive projected scores.

@@ -10,7 +10,7 @@ assumption.
 
 import numpy as np
 
-from warpgrowth import PriceSeries, TimeGrid, WarpFunction, second_order_diagnostic
+from warpgrowth import Panel, TimeGrid, WarpSet, second_order_diagnostic
 
 m = 176
 u = np.linspace(0.0, 1.0, m)
@@ -18,18 +18,25 @@ grid = TimeGrid(144, m, normalized=True)
 alpha_norm = 1.3                      # rate over the whole window ...
 alpha_month = alpha_norm / (m - 1)    # ... i.e. about 0.74% per month
 
+
+def diagnose(x, h, grid, alpha_month):
+    """Residual row of one series ``x`` on the months of ``grid`` against its warp ``h`` at ``alpha_month``."""
+    panel = Panel(TimeGrid(grid.start_month, grid.n_points), ("demo",), [x])
+    warp = WarpSet(grid, ("demo",), [h], [alpha_month], [0.0], [True])
+    return second_order_diagnostic(panel, warp)[0]
+
+
 # A smooth nonmonotone warp: boom above the diagonal, then a dip.
 h = u + 0.15 * np.sin(2.0 * np.pi * u) - 0.1 * u**2
-warp = WarpFunction("demo", grid, h, alpha_month)
 
 # Case 1: data generated exactly by the constant-rate model.
 x_good = 100.0 * np.exp(alpha_norm * h)
-r_good = second_order_diagnostic(PriceSeries("demo", x_good), warp, alpha_month)
+r_good = diagnose(x_good, h, grid, alpha_month)
 
 # Case 2: the underlying rate drifts upward, alpha(t) = a0 (1 + t/2),
 # so along the warp log X = a0 (h + h^2 / 4).
 x_drift = 100.0 * np.exp(alpha_norm * (h + h**2 / 4.0))
-r_drift = second_order_diagnostic(PriceSeries("demo", x_drift), warp, alpha_month)
+r_drift = diagnose(x_drift, h, grid, alpha_month)
 
 print(f"grid: {m} monthly points, dt = 1/{m - 1} of the window")
 print(f"constant-rate data:  max |residual| = {np.abs(r_good).max():.3e}")
@@ -43,12 +50,7 @@ for mm in (45, 89, 177):
     uu = np.linspace(0.0, 1.0, mm)
     hh = uu + 0.15 * np.sin(2.0 * np.pi * uu) - 0.1 * uu**2
     am = alpha_norm / (mm - 1)
-    g = TimeGrid(144, mm, normalized=True)
-    r = second_order_diagnostic(
-        PriceSeries("demo", 100.0 * np.exp(alpha_norm * hh)),
-        WarpFunction("demo", g, hh, am),
-        am,
-    )
+    r = diagnose(100.0 * np.exp(alpha_norm * hh), hh, TimeGrid(144, mm, normalized=True), am)
     peak = np.abs(r).max()
     note = "" if prev is None else f"  ({prev / peak:.2f}x smaller)"
     print(f"  m = {mm:3d}: max |residual| = {peak:.3e}{note}")

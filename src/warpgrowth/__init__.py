@@ -34,10 +34,8 @@ from .fpca import (
 )
 from .growthfit import (
     ALPHA_FLOOR,
-    WindowFit,
+    WindowFits,
     estimate_alphas,
-    fit_window_fixed,
-    fit_window_free,
     search_interval,
 )
 from .simulate import (
@@ -60,10 +58,8 @@ from .timeseries import (
     serialize_panel,
 )
 from .warping import (
-    WarpFunction,
     WarpSet,
     baseline_growth,
-    compute_warp,
     compute_warp_set,
     second_order_diagnostic,
     warps_from_csv,
@@ -88,13 +84,11 @@ __all__ = [
     "SchemaError",
     "SimTruth",
     "TimeGrid",
-    "WarpFunction",
     "WarpGrowthError",
     "WarpSet",
     "WindowError",
-    "WindowFit",
+    "WindowFits",
     "baseline_growth",
-    "compute_warp",
     "compute_warp_set",
     "convergence_sweep",
     "covariance_function",
@@ -102,8 +96,6 @@ __all__ = [
     "eigendecompose",
     "estimate_alphas",
     "fit_fpca",
-    "fit_window_fixed",
-    "fit_window_free",
     "generate_replicate",
     "load_truth",
     "mean_function",

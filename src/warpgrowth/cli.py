@@ -35,7 +35,7 @@ from .fpca import (
 )
 from .growthfit import (
     DEFAULT_WINDOW_LENGTHS,
-    WindowFit,
+    WindowFits,
     estimate_alphas,
     search_interval,
 )
@@ -84,8 +84,8 @@ def _write_json(path: Path, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=True) + "\n")
 
 
-def _parse_fit_artifact(text: str) -> tuple[tuple[int, int], tuple[int, int], list[WindowFit]]:
-    """The fit window, panel restriction and per-series fits of a fit artifact, every field type-checked."""
+def _parse_fit_artifact(text: str) -> tuple[tuple[int, int], WindowFits]:
+    """The panel restriction and the rate fits of a fit artifact, every field type-checked."""
     artifact = json.loads(text)
     field = _table.json_field
 
@@ -96,13 +96,14 @@ def _parse_fit_artifact(text: str) -> tuple[tuple[int, int], tuple[int, int], li
     analysis = field(artifact, "analysis", dict, "fit artifact")
     restriction = span(field(analysis, "restriction", dict, "analysis"), "analysis.restriction")
     rows = field(field(artifact, "alpha_estimates", dict, "fit artifact"), "per_series", [dict], "alpha_estimates")
-    fits = []
+    keys = (("name", str), ("alpha", float), ("intercept", float), ("r2", float))
+    columns = [[] for _ in range(len(keys) + 1)]
     for i, row in enumerate(rows):
         where = f"alpha_estimates.per_series[{i}]"
-        name = field(row, "name", str, where)
-        alpha, intercept, r2 = (field(row, key, float, where) for key in ("alpha", "intercept", "r2"))
-        fits.append(WindowFit(name, window, alpha, intercept, r2, field(row, "clamped", bool, where, default=False)))
-    return window, restriction, fits
+        for column, (key, kind) in zip(columns, keys):
+            column.append(field(row, key, kind, where))
+        columns[-1].append(field(row, "clamped", bool, where, default=False))
+    return restriction, WindowFits(window, *columns)
 
 
 def cmd_fit(args) -> int:
@@ -115,16 +116,7 @@ def cmd_fit(args) -> int:
 
     artifact = result.to_json_dict()
     artifact["alpha_estimates"] = {
-        "per_series": [
-            {
-                "name": f.series_name,
-                "alpha": f.alpha,
-                "intercept": f.intercept,
-                "r2": f.r2,
-                "clamped": f.clamped,
-            }
-            for f in estimates.fits
-        ],
+        "per_series": estimates.fits.json_rows("alpha", "intercept", "r2", "clamped"),
         "mean_alpha": estimates.mean_alpha,
         "sd_alpha": estimates.sd_alpha,
     }
@@ -146,9 +138,9 @@ def cmd_fit(args) -> int:
 
 
 def _warps_for_artifact(args):
-    window, restriction, fits = _table.read_file(_fit_path(args), _parse_fit_artifact)
+    restriction, fits = _table.read_file(_fit_path(args), _parse_fit_artifact)
     panel, _ = restrict(_table.read_file(args.input, parse_panel), *restriction)
-    return panel, compute_warp_set(panel, fits, window_start_month=window[0], t0_month=window[1])
+    return panel, compute_warp_set(panel, fits, window_start_month=fits.window[0], t0_month=fits.window[1])
 
 
 def cmd_warp(args) -> int:
@@ -186,11 +178,12 @@ def cmd_fpca(args) -> int:
 
     regression = None
     fit_path = _fit_path(args)
-    if fit_path.exists():
-        alphas = {f.series_name: f.alpha for f in _table.read_file(fit_path, _parse_fit_artifact)[2]}
-        rows = [i for i, name in enumerate(model.score_names) if not model.out_of_sample[i] and name in alphas]
+    if args.fit or fit_path.exists():
+        fits = _table.read_file(fit_path, _parse_fit_artifact)[1]
+        rows = np.flatnonzero(~model.out_of_sample)
         if len(rows) >= 3:
-            lines = score_rate_regression(model.scores[rows], [alphas[model.score_names[i]] for i in rows])
+            alpha = fits.align([model.score_names[i] for i in rows]).alpha
+            lines = score_rate_regression(model.scores[rows], alpha)
             components = [
                 {"component": k + 1, "slope": l.slope, "intercept": l.intercept, "correlation": l.correlation}
                 for k, l in enumerate(lines)
@@ -291,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     fpca = sub.add_parser("fpca", help="functional PCA of a warp CSV")
     fpca.add_argument("--input", required=True, help="warp CSV from the warp stage")
     fpca.add_argument("--output-dir", required=True)
-    fpca.add_argument("--fit", default=None, help="fit artifact for the score-vs-rate regression")
+    fpca.add_argument(
+        "--fit", default=None, help="fit artifact for the score-vs-rate regression (default: OUTPUT_DIR/fit.json)"
+    )
     fpca.add_argument("--exclude", default=None, help="comma-separated series to hold out of estimation")
     fpca.add_argument("--k", type=int, default=None, help="retain exactly K components")
     fpca.add_argument("--var-threshold", type=float, default=0.999)

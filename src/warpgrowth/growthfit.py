@@ -9,6 +9,8 @@ start share one (window length x series) block of logs and one R^2 rule:
   window start and estimates only the growth rate, used for the final
   per-series rate estimates.
 
+Both return one :class:`WindowFits` record: the window, the series names
+and one read-only array per fitted quantity, row ``i`` for series ``i``.
 Windows are inclusive ``(start_month, end_month)`` pairs in month indices.
 """
 
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WindowError
-from .timeseries import Panel, PriceSeries, TimeGrid
+from .errors import SchemaError, WindowError
+from .timeseries import Panel, freeze_fields
 
 #: Lower clamp for the fixed-intercept growth rate; the model requires
 #: alpha > 0 and downstream warping divides by alpha.
@@ -31,41 +33,64 @@ DEFAULT_WINDOW_LENGTHS = (24, 36, 60)
 
 
 @dataclass(frozen=True)
-class WindowFit:
-    """Exponential fit of one series on one window.
+class WindowFits:
+    """Exponential fits of n series on one window, as read-only arrays.
 
-    ``alpha`` is the growth rate per month, ``intercept`` the fitted log
-    index value at the window start, and ``r2`` the coefficient of
-    determination of the fit on the log scale, clipped to [0, 1].
-    ``clamped`` marks rates that hit the positivity floor.
+    Entry ``i`` of each array belongs to ``names[i]``: ``alpha`` is the
+    growth rate per month, ``intercept`` the fitted log index value at the
+    window start, ``r2`` the coefficient of determination of the fit on the
+    log scale, clipped to [0, 1], and ``clamped`` marks rates that hit the
+    positivity floor. SchemaError for a repeated name, GridError for an
+    array that is not one entry per name.
     """
 
-    series_name: str
     window: tuple[int, int]
-    alpha: float
-    intercept: float
-    r2: float
-    clamped: bool = False
+    names: tuple[str, ...]
+    alpha: np.ndarray
+    intercept: np.ndarray
+    r2: np.ndarray
+    clamped: np.ndarray
+
+    def __post_init__(self):
+        names = tuple(self.names)
+        if len(set(names)) != len(names):
+            dupes = sorted({n for n in names if names.count(n) > 1})
+            raise SchemaError(f"duplicate series names in fits: {dupes}")
+        object.__setattr__(self, "names", names)
+        shape = (len(names),)
+        fields = (("alpha", float, shape), ("intercept", float, shape), ("r2", float, shape), ("clamped", bool, shape))
+        freeze_fields(self, fields, f"fits of {len(names)} series")
+
+    def align(self, names) -> "WindowFits":
+        """The fits of ``names``, in that order; SchemaError naming the first series with no fit."""
+        index = {name: i for i, name in enumerate(self.names)}
+        missing = [name for name in names if name not in index]
+        if missing:
+            raise SchemaError(f"no fitted rate for series {missing[0]!r}")
+        rows = [index[name] for name in names]
+        return WindowFits(self.window, names, self.alpha[rows], self.intercept[rows], self.r2[rows], self.clamped[rows])
+
+    def json_rows(self, *keys: str) -> list[dict]:
+        """One ``{"name": ..., key: ...}`` dict per series, with the named arrays' entries as Python scalars."""
+        columns = [getattr(self, key).tolist() for key in keys]
+        return [{"name": name, **dict(zip(keys, row))} for name, *row in zip(self.names, *columns)]
 
 
 @dataclass(frozen=True)
 class IntervalSearchResult:
-    """Best window over the scanned lengths, with per-series fits there."""
+    """Best window over the scanned lengths, with the free-intercept fits there."""
 
     best_window: tuple[int, int]
     window_length_months: int
     mean_r2: float
-    per_series: tuple[WindowFit, ...]
+    fits: WindowFits
 
     def to_json_dict(self) -> dict:
         return {
             "window": {"start": self.best_window[0], "end": self.best_window[1]},
             "window_length_months": self.window_length_months,
             "mean_r2": self.mean_r2,
-            "per_series": [
-                {"name": f.series_name, "alpha": f.alpha, "intercept": f.intercept, "r2": f.r2}
-                for f in self.per_series
-            ],
+            "per_series": self.fits.json_rows("alpha", "intercept", "r2"),
         }
 
 
@@ -73,12 +98,12 @@ class IntervalSearchResult:
 class AlphaEstimates:
     """Fixed-intercept rate estimates for every series on one window."""
 
-    fits: tuple[WindowFit, ...]
+    fits: WindowFits
     mean_alpha: float
     sd_alpha: float
 
     def alphas(self) -> np.ndarray:
-        return np.array([f.alpha for f in self.fits])
+        return self.fits.alpha
 
 
 def _window_logs(panel: Panel, window: tuple[int, int]) -> np.ndarray:
@@ -145,33 +170,6 @@ def _free_ols(logs_t: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray, 
     return alpha, mean - alpha * tbar, _r2(sse, sst)
 
 
-def _free_fits(names: tuple[str, ...], window: tuple[int, int], logs: np.ndarray) -> tuple[WindowFit, ...]:
-    """Free-intercept fits of the named series on ``window`` from their (length, n_series) log block."""
-    alpha, intercept, r2 = (a[0].tolist() for a in _free_ols(logs, logs.shape[0]))
-    return tuple(WindowFit(name, window, *fit) for name, *fit in zip(names, alpha, intercept, r2))
-
-
-def fit_window_free(series: PriceSeries, grid: TimeGrid, window: tuple[int, int]) -> WindowFit:
-    """Free-intercept OLS of log value on months since window start.
-
-    Minimizes ``sum_t (log X(t) - intercept - alpha * (t - t_start))^2``.
-    A constant series has zero total variation and is assigned r2 = 1.
-    """
-    panel = Panel.from_series(grid, (series,))
-    return _free_fits(panel.names, window, _window_logs(panel, window))[0]
-
-
-def fit_window_fixed(series: PriceSeries, grid: TimeGrid, window: tuple[int, int]) -> WindowFit:
-    """Fixed-intercept rate estimate with the intercept pinned at log X(start).
-
-    Closed form: ``alpha = sum_t tau * (log X(t) - log X(start)) / sum_t tau^2``
-    with ``tau`` the months elapsed since the window start. The estimate is
-    clamped below at ``ALPHA_FLOOR`` to keep the rate positive; clamped
-    results are flagged.
-    """
-    return estimate_alphas(Panel.from_series(grid, (series,)), window).fits[0]
-
-
 def search_interval(panel: Panel, lengths=DEFAULT_WINDOW_LENGTHS) -> IntervalSearchResult:
     """Scan every contiguous window of the requested lengths for the best fit.
 
@@ -184,8 +182,9 @@ def search_interval(panel: Panel, lengths=DEFAULT_WINDOW_LENGTHS) -> IntervalSea
     One kernel call per length fits all offsets and series at once, in
     O(n_series * n_months) memory; per-window means are sorted
     ``math.fsum`` sums, so the choice does not depend on series order. The
-    per-series fits are the kernel's (as in :func:`fit_window_free`) on
-    the winning window, and ``mean_r2`` is the score that won.
+    fits minimize ``sum_t (log X(t) - intercept - alpha * (t - t_start))^2``
+    on the winning window (a constant series scores r2 = 1), and
+    ``mean_r2`` is the score that won.
 
     Raises
     ------
@@ -219,15 +218,19 @@ def search_interval(panel: Panel, lengths=DEFAULT_WINDOW_LENGTHS) -> IntervalSea
     neg_mean_r2, lo, length = min(keys)
     window = (grid.start_month + lo, grid.start_month + lo + length - 1)
     # Elementwise arithmetic on the winner's rows repeats the scan's bits.
-    fits = _free_fits(panel.names, window, logs_t[lo : lo + length])
+    alpha, intercept, r2 = (a[0] for a in _free_ols(logs_t[lo : lo + length], length))
+    fits = WindowFits(window, panel.names, alpha, intercept, r2, np.zeros(panel.n_series, dtype=bool))
     return IntervalSearchResult(window, length, -neg_mean_r2, fits)
 
 
 def estimate_alphas(panel: Panel, window: tuple[int, int]) -> AlphaEstimates:
     """Fixed-intercept rate estimates for all series on the given window.
 
-    Also reports the cross-series mean and standard deviation (n-1
-    denominator) of the estimated rates.
+    Closed form: ``alpha = sum_t tau * (log X(t) - log X(start)) / sum_t tau^2``
+    with ``tau`` the months elapsed since the window start, and the
+    intercept pinned at ``log X(start)``. Rates below ``ALPHA_FLOOR`` are
+    raised to it and flagged ``clamped``. Also reports the cross-series
+    mean and standard deviation (n-1 denominator) of the estimated rates.
     """
     logs = _window_logs(panel, window)
     tau = np.arange(logs.shape[0], dtype=float)
@@ -237,7 +240,6 @@ def estimate_alphas(panel: Panel, window: tuple[int, int]) -> AlphaEstimates:
     alpha[clamped] = ALPHA_FLOOR
     sse = np.sum((d - np.outer(tau, alpha)) ** 2, axis=0)
     sst = np.sum((d - d.mean(axis=0)) ** 2, axis=0)
-    rows = zip(panel.names, alpha.tolist(), logs[0].tolist(), _r2(sse, sst).tolist(), clamped.tolist())
-    fits = tuple(WindowFit(name, window, *fit) for name, *fit in rows)
+    fits = WindowFits(window, panel.names, alpha, logs[0], _r2(sse, sst), clamped)
     sd = float(alpha.std(ddof=1)) if alpha.size > 1 else 0.0
     return AlphaEstimates(fits, float(alpha.mean()), sd)

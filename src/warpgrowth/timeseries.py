@@ -5,8 +5,9 @@ Under this convention December 1998 is month 144, November 2000 is month
 167 and July 2013 is month 319.
 
 A :class:`Panel` holds n series as n x m value and missing-flag arrays,
-validated once when built; stages work on its row masks and column slices,
-and :class:`PriceSeries` is its one-row view.
+validated once when built. Every stage works on its row masks and column
+slices; a sample is built as a panel, not stacked from rows.
+:class:`PriceSeries` holds one series, validated like a panel row.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 import reprlib
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,27 +115,35 @@ def _value_problem(v: float) -> str | None:
     return None
 
 
-def _set_rows(obj, names: tuple[str, ...], shape: tuple[int, ...]) -> None:
-    """Store ``obj.values`` and ``obj.missing`` (None: none missing) read-only; GridError unless both
-    have ``shape``, SchemaError naming the first present value that is not finite or is below ``_TINY``."""
-    values = np.ascontiguousarray(obj.values, dtype=float)
-    missing = np.zeros(shape, dtype=bool) if obj.missing is None else np.ascontiguousarray(obj.missing, dtype=bool)
-    if values.shape != shape or missing.shape != shape:
-        raise GridError(f"values {values.shape} and mask {missing.shape} of {len(names)} series must be {shape}")
-    rows = (len(names), shape[-1])
-    bad = np.argwhere(~(((values >= _TINY) & (values < math.inf)) | missing).reshape(rows))
-    if bad.size:
-        i, j = bad[0]
-        v = float(values.reshape(rows)[i, j])
-        raise SchemaError(f"series {names[i]!r}, point {j}: value {v!r} {_value_problem(v)}")
-    for key, a in (("values", values), ("missing", missing)):
+def freeze_fields(obj, fields, what: str) -> None:
+    """Store each ``(key, dtype, shape)`` field of the frozen dataclass ``obj`` as a read-only
+    C-contiguous array; GridError naming ``what`` for a field not of its ``shape``."""
+    for key, dtype, shape in fields:
+        a = np.ascontiguousarray(getattr(obj, key), dtype=dtype)
+        if a.shape != shape:
+            raise GridError(f"{what}: {key} is {a.shape}, not {shape}")
         a.setflags(write=False)
         object.__setattr__(obj, key, a)
 
 
+def _set_rows(obj, names: tuple[str, ...], shape: tuple[int, ...]) -> None:
+    """Store ``obj.values`` and ``obj.missing`` (None: none missing) read-only; GridError unless both
+    have ``shape``, SchemaError naming the first present value that is not finite or is below ``_TINY``."""
+    if obj.missing is None:
+        object.__setattr__(obj, "missing", np.zeros(shape, dtype=bool))
+    freeze_fields(obj, (("values", float, shape), ("missing", bool, shape)), f"{len(names)} series")
+    rows = (len(names), shape[-1])
+    values = obj.values.reshape(rows)
+    bad = np.argwhere(~(((values >= _TINY) & (values < math.inf)) | obj.missing.reshape(rows)))
+    if bad.size:
+        i, j = bad[0]
+        v = float(values[i, j])
+        raise SchemaError(f"series {names[i]!r}, point {j}: value {v!r} {_value_problem(v)}")
+
+
 @dataclass(frozen=True)
 class PriceSeries:
-    """One market's index values and missing mask: the one-row view of a :class:`Panel`, checked like its rows."""
+    """One market's index values and missing mask, checked like a :class:`Panel` row."""
 
     name: str
     values: np.ndarray
@@ -166,31 +176,14 @@ class Panel:
             raise SchemaError(f"duplicate series names: {dupes}")
         _set_rows(self, names, (len(names), self.grid.n_points))
 
-    @classmethod
-    def from_series(cls, grid: TimeGrid, series) -> "Panel":
-        """Stack :class:`PriceSeries` rows, in order, into a panel on ``grid``."""
-        series = tuple(series)
-        for s in series:
-            if s.values.size != grid.n_points:
-                raise GridError(f"series {s.name!r} has {s.values.size} points, grid has {grid.n_points}")
-        shape = (len(series), grid.n_points)
-        values = np.array([s.values for s in series], dtype=float).reshape(shape)
-        return cls(grid, [s.name for s in series], values, np.array([s.missing for s in series], dtype=bool).reshape(shape))
-
     @property
     def n_series(self) -> int:
         return len(self.names)
 
     @property
     def series(self) -> tuple[PriceSeries, ...]:
-        """One :class:`PriceSeries` view per row."""
+        """One :class:`PriceSeries` per row."""
         return tuple(map(PriceSeries, self.names, self.values, self.missing))
-
-    def get(self, name: str) -> PriceSeries:
-        if name not in self.names:
-            raise KeyError(name)
-        i = self.names.index(name)
-        return PriceSeries(name, self.values[i], self.missing[i])
 
     def check_complete(self, lo: int, hi: int) -> None:
         """MissingDataError naming every series with a missing value on the inclusive index range [lo, hi]."""
@@ -215,6 +208,12 @@ def _raise_first_bad_cell(data_rows: list[list[str]], names: list[str]) -> None:
             problem = _value_problem(v)
             if problem:
                 raise SchemaError(f"row {i + 2}, column {names[j]!r}: value {reprlib.repr(cell)} {problem}")
+
+
+#: The NaN a blank panel cell parses to: its payload is one that ``float``
+#: never gives, so a blank cell and a cell spelling ``nan`` stay apart.
+_BLANK_BITS = 0x7FF8_0000_0000_B1A4
+_BLANK = struct.unpack("<d", struct.pack("<Q", _BLANK_BITS))[0]
 
 
 def parse_panel(csv_text: str) -> Panel:
@@ -265,19 +264,18 @@ def parse_panel(csv_text: str) -> Panel:
                 f"non-consecutive months: {month_label(prev)} followed by {month_label(cur)}"
             )
 
-    # One conversion per cell, one row at a time: blank cells become NaN.
+    # One conversion per cell, one row at a time: blank cells become the
+    # _BLANK NaN, which no spelled-out cell ("nan", "-nan") converts to.
     n = len(data_rows)
     values = np.empty((len(names), n))
     try:
         for i, row in enumerate(data_rows):
-            values[:, i] = [float(c) if c.strip() else math.nan for c in row[1:]]
+            values[:, i] = [float(c) if c.strip() else _BLANK for c in row[1:]]
     except ValueError:
         _raise_first_bad_cell(data_rows, names)
         raise
-    # NaN marks a blank cell, unless the cell spelled out "nan".
-    missing = np.isnan(values)
-    for j, i in zip(*np.nonzero(missing)):
-        missing[j, i] = not data_rows[i][j + 1].strip()
+    missing = values.view(np.uint64) == _BLANK_BITS
+    values[missing] = math.nan
     try:
         return Panel(TimeGrid(months[0], n), tuple(names), values, missing)
     except SchemaError:

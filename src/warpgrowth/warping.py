@@ -10,47 +10,21 @@ monotone: decreasing stretches mean prices have retreated to the level of
 an earlier date, and values outside [0, 1] are kept as-is.
 
 A :class:`WarpSet` holds the n x m warp array and per-row rates, t0 and
-flags; :func:`compute_warp_set` and :func:`second_order_diagnostic` treat
-all rows in one array pass, and :class:`WarpFunction` is its one-row view.
+flags. :func:`compute_warp_set`, :func:`second_order_diagnostic` and
+:func:`identity_deviation` treat all rows in one array pass; one series is
+a one-row panel and a one-row warp set.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._table import check_unit_grid, read_table, write_table
 from .errors import ConfigError, GridError, RateError, SchemaError
-from .growthfit import AlphaEstimates, WindowFit
-from .timeseries import Panel, PriceSeries, TimeGrid
-
-
-@dataclass(frozen=True)
-class WarpFunction:
-    """Warping function of one series on the normalized analysis window: the one-row view of a :class:`WarpSet`.
-
-    ``alpha_used`` is the per-month rate that produced the warp;
-    ``t0_normalized`` marks the end of the undisturbed interval in [0, 1];
-    ``reliable`` is False when the rate was clamped at the positivity floor.
-    """
-
-    series_name: str
-    grid: TimeGrid
-    values: np.ndarray
-    alpha_used: float
-    t0_normalized: float = 0.0
-    reliable: bool = True
-
-    def __post_init__(self):
-        row = (self.series_name,), np.asarray(self.values)[None], [self.alpha_used], [self.t0_normalized], [self.reliable]
-        object.__setattr__(self, "values", WarpSet(self.grid, *row).values[0])
-
-    @property
-    def setback(self) -> float:
-        """Normalized time setback at the window end: 1 - h(1)."""
-        return 1.0 - float(self.values[-1])
+from .growthfit import AlphaEstimates, WindowFits
+from .timeseries import Panel, PriceSeries, TimeGrid, freeze_fields
 
 
 @dataclass(frozen=True)
@@ -58,9 +32,12 @@ class WarpSet:
     """n warping functions on one normalized grid, as read-only arrays.
 
     Row ``i`` of the n x m ``values`` (what :meth:`matrix` returns) and
-    entry ``i`` of ``alpha_used``, ``t0_normalized`` and ``reliable``, as on
-    :class:`WarpFunction`, belong to ``names[i]``. GridError for a grid that
-    is not normalized, a shape mismatch or a repeated name.
+    entry ``i`` of the per-row arrays belong to ``names[i]``:
+    ``alpha_used`` is the per-month rate that produced the warp,
+    ``t0_normalized`` marks the end of the undisturbed interval in [0, 1],
+    and ``reliable`` is False when the rate was clamped at the positivity
+    floor. GridError for a grid that is not normalized, a shape mismatch or
+    a repeated name.
     """
 
     grid: TimeGrid
@@ -78,24 +55,9 @@ class WarpSet:
         if len(set(names)) != n:
             raise GridError("duplicate series names in warp set")
         object.__setattr__(self, "names", names)
-        for key, dtype in (("values", float), ("alpha_used", float), ("t0_normalized", float), ("reliable", bool)):
-            a = np.ascontiguousarray(getattr(self, key), dtype=dtype)
-            shape = (n, self.grid.n_points) if key == "values" else (n,)
-            if a.shape != shape:
-                raise GridError(f"warp set of {n} series on {self.grid.n_points} points: {key} is {a.shape}, not {shape}")
-            a.setflags(write=False)
-            object.__setattr__(self, key, a)
-
-    @classmethod
-    def from_warps(cls, grid: TimeGrid, warps) -> "WarpSet":
-        """Stack :class:`WarpFunction` rows, in order, into a warp set on ``grid``."""
-        warps = tuple(warps)
-        for w in warps:
-            if w.grid != grid:
-                raise GridError(f"warp {w.series_name!r} is not on the shared grid")
-        values = np.array([w.values for w in warps], dtype=float).reshape(len(warps), grid.n_points)
-        flags = ([w.alpha_used for w in warps], [w.t0_normalized for w in warps], [w.reliable for w in warps])
-        return cls(grid, [w.series_name for w in warps], values, *flags)
+        fields = (("values", float, (n, self.grid.n_points)), ("alpha_used", float, (n,)),
+                  ("t0_normalized", float, (n,)), ("reliable", bool, (n,)))
+        freeze_fields(self, fields, f"warp set of {n} series on {self.grid.n_points} points")
 
     @property
     def n_series(self) -> int:
@@ -105,60 +67,25 @@ class WarpSet:
         """Warp values as the read-only (n_series, n_points) array."""
         return self.values
 
-    @property
-    def warps(self) -> tuple[WarpFunction, ...]:
-        """One :class:`WarpFunction` view per row."""
-        return tuple(map(self._row, range(self.n_series)))
-
-    def get(self, name: str) -> WarpFunction:
-        if name not in self.names:
-            raise KeyError(name)
-        return self._row(self.names.index(name))
-
-    def _row(self, i: int) -> WarpFunction:
-        flags = float(self.alpha_used[i]), float(self.t0_normalized[i]), bool(self.reliable[i])
-        return WarpFunction(self.names[i], self.grid, self.values[i], *flags)
-
-
-def compute_warp(
-    series: PriceSeries,
-    grid: TimeGrid,
-    alpha: float,
-    window_start_month: int | None = None,
-    t0_month: int | None = None,
-    reliable: bool = True,
-) -> WarpFunction:
-    """Recover the warping function of one series from its rate: the one-row case of :func:`compute_warp_set`.
-
-    The analysis window runs from ``window_start_month`` (default: grid
-    start) to the grid end and maps affinely to [0, 1]. The per-month rate
-    is rescaled by the window's elapsed months, so
-    ``h(t) = log(X(t) / X(start)) / (alpha * elapsed_months)`` and exact
-    exponential growth at rate ``alpha`` gives ``h(t) = t`` exactly.
-    RateError unless ``alpha > 0``; MissingDataError for a gap on the window.
-    """
-    fit = WindowFit(series.name, (grid.start_month, grid.end_month), alpha, math.nan, math.nan, not reliable)
-    return compute_warp_set(Panel.from_series(grid, (series,)), (fit,), window_start_month, t0_month).warps[0]
-
 
 def compute_warp_set(
     panel: Panel,
-    alphas: AlphaEstimates | list[WindowFit] | tuple[WindowFit, ...],
+    alphas: AlphaEstimates | WindowFits,
     window_start_month: int | None = None,
     t0_month: int | None = None,
 ) -> WarpSet:
     """Warping functions of every panel series, in panel order, in one array pass.
 
-    Row ``i`` is ``h_i = (log X_i - log X_i(start)) / (alpha_i * elapsed_months)``
-    at the rate of the fit named like series ``i``, unreliable if that rate
-    was clamped. SchemaError if a series has no fit.
+    The analysis window runs from ``window_start_month`` (default: grid
+    start) to the grid end and maps affinely to [0, 1]. Row ``i`` is
+    ``h_i = (log X_i - log X_i(start)) / (alpha_i * elapsed_months)`` at the
+    rate of the fit named like series ``i``, unreliable if that rate was
+    clamped, so exact exponential growth at rate ``alpha_i`` gives
+    ``h_i(t) = t``. SchemaError if a series has no fit, RateError unless
+    every rate is positive, MissingDataError for a gap on the window.
     """
-    fits = alphas.fits if isinstance(alphas, AlphaEstimates) else tuple(alphas)
-    by_name = {f.series_name: f for f in fits}
-    rows = [by_name.get(name) for name in panel.names]
-    if None in rows:
-        raise SchemaError(f"no fitted rate for series {panel.names[rows.index(None)]!r}")
-    alpha = np.array([f.alpha for f in rows], dtype=float)
+    fits = (alphas.fits if isinstance(alphas, AlphaEstimates) else alphas).align(panel.names)
+    alpha = fits.alpha
     bad = np.flatnonzero(~(alpha > 0))
     if bad.size:
         raise RateError(f"series {panel.names[bad[0]]!r}: alpha must be positive, got {alpha[bad[0]]}")
@@ -173,7 +100,7 @@ def compute_warp_set(
     logs = np.log(panel.values[:, lo:])
     h = (logs - logs[:, :1]) / (alpha * sub.elapsed_months)[:, None]
     t0_norm = 0.0 if t0_month is None else sub.to_normalized(t0_month)
-    return WarpSet(sub, panel.names, h, alpha, np.full(panel.n_series, t0_norm), [not f.clamped for f in rows])
+    return WarpSet(sub, panel.names, h, alpha, np.full(panel.n_series, t0_norm), ~fits.clamped)
 
 
 def baseline_growth(alpha: float, x0: float, grid: TimeGrid) -> PriceSeries:
@@ -181,7 +108,7 @@ def baseline_growth(alpha: float, x0: float, grid: TimeGrid) -> PriceSeries:
 
     ``alpha`` is per month and ``t`` counts months since the grid start.
     These baselines are the aligned curves of the model: warping them back
-    through :func:`compute_warp` returns the identity warp. A non-finite
+    through :func:`compute_warp_set` returns the identity warp. A non-finite
     ``alpha`` raises RateError, and ``x0 <= 0`` ConfigError.
     """
     if not np.isfinite(alpha):
@@ -206,9 +133,7 @@ def _derivative(f: np.ndarray, dt: float) -> np.ndarray:
     return g
 
 
-def second_order_diagnostic(
-    panel: Panel | PriceSeries, warps: WarpSet | WarpFunction, alpha: float | None = None
-) -> np.ndarray:
+def second_order_diagnostic(panel: Panel, warps: WarpSet) -> np.ndarray:
     """Residuals of the second-order model identity: one row per series, one column per warp grid point.
 
     Under the constant-rate model, ``d/dt (X'(t)/X(t)) = alpha * h''(t)``.
@@ -220,14 +145,8 @@ def second_order_diagnostic(
     ``warps`` must name the panel's series in order (else SchemaError) and
     span its last months (else GridError, as for under 5 points), on which
     the series must be complete (else MissingDataError). Each row's rate is
-    its ``alpha_used``. Given one :class:`PriceSeries` and one
-    :class:`WarpFunction` on the same points, the result is that one row at
-    rate ``alpha`` (default: the warp's ``alpha_used``).
+    its ``alpha_used``.
     """
-    if isinstance(warps, WarpFunction):
-        row = replace(warps, alpha_used=warps.alpha_used if alpha is None else alpha)
-        row_panel = Panel.from_series(TimeGrid(warps.grid.start_month, warps.grid.n_points), (panel,))
-        return second_order_diagnostic(row_panel, WarpSet.from_warps(warps.grid, (row,)))[0]
     grid = warps.grid
     if grid.n_points < 5:
         raise GridError("second-order diagnostic needs at least 5 grid points")
@@ -245,17 +164,17 @@ def second_order_diagnostic(
     return log_accel - alpha_norm[:, None] * h_accel
 
 
-def identity_deviation(warp: WarpFunction) -> float:
-    """Mean absolute deviation of h(t) - t over the undisturbed [0, t0].
+def identity_deviation(warps: WarpSet) -> np.ndarray:
+    """Per row, the mean absolute deviation of h(t) - t over the undisturbed [0, t0].
 
+    A row whose t0 lies before the first grid point is measured there.
     Zero (up to rounding) when the identity anchor holds exactly on the
     fitting region; grows with lack of fit there.
     """
-    t = warp.grid.points
-    mask = t <= warp.t0_normalized
-    if not mask.any():
-        mask = t == t[0]
-    return float(np.mean(np.abs(warp.values[mask] - t[mask])))
+    t = warps.grid.points
+    mask = t <= warps.t0_normalized[:, None]
+    mask[:, 0] = True
+    return np.where(mask, np.abs(warps.values - t), 0.0).sum(axis=1) / mask.sum(axis=1)
 
 
 def warps_to_csv(warpset: WarpSet) -> str:

@@ -1,6 +1,10 @@
 """Independent brute-force oracles used to cross-check numerical routines."""
 
+from collections import namedtuple
+
 import numpy as np
+
+OlsFit = namedtuple("OlsFit", "alpha intercept r2")
 
 
 def jacobi_diagonalize(a, sweeps=60):
@@ -111,13 +115,12 @@ def parse_cells_per_cell(data_rows, names):
 
 
 def free_fit_per_series(series, grid, window):
-    """Free-intercept OLS of one series on one window, written out with numpy sums.
+    """Free-intercept OLS of one ``PriceSeries`` on one window, written out with numpy sums.
 
     The values are anchored at the window-start log value, so a flat window
     has zero total variation and scores r2 = 1.
     """
     from warpgrowth.errors import MissingDataError, WindowError
-    from warpgrowth.growthfit import WindowFit
 
     start, end = window
     lo = grid.index_of(start)
@@ -137,4 +140,4 @@ def free_fit_per_series(series, grid, window):
     resid = dc - alpha * tc
     sst = float(np.sum(dc**2))
     r2 = 1.0 if sst == 0.0 else min(1.0, max(0.0, 1.0 - float(np.sum(resid**2)) / sst))
-    return WindowFit(series.name, window, alpha, intercept, r2)
+    return OlsFit(alpha, intercept, r2)

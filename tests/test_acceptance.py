@@ -27,9 +27,9 @@ from warpgrowth.simulate import (
     run_study,
 )
 from warpgrowth.timeseries import TimeGrid, month_index, parse_panel, restrict, serialize_panel
-from warpgrowth.warping import WarpFunction, WarpSet, compute_warp_set
+from warpgrowth.warping import compute_warp_set
 
-from conftest import exponential_panel
+from conftest import exponential_panel, warp_set
 from oracles import oracle_eigendecompose
 
 DATA_ENV = "WARPGROWTH_CASE_SHILLER_CSV"
@@ -56,7 +56,7 @@ def test_criterion_1_exact_model_recovery():
     warps = compute_warp_set(panel, estimates, t0_month=result.best_window[1])
     rel_err = np.abs(estimates.alphas() - alphas) / alphas
     t = warps.grid.points
-    sup_err = max(np.abs(w.values - t).max() for w in warps.warps)
+    sup_err = np.abs(warps.values - t).max()
     elapsed = time.perf_counter() - start
     assert rel_err.max() < 1e-10, rel_err.max()
     assert sup_err < 1e-10, sup_err
@@ -106,11 +106,11 @@ def _fitted_models_for_suite():
     basis = np.vstack([np.sin(np.pi * k * t) for k in range(1, 5)])
     coef = rng.standard_normal((12, 4)) * np.array([0.3, 0.15, 0.08, 0.03])
     rows = t + coef @ basis
-    ws = WarpSet.from_warps(grid, tuple(WarpFunction(f"w{i}", grid, rows[i], 1.0) for i in range(12)))
+    ws = warp_set(grid, rows)
     models.append((fit_fpca(ws, k=6), ws))
 
     rank1 = np.vstack([t + 0.3 * basis[0], t - 0.3 * basis[0]])
-    ws1 = WarpSet.from_warps(grid, tuple(WarpFunction(f"r{i}", grid, rank1[i], 1.0) for i in range(2)))
+    ws1 = warp_set(grid, rank1, ["r0", "r1"])
     models.append((fit_fpca(ws1, k=2), ws1))
 
     truth = default_truth()
@@ -140,7 +140,7 @@ def test_criterion_4_karhunen_loeve_reconstruction():
     xi = rng.standard_normal((n, truth.n_components))
     rows = truth.mean + (xi * np.sqrt(truth.eigenvalues)) @ truth.eigenfunctions
     grid = TimeGrid(truth.grid.start_month, truth.grid.n_points, normalized=True)
-    ws = WarpSet.from_warps(grid, tuple(WarpFunction(f"w{i:02d}", grid, rows[i], 1.0) for i in range(n)))
+    ws = warp_set(grid, rows, [f"w{i:02d}" for i in range(n)])
     model = fit_fpca(ws, k=n - 1)
     w = model.weights
     centered = ws.matrix() - model.mean
@@ -221,7 +221,7 @@ def test_criterion_7_real_data_reproduction():
     result = search_interval(scan_panel)
     assert result.best_window == (month_index("1998-12"), month_index("2000-11")), result.best_window
 
-    r2 = np.array([f.r2 for f in result.per_series])
+    r2 = result.fits.r2
     assert np.all((r2 >= 0.96) & (r2 <= 1.0)), r2
     assert abs(r2.min() - 0.967) <= 0.005, r2.min()
     assert abs(r2.max() - 0.998) <= 0.005, r2.max()

@@ -11,7 +11,7 @@ import pytest
 import warpgrowth
 from warpgrowth.cli import main
 from warpgrowth.simulate import SimTruth, save_truth
-from warpgrowth.timeseries import TimeGrid, month_label, serialize_panel
+from warpgrowth.timeseries import Panel, TimeGrid, month_label, serialize_panel
 
 from conftest import exponential_panel
 
@@ -34,6 +34,15 @@ def snapshot(directory):
 def exp_csv(tmp_path):
     panel = exponential_panel([0.004, 0.007, 0.01, 0.013, 0.016], n_points=90)
     return write_panel(tmp_path / "panel.csv", panel)
+
+
+@pytest.fixture
+def chain(exp_csv, tmp_path):
+    """The output directory of fit and warp on ``exp_csv``."""
+    out = tmp_path / "out"
+    assert main(["fit", "--input", exp_csv, "--output-dir", str(out)]) == 0
+    assert main(["warp", "--input", exp_csv, "--output-dir", str(out)]) == 0
+    return out
 
 
 class TestFitCommand:
@@ -91,10 +100,7 @@ class TestWarpCommand:
 
     def test_flat_after_start_is_zero_warp(self, tmp_path):
         # Constant series: clamped rate, h identically zero, full setback.
-        grid = TimeGrid(144, 60)
-        from warpgrowth.timeseries import Panel, PriceSeries
-
-        panel = Panel.from_series(grid, (PriceSeries("flat", np.full(60, 120.0)),))
+        panel = Panel(TimeGrid(144, 60), ("flat",), np.full((1, 60), 120.0))
         path = write_panel(tmp_path / "flat.csv", panel)
         out = tmp_path / "out"
         main(["fit", "--input", path, "--output-dir", str(out)])
@@ -109,12 +115,9 @@ class TestWarpCommand:
 
     def test_end_price_below_baseline_reports_setback(self, tmp_path):
         # Grows at the fitted rate for two years, then stalls: h(1) < 1.
-        from warpgrowth.timeseries import Panel, PriceSeries
-
-        grid = TimeGrid(144, 60)
         t = np.arange(60.0)
         x = 100.0 * np.exp(0.01 * np.minimum(t, 24.0))
-        panel = Panel.from_series(grid, (PriceSeries("stall", x),))
+        panel = Panel(TimeGrid(144, 60), ("stall",), [x])
         path = write_panel(tmp_path / "stall.csv", panel)
         out = tmp_path / "out"
         main(["fit", "--input", path, "--output-dir", str(out)])
@@ -206,6 +209,32 @@ class TestFpcaCommand:
         assert code == 3
         assert "not finite" in capsys.readouterr().err
         assert not (fpca_out / "score_alpha_regression.json").exists()
+
+    def test_unreadable_fit_exits_2_and_names_it(self, chain, tmp_path, capsys):
+        fpca_out = chain / "f"
+        for name, text in (("missing.json", None), ("bad.json", "{")):
+            path = tmp_path / name
+            if text is not None:
+                path.write_text(text)
+            argv = ["fpca", "--input", str(chain / "warps.csv"), "--output-dir", str(fpca_out), "--fit", str(path)]
+            assert main(argv) == 2
+            assert str(path) in capsys.readouterr().err
+            assert not fpca_out.exists()
+
+    def test_no_fit_artifact_skips_the_regression(self, chain):
+        fpca_out = chain / "f"
+        assert main(["fpca", "--input", str(chain / "warps.csv"), "--output-dir", str(fpca_out), "--k", "2"]) == 0
+        assert (fpca_out / "scores.csv").exists()
+        assert not (fpca_out / "score_alpha_regression.json").exists()
+
+    def test_in_sample_series_without_a_rate_exits_2(self, chain, capsys):
+        path = chain / "fit.json"
+        artifact = json.loads(path.read_text())
+        gone = artifact["alpha_estimates"]["per_series"].pop(2)["name"]
+        path.write_text(json.dumps(artifact))
+        argv = ["fpca", "--input", str(chain / "warps.csv"), "--output-dir", str(chain / "f"), "--fit", str(path)]
+        assert main(argv) == 2
+        assert f"no fitted rate for series {gone!r}" in capsys.readouterr().err
 
     def test_truncated_warp_csv_exits_2(self, tmp_path, capsys):
         t = np.linspace(0, 1, 20)
@@ -355,13 +384,6 @@ class TestDeterminism:
 class TestInputBoundary:
     """Bad input files exit 2 with a message naming the file; bad flags exit 4."""
 
-    @pytest.fixture
-    def chain(self, exp_csv, tmp_path):
-        out = tmp_path / "out"
-        assert main(["fit", "--input", exp_csv, "--output-dir", str(out)]) == 0
-        assert main(["warp", "--input", exp_csv, "--output-dir", str(out)]) == 0
-        return out
-
     def test_panel_cell_over_csv_field_limit(self, tmp_path, capsys):
         path = tmp_path / "huge.csv"
         path.write_text("date,A\n2000-01,100\n2000-02," + "9" * 200_000 + "\n")
@@ -444,18 +466,22 @@ class TestImportHygiene:
         code = """
 import sys
 import numpy as np
-from warpgrowth import TimeGrid, WarpFunction, WarpSet, default_truth, fit_fpca
+from warpgrowth import TimeGrid, WarpSet, default_truth, fit_fpca
 from warpgrowth.cli import main
+
+
+def sample(grid, rows):
+    n = len(rows)
+    return WarpSet(grid, [f"s{i}" for i in range(n)], rows, np.full(n, 0.01), np.zeros(n), np.ones(n, dtype=bool))
+
 
 truth = default_truth()
 grid = TimeGrid(0, truth.grid.n_points, normalized=True)
 curves = [truth.mean + 0.01 * i * truth.eigenfunctions[i % 3] for i in range(5)]
-sample = WarpSet.from_warps(grid, tuple(WarpFunction(f"s{i}", grid, h, 0.01) for i, h in enumerate(curves)))
-assert fit_fpca(sample, k=2).n_retained == 2  # n < m: thin SVD
+assert fit_fpca(sample(grid, curves), k=2).n_retained == 2  # n < m: thin SVD
 small = TimeGrid(0, 4, normalized=True)
 rows = np.random.default_rng(0).standard_normal((6, 4))
-sample = WarpSet.from_warps(small, tuple(WarpFunction(f"s{i}", small, h, 0.01) for i, h in enumerate(rows)))
-assert fit_fpca(sample, k=2).n_retained == 2  # n >= m: eigendecompose
+assert fit_fpca(sample(small, rows), k=2).n_retained == 2  # n >= m: eigendecompose
 
 panel, out = sys.argv[1:]
 for command in ("fit", "warp", "diagnose"):

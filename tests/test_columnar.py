@@ -2,7 +2,8 @@
 
 ``Panel`` and ``WarpSet`` hold n x m arrays, and ``compute_warp_set``,
 ``second_order_diagnostic`` and ``restrict`` work on all rows at once. Each
-batched row must be bit-equal to the one-row computation on that series.
+batched row must be bit-equal to the same call on a one-row panel of that
+series.
 """
 
 import numpy as np
@@ -11,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpgrowth.errors import EmptyPanelError
-from warpgrowth.growthfit import WindowFit
-from warpgrowth.timeseries import Panel, PriceSeries, TimeGrid, restrict
-from warpgrowth.warping import WarpSet, compute_warp, compute_warp_set, second_order_diagnostic
+from warpgrowth.timeseries import Panel, TimeGrid, restrict
+from warpgrowth.warping import WarpSet, compute_warp_set, second_order_diagnostic
+
+from conftest import rate_fits
 
 
 @st.composite
@@ -34,39 +36,46 @@ def warp_set_of(panel, rng, draw):
     grid = panel.grid
     start = grid.start_month + draw(st.integers(min_value=0, max_value=grid.n_points - 5))
     t0 = draw(st.one_of(st.none(), st.integers(min_value=start, max_value=grid.end_month)))
-    alphas = rng.uniform(1e-4, 0.05, panel.n_series)
-    clamped = rng.random(panel.n_series) < 0.3
-    fits = [WindowFit(name, (start, grid.end_month), float(a), 0.0, 1.0, bool(c))
-            for name, a, c in zip(panel.names, alphas, clamped)]
+    fits = rate_fits(panel.names, rng.uniform(1e-4, 0.05, panel.n_series), rng.random(panel.n_series) < 0.3)
     return compute_warp_set(panel, fits, start, t0), fits, start, t0
+
+
+def row_of(panel, i):
+    """Series ``i`` of ``panel`` as a one-row panel on the same grid."""
+    return Panel(panel.grid, panel.names[i : i + 1], panel.values[i : i + 1], panel.missing[i : i + 1])
+
+
+def warp_row(warps, i):
+    """Row ``i`` of ``warps`` as a one-row warp set."""
+    rows = (warps.values, warps.alpha_used, warps.t0_normalized, warps.reliable)
+    return WarpSet(warps.grid, warps.names[i : i + 1], *(a[i : i + 1] for a in rows))
 
 
 class TestBatchedEqualsOneRow:
     @settings(max_examples=60, deadline=None)
     @given(drawn=panels(), data=st.data())
-    def test_warp_set_rows_are_compute_warp(self, drawn, data):
+    def test_warp_set_rows_are_one_row_warp_sets(self, drawn, data):
         panel, rng = drawn
         warps, fits, start, t0 = warp_set_of(panel, rng, data.draw)
         assert warps.names == panel.names
-        for i, (s, f) in enumerate(zip(panel.series, fits)):
-            one = compute_warp(s, panel.grid, f.alpha, start, t0, not f.clamped)
+        assert warps.reliable.tolist() == (~fits.clamped).tolist()
+        for i in range(panel.n_series):
+            one = compute_warp_set(row_of(panel, i), fits, start, t0)
             assert one.grid == warps.grid
-            assert one.values.tobytes() == warps.values[i].tobytes()
-            assert (one.alpha_used, one.t0_normalized, one.reliable) == (
-                warps.alpha_used[i], warps.t0_normalized[i], warps.reliable[i])
+            for key in ("values", "alpha_used", "t0_normalized", "reliable"):
+                assert getattr(one, key)[0].tobytes() == getattr(warps, key)[i].tobytes(), key
 
     @settings(max_examples=60, deadline=None)
     @given(drawn=panels(), data=st.data())
     def test_diagnostic_rows_are_the_one_row_call(self, drawn, data):
         panel, rng = drawn
-        warps, fits, start, _ = warp_set_of(panel, rng, data.draw)
+        warps, _, start, _ = warp_set_of(panel, rng, data.draw)
         batched = second_order_diagnostic(panel, warps)
         assert batched.shape == warps.values.shape
         lo = panel.grid.index_of(start)
-        for i, (s, w, f) in enumerate(zip(panel.series, warps.warps, fits)):
-            row = PriceSeries(s.name, s.values[lo:])
-            assert second_order_diagnostic(row, w).tobytes() == batched[i].tobytes()
-            assert second_order_diagnostic(row, w, f.alpha).tobytes() == batched[i].tobytes()
+        for i in range(panel.n_series):
+            row = Panel(TimeGrid(start, panel.grid.n_points - lo), panel.names[i : i + 1], panel.values[i : i + 1, lo:])
+            assert second_order_diagnostic(row, warp_row(warps, i)).tobytes() == batched[i].tobytes()
 
 
 class TestRestrict:
@@ -96,19 +105,10 @@ class TestRestrict:
 class TestRowViewsRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(drawn=panels(gap_share=0.1))
-    def test_panel_from_series(self, drawn):
+    def test_series_views_rebuild_the_panel(self, drawn):
         panel, _ = drawn
-        again = Panel.from_series(panel.grid, panel.series)
+        series = panel.series
+        again = Panel(panel.grid, [s.name for s in series], [s.values for s in series], [s.missing for s in series])
         assert again.grid == panel.grid and again.names == panel.names
         assert again.values.tobytes() == panel.values.tobytes()
         assert again.missing.tobytes() == panel.missing.tobytes()
-
-    @settings(max_examples=60, deadline=None)
-    @given(drawn=panels(), data=st.data())
-    def test_warp_set_from_warps(self, drawn, data):
-        panel, rng = drawn
-        warps, _, _, _ = warp_set_of(panel, rng, data.draw)
-        again = WarpSet.from_warps(warps.grid, warps.warps)
-        assert again.grid == warps.grid and again.names == warps.names
-        for key in ("values", "alpha_used", "t0_normalized", "reliable"):
-            assert getattr(again, key).tobytes() == getattr(warps, key).tobytes(), key

@@ -21,17 +21,16 @@ from warpgrowth.fpca import (
 )
 from warpgrowth.quadrature import trapezoid_weights
 from warpgrowth.timeseries import TimeGrid
-from warpgrowth.warping import WarpFunction, WarpSet
+from warpgrowth.warping import WarpSet
 
-
+from conftest import warp_set
 from oracles import oracle_eigendecompose
 
 
 def make_warpset(rows, start_month=0, names=None):
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     grid = TimeGrid(start_month, rows.shape[1], normalized=True)
-    names = names or [f"w{i:02d}" for i in range(rows.shape[0])]
-    return WarpSet.from_warps(grid, tuple(WarpFunction(n, grid, r, 1.0) for n, r in zip(names, rows)))
+    return warp_set(grid, rows, names or [f"w{i:02d}" for i in range(rows.shape[0])])
 
 
 class TestMeanFunction:
@@ -53,7 +52,7 @@ class TestMeanFunction:
     def test_empty_sample(self):
         grid = TimeGrid(0, 4, normalized=True)
         with pytest.raises(EmptySampleError):
-            mean_function(WarpSet.from_warps(grid, ()))
+            mean_function(WarpSet(grid, (), np.empty((0, 4)), [], [], []))
 
 
 class TestCovarianceFunction:
@@ -211,9 +210,7 @@ class TestFitAndProject:
         assert flags["w00"] and flags["w03"]
         assert sum(flags.values()) == 2
         # Excluded series do not influence the mean.
-        included = make_warpset(
-            [w.values for w in ws.warps if w.series_name not in ("w00", "w03")]
-        )
+        included = make_warpset([h for name, h in zip(ws.names, ws.values) if name not in ("w00", "w03")])
         np.testing.assert_allclose(model.mean, mean_function(included), atol=1e-15)
 
     def test_exclusion_of_unknown_name(self):
@@ -266,7 +263,7 @@ class TestFitAndProject:
     def test_permutation_gives_bit_identical_eigenfunctions(self):
         ws = smooth_sample(n=10, seed=8)
         perm = [7, 2, 9, 0, 4, 1, 8, 3, 6, 5]
-        permuted = WarpSet.from_warps(ws.grid, tuple(ws.warps[i] for i in perm))
+        permuted = warp_set(ws.grid, ws.values[perm], [ws.names[i] for i in perm])
         m1 = fit_fpca(ws, k=4)
         m2 = fit_fpca(permuted, k=4)
         assert np.array_equal(m1.eigenfunctions, m2.eigenfunctions)

@@ -6,88 +6,85 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpgrowth.errors import MissingDataError, WindowError
+from warpgrowth.fpca import fit_fpca
 from warpgrowth.growthfit import (
     ALPHA_FLOOR,
     DEFAULT_WINDOW_LENGTHS,
     _free_ols,
     estimate_alphas,
-    fit_window_fixed,
-    fit_window_free,
     search_interval,
 )
 from warpgrowth.simulate import _replicate_rng, default_truth, generate_replicate
-from warpgrowth.timeseries import Panel, PriceSeries, TimeGrid
+from warpgrowth.timeseries import Panel, TimeGrid
 from warpgrowth.warping import compute_warp_set
 
-from conftest import exponential_panel
+from conftest import exponential_panel, one_series_panel
 from oracles import free_fit_per_series
 
 
-def series_on(values, start_month=0, missing=None):
-    grid = TimeGrid(start_month, len(values))
-    return PriceSeries("s", np.asarray(values, dtype=float), missing), grid
+def free_fits(panel):
+    """Free-intercept fits on the whole grid: what ``search_interval`` reports when one window spans it."""
+    return search_interval(panel, (panel.grid.n_points,)).fits
+
+
+def fixed_fits(panel):
+    """Fixed-intercept fits on the whole grid."""
+    return estimate_alphas(panel, (panel.grid.start_month, panel.grid.end_month)).fits
 
 
 class TestFreeFit:
     def test_exact_exponential(self):
         t = np.arange(40, dtype=float)
-        s, grid = series_on(90.0 * np.exp(0.01 * t))
-        fit = fit_window_free(s, grid, (0, 39))
-        assert abs(fit.alpha - 0.01) < 1e-10 * 0.01
-        assert abs(fit.intercept - math.log(90.0)) < 1e-10
-        assert 1.0 - fit.r2 < 1e-12
+        fit = free_fits(one_series_panel(90.0 * np.exp(0.01 * t)))
+        assert fit.window == (0, 39)
+        assert abs(fit.alpha[0] - 0.01) < 1e-10 * 0.01
+        assert abs(fit.intercept[0] - math.log(90.0)) < 1e-10
+        assert 1.0 - fit.r2[0] < 1e-12
 
     def test_constant_series_r2_one(self):
-        s, grid = series_on([100.0] * 10)
-        fit = fit_window_free(s, grid, (0, 9))
-        assert fit.alpha == 0.0
-        assert fit.r2 == 1.0
+        fit = free_fits(one_series_panel([100.0] * 10))
+        assert fit.alpha[0] == 0.0
+        assert fit.r2[0] == 1.0
 
     def test_symmetric_rise_fall(self):
         # {100, 110, 100}: zero slope, zero explained variance.
-        s, grid = series_on([100.0, 110.0, 100.0])
-        fit = fit_window_free(s, grid, (0, 2))
-        assert fit.alpha == 0.0
-        assert fit.r2 == 0.0
+        fit = free_fits(one_series_panel([100.0, 110.0, 100.0]))
+        assert fit.alpha[0] == 0.0
+        assert fit.r2[0] == 0.0
 
     def test_window_too_short(self):
-        s, grid = series_on([100.0, 101.0, 102.0, 103.0])
         with pytest.raises(WindowError):
-            fit_window_free(s, grid, (0, 1))
+            search_interval(one_series_panel([100.0, 101.0, 102.0, 103.0]), (2,))
 
     def test_missing_data_rejected(self):
         vals = np.array([100.0, np.nan, 102.0, 103.0])
-        s, grid = series_on(vals, missing=np.array([False, True, False, False]))
+        panel = one_series_panel(vals, missing=np.array([False, True, False, False]))
         with pytest.raises(MissingDataError):
-            fit_window_free(s, grid, (0, 3))
+            free_fits(panel)
 
 
 class TestFixedFit:
     def test_exact_exponential(self):
         t = np.arange(30, dtype=float)
-        s, grid = series_on(90.0 * np.exp(0.01 * t))
-        fit = fit_window_fixed(s, grid, (0, 29))
-        assert abs(fit.alpha - 0.01) < 1e-10 * 0.01
-        assert not fit.clamped
+        fit = fixed_fits(one_series_panel(90.0 * np.exp(0.01 * t)))
+        assert abs(fit.alpha[0] - 0.01) < 1e-10 * 0.01
+        assert not fit.clamped[0]
 
     def test_decreasing_series_clamped(self):
         t = np.arange(10, dtype=float)
-        s, grid = series_on(100.0 * np.exp(-0.02 * t))
-        fit = fit_window_fixed(s, grid, (0, 9))
-        assert fit.alpha == ALPHA_FLOOR
-        assert fit.clamped
+        fit = fixed_fits(one_series_panel(100.0 * np.exp(-0.02 * t)))
+        assert fit.alpha[0] == ALPHA_FLOOR
+        assert fit.clamped[0]
 
     def test_three_point_closed_form(self):
         # alpha = [log(105/100) + 2 log(112/100)] / 5 per month.
-        s, grid = series_on([100.0, 105.0, 112.0])
-        fit = fit_window_fixed(s, grid, (0, 2))
+        fit = fixed_fits(one_series_panel([100.0, 105.0, 112.0]))
         expected = (math.log(105.0 / 100.0) + 2.0 * math.log(112.0 / 100.0)) / 5.0
-        assert abs(fit.alpha - expected) < 1e-15
+        assert abs(fit.alpha[0] - expected) < 1e-15
 
     def test_intercept_pinned(self):
-        s, grid = series_on([100.0, 105.0, 112.0])
-        fit = fit_window_fixed(s, grid, (0, 2))
-        assert fit.intercept == math.log(100.0)
+        fit = fixed_fits(one_series_panel([100.0, 105.0, 112.0]))
+        assert fit.intercept[0] == math.log(100.0)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -97,11 +94,9 @@ class TestFixedFit:
     def test_scale_invariance(self, alpha, scale):
         t = np.arange(24, dtype=float)
         base = 100.0 * np.exp(alpha * t) * (1.0 + 0.01 * np.sin(t))
-        s1, grid = series_on(base)
-        s2, _ = series_on(scale * base)
-        f1 = fit_window_fixed(s1, grid, (0, 23))
-        f2 = fit_window_fixed(s2, grid, (0, 23))
-        assert abs(f1.alpha - f2.alpha) <= 1e-12
+        f1 = fixed_fits(one_series_panel(base))
+        f2 = fixed_fits(one_series_panel(scale * base))
+        assert abs(f1.alpha[0] - f2.alpha[0]) <= 1e-12
 
     # At rates below ~1e-5 the recovery floor is set by float64 rounding of
     # the log values (absolute slope noise ~1e-17/month), so the 1e-10
@@ -110,11 +105,10 @@ class TestFixedFit:
     @given(alpha=st.floats(min_value=1e-5, max_value=0.05))
     def test_exact_model_recovery_both_fitters(self, alpha):
         t = np.arange(36, dtype=float)
-        s, grid = series_on(95.0 * np.exp(alpha * t))
-        for fitter in (fit_window_free, fit_window_fixed):
-            fit = fitter(s, grid, (0, 35))
-            assert abs(fit.alpha - alpha) <= 1e-10 * max(alpha, 1e-12)
-            assert 1.0 - fit.r2 <= 1e-12
+        panel = one_series_panel(95.0 * np.exp(alpha * t))
+        for fit in (free_fits(panel), fixed_fits(panel)):
+            assert abs(fit.alpha[0] - alpha) <= 1e-10 * max(alpha, 1e-12)
+            assert 1.0 - fit.r2[0] <= 1e-12
 
 
 class TestSearchInterval:
@@ -137,30 +131,24 @@ class TestSearchInterval:
         x = 100.0 * np.exp(0.008 * t)
         late = t >= 30
         x[late] *= np.exp(0.1 * np.sin(0.4 * (t[late] - 30)))
-        grid = TimeGrid(0, 90)
-        panel = Panel.from_series(grid, (PriceSeries("A", x),))
-        res = search_interval(panel, (24,))
+        res = search_interval(one_series_panel(x), (24,))
         assert res.best_window[1] <= 35
 
     def test_series_order_invariance(self):
         rng = np.random.default_rng(3)
         t = np.arange(60, dtype=float)
-        series = [
-            PriceSeries(f"s{i}", 100.0 * np.exp(0.005 * i * t + 0.01 * rng.standard_normal(60)))
-            for i in range(1, 5)
-        ]
+        values = np.array([100.0 * np.exp(0.005 * i * t + 0.01 * rng.standard_normal(60)) for i in range(1, 5)])
+        names = [f"s{i}" for i in range(1, 5)]
         grid = TimeGrid(0, 60)
-        res_fwd = search_interval(Panel.from_series(grid, tuple(series)), (24, 36))
-        res_rev = search_interval(Panel.from_series(grid, tuple(reversed(series))), (24, 36))
+        res_fwd = search_interval(Panel(grid, names, values), (24, 36))
+        res_rev = search_interval(Panel(grid, names[::-1], values[::-1]), (24, 36))
         assert res_fwd.best_window == res_rev.best_window
         assert res_fwd.mean_r2 == res_rev.mean_r2
 
     def test_mean_r2_matches_per_series(self):
         panel = exponential_panel([0.004, 0.012, 0.02], n_points=50)
         res = search_interval(panel, (24,))
-        assert res.mean_r2 == pytest.approx(
-            math.fsum(sorted(f.r2 for f in res.per_series)) / len(res.per_series), abs=0.0
-        )
+        assert res.mean_r2 == pytest.approx(math.fsum(sorted(res.fits.r2)) / res.fits.r2.size, abs=0.0)
 
     def test_no_admissible_window(self):
         panel = exponential_panel([0.01], n_points=20)
@@ -174,11 +162,9 @@ class TestSearchInterval:
 
     def test_gappy_series_rejected(self):
         vals = 100.0 * np.exp(0.01 * np.arange(40.0))
-        vals2 = vals.copy()
         mask = np.zeros(40, dtype=bool)
         mask[5] = True
-        grid = TimeGrid(0, 40)
-        panel = Panel.from_series(grid, (PriceSeries("A", vals2, mask),))
+        panel = one_series_panel(vals, missing=mask)
         with pytest.raises(MissingDataError):
             search_interval(panel, (24,))
 
@@ -206,16 +192,16 @@ def random_panels(draw):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
     t = np.arange(n_points, dtype=float)
-    series = []
+    values = np.empty((n_series, n_points))
     for i in range(n_series):
         noise = draw(st.sampled_from(["flat", 0.0, 1e-3, 0.05]))
         alpha = rng.uniform(1e-3, 0.03)
         if noise == "flat":
             alpha, noise = 0.0, 0.0
         logs = alpha * t + noise * rng.standard_normal(n_points)
-        series.append(PriceSeries(f"s{i}", rng.uniform(50.0, 150.0) * np.exp(logs)))
+        values[i] = rng.uniform(50.0, 150.0) * np.exp(logs)
     start_month = draw(st.integers(min_value=0, max_value=300))
-    return Panel.from_series(TimeGrid(start_month, n_points), tuple(series)), lengths
+    return Panel(TimeGrid(start_month, n_points), [f"s{i}" for i in range(n_series)], values), lengths
 
 
 class TestBatchedScan:
@@ -223,7 +209,7 @@ class TestBatchedScan:
     @given(case=random_panels())
     def test_kernel_matches_per_window_fits(self, case):
         panel, lengths = case
-        logs_t = np.log(np.vstack([s.values for s in panel.series])).T.copy()
+        logs_t = np.log(panel.values).T.copy()
         for length in set(lengths):
             alpha, intercept, r2 = _free_ols(logs_t, length)
             assert r2.shape == (panel.grid.n_points - length + 1, panel.n_series)
@@ -247,7 +233,7 @@ class TestBatchedScan:
         # Sxy^2 / (Stt * SST) lands within rounding of 1 instead and would
         # pick whichever window happened to round highest.
         panel = exponential_panel([0.003, 0.009, 0.017], n_points=90, start_month=12)
-        logs_t = np.log(np.vstack([s.values for s in panel.series])).T.copy()
+        logs_t = np.log(panel.values).T.copy()
         for length in DEFAULT_WINDOW_LENGTHS:
             assert np.all(_free_ols(logs_t, length)[2] == 1.0)
         res = search_interval(panel)
@@ -261,14 +247,14 @@ class TestBatchedScan:
         # A flat window has zero total variation whatever rounding the log
         # and the window mean incur, so every fit assigns r2 = 1.
         for length in range(3, 61):
-            s, grid = series_on([value] * length)
+            panel = one_series_panel([value] * length)
             alpha, _, r2 = _free_ols(np.log(np.full((length, 1), value)), length)
             assert alpha[0, 0] == 0.0 and r2[0, 0] == 1.0
-            free = fit_window_free(s, grid, (0, length - 1))
-            assert free.alpha == 0.0 and free.r2 == 1.0
-            fixed = fit_window_fixed(s, grid, (0, length - 1))
-            assert fixed.clamped and fixed.r2 == 1.0
-            assert free_fit_per_series(s, grid, (0, length - 1)).r2 == 1.0
+            free = free_fits(panel)
+            assert free.alpha[0] == 0.0 and free.r2[0] == 1.0
+            fixed = fixed_fits(panel)
+            assert fixed.clamped[0] and fixed.r2[0] == 1.0
+            assert free_fit_per_series(panel.series[0], panel.grid, (0, length - 1)).r2 == 1.0
 
 
 class TestEstimateAlphas:
@@ -287,13 +273,15 @@ class TestEstimateAlphas:
     def test_fits_in_input_order(self):
         panel = exponential_panel([0.012, 0.004], n_points=30, names=["zz", "aa"])
         est = estimate_alphas(panel, (144, 167))
-        assert [f.series_name for f in est.fits] == ["zz", "aa"]
-        assert est.fits[0].alpha == pytest.approx(0.012, rel=1e-10)
+        assert est.fits.names == ("zz", "aa")
+        assert est.fits.alpha[0] == pytest.approx(0.012, rel=1e-10)
 
 
 TRUTH = default_truth()
 REPLICATE_INDEX = st.integers(min_value=0, max_value=10_000)
 CHAIN = settings(max_examples=15, deadline=None)
+#: Bound on the warp change under per-series scaling, asserted below.
+WARP_TOL = 1e-12
 
 
 def replicate_panel(index):
@@ -301,49 +289,78 @@ def replicate_panel(index):
 
 
 def fit_chain(panel):
-    """Window search, fixed-intercept rates and warps, as in one study replicate; rates and warps by name."""
+    """Window search, fixed-intercept rates, warps and FPCA, as in one study replicate.
+
+    Returns the search, the rates and warps by name, and the FPCA model.
+    """
     search = search_interval(panel, DEFAULT_WINDOW_LENGTHS)
     estimates = estimate_alphas(panel, search.best_window)
     warps = compute_warp_set(
         panel, estimates, window_start_month=panel.grid.start_month, t0_month=search.best_window[1]
     )
-    rates = {f.series_name: f.alpha for f in estimates.fits}
-    return search, rates, {w.series_name: w.values for w in warps.warps}
+    rates = dict(zip(estimates.fits.names, estimates.fits.alpha.tolist()))
+    model = fit_fpca(warps, k=max(2, min(TRUTH.n_components, TRUTH.n - 1)))
+    return search, rates, dict(zip(warps.names, warps.values)), model
+
+
+def score_tolerance(model, warps):
+    """Largest change of the two leading components' scores when every warp moves by at most WARP_TOL.
+
+    With c_i = h_i - mu and R = max ||c_i|| (quadrature norm, at most the sup
+    norm on [0, 1]), each ||dc_i|| <= 2 WARP_TOL, so the divisor-n covariance
+    moves by ||dG|| <= 4 R WARP_TOL. Davis-Kahan bounds the sign-aligned
+    eigenfunction change by sqrt(2) ||dG|| / gap_k, gap_k the distance from
+    lambda_k to its neighbours, and
+    |ds_ik| <= ||dc_i|| + ||c_i|| ||dphi_k|| <= 2 WARP_TOL + 4 sqrt(2) R^2 WARP_TOL / gap_k.
+    Twice that bound leaves room for the rounding of the two eigensolves.
+    """
+    c = np.array([warps[name] for name in model.score_names]) - model.mean
+    r2 = float(((c**2) @ model.weights).max())
+    lam = model.eigenvalues
+    gaps = np.array([lam[0] - lam[1], min(lam[0] - lam[1], lam[1] - lam[2])])
+    return 2.0 * (2.0 * WARP_TOL + 4.0 * math.sqrt(2.0) * r2 * WARP_TOL / gaps)
 
 
 class TestChainInvariances:
-    """Metamorphic relations of the model on default-truth replicates, drawn by index."""
+    """Metamorphic relations of the model, from window search through FPCA scores, on default-truth replicates."""
 
     @CHAIN
     @given(index=REPLICATE_INDEX, order=st.permutations(range(TRUTH.n)))
     def test_series_permutation(self, index, order):
         panel = replicate_panel(index)
-        search, rates, warps = fit_chain(panel)
-        search_p, rates_p, warps_p = fit_chain(Panel.from_series(panel.grid, tuple(panel.series[i] for i in order)))
+        search, rates, warps, model = fit_chain(panel)
+        permuted = Panel(panel.grid, [panel.names[i] for i in order], panel.values[list(order)])
+        search_p, rates_p, warps_p, model_p = fit_chain(permuted)
         assert search_p.best_window == search.best_window
         assert search_p.mean_r2 == search.mean_r2
         assert rates_p == rates
         assert all(np.array_equal(warps_p[name], warps[name]) for name in warps)
+        assert model_p.eigenvalues.tobytes() == model.eigenvalues.tobytes()
+        assert model_p.score_names == permuted.names
+        assert model_p.scores.tobytes() == model.scores[list(order)].tobytes()
 
     @CHAIN
     @given(index=REPLICATE_INDEX, k=st.integers(min_value=-143, max_value=500))
     def test_start_month_shift(self, index, k):
         panel = replicate_panel(index)
-        search, rates, _ = fit_chain(panel)
-        shifted = Panel.from_series(TimeGrid(panel.grid.start_month + k, panel.grid.n_points), panel.series)
-        search_s, rates_s, _ = fit_chain(shifted)
+        search, rates, _, model = fit_chain(panel)
+        shifted = Panel(TimeGrid(panel.grid.start_month + k, panel.grid.n_points), panel.names, panel.values)
+        search_s, rates_s, _, model_s = fit_chain(shifted)
         assert search_s.best_window == (search.best_window[0] + k, search.best_window[1] + k)
         assert search_s.mean_r2 == search.mean_r2
         assert rates_s == rates
+        assert model_s.scores.tobytes() == model.scores.tobytes()
 
     @CHAIN
     @given(index=REPLICATE_INDEX, scales=st.lists(st.floats(1e-3, 1e3), min_size=TRUTH.n, max_size=TRUTH.n))
     def test_per_series_scaling(self, index, scales):
         panel = replicate_panel(index)
-        search, rates, warps = fit_chain(panel)
-        scaled = Panel.from_series(panel.grid, tuple(PriceSeries(s.name, c * s.values) for s, c in zip(panel.series, scales)))
-        search_c, rates_c, warps_c = fit_chain(scaled)
+        search, rates, warps, model = fit_chain(panel)
+        scaled = Panel(panel.grid, panel.names, panel.values * np.array(scales)[:, None])
+        search_c, rates_c, warps_c, model_c = fit_chain(scaled)
         assert search_c.best_window == search.best_window
         for name, alpha in rates.items():
             assert abs(rates_c[name] - alpha) <= 1e-12 * alpha
-            assert np.abs(warps_c[name] - warps[name]).max() <= 1e-12
+            assert np.abs(warps_c[name] - warps[name]).max() <= WARP_TOL
+        tol = score_tolerance(model, warps)
+        assert np.all(np.abs(model_c.scores[:, :2] - model.scores[:, :2]).max(axis=0) <= tol), tol

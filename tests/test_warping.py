@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from warpgrowth.errors import ConfigError, GridError, MissingDataError, RateError, SchemaError
 from warpgrowth.growthfit import estimate_alphas, search_interval
-from warpgrowth.timeseries import Panel, PriceSeries, TimeGrid
+from warpgrowth.timeseries import Panel, TimeGrid
 from warpgrowth.warping import (
-    WarpFunction,
+    WarpSet,
     baseline_growth,
-    compute_warp,
     compute_warp_set,
     identity_deviation,
     second_order_diagnostic,
@@ -19,39 +18,37 @@ from warpgrowth.warping import (
     warps_to_csv,
 )
 
-from conftest import exponential_panel
+from conftest import exponential_panel, one_series_panel, rate_fits
+
+
+def warp_of(values, alpha, start_month=0, window_start_month=None, t0_month=None, missing=None):
+    """The warp set of one series from ``start_month`` at rate ``alpha``."""
+    panel = one_series_panel(values, start_month, missing)
+    return compute_warp_set(panel, rate_fits(panel.names, [alpha]), window_start_month, t0_month)
 
 
 class TestComputeWarp:
     def test_exact_exponential_gives_identity(self):
-        grid = TimeGrid(144, 176)
-        s = baseline_growth(0.0075, 100.0, grid)
-        w = compute_warp(s, grid, 0.0075)
+        s = baseline_growth(0.0075, 100.0, TimeGrid(144, 176))
+        w = warp_of(s.values, 0.0075, 144)
         assert np.abs(w.values - w.grid.points).max() < 1e-12
 
     def test_constant_series_gives_zero(self):
-        grid = TimeGrid(0, 20)
-        s = PriceSeries("flat", np.full(20, 150.0))
-        w = compute_warp(s, grid, 0.01)
+        w = warp_of(np.full(20, 150.0), 0.01)
         assert np.all(w.values == 0.0)
 
     def test_price_below_start_gives_negative_warp(self):
-        grid = TimeGrid(0, 4)
-        s = PriceSeries("dip", np.array([100.0, 110.0, 90.0, 95.0]))
-        w = compute_warp(s, grid, 0.01)
-        assert w.values[2] < 0.0 and w.values[3] < 0.0
-        assert w.values[1] > 0.0
+        h = warp_of([100.0, 110.0, 90.0, 95.0], 0.01).values[0]
+        assert h[2] < 0.0 and h[3] < 0.0
+        assert h[1] > 0.0
 
     def test_anchor_is_exact_zero(self):
-        grid = TimeGrid(0, 10)
-        s = PriceSeries("a", 100.0 * np.exp(0.01 * np.arange(10.0)) * (1 + 0.02 * np.cos(np.arange(10.0))))
-        w = compute_warp(s, grid, 0.01)
-        assert w.values[0] == 0.0
+        w = warp_of(100.0 * np.exp(0.01 * np.arange(10.0)) * (1 + 0.02 * np.cos(np.arange(10.0))), 0.01)
+        assert w.values[0, 0] == 0.0
 
     def test_window_start_slices_analysis_window(self):
-        grid = TimeGrid(100, 30)
-        s = baseline_growth(0.01, 50.0, grid)
-        w = compute_warp(s, grid, 0.01, window_start_month=110)
+        s = baseline_growth(0.01, 50.0, TimeGrid(100, 30))
+        w = warp_of(s.values, 0.01, 100, window_start_month=110)
         assert w.grid.n_points == 20
         assert w.grid.start_month == 110
         assert np.abs(w.values - w.grid.points).max() < 1e-12
@@ -59,45 +56,45 @@ class TestComputeWarp:
     @settings(max_examples=30, deadline=None)
     @given(scale=st.floats(min_value=1e-4, max_value=1e6))
     def test_scale_invariance(self, scale):
-        grid = TimeGrid(0, 24)
         t = np.arange(24.0)
         base = 100.0 * np.exp(0.008 * t + 0.05 * np.sin(t / 3.0))
-        w1 = compute_warp(PriceSeries("a", base), grid, 0.008)
-        w2 = compute_warp(PriceSeries("a", scale * base), grid, 0.008)
+        w1 = warp_of(base, 0.008)
+        w2 = warp_of(scale * base, 0.008)
         assert np.abs(w1.values - w2.values).max() <= 1e-12
 
     def test_local_monotonicity_matches_price_direction(self):
         rng = np.random.default_rng(11)
-        grid = TimeGrid(0, 50)
         x = 100.0 * np.exp(np.cumsum(rng.normal(0.002, 0.01, 50)))
-        w = compute_warp(PriceSeries("a", x), grid, 0.004)
-        assert np.array_equal(np.sign(np.diff(w.values)), np.sign(np.diff(x)))
+        w = warp_of(x, 0.004)
+        assert np.array_equal(np.sign(np.diff(w.values[0])), np.sign(np.diff(x)))
 
     def test_nonpositive_alpha_rejected(self):
-        grid = TimeGrid(0, 5)
-        s = PriceSeries("a", np.full(5, 10.0))
         for alpha in (0.0, -0.01):
             with pytest.raises(RateError):
-                compute_warp(s, grid, alpha)
+                warp_of(np.full(5, 10.0), alpha)
 
     def test_missing_values_rejected(self):
-        grid = TimeGrid(0, 5)
         vals = np.array([10.0, np.nan, 10.0, 10.0, 10.0])
-        s = PriceSeries("a", vals, np.array([False, True, False, False, False]))
         with pytest.raises(MissingDataError):
-            compute_warp(s, grid, 0.01)
+            warp_of(vals, 0.01, missing=np.array([False, True, False, False, False]))
 
     def test_t0_normalized_recorded(self):
-        grid = TimeGrid(144, 176)
-        s = baseline_growth(0.01, 90.0, grid)
-        w = compute_warp(s, grid, 0.01, t0_month=167)
-        assert w.t0_normalized == pytest.approx(23.0 / 175.0, abs=1e-15)
+        s = baseline_growth(0.01, 90.0, TimeGrid(144, 176))
+        w = warp_of(s.values, 0.01, 144, t0_month=167)
+        assert w.t0_normalized[0] == pytest.approx(23.0 / 175.0, abs=1e-15)
 
     def test_identity_deviation_exact_model(self):
-        grid = TimeGrid(144, 176)
-        s = baseline_growth(0.0075, 100.0, grid)
-        w = compute_warp(s, grid, 0.0075, t0_month=167)
-        assert identity_deviation(w) < 1e-10
+        s = baseline_growth(0.0075, 100.0, TimeGrid(144, 176))
+        w = warp_of(s.values, 0.0075, 144, t0_month=167)
+        assert identity_deviation(w)[0] < 1e-10
+
+    def test_identity_deviation_per_row(self):
+        # Row 0 deviates by 0.1 on [0, t0]; row 1 has t0 before the grid and is measured at t = 0.
+        grid = TimeGrid(0, 11, normalized=True)
+        t = grid.points
+        rows = np.vstack([t + 0.1, t + 0.2 * t])
+        warps = WarpSet(grid, ("a", "b"), rows, [1.0, 1.0], [0.5, -0.1], [True, True])
+        np.testing.assert_allclose(identity_deviation(warps), [0.1, 0.0], rtol=1e-14, atol=0.0)
 
 
 class TestBaselineGrowth:
@@ -113,9 +110,8 @@ class TestBaselineGrowth:
         assert z.values[12] == pytest.approx(109.417, abs=5e-4)
 
     def test_round_trip_identity_warp(self):
-        grid = TimeGrid(0, 30)
-        z = baseline_growth(0.012, 85.0, grid)
-        w = compute_warp(z, grid, 0.012)
+        z = baseline_growth(0.012, 85.0, TimeGrid(0, 30))
+        w = warp_of(z.values, 0.012)
         assert np.abs(w.values - w.grid.points).max() <= 1e-12
 
     def test_invalid_inputs(self):
@@ -129,13 +125,10 @@ class TestBaselineGrowth:
 class TestWarpSetPipeline:
     def test_clamped_rate_flagged_unreliable(self):
         t = np.arange(40.0)
-        decline = PriceSeries("down", 100.0 * np.exp(-0.01 * t))
-        growth = PriceSeries("up", 100.0 * np.exp(0.01 * t))
-        panel = Panel.from_series(TimeGrid(0, 40), (growth, decline))
+        panel = Panel(TimeGrid(0, 40), ("up", "down"), [100.0 * np.exp(0.01 * t), 100.0 * np.exp(-0.01 * t)])
         est = estimate_alphas(panel, (0, 23))
         ws = compute_warp_set(panel, est, t0_month=23)
-        assert ws.get("up").reliable
-        assert not ws.get("down").reliable
+        assert ws.reliable.tolist() == [True, False]
 
     def test_csv_round_trip(self):
         panel = exponential_panel([0.004, 0.009, 0.013], n_points=40)
@@ -143,8 +136,7 @@ class TestWarpSetPipeline:
         ws = compute_warp_set(panel, est, t0_month=panel.grid.start_month + 23)
         again = warps_from_csv(warps_to_csv(ws))
         assert again.names == ws.names
-        for a, b in zip(again.warps, ws.warps):
-            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(again.values, ws.values)
 
 
 def warp_csv_text(t, columns):
@@ -198,9 +190,8 @@ def _diag_residual(m, hfun, alpha_norm, xfun=None):
     h = hfun(u)
     alpha_month = alpha_norm / (m - 1)
     x = 100.0 * np.exp(alpha_norm * h) if xfun is None else xfun(u)
-    grid = TimeGrid(0, m, normalized=True)
-    warp = WarpFunction("s", grid, h, alpha_month)
-    return second_order_diagnostic(PriceSeries("s", x), warp, alpha_month)
+    warp = WarpSet(TimeGrid(0, m, normalized=True), ("s",), h[None], [alpha_month], [0.0], [True])
+    return second_order_diagnostic(one_series_panel(x), warp)[0]
 
 
 class TestSecondOrderDiagnostic:
@@ -230,16 +221,14 @@ class TestSecondOrderDiagnostic:
         assert violation > 10.0 * calibration
 
     def test_grid_too_small(self):
-        grid = TimeGrid(0, 4, normalized=True)
-        warp = WarpFunction("s", grid, np.linspace(0, 1, 4), 0.01)
+        warp = WarpSet(TimeGrid(0, 4, normalized=True), ("s",), [np.linspace(0, 1, 4)], [0.01], [0.0], [True])
         with pytest.raises(GridError):
-            second_order_diagnostic(PriceSeries("s", np.full(4, 10.0)), warp, 0.01)
+            second_order_diagnostic(one_series_panel(np.full(4, 10.0)), warp)
 
     def test_length_mismatch(self):
-        grid = TimeGrid(0, 6, normalized=True)
-        warp = WarpFunction("s", grid, np.linspace(0, 1, 6), 0.01)
+        warp = WarpSet(TimeGrid(0, 6, normalized=True), ("s",), [np.linspace(0, 1, 6)], [0.01], [0.0], [True])
         with pytest.raises(GridError):
-            second_order_diagnostic(PriceSeries("s", np.full(5, 10.0)), warp, 0.01)
+            second_order_diagnostic(one_series_panel(np.full(5, 10.0)), warp)
 
 
 class TestPipelineIdentityAnchor:
@@ -248,7 +237,5 @@ class TestPipelineIdentityAnchor:
         res = search_interval(panel)
         est = estimate_alphas(panel, res.best_window)
         ws = compute_warp_set(panel, est, t0_month=res.best_window[1])
-        t = ws.grid.points
-        for w in ws.warps:
-            assert np.abs(w.values - t).max() < 1e-10
-            assert identity_deviation(w) < 1e-10
+        assert np.abs(ws.values - ws.grid.points).max() < 1e-10
+        assert identity_deviation(ws).max() < 1e-10

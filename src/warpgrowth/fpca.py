@@ -339,7 +339,8 @@ def score_rate_regression(scores: np.ndarray, alphas: np.ndarray) -> list[Regres
     NumericalError
         If a sum of squares or cross-products (or the product of the two
         sums of squares) is not finite, as when rates near the float range
-        overflow.
+        overflow, or if that product underflows below the normal range
+        while the score column varies, as for rates near 1e-150.
     """
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     alphas = np.asarray(alphas, dtype=float)
@@ -359,6 +360,8 @@ def score_rate_regression(scores: np.ndarray, alphas: np.ndarray) -> list[Regres
         raise NumericalError("score-rate regression sums are not finite")
     if sxx == 0.0:
         raise DegenerateRegressorError("growth rates have zero variance")
+    if any(0.0 < yy and sxx * yy < np.finfo(float).tiny for yy in syy):
+        raise NumericalError("score-rate regression: the product of the sums of squares underflows")
     lines = []
     for col, xy, yy in zip(scores.T, sxy, syy):
         slope = xy / sxx

@@ -3,8 +3,9 @@
 Two least-squares fits of log index values on months since the window
 start share one (window length x series) block of logs and one R^2 rule:
 
-* a free-intercept fit, batched over every window of a length, used to
-  score candidate windows by their coefficient of determination, and
+* a free-intercept fit, batched over windows of one length, used to
+  score candidate windows by their coefficient of determination after a
+  prefix-sum filter has set aside the windows that cannot win, and
 * a fixed-intercept fit that pins the intercept at the log value of the
   window start and estimates only the growth rate, used for the final
   per-series rate estimates.
@@ -170,6 +171,87 @@ def _free_ols(logs_t: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray, 
     return alpha, mean - alpha * tbar, _r2(sse, sst)
 
 
+#: Unit roundoff of float64 arithmetic.
+_U = 2.0**-53
+
+#: Series per block of the prefix-sum filter, which bounds its working set.
+_SERIES_BLOCK = 256
+
+
+def _gamma(k: float) -> float:
+    """``k u / (1 - k u)``: the relative error bound of k rounded float64 operations."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _prefix_sums(logs_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix sums of ``d``, ``k * d`` and ``d^2`` with ``d = log X - log X(first month)`` and month index ``k``.
+
+    ``logs_t`` is (n_months, n_series). Returns the (3, n_months + 1,
+    n_series) sums, each starting at a row of zeros, and each series'
+    largest ``|d|``, the scale of every rounding bound of the filter.
+    """
+    m, n = logs_t.shape
+    d = logs_t - logs_t[0]
+    sums = np.zeros((3, m + 1, n))
+    np.cumsum(d, axis=0, out=sums[0, 1:])
+    np.cumsum(np.arange(m, dtype=float)[:, None] * d, axis=0, out=sums[1, 1:])
+    np.cumsum(d * d, axis=0, out=sums[2, 1:])
+    return sums, np.abs(d).max(axis=0)
+
+
+def _r2_bracket(sums: np.ndarray, scale: np.ndarray, level: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds ``lo <= r2 <= hi`` on the r2 that :func:`_free_ols` gives every window of one length.
+
+    ``sums`` and ``scale`` come from :func:`_prefix_sums`, ``level`` is
+    each series' first log value. Returns two (n_offsets, n_series) arrays
+    in [0, 1].
+
+    Each window's ``Sxy = sum (k - kbar) d`` and ``SST = sum d^2 - (sum d)^2 / L``
+    are differences of prefix sums. Recursive summation of m terms errs by
+    at most ``gamma_m`` times their absolute sum, and ``|d| <= M``, so the
+    absolute errors are at most ``ex ~ 3 gamma_m m^2 M`` and
+    ``es ~ 6 gamma_m m M^2``: the cancellation is bounded a priori, as in
+    Chan, Golub & LeVeque's analysis of the updating formulas. The exact
+    r2 of the stored logs, ``Sxy^2 / (Stt SST)``, then lies within
+    ``(|Sxy| -+ ex)^2 / (Stt (SST +- es))``. The kernel's own r2 differs
+    from the exact one by at most ``kern``: its window mean is off by
+    ``dm``, which perturbs its SST and SSE by ``h^2 = L dm^2 / SST``
+    relative, and its sums of L terms err by ``g = gamma_(L+8)``. Every
+    bound is doubled to cover second-order terms and the rounding of the
+    bound itself.
+
+    A window whose SST is not above ``2 es``, so not resolved, gets all of
+    [0, 1]; a series with ``d == 0`` on every month is constant, which the
+    kernel scores exactly 1, and gets [1, 1].
+    """
+    m = sums.shape[1] - 1
+    n_off = m - length + 1
+    s1, sk, s2 = sums[:, length:] - sums[:, :n_off]
+    kbar = (np.arange(n_off, dtype=float) + (length - 1) / 2.0)[:, None]
+    sxy = np.abs(sk - kbar * s1)
+    sst = s2 - s1 * s1 / length
+    stt = length * (length * length - 1.0) / 12.0
+
+    c1 = 2.0 * _gamma(m) * m + 2.0 * _U * length
+    ex = 2.0 * (3.0 * _gamma(m + 1) * m * m + 8.0 * _U * length * m) * scale
+    es = 2.0 * (2.0 * _gamma(m + 1) * m + 7.0 * _U * length + c1 * (2.0 + c1 / length)) * scale * scale
+    # On a resolved window SST > es, so h < sqrt(L / es) dm for every window of the series.
+    dm = 2.0 * (2.0 * _gamma(length + 3) * scale + 2.0 * _U * (np.abs(level) + scale))
+    g = _gamma(length + 8)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h = np.sqrt(length / es) * dm
+        err = (h + g * (1.0 + h)) ** 2 + 8.0 * _U * (1.0 + h)
+        kern = 2.0 * (err + h * h + 2.0 * g * (1.0 + err) + 4.0 * _U)
+        lo = np.maximum(sxy - ex, 0.0) ** 2 / (sst + es) * ((1.0 - 8.0 * _U) / stt) - kern
+        hi = (sxy + ex) ** 2 / (sst - es) * ((1.0 + 8.0 * _U) / stt) + kern
+    resolved = (sst > 2.0 * es) & (kern < 1.0)
+    lo = np.where(resolved, np.maximum(lo, 0.0), 0.0)
+    hi = np.where(resolved, np.minimum(hi, 1.0), 1.0)
+    flat = scale == 0.0
+    lo[:, flat] = hi[:, flat] = 1.0
+    return lo, hi
+
+
 def search_interval(panel: Panel, lengths=DEFAULT_WINDOW_LENGTHS) -> IntervalSearchResult:
     """Scan every contiguous window of the requested lengths for the best fit.
 
@@ -179,12 +261,23 @@ def search_interval(panel: Panel, lengths=DEFAULT_WINDOW_LENGTHS) -> IntervalSea
     shortest length. The scanned panel must be gap-free (apply
     :func:`warpgrowth.timeseries.restrict` first to drop series with gaps).
 
-    One kernel call per length fits all offsets and series at once, in
-    O(n_series * n_months) memory; per-window means are sorted
-    ``math.fsum`` sums, so the choice does not depend on series order. The
-    fits minimize ``sum_t (log X(t) - intercept - alpha * (t - t_start))^2``
-    on the winning window (a constant series scores r2 = 1), and
-    ``mean_r2`` is the score that won.
+    The scan is a filter followed by an exact rescore. Prefix sums of the
+    logs, built once per block of series and shared by every length, give
+    each window's r2 bounds in O(n_series * n_months) work per length
+    (:func:`_r2_bracket`); they cover the rounding of the prefix sums and
+    of the kernel. A window stays a candidate while its mean upper bound
+    reaches the largest mean lower bound, so the best window and every
+    window tied with it are kept. The candidates of one length are
+    gathered side by side and rescored in one :func:`_free_ols` call (in
+    batches of at most ``n_months`` rows of logs). The kernel is
+    elementwise, so each candidate's r2 has the bits a scan of every
+    window gives it. Per-window means are sorted ``math.fsum`` sums, so
+    the choice does not depend on series order. Memory stays
+    O(n_series * n_months).
+
+    The fits minimize ``sum_t (log X(t) - intercept - alpha * (t - t_start))^2``
+    on the winning window (a constant series scores r2 = 1); they and
+    ``mean_r2``, the score that won, come from the rescore.
 
     Raises
     ------
@@ -202,24 +295,44 @@ def search_interval(panel: Panel, lengths=DEFAULT_WINDOW_LENGTHS) -> IntervalSea
     if lengths[0] < 3:
         raise WindowError(f"window length {lengths[0]} is shorter than 3 months")
     grid = panel.grid
+    m, n = grid.n_points, panel.n_series
+    if lengths[0] > m:
+        raise WindowError(f"no window of lengths {lengths} fits inside the {m}-point grid")
+    lengths = [length for length in lengths if length <= m]
     logs_t = _window_logs(panel, (grid.start_month, grid.end_month))
+
+    # Per length, the sums over series of each window's r2 bounds.
+    lo_sum = {length: np.zeros(m - length + 1) for length in lengths}
+    hi_sum = {length: np.zeros(m - length + 1) for length in lengths}
+    for c in range(0, n, _SERIES_BLOCK):
+        block = logs_t[:, c : c + _SERIES_BLOCK]
+        sums, scale = _prefix_sums(block)
+        for length in lengths:
+            lo, hi = _r2_bracket(sums, scale, block[0], length)
+            lo_sum[length] += lo.sum(axis=1)
+            hi_sum[length] += hi.sum(axis=1)
+    # Covers the rounding of the sums over series and of the exact mean.
+    slack = 2.0 * _gamma(n + 4)
+    floor = max(float(s.max()) for s in lo_sum.values()) / n - slack
 
     # Sorted sums keep each mean invariant to series ordering. The smallest
     # key has the largest mean r2, then the earliest start, then the
     # shortest length.
-    keys = [
-        (-math.fsum(row) / len(row), offset, length)
-        for length in lengths
-        if length <= grid.n_points
-        for offset, row in enumerate(np.sort(_free_ols(logs_t, length)[2], axis=1).tolist())
-    ]
-    if not keys:
-        raise WindowError(f"no window of lengths {lengths} fits inside the {grid.n_points}-point grid")
-    neg_mean_r2, lo, length = min(keys)
-    window = (grid.start_month + lo, grid.start_month + lo + length - 1)
-    # Elementwise arithmetic on the winner's rows repeats the scan's bits.
-    alpha, intercept, r2 = (a[0] for a in _free_ols(logs_t[lo : lo + length], length))
-    fits = WindowFits(window, panel.names, alpha, intercept, r2, np.zeros(panel.n_series, dtype=bool))
+    best = None
+    for length in lengths:
+        offsets = np.flatnonzero(hi_sum[length] / n + slack >= floor).tolist()
+        per_call = max(1, m // length)
+        for b in range(0, len(offsets), per_call):
+            batch = offsets[b : b + per_call]
+            gathered = np.stack([logs_t[o : o + length] for o in batch], axis=1).reshape(length, -1)
+            fitted = [a.reshape(len(batch), n) for a in _free_ols(gathered, length)]
+            for row, (offset, r2) in enumerate(zip(batch, np.sort(fitted[2], axis=1).tolist())):
+                key = (-math.fsum(r2) / n, offset, length)
+                if best is None or key < best[0]:
+                    best = key, [a[row] for a in fitted]
+    (neg_mean_r2, first, length), (alpha, intercept, r2) = best
+    window = (grid.start_month + first, grid.start_month + first + length - 1)
+    fits = WindowFits(window, panel.names, alpha, intercept, r2, np.zeros(n, dtype=bool))
     return IntervalSearchResult(window, length, -neg_mean_r2, fits)
 
 

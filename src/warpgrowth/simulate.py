@@ -405,8 +405,8 @@ def _run_one_replicate(truth: SimTruth, seed: int, index: int) -> ReplicateMetri
 
         t = warpset.grid.points
         t0_norm = warpset.grid.to_normalized(search.best_window[1])
-        ase = averaged_relative_squared_error(estimates.alphas(), rep.alphas)
-        rise, rise_excluded = relative_integrated_squared_error(warpset.matrix(), rep.warps, t, t0_norm)
+        ase = averaged_relative_squared_error(estimates.fits.alpha, rep.alphas)
+        rise, rise_excluded = relative_integrated_squared_error(warpset.values, rep.warps, t, t0_norm)
 
         weights = model.weights
         phi_errs = []

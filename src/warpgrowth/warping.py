@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import check_unit_grid, read_table, write_table
-from .errors import ConfigError, GridError, RateError, SchemaError
+from .errors import ConfigError, GridError, NumericalError, RateError, SchemaError
 from .growthfit import AlphaEstimates, WindowFits
 from .timeseries import Panel, PriceSeries, TimeGrid, freeze_fields
 
@@ -82,7 +82,8 @@ def compute_warp_set(
     rate of the fit named like series ``i``, unreliable if that rate was
     clamped, so exact exponential growth at rate ``alpha_i`` gives
     ``h_i(t) = t``. SchemaError if a series has no fit, RateError unless
-    every rate is positive, MissingDataError for a gap on the window.
+    every rate is positive and every warp finite (a rate such as 1e-320
+    overflows it), MissingDataError for a gap on the window.
     """
     fits = (alphas.fits if isinstance(alphas, AlphaEstimates) else alphas).align(panel.names)
     alpha = fits.alpha
@@ -98,7 +99,12 @@ def compute_warp_set(
     panel.check_complete(lo, hi)
     sub = TimeGrid(start, hi - lo + 1, normalized=True)
     logs = np.log(panel.values[:, lo:])
-    h = (logs - logs[:, :1]) / (alpha * sub.elapsed_months)[:, None]
+    with np.errstate(over="ignore"):
+        h = (logs - logs[:, :1]) / (alpha * sub.elapsed_months)[:, None]
+    bad = np.flatnonzero(~np.isfinite(h).all(axis=1))
+    if bad.size:
+        i = bad[0]
+        raise RateError(f"series {panel.names[i]!r}: alpha {float(alpha[i])!r} is so small that its warp is not finite")
     t0_norm = 0.0 if t0_month is None else sub.to_normalized(t0_month)
     return WarpSet(sub, panel.names, h, alpha, np.full(panel.n_series, t0_norm), ~fits.clamped)
 
@@ -145,7 +151,9 @@ def second_order_diagnostic(panel: Panel, warps: WarpSet) -> np.ndarray:
     ``warps`` must name the panel's series in order (else SchemaError) and
     span its last months (else GridError, as for under 5 points), on which
     the series must be complete (else MissingDataError). Each row's rate is
-    its ``alpha_used``.
+    its ``alpha_used``. NumericalError names the first series whose
+    residuals are not finite, as when a month at 1e307 next to one at
+    1e-300 overflows the differences.
     """
     grid = warps.grid
     if grid.n_points < 5:
@@ -159,9 +167,15 @@ def second_order_diagnostic(panel: Panel, warps: WarpSet) -> np.ndarray:
     dt = 1.0 / grid.elapsed_months
     alpha_norm = warps.alpha_used * grid.elapsed_months
     x = panel.values[:, lo:]
-    log_accel = _derivative(_derivative(x, dt) / x, dt)
-    h_accel = _derivative(_derivative(warps.values, dt), dt)
-    return log_accel - alpha_norm[:, None] * h_accel
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_accel = _derivative(_derivative(x, dt) / x, dt)
+        h_accel = _derivative(_derivative(warps.values, dt), dt)
+        residuals = log_accel - alpha_norm[:, None] * h_accel
+    bad = np.flatnonzero(~np.isfinite(residuals).all(axis=1))
+    if bad.size:
+        name = panel.names[bad[0]]
+        raise NumericalError(f"series {name!r}: second-order residual is not finite (finite differences overflow)")
+    return residuals
 
 
 def identity_deviation(warps: WarpSet) -> np.ndarray:

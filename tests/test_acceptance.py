@@ -54,7 +54,7 @@ def test_criterion_1_exact_model_recovery():
     result = search_interval(panel)
     estimates = estimate_alphas(panel, result.best_window)
     warps = compute_warp_set(panel, estimates, t0_month=result.best_window[1])
-    rel_err = np.abs(estimates.alphas() - alphas) / alphas
+    rel_err = np.abs(estimates.fits.alpha - alphas) / alphas
     t = warps.grid.points
     sup_err = np.abs(warps.values - t).max()
     elapsed = time.perf_counter() - start
@@ -143,7 +143,7 @@ def test_criterion_4_karhunen_loeve_reconstruction():
     ws = warp_set(grid, rows, [f"w{i:02d}" for i in range(n)])
     model = fit_fpca(ws, k=n - 1)
     w = model.weights
-    centered = ws.matrix() - model.mean
+    centered = ws.values - model.mean
     energy = (centered**2) @ w
     prev = energy.copy()
     for kk in range(1, n):

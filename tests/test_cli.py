@@ -127,6 +127,21 @@ class TestWarpCommand:
         assert float(setbacks[1][3]) > 0.0  # positive setback
 
 
+    def test_tiny_fit_rate_exits_3_naming_the_series(self, tmp_path, capsys):
+        panel = exponential_panel([0.004, 0.01, 0.016], n_points=60, names=["a", "b", "c"])
+        path = write_panel(tmp_path / "panel.csv", panel)
+        out = tmp_path / "out"
+        assert main(["fit", "--input", path, "--output-dir", str(out)]) == 0
+        fit = out / "fit.json"
+        artifact = json.loads(fit.read_text())
+        artifact["alpha_estimates"]["per_series"][1]["alpha"] = 1e-320
+        fit.write_text(json.dumps(artifact))
+        with np.errstate(all="raise"):
+            assert main(["warp", "--input", path, "--output-dir", str(out)]) == 3
+        assert "series 'b'" in capsys.readouterr().err
+        assert not (out / "warps.csv").exists() and not (out / "setbacks.csv").exists()
+
+
 class TestFpcaCommand:
     def _warp_csv(self, tmp_path, rows, names):
         path = tmp_path / "warps.csv"
@@ -334,6 +349,18 @@ class TestDiagnoseCommand:
         summary = json.loads((out / "diagnostics_summary.json").read_text())
         for row in summary["per_series"]:
             assert row["max_abs_residual"] < 1e-3
+
+
+    def test_overflowing_residuals_exit_3_without_outputs(self, tmp_path, capsys):
+        x = np.array([100.0 * np.exp(r * np.arange(60.0)) for r in (0.004, 0.01, 0.016)])
+        x[1, 40:42] = [1e307, 1e-300]
+        path = write_panel(tmp_path / "spike.csv", Panel(TimeGrid(144, 60), ("a", "b", "c"), x))
+        out = tmp_path / "out"
+        assert main(["fit", "--input", path, "--output-dir", str(out)]) == 0
+        with np.errstate(all="raise"):
+            assert main(["diagnose", "--input", path, "--output-dir", str(out)]) == 3
+        assert "series 'b'" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["fit.json"]
 
 
 class TestDeterminism:

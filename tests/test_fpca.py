@@ -424,6 +424,12 @@ class TestScoreRateRegression:
         with np.errstate(all="raise"), pytest.raises(NumericalError):
             score_rate_regression(np.array(scores), np.array(alphas))
 
+    def test_underflowing_correlation_is_a_numerical_error(self):
+        # sxx ~ 5e-300 times syy ~ 5e-32 underflows to 0 while the scores vary.
+        scores = np.array([[0.0], [1e-16], [3e-16], [2e-16]])
+        with np.errstate(all="raise"), pytest.raises(NumericalError, match="underflows"):
+            score_rate_regression(scores, np.array([1e-150, 2e-150, 3e-150, 4e-150]))
+
 
 class TestExports:
     def test_json_dict_structure(self):

@@ -11,6 +11,9 @@ from warpgrowth.growthfit import (
     ALPHA_FLOOR,
     DEFAULT_WINDOW_LENGTHS,
     _free_ols,
+    _prefix_sums,
+    _r2_bracket,
+    _window_logs,
     estimate_alphas,
     search_interval,
 )
@@ -226,6 +229,7 @@ class TestBatchedScan:
     def test_selection_matches_brute_force(self, case):
         panel, lengths = case
         assert search_interval(panel, lengths).best_window == brute_force_search(panel, lengths)
+        assert_matches_full_scan(panel, lengths)
 
     def test_all_windows_tie_on_exact_exponentials(self):
         # Every window scores exactly 1.0, so the tie rule alone decides:
@@ -255,6 +259,137 @@ class TestBatchedScan:
             fixed = fixed_fits(panel)
             assert fixed.clamped[0] and fixed.r2[0] == 1.0
             assert free_fit_per_series(panel.series[0], panel.grid, (0, length - 1)).r2 == 1.0
+
+
+def full_scan(panel, lengths):
+    """Reference scan: ``_free_ols`` on every offset of every length, sorted-``fsum`` means, same tie key.
+
+    Returns the window, its length, the winning mean r2 and the kernel's
+    (alpha, intercept, r2) rows there.
+    """
+    logs_t = _window_logs(panel, (panel.grid.start_month, panel.grid.end_month))
+    best = None
+    for length in sorted(set(lengths)):
+        if length > panel.grid.n_points:
+            continue
+        fitted = _free_ols(logs_t, length)
+        for offset, row in enumerate(np.sort(fitted[2], axis=1).tolist()):
+            key = (-math.fsum(row) / len(row), offset, length)
+            if best is None or key < best[0]:
+                best = key, [a[offset] for a in fitted]
+    (neg_mean_r2, offset, length), fits = best
+    start = panel.grid.start_month + offset
+    return (start, start + length - 1), length, -neg_mean_r2, fits
+
+
+def assert_matches_full_scan(panel, lengths):
+    res = search_interval(panel, lengths)
+    window, length, mean_r2, (alpha, intercept, r2) = full_scan(panel, lengths)
+    assert res.best_window == window
+    assert res.window_length_months == length
+    assert res.mean_r2 == mean_r2
+    assert res.fits.alpha.tobytes() == alpha.tobytes()
+    assert res.fits.intercept.tobytes() == intercept.tobytes()
+    assert res.fits.r2.tobytes() == r2.tobytes()
+
+
+@st.composite
+def tied_panels(draw):
+    """Panels repeating one pattern of ``period`` months, so windows ``period`` apart tie exactly.
+
+    Series are noisy exponentials, exact exponentials (every window scores
+    1) or flat. Unless the draw keeps the exact ties, the logs of one
+    series after its first period get noise of size ``n_series * 10**gap``,
+    which moves each later window off its twin in the first period by a
+    mean r2 gap of about ``10**gap``, 1e-13 to 1e-9, up or down.
+    """
+    period = draw(st.integers(min_value=4, max_value=30))
+    n_points = period * draw(st.integers(min_value=2, max_value=3)) + draw(st.integers(min_value=0, max_value=5))
+    lengths = draw(st.lists(st.integers(min_value=3, max_value=period), min_size=1, max_size=3))
+    n_series = draw(st.integers(min_value=1, max_value=5))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    t = np.arange(n_points, dtype=float)
+    values = np.empty((n_series, n_points))
+    for i in range(n_series):
+        kind = draw(st.sampled_from(["noisy", "noisy", "exact", "flat"]))
+        level = rng.uniform(50.0, 150.0)
+        if kind == "noisy":
+            noise = draw(st.sampled_from([1e-3, 0.02])) * rng.standard_normal(period)
+            pattern = rng.uniform(1e-3, 0.03) * t[:period] + noise
+            values[i] = level * np.exp(np.resize(pattern, n_points))
+        elif kind == "exact":
+            values[i] = level * np.exp(rng.uniform(1e-3, 0.03) * t)
+        else:
+            values[i] = level
+    gap = draw(st.none() | st.floats(min_value=-13.0, max_value=-9.0))
+    if gap is not None:
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        noise = sign * n_series * 10.0**gap * rng.standard_normal(n_points - period)
+        values[draw(st.integers(0, n_series - 1)), period:] *= np.exp(noise)
+    return Panel(TimeGrid(draw(st.integers(0, 300)), n_points), [f"s{i}" for i in range(n_series)], values), lengths
+
+
+@st.composite
+def hard_logs(draw):
+    """Log blocks at the edges of the filter's error bound: extreme levels, near-flat and near-exact series."""
+    n_points = draw(st.integers(min_value=3, max_value=80))
+    n_series = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    t = np.arange(n_points, dtype=float)
+    values = np.empty((n_series, n_points))
+    for i in range(n_series):
+        level = 10.0 ** draw(st.floats(min_value=-290.0, max_value=290.0))
+        kind = draw(st.sampled_from(["noisy", "exact", "flat", "ulps", "near_one", "step"]))
+        if kind == "noisy":
+            logs = rng.uniform(-0.03, 0.03) * t + 10.0 ** rng.uniform(-12, -1) * rng.standard_normal(n_points)
+            values[i] = level * np.exp(logs)
+        elif kind == "exact":
+            values[i] = level * np.exp(10.0 ** rng.uniform(-8, -1) * t)
+        elif kind == "flat":
+            values[i] = level
+        elif kind == "ulps":
+            values[i] = level * (1.0 + np.finfo(float).eps * rng.integers(-4, 5, n_points))
+        elif kind == "near_one":
+            values[i] = 1.0 + 10.0 ** rng.uniform(-15, -6) * rng.standard_normal(n_points)
+        else:
+            values[i] = level * np.where(t < rng.integers(0, n_points), 1.0, 1.0 + 10.0 ** rng.uniform(-15, -1))
+    return np.ascontiguousarray(np.log(values).T)
+
+
+class TestPrefixFilter:
+    @settings(max_examples=150, deadline=None)
+    @given(logs_t=hard_logs())
+    def test_bracket_holds_the_kernel_r2(self, logs_t):
+        sums, scale = _prefix_sums(logs_t)
+        for length in range(3, logs_t.shape[0] + 1):
+            lo, hi = _r2_bracket(sums, scale, logs_t[0], length)
+            r2 = _free_ols(logs_t, length)[2]
+            assert np.all((0.0 <= lo) & (lo <= r2) & (r2 <= hi) & (hi <= 1.0)), length
+
+    def test_bracket_is_tight_on_default_truth(self):
+        # The filter only pays off if the bounds are far narrower than the
+        # r2 gaps between neighbouring windows.
+        panel = replicate_panel(0)
+        logs_t = _window_logs(panel, (panel.grid.start_month, panel.grid.end_month))
+        sums, scale = _prefix_sums(logs_t)
+        for length in DEFAULT_WINDOW_LENGTHS:
+            lo, hi = _r2_bracket(sums, scale, logs_t[0], length)
+            assert np.median(hi - lo) < 1e-7
+
+    def test_constant_series_bracket_is_exact(self):
+        logs_t = np.log(np.full((30, 2), [7.5, 1e200]))
+        sums, scale = _prefix_sums(logs_t)
+        lo, hi = _r2_bracket(sums, scale, logs_t[0], 24)
+        assert np.all(lo == 1.0) and np.all(hi == 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=tied_panels())
+    def test_planted_ties_match_full_scan(self, case):
+        assert_matches_full_scan(*case)
+
+    def test_default_truth_replicates_match_full_scan(self):
+        for index in range(100):
+            assert_matches_full_scan(replicate_panel(index), DEFAULT_WINDOW_LENGTHS)
 
 
 class TestEstimateAlphas:

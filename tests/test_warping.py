@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpgrowth.errors import ConfigError, GridError, MissingDataError, RateError, SchemaError
+from warpgrowth.errors import ConfigError, GridError, MissingDataError, NumericalError, RateError, SchemaError
 from warpgrowth.growthfit import estimate_alphas, search_interval
 from warpgrowth.timeseries import Panel, TimeGrid
 from warpgrowth.warping import (
@@ -72,6 +72,12 @@ class TestComputeWarp:
         for alpha in (0.0, -0.01):
             with pytest.raises(RateError):
                 warp_of(np.full(5, 10.0), alpha)
+
+    def test_overflowing_warp_names_the_series(self):
+        panel = exponential_panel([0.01, 0.02, 0.03], n_points=60, names=["a", "b", "c"])
+        fits = rate_fits(panel.names, [0.01, 1e-320, 0.03])
+        with np.errstate(all="raise"), pytest.raises(RateError, match="series 'b'"):
+            compute_warp_set(panel, fits)
 
     def test_missing_values_rejected(self):
         vals = np.array([10.0, np.nan, 10.0, 10.0, 10.0])
@@ -219,6 +225,14 @@ class TestSecondOrderDiagnostic:
         calibration = np.abs(_diag_residual(176, self.HFUN, a0)).max()
         violation = np.abs(_diag_residual(176, self.HFUN, a0, xfun=xfun)).max()
         assert violation > 10.0 * calibration
+
+    def test_overflowing_differences_name_the_series(self):
+        x = np.array([100.0 * np.exp(0.01 * np.arange(60.0))] * 3)
+        x[1, 40:42] = [1e307, 1e-300]
+        panel = Panel(TimeGrid(0, 60), ("a", "b", "c"), x)
+        warps = compute_warp_set(panel, rate_fits(panel.names, [0.01] * 3))
+        with np.errstate(all="raise"), pytest.raises(NumericalError, match="series 'b'"):
+            second_order_diagnostic(panel, warps)
 
     def test_grid_too_small(self):
         warp = WarpSet(TimeGrid(0, 4, normalized=True), ("s",), [np.linspace(0, 1, 4)], [0.01], [0.0], [True])

@@ -11,7 +11,6 @@ and the component scores are regressed on the growth rates.
 import numpy as np
 
 from warpgrowth import (
-    TimeGrid,
     WarpSet,
     fit_fpca,
     modes_of_variation,
@@ -22,7 +21,7 @@ from warpgrowth.simulate import default_truth
 rng = np.random.default_rng(8)
 truth = default_truth()
 m = truth.grid.n_points
-grid = TimeGrid(truth.grid.start_month, m, normalized=True)
+grid = truth.grid
 t = np.linspace(0.0, 1.0, m)
 
 # 17 ordinary markets drawn from the bundled boom-bust truth, plus two

@@ -14,14 +14,14 @@ from warpgrowth import Panel, TimeGrid, WarpSet, second_order_diagnostic
 
 m = 176
 u = np.linspace(0.0, 1.0, m)
-grid = TimeGrid(144, m, normalized=True)
+grid = TimeGrid(144, m)
 alpha_norm = 1.3                      # rate over the whole window ...
 alpha_month = alpha_norm / (m - 1)    # ... i.e. about 0.74% per month
 
 
 def diagnose(x, h, grid, alpha_month):
     """Residual row of one series ``x`` on the months of ``grid`` against its warp ``h`` at ``alpha_month``."""
-    panel = Panel(TimeGrid(grid.start_month, grid.n_points), ("demo",), [x])
+    panel = Panel(grid, ("demo",), [x])
     warp = WarpSet(grid, ("demo",), [h], [alpha_month], [0.0], [True])
     return second_order_diagnostic(panel, warp)[0]
 
@@ -50,7 +50,7 @@ for mm in (45, 89, 177):
     uu = np.linspace(0.0, 1.0, mm)
     hh = uu + 0.15 * np.sin(2.0 * np.pi * uu) - 0.1 * uu**2
     am = alpha_norm / (mm - 1)
-    r = diagnose(100.0 * np.exp(alpha_norm * hh), hh, TimeGrid(144, mm, normalized=True), am)
+    r = diagnose(100.0 * np.exp(alpha_norm * hh), hh, TimeGrid(144, mm), am)
     peak = np.abs(r).max()
     note = "" if prev is None else f"  ({prev / peak:.2f}x smaller)"
     print(f"  m = {mm:3d}: max |residual| = {peak:.3e}{note}")

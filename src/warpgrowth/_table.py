@@ -4,7 +4,8 @@ Every CSV artifact is written here, floats at 17 significant digits so a
 read-back is exact: column tables (``t_normalized`` or ``t`` first, a float
 in every cell) by :func:`write_table`, mixed rows by :func:`write_rows`.
 Input files go through :func:`read_file`, so malformed content raises a
-typed error (SchemaError, GridError) naming the file, never a builtin.
+typed error (SchemaError, GridError) naming the file, never a builtin;
+every ``t_normalized`` table is checked by :func:`read_unit_table`.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ def csv_rows(text: str) -> list[list[str]]:
         raise SchemaError(f"line {reader.line_num}: {exc}") from None
 
 
-def read_file(path: str | Path, parse: Callable[[str], object]):
-    """``parse`` of the UTF-8 text of file ``path``, line endings untranslated as :mod:`csv` expects.
+def read_file(path: str | Path, parse: Callable[..., object], *args):
+    """``parse(text, *args)`` of the UTF-8 text of file ``path``, line endings untranslated as :mod:`csv` expects.
 
     Text that is not UTF-8 or not valid JSON raises SchemaError naming the
     file; a typed error of ``parse`` gets the path put in front of its
@@ -79,7 +80,7 @@ def read_file(path: str | Path, parse: Callable[[str], object]):
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            return parse(fh.read())
+            return parse(fh.read(), *args)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"{path}: {exc}") from None
     except WarpGrowthError as exc:
@@ -153,11 +154,30 @@ def read_table(text: str) -> tuple[list[str], np.ndarray]:
     return header, data.reshape(len(body), len(header))
 
 
-def check_unit_grid(column: np.ndarray) -> None:
-    """Raise GridError, naming the first bad row, unless ``column`` is ``linspace(0, 1, m)`` within 1e-12."""
-    off = np.flatnonzero(~(np.abs(column - np.linspace(0.0, 1.0, len(column))) <= 1e-12))
+def read_unit_table(text: str, min_columns: int) -> tuple[list[str], np.ndarray]:
+    """:func:`read_table` of a ``t_normalized,<cols>`` table of at least ``min_columns`` columns.
+
+    GridError unless the first header cell is ``t_normalized``, there are
+    at least 2 rows and the first column is ``linspace(0, 1, m)`` within
+    1e-12 (naming the first row off it); SchemaError for too few columns
+    or a cell that is not finite (naming its row and column). Rows are
+    counted from 1 at the header.
+    """
+    header, data = read_table(text)
+    if not header or header[0] != "t_normalized":
+        raise GridError(f"first header cell must be 't_normalized', got {reprlib.repr(header[0] if header else '')}")
+    if len(header) < min_columns:
+        raise SchemaError(f"needs at least {min_columns} columns, got {len(header)}")
+    m = data.shape[0]
+    if m < 2:
+        raise GridError(f"table needs at least 2 rows, got {m}")
+    t = data[:, 0]
+    off = np.flatnonzero(~(np.abs(t - np.linspace(0.0, 1.0, m)) <= 1e-12))
     if off.size:
         i = int(off[0])
-        raise GridError(
-            f"row {i + 2}: t_normalized {float(column[i])!r} is not point {i} of a uniform {len(column)}-point grid on [0, 1]"
-        )
+        raise GridError(f"row {i + 2}: t_normalized {float(t[i])!r} is not point {i} of a uniform {m}-point grid on [0, 1]")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        raise SchemaError(f"row {i + 2}, column {header[j]!r}: value {float(data[i, j])!r} is not finite")
+    return header, data

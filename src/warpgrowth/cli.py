@@ -26,6 +26,7 @@ from . import _table
 from . import simulate as sim
 from .errors import ConfigError, WarpGrowthError
 from .fpca import (
+    DEFAULT_VAR_THRESHOLD,
     eigenfunctions_to_csv,
     fit_fpca,
     model_to_json_dict,
@@ -168,8 +169,6 @@ def cmd_warp(args) -> int:
 def cmd_fpca(args) -> int:
     warpset = _table.read_file(args.input, warps_from_csv)
     exclude = tuple(name.strip() for name in args.exclude.split(",") if name.strip()) if args.exclude else ()
-    if not 0 < args.var_threshold <= 1:
-        raise ConfigError(f"--var-threshold must be in (0, 1], got {args.var_threshold}")
     model = fit_fpca(warpset, exclude=exclude, k=args.k, var_threshold=args.var_threshold)
     scores = _table.write_rows(
         ["name", "out_of_sample", *(f"score_{k + 1}" for k in range(model.n_retained))],
@@ -289,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fpca.add_argument("--exclude", default=None, help="comma-separated series to hold out of estimation")
     fpca.add_argument("--k", type=int, default=None, help="retain exactly K components")
-    fpca.add_argument("--var-threshold", type=float, default=0.999)
+    fpca.add_argument("--var-threshold", type=float, default=DEFAULT_VAR_THRESHOLD)
     fpca.set_defaults(func=cmd_fpca)
 
     simulate = sub.add_parser("simulate", help="run the Monte Carlo estimation study")

@@ -1,7 +1,7 @@
 """Functional principal component analysis of a warping-function sample.
 
 The sample covariance uses divisor n (not n - 1), all inner products use
-trapezoid quadrature on the shared normalized grid, and the covariance
+trapezoid quadrature on the shared unit grid, and the covariance
 operator is diagonalized through the weighted symmetric eigenproblem of
 ``W^{1/2} G W^{1/2}``. Eigenfunction signs follow a deterministic rule:
 flip so the quadrature integral of each eigenfunction is nonnegative,
@@ -227,8 +227,8 @@ def project_scores(warps: WarpSet, model: FpcaModel) -> np.ndarray:
     GridError
         If the warps are not on the model grid.
     """
-    if warps.grid.n_points != model.grid.n_points or not warps.grid.normalized:
-        raise GridError("warps are not on the model's normalized grid")
+    if warps.grid.n_points != model.grid.n_points:
+        raise GridError("warps are not on the model's grid")
     return _scores(warps.values, model.mean, model.eigenfunctions)
 
 
@@ -256,8 +256,9 @@ def fit_fpca(
     Raises
     ------
     ConfigError
-        If ``exclude`` names a series not in the sample, or ``k`` is
-        outside ``[1, m]`` for an ``m``-point grid.
+        If ``exclude`` names a series not in the sample, ``k`` is outside
+        ``[1, m]`` for an ``m``-point grid, or ``var_threshold`` is outside
+        ``(0, 1]``.
     SampleSizeError
         If fewer than 2 series remain after exclusion.
     NumericalError
@@ -269,6 +270,8 @@ def fit_fpca(
         raise ConfigError(f"excluded names not in the sample: {unknown}")
     if k is not None and not 1 <= k <= warps.grid.n_points:
         raise ConfigError(f"k must be in [1, {warps.grid.n_points}], got {k}")
+    if not 0 < var_threshold <= 1:
+        raise ConfigError(f"var_threshold must be in (0, 1], got {var_threshold}")
     h = _sorted_matrix(warps, exclude)
     if h.shape[0] < 2:
         raise SampleSizeError(f"need at least 2 series after exclusion, got {h.shape[0]}")

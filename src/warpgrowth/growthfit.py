@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError, WindowError
-from .timeseries import Panel, freeze_fields
+from .timeseries import Panel, freeze_fields, freeze_names
 
 #: Lower clamp for the fixed-intercept growth rate; the model requires
 #: alpha > 0 and downstream warping divides by alpha.
@@ -53,14 +53,9 @@ class WindowFits:
     clamped: np.ndarray
 
     def __post_init__(self):
-        names = tuple(self.names)
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise SchemaError(f"duplicate series names in fits: {dupes}")
-        object.__setattr__(self, "names", names)
-        shape = (len(names),)
+        shape = (len(freeze_names(self, "fits")),)
         fields = (("alpha", float, shape), ("intercept", float, shape), ("r2", float, shape), ("clamped", bool, shape))
-        freeze_fields(self, fields, f"fits of {len(names)} series")
+        freeze_fields(self, fields, f"fits of {shape[0]} series")
 
     def align(self, names) -> "WindowFits":
         """The fits of ``names``, in that order; SchemaError naming the first series with no fit."""

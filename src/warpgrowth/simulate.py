@@ -30,9 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._table import check_unit_grid, json_field, read_file, read_table, write_rows, write_table
-from .errors import ConfigError, SchemaError, WarpGrowthError
-from .fpca import eigendecompose, fit_fpca
+from ._table import json_field, read_file, read_unit_table, write_rows, write_table
+from .errors import ConfigError, WarpGrowthError
+from .fpca import _covariance, eigendecompose, fit_fpca
 from .growthfit import DEFAULT_WINDOW_LENGTHS, estimate_alphas, search_interval
 from .quadrature import trapezoid_weights
 from .timeseries import Panel, TimeGrid
@@ -73,10 +73,11 @@ class SimTruth:
     """Ground truth for the simulation study.
 
     ``mean`` (per grid point), ``eigenfunctions`` (one row per component)
-    and ``eigenvalues`` are in normalized units on the grid's [0, 1]
-    rescaling; eigenfunctions must be orthonormal under the trapezoid
-    quadrature. ``grid`` fixes the calendar months the normalized window
-    corresponds to.
+    and ``eigenvalues`` are in normalized units on ``grid.points``, the
+    grid's [0, 1] rescaling; all three must be finite, and the
+    eigenfunctions orthonormal under the trapezoid quadrature. ``grid``
+    fixes the calendar months the normalized window corresponds to.
+    ConfigError names the first field that breaks a rule.
     """
 
     grid: TimeGrid
@@ -100,6 +101,9 @@ class SimTruth:
             raise ConfigError(f"eigenfunctions must be (K, {m}), got {phi.shape}")
         if lam.shape != (phi.shape[0],):
             raise ConfigError(f"{lam.shape[0]} eigenvalues for {phi.shape[0]} eigenfunctions")
+        for name, a in (("mean", mean), ("eigenfunctions", phi), ("eigenvalues", lam)):
+            if not np.isfinite(a).all():
+                raise ConfigError(f"{name} is not finite")
         if lam.size and (np.any(lam < 0) or np.any(np.diff(lam) > 0)):
             raise ConfigError("eigenvalues must be nonnegative and nonincreasing")
         if phi.shape[0]:
@@ -268,7 +272,7 @@ def generate_replicate(truth: SimTruth, rng: np.random.Generator) -> Replicate:
         scores[accepted] = xi
         accepted += 1
     names = tuple(f"sim{i + 1:02d}" for i in range(truth.n))
-    return Replicate(Panel(TimeGrid(truth.grid.start_month, m), names, values), alphas, warps, scores)
+    return Replicate(Panel(truth.grid, names, values), alphas, warps, scores)
 
 
 def _fsum_mean(values) -> float:
@@ -386,12 +390,13 @@ def _seed(truth: SimTruth, seed: int | None) -> int:
     return seed
 
 
-def _replicate_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(0, index))))
+def _philox(seed: int, *key: int) -> np.random.Generator:
+    """The Philox stream of ``seed`` keyed by ``key``: ``(0, index)`` per replicate, ``(1, size, repeat)`` in the sweep."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
 def _run_one_replicate(truth: SimTruth, seed: int, index: int) -> ReplicateMetrics:
-    rng = _replicate_rng(seed, index)
+    rng = _philox(seed, 0, index)
     rep = generate_replicate(truth, rng)
     try:
         search = search_interval(rep.panel, DEFAULT_WINDOW_LENGTHS)
@@ -526,8 +531,6 @@ def convergence_sweep(
         raise ConfigError(f"sizes must be at least 2 increasing entries, got {sizes}")
     seed = _seed(truth, seed)
 
-    m = truth.grid.n_points
-    grid = TimeGrid(truth.grid.start_month, m, normalized=True)
     root_lam = np.sqrt(truth.eigenvalues)
     g_true = (truth.eigenfunctions.T * truth.eigenvalues) @ truth.eigenfunctions
     has_components = truth.n_components >= 1 and float(truth.eigenvalues[0]) > 0
@@ -537,17 +540,13 @@ def convergence_sweep(
     for si, n in enumerate(sizes):
         sums = {k: [] for k in estimands}
         for rep in range(repeats):
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(1, si, rep)))
-            )
-            xi = rng.standard_normal((n, truth.n_components))
+            xi = _philox(seed, 1, si, rep).standard_normal((n, truth.n_components))
             h = truth.mean + (xi * root_lam) @ truth.eigenfunctions
-            mu_hat = h.mean(axis=0)
-            g_hat = (h.T @ h) / n - np.outer(mu_hat, mu_hat)
-            sums["mean"].append(float(np.abs(mu_hat - truth.mean).max()))
+            g_hat = _covariance(h)
+            sums["mean"].append(float(np.abs(h.mean(axis=0) - truth.mean).max()))
             sums["covariance"].append(float(np.abs(g_hat - g_true).max()))
             if has_components:
-                vals, phi = eigendecompose((g_hat + g_hat.T) / 2.0, grid)
+                vals, phi = eigendecompose(g_hat, truth.grid)
                 diff_minus = float(np.abs(phi[0] - truth.eigenfunctions[0]).max())
                 diff_plus = float(np.abs(phi[0] + truth.eigenfunctions[0]).max())
                 sums["phi_1"].append(min(diff_minus, diff_plus))
@@ -573,7 +572,7 @@ def save_truth(truth: SimTruth, directory: str | Path, stem: str = "truth") -> P
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    t = np.linspace(0.0, 1.0, truth.grid.n_points)
+    t = truth.grid.points
 
     mean_path = directory / f"{stem}_mean.csv"
     mean_path.write_text(write_table(["t_normalized", "mean"], [t, truth.mean]), newline="")
@@ -600,20 +599,14 @@ def save_truth(truth: SimTruth, directory: str | Path, stem: str = "truth") -> P
     return manifest_path
 
 
-def _read_truth_table(path: Path, n_columns: int) -> np.ndarray:
-    """A truth CSV: a uniform ``t_normalized`` column first, ``n_columns`` or more in all."""
-    data = read_file(path, read_table)[1]
-    if data.shape[1] < n_columns:
-        raise SchemaError(f"truth CSV {str(path)!r} has {data.shape[1]} columns, needs at least {n_columns}")
-    check_unit_grid(data[:, 0])
-    return data
-
-
 def load_truth(manifest_path: str | Path) -> SimTruth:
     """Load a truth manifest written by :func:`save_truth` (or by hand).
 
-    A missing or mistyped manifest field raises ConfigError; a malformed
-    file raises SchemaError or GridError.
+    The mean and eigenfunction CSVs are read like a warp CSV, by
+    :func:`~warpgrowth._table.read_unit_table`, with a mean column or one
+    column per eigenvalue after ``t_normalized``; a malformed one raises
+    SchemaError or GridError naming it. A missing or mistyped manifest
+    field, or a truth :class:`SimTruth` rejects, raises ConfigError.
     """
     manifest_path = Path(manifest_path)
     manifest = read_file(manifest_path, json.loads)
@@ -623,9 +616,9 @@ def load_truth(manifest_path: str | Path) -> SimTruth:
 
     t0, t1, eigenvalues = get("t0_month", int), get("t1_month", int), get("eigenvalues", [float])
     base = manifest_path.parent
-    mean = _read_truth_table(base / get("mean_csv", str), 2)[:, 1].copy()
+    mean = read_file(base / get("mean_csv", str), read_unit_table, 2)[1][:, 1].copy()
     # One component per row, laid out like default_truth's eigenfunctions.
-    phi = _read_truth_table(base / get("eigenfunctions_csv", str), 1 + len(eigenvalues))[:, 1:].copy().T
+    phi = read_file(base / get("eigenfunctions_csv", str), read_unit_table, 1 + len(eigenvalues))[1][:, 1:].copy().T
     return SimTruth(
         grid=TimeGrid(t0, t1 - t0 + 1),
         mean=mean,

@@ -48,16 +48,16 @@ def month_label(index: int) -> str:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Regular monthly grid, optionally rescaled to the unit interval.
+    """Regular monthly grid of ``n_points`` months from ``start_month``, rescaled to the unit interval.
 
-    A normalized grid keeps its month metadata so elapsed calendar time
-    stays recoverable: the grid maps ``start_month -> 0`` and
+    Warps, FPCA and the simulation truth all live on :attr:`points`,
+    ``linspace(0, 1, n_points)``; the month metadata keeps elapsed calendar
+    time recoverable, as the grid maps ``start_month -> 0`` and
     ``end_month -> 1`` affinely.
     """
 
     start_month: int
     n_points: int
-    normalized: bool = False
 
     def __post_init__(self):
         if self.n_points < 2:
@@ -78,13 +78,8 @@ class TimeGrid:
 
     @property
     def points(self) -> np.ndarray:
-        """Grid point positions: month indices, or [0, 1] when normalized."""
-        if self.normalized:
-            return np.linspace(0.0, 1.0, self.n_points)
-        return self.months.astype(float)
-
-    def normalize(self) -> "TimeGrid":
-        return TimeGrid(self.start_month, self.n_points, normalized=True)
+        """Grid point positions on the unit interval: ``linspace(0, 1, n_points)``."""
+        return np.linspace(0.0, 1.0, self.n_points)
 
     def to_normalized(self, month: float) -> float:
         return (month - self.start_month) / self.elapsed_months
@@ -124,6 +119,15 @@ def freeze_fields(obj, fields, what: str) -> None:
             raise GridError(f"{what}: {key} is {a.shape}, not {shape}")
         a.setflags(write=False)
         object.__setattr__(obj, key, a)
+
+
+def freeze_names(obj, what: str) -> tuple[str, ...]:
+    """Store ``obj.names`` as a tuple and return it; SchemaError listing every repeated name in ``what``."""
+    names = tuple(obj.names)
+    if len(set(names)) != len(names):
+        raise SchemaError(f"duplicate series names in {what}: {sorted({n for n in names if names.count(n) > 1})}")
+    object.__setattr__(obj, "names", names)
+    return names
 
 
 def _set_rows(obj, names: tuple[str, ...], shape: tuple[int, ...]) -> None:
@@ -169,11 +173,7 @@ class Panel:
     missing: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        names = tuple(self.names)
-        object.__setattr__(self, "names", names)
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise SchemaError(f"duplicate series names: {dupes}")
+        names = freeze_names(self, "panel")
         _set_rows(self, names, (len(names), self.grid.n_points))
 
     @property
@@ -317,6 +317,6 @@ def restrict(panel: Panel, from_month: int, to_month: int) -> tuple[Panel, list[
         raise EmptyPanelError(f"all {panel.n_series} series have gaps inside the window")
     kept = ~gappy
     names = np.array(panel.names, dtype=object)
-    sub = TimeGrid(from_month, to_month - from_month + 1, normalized=panel.grid.normalized)
+    sub = TimeGrid(from_month, to_month - from_month + 1)
     restricted = Panel(sub, tuple(names[kept]), panel.values[kept, cols], panel.missing[kept, cols])
     return restricted, names[gappy].tolist()

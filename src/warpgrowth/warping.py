@@ -21,23 +21,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._table import check_unit_grid, read_table, write_table
+from ._table import read_unit_table, write_table
 from .errors import ConfigError, GridError, NumericalError, RateError, SchemaError
 from .growthfit import AlphaEstimates, WindowFits
-from .timeseries import Panel, PriceSeries, TimeGrid, freeze_fields
+from .timeseries import Panel, PriceSeries, TimeGrid, freeze_fields, freeze_names
 
 
 @dataclass(frozen=True)
 class WarpSet:
-    """n warping functions on one normalized grid, as read-only arrays.
+    """n warping functions on the unit points of one grid, as read-only arrays.
 
     Row ``i`` of the n x m ``values`` (what :meth:`matrix` returns) and
-    entry ``i`` of the per-row arrays belong to ``names[i]``:
-    ``alpha_used`` is the per-month rate that produced the warp,
-    ``t0_normalized`` marks the end of the undisturbed interval in [0, 1],
-    and ``reliable`` is False when the rate was clamped at the positivity
-    floor. GridError for a grid that is not normalized, a shape mismatch or
-    a repeated name.
+    entry ``i`` of the per-row arrays belong to ``names[i]``; column ``j``
+    is at ``grid.points[j]``. ``alpha_used`` is the per-month rate that
+    produced the warp, ``t0_normalized`` marks the end of the undisturbed
+    interval in [0, 1], and ``reliable`` is False when the rate was clamped
+    at the positivity floor. GridError for a shape mismatch, SchemaError
+    for a repeated name.
     """
 
     grid: TimeGrid
@@ -48,13 +48,7 @@ class WarpSet:
     reliable: np.ndarray
 
     def __post_init__(self):
-        if not self.grid.normalized:
-            raise GridError("warp grid must be normalized")
-        names = tuple(self.names)
-        n = len(names)
-        if len(set(names)) != n:
-            raise GridError("duplicate series names in warp set")
-        object.__setattr__(self, "names", names)
+        n = len(freeze_names(self, "warp set"))
         fields = (("values", float, (n, self.grid.n_points)), ("alpha_used", float, (n,)),
                   ("t0_normalized", float, (n,)), ("reliable", bool, (n,)))
         freeze_fields(self, fields, f"warp set of {n} series on {self.grid.n_points} points")
@@ -97,7 +91,7 @@ def compute_warp_set(
     if hi - lo < 1:
         raise GridError("analysis window needs at least 2 points")
     panel.check_complete(lo, hi)
-    sub = TimeGrid(start, hi - lo + 1, normalized=True)
+    sub = TimeGrid(start, hi - lo + 1)
     logs = np.log(panel.values[:, lo:])
     with np.errstate(over="ignore"):
         h = (logs - logs[:, :1]) / (alpha * sub.elapsed_months)[:, None]
@@ -194,7 +188,7 @@ def identity_deviation(warps: WarpSet) -> np.ndarray:
 def warps_to_csv(warpset: WarpSet) -> str:
     """Export warps as ``t_normalized,<name1>,<name2>,...`` rows.
 
-    The first column is the normalized grid ``linspace(0, 1, m)``, which
+    The first column is the unit grid ``linspace(0, 1, m)``, which
     :func:`warps_from_csv` checks on the way back in. Floats carry 17
     significant digits so a read-back is exact.
     """
@@ -204,32 +198,13 @@ def warps_to_csv(warpset: WarpSet) -> str:
 def warps_from_csv(csv_text: str) -> WarpSet:
     """Read a warp CSV back into a :class:`WarpSet`.
 
-    The ``t_normalized`` column must hold at least 2 rows and equal
-    ``linspace(0, 1, m)`` within 1e-12, so a truncated file or one on
-    another spacing is rejected rather than silently regridded. The CSV
-    carries neither month metadata nor rates, so the grid is rebuilt as a
-    normalized grid anchored at month 0 and every ``alpha_used`` is 1.
-
-    Raises
-    ------
-    GridError
-        If the first column is not ``t_normalized``, there are fewer than
-        2 rows, or the column is off the uniform grid (the message names
-        the first mismatching row, counted from 1 at the header).
-    SchemaError
-        If a row is ragged, a cell is not a finite number, or :mod:`csv`
-        cannot split the text.
+    The table goes through :func:`~warpgrowth._table.read_unit_table`, so
+    a truncated file or one on another spacing raises GridError rather
+    than being silently regridded, and a missing warp column or a cell that
+    is not finite raises SchemaError, as does a repeated name. The CSV
+    carries neither month metadata nor rates, so the grid is anchored at
+    month 0 and every ``alpha_used`` is 1.
     """
-    header, data = read_table(csv_text)
-    if not header or header[0] != "t_normalized":
-        raise GridError("warp CSV must start with a 't_normalized' header column")
-    m = data.shape[0]
-    if m < 2:
-        raise GridError("warp CSV needs at least 2 rows")
-    check_unit_grid(data[:, 0])
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        i, j = bad[0]
-        raise SchemaError(f"row {i + 2}, column {header[j]!r}: value {float(data[i, j])!r} is not finite")
-    n, grid = len(header) - 1, TimeGrid(0, m, normalized=True)
+    header, data = read_unit_table(csv_text, 2)
+    n, grid = len(header) - 1, TimeGrid(0, data.shape[0])
     return WarpSet(grid, tuple(header[1:]), data[:, 1:].T, np.ones(n), np.zeros(n), np.ones(n, dtype=bool))

@@ -37,6 +37,35 @@ def warp_set(grid, rows, names=None) -> WarpSet:
     return WarpSet(grid, names, rows, np.ones(n), np.zeros(n), np.ones(n, dtype=bool))
 
 
+def _set_cell(row: int, column: int, cell: str):
+    """The table edit that sets cell ``column`` of row ``row`` (row 0: the header) to ``cell``."""
+    def edit(rows):
+        rows = [list(r) for r in rows]
+        rows[row][column] = cell
+        return rows
+    return edit
+
+
+#: Malformed ``t_normalized`` tables, each an edit of the cell rows of a valid
+#: table of at least 6 data rows and 2 columns (row 0 the header) and the text
+#: its error must contain; ``{col}`` stands for the first value column's name.
+#: The warp CSV of ``fpca --input`` and the truth CSVs of ``simulate --truth``
+#: must both reject each with exit code 2.
+MALFORMED_UNIT_TABLES = [
+    pytest.param(_set_cell(0, 0, "time"), "first header cell must be 't_normalized', got 'time'", id="renamed-first-column"),
+    pytest.param(lambda rows: rows[:2], "needs at least 2 rows, got 1", id="one-data-row"),
+    pytest.param(_set_cell(3, 0, "0.5"), "row 4: t_normalized 0.5 is not point 2 of a uniform", id="off-grid-row"),
+    pytest.param(_set_cell(2, 1, "nan"), "row 3, column '{col}': value nan is not finite", id="nan-cell"),
+    pytest.param(_set_cell(5, 1, "-inf"), "row 6, column '{col}': value -inf is not finite", id="inf-cell"),
+    pytest.param(lambda rows: [r[:1] for r in rows], "needs at least 2 columns, got 1", id="too-few-columns"),
+]
+
+
+def edit_table(text: str, edit) -> str:
+    """``text``, a table with no quoted cells, after ``edit`` of its rows of cells."""
+    return "".join(",".join(row) + "\n" for row in edit([line.split(",") for line in text.splitlines()]))
+
+
 @pytest.fixture
 def small_exp_panel() -> Panel:
     return exponential_panel([0.005, 0.0075, 0.01, 0.0125, 0.015], n_points=60)

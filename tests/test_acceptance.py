@@ -75,7 +75,7 @@ def test_criterion_2_fpca_oracle_equivalence():
     worst_fun = 0.0
     for _ in range(50):
         m = int(rng.integers(3, 13))
-        grid = TimeGrid(0, m, normalized=True)
+        grid = TimeGrid(0, m)
         a = rng.standard_normal((m, m))
         g = a @ a.T
         vals, phi = eigendecompose(g, grid)
@@ -102,7 +102,7 @@ def _fitted_models_for_suite():
     models = []
     rng = np.random.default_rng(33)
     t = np.linspace(0, 1, 41)
-    grid = TimeGrid(0, 41, normalized=True)
+    grid = TimeGrid(0, 41)
     basis = np.vstack([np.sin(np.pi * k * t) for k in range(1, 5)])
     coef = rng.standard_normal((12, 4)) * np.array([0.3, 0.15, 0.08, 0.03])
     rows = t + coef @ basis
@@ -139,7 +139,7 @@ def test_criterion_4_karhunen_loeve_reconstruction():
     n = 20
     xi = rng.standard_normal((n, truth.n_components))
     rows = truth.mean + (xi * np.sqrt(truth.eigenvalues)) @ truth.eigenfunctions
-    grid = TimeGrid(truth.grid.start_month, truth.grid.n_points, normalized=True)
+    grid = TimeGrid(truth.grid.start_month, truth.grid.n_points)
     ws = warp_set(grid, rows, [f"w{i:02d}" for i in range(n)])
     model = fit_fpca(ws, k=n - 1)
     w = model.weights

@@ -10,10 +10,10 @@ import pytest
 
 import warpgrowth
 from warpgrowth.cli import main
-from warpgrowth.simulate import SimTruth, save_truth
+from warpgrowth.simulate import SimTruth, default_truth, save_truth
 from warpgrowth.timeseries import Panel, TimeGrid, month_label, serialize_panel
 
-from conftest import exponential_panel
+from conftest import MALFORMED_UNIT_TABLES, edit_table, exponential_panel
 
 
 def write_panel(path, panel):
@@ -331,6 +331,28 @@ class TestSimulateCommand:
         assert code == 2
         assert "not point 0 of a uniform 60-point grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, column", [("mean_csv", "mean"), ("eigenfunctions_csv", "phi_1")])
+    @pytest.mark.parametrize("edit, message", MALFORMED_UNIT_TABLES)
+    def test_malformed_truth_csv_exits_2_naming_it(self, tmp_path, capsys, edit, message, key, column):
+        # One component, so the eigenfunction CSV needs 2 columns like the mean CSV.
+        truth = SimTruth(TimeGrid(144, 60), np.linspace(0, 1, 60), np.ones((1, 60)), np.array([1e-4]), n=6)
+        manifest = save_truth(truth, tmp_path / "truth")
+        path = manifest.parent / json.loads(manifest.read_text())[key]
+        path.write_text(edit_table(path.read_text(), edit))
+        out = tmp_path / "o"
+        assert main(["simulate", "--output-dir", str(out), "--truth", str(manifest), "--replicates", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: {path}: " in err and message.format(col=column) in err
+        assert not out.exists()
+
+    def test_non_finite_eigenvalue_is_configuration_error(self, tmp_path, capsys):
+        manifest = save_truth(default_truth(), tmp_path / "truth")
+        fields = json.loads(manifest.read_text())
+        fields["eigenvalues"][1] = float("nan")
+        manifest.write_text(json.dumps(fields))
+        assert main(["simulate", "--output-dir", str(tmp_path / "o"), "--truth", str(manifest)]) == 4
+        assert "configuration error: eigenvalues is not finite" in capsys.readouterr().err
+
     def test_requires_truth_choice(self, tmp_path):
         assert main(["simulate", "--output-dir", str(tmp_path / "o")]) == 4
 
@@ -503,10 +525,10 @@ def sample(grid, rows):
 
 
 truth = default_truth()
-grid = TimeGrid(0, truth.grid.n_points, normalized=True)
+grid = TimeGrid(0, truth.grid.n_points)
 curves = [truth.mean + 0.01 * i * truth.eigenfunctions[i % 3] for i in range(5)]
 assert fit_fpca(sample(grid, curves), k=2).n_retained == 2  # n < m: thin SVD
-small = TimeGrid(0, 4, normalized=True)
+small = TimeGrid(0, 4)
 rows = np.random.default_rng(0).standard_normal((6, 4))
 assert fit_fpca(sample(small, rows), k=2).n_retained == 2  # n >= m: eigendecompose
 

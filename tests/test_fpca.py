@@ -29,7 +29,7 @@ from oracles import oracle_eigendecompose
 
 def make_warpset(rows, start_month=0, names=None):
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    grid = TimeGrid(start_month, rows.shape[1], normalized=True)
+    grid = TimeGrid(start_month, rows.shape[1])
     return warp_set(grid, rows, names or [f"w{i:02d}" for i in range(rows.shape[0])])
 
 
@@ -50,7 +50,7 @@ class TestMeanFunction:
         np.testing.assert_allclose(mean_function(ws), 2 * t, rtol=0, atol=1e-15)
 
     def test_empty_sample(self):
-        grid = TimeGrid(0, 4, normalized=True)
+        grid = TimeGrid(0, 4)
         with pytest.raises(EmptySampleError):
             mean_function(WarpSet(grid, (), np.empty((0, 4)), [], [], []))
 
@@ -80,7 +80,7 @@ class TestCovarianceFunction:
 class TestEigendecompose:
     def test_rank_one_surface(self):
         m = 9
-        grid = TimeGrid(0, m, normalized=True)
+        grid = TimeGrid(0, m)
         w = trapezoid_weights(m)
         f = np.sin(np.linspace(0.3, 2.2, m)) + 0.4
         c = np.sqrt(np.sum(w * f**2))
@@ -91,12 +91,12 @@ class TestEigendecompose:
         np.testing.assert_allclose(align * phi[0], f / c, atol=1e-10)
 
     def test_zero_surface(self):
-        grid = TimeGrid(0, 5, normalized=True)
+        grid = TimeGrid(0, 5)
         vals, _ = eigendecompose(np.zeros((5, 5)), grid)
         assert np.all(vals == 0.0)
 
     def test_asymmetric_rejected(self):
-        grid = TimeGrid(0, 3, normalized=True)
+        grid = TimeGrid(0, 3)
         g = np.array([[1.0, 0.5, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(NumericalError):
             eigendecompose(g, grid)
@@ -104,7 +104,7 @@ class TestEigendecompose:
     def test_orthonormal_under_quadrature(self):
         rng = np.random.default_rng(5)
         m = 12
-        grid = TimeGrid(0, m, normalized=True)
+        grid = TimeGrid(0, m)
         a = rng.standard_normal((m, m))
         vals, phi = eigendecompose(a @ a.T, grid)
         w = trapezoid_weights(m)
@@ -114,7 +114,7 @@ class TestEigendecompose:
     def test_sign_rule_nonnegative_integral(self):
         rng = np.random.default_rng(6)
         m = 8
-        grid = TimeGrid(0, m, normalized=True)
+        grid = TimeGrid(0, m)
         a = rng.standard_normal((m, m))
         _, phi = eigendecompose(a @ a.T, grid)
         w = trapezoid_weights(m)
@@ -124,7 +124,7 @@ class TestEigendecompose:
 
     def test_matches_jacobi_oracle_hand_grid(self):
         # 3-point grid with a hand-built surface.
-        grid = TimeGrid(0, 3, normalized=True)
+        grid = TimeGrid(0, 3)
         g = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 0.8]])
         vals, phi = eigendecompose(g, grid)
         ovals, ophi = oracle_eigendecompose(g, grid)
@@ -137,7 +137,7 @@ class TestEigendecompose:
         rng = np.random.default_rng(7)
         for _ in range(10):
             m = int(rng.integers(3, 13))
-            grid = TimeGrid(0, m, normalized=True)
+            grid = TimeGrid(0, m)
             a = rng.standard_normal((m, m))
             g = a @ a.T
             vals, phi = eigendecompose(g, grid)
@@ -217,6 +217,11 @@ class TestFitAndProject:
         ws = smooth_sample(n=4)
         with pytest.raises(ConfigError):
             fit_fpca(ws, exclude=("nope",))
+
+    @pytest.mark.parametrize("threshold", [5.0, float("nan"), 0.0, -0.5])
+    def test_var_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ConfigError, match="var_threshold must be in"):
+            fit_fpca(smooth_sample(n=4), var_threshold=threshold)
 
     def test_too_few_after_exclusion(self):
         ws = smooth_sample(n=3)

@@ -17,7 +17,7 @@ from warpgrowth.growthfit import (
     estimate_alphas,
     search_interval,
 )
-from warpgrowth.simulate import _replicate_rng, default_truth, generate_replicate
+from warpgrowth.simulate import _philox, default_truth, generate_replicate
 from warpgrowth.timeseries import Panel, TimeGrid
 from warpgrowth.warping import compute_warp_set
 
@@ -420,7 +420,7 @@ WARP_TOL = 1e-12
 
 
 def replicate_panel(index):
-    return generate_replicate(TRUTH, _replicate_rng(0, index)).panel
+    return generate_replicate(TRUTH, _philox(0, 0, index)).panel
 
 
 def fit_chain(panel):

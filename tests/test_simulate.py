@@ -65,6 +65,14 @@ class TestSimTruthValidation:
         with pytest.raises(ConfigError):
             SimTruth(grid, u, np.vstack([f, g]), np.array([0.1, 0.5]))
 
+    @pytest.mark.parametrize("field", ["mean", "eigenfunctions", "eigenvalues"])
+    def test_non_finite_field_rejected(self, field):
+        m = 50
+        arrays = {"mean": np.linspace(0, 1, m), "eigenfunctions": np.ones((1, m)), "eigenvalues": np.array([0.01])}
+        arrays[field].flat[-1] = math.nan
+        with pytest.raises(ConfigError, match=f"^{field} is not finite$"):
+            SimTruth(TimeGrid(144, m), **arrays)
+
     def test_bad_ranges_rejected(self):
         with pytest.raises(ConfigError):
             identity_truth(alpha_range=(0.0, 0.01))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -18,6 +19,7 @@ from warpgrowth.timeseries import (
     serialize_panel,
 )
 
+from conftest import rate_fits, warp_set
 from oracles import parse_cells_per_cell
 
 
@@ -50,10 +52,12 @@ class TestTimeGrid:
             assert abs(back - month) <= 1e-12 * max(1.0, abs(month))
 
     def test_normalized_points_span_unit_interval(self):
-        grid = TimeGrid(144, 176).normalize()
+        grid = TimeGrid(144, 176)
         pts = grid.points
         assert pts[0] == 0.0 and pts[-1] == 1.0
+        assert np.array_equal(pts, np.linspace(0.0, 1.0, 176))
         assert grid.elapsed_months == 175
+        assert [f.name for f in dataclasses.fields(grid)] == ["start_month", "n_points"]
 
 
 class TestPriceSeries:
@@ -330,6 +334,15 @@ class TestPanelInvariants:
     def test_unique_names_enforced(self):
         with pytest.raises(SchemaError):
             Panel(TimeGrid(1, 2), ("A", "A"), [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("record, what", [
+        (lambda names: Panel(TimeGrid(1, 2), names, np.ones((3, 2))), "panel"),
+        (lambda names: rate_fits(names, np.ones(3)), "fits"),
+        (lambda names: warp_set(TimeGrid(0, 2), np.ones((3, 2)), names), "warp set"),
+    ])
+    def test_every_record_lists_repeated_names(self, record, what):
+        with pytest.raises(SchemaError, match=rf"^duplicate series names in {what}: \['A'\]$"):
+            record(("A", "B", "A"))
 
     def test_length_mismatch(self):
         with pytest.raises(GridError):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from warpgrowth.cli import main
 from warpgrowth.errors import ConfigError, GridError, MissingDataError, NumericalError, RateError, SchemaError
 from warpgrowth.growthfit import estimate_alphas, search_interval
 from warpgrowth.timeseries import Panel, TimeGrid
@@ -18,7 +19,7 @@ from warpgrowth.warping import (
     warps_to_csv,
 )
 
-from conftest import exponential_panel, one_series_panel, rate_fits
+from conftest import MALFORMED_UNIT_TABLES, edit_table, exponential_panel, one_series_panel, rate_fits
 
 
 def warp_of(values, alpha, start_month=0, window_start_month=None, t0_month=None, missing=None):
@@ -96,7 +97,7 @@ class TestComputeWarp:
 
     def test_identity_deviation_per_row(self):
         # Row 0 deviates by 0.1 on [0, t0]; row 1 has t0 before the grid and is measured at t = 0.
-        grid = TimeGrid(0, 11, normalized=True)
+        grid = TimeGrid(0, 11)
         t = grid.points
         rows = np.vstack([t + 0.1, t + 0.2 * t])
         warps = WarpSet(grid, ("a", "b"), rows, [1.0, 1.0], [0.5, -0.1], [True, True])
@@ -190,13 +191,28 @@ class TestWarpCsvGrid:
         with pytest.raises(SchemaError, match="row 3"):
             warps_from_csv("t_normalized,a\n0,0\n1\n")
 
+    def test_repeated_name_is_a_schema_error_listing_it(self):
+        with pytest.raises(SchemaError, match=r"duplicate series names in warp set: \['a'\]"):
+            warps_from_csv("t_normalized,a,b,a\n0,0,0,0\n1,1,1,1\n")
+
+    @pytest.mark.parametrize("edit, message", MALFORMED_UNIT_TABLES)
+    def test_malformed_table_exits_2_through_fpca(self, tmp_path, capsys, edit, message):
+        t = np.linspace(0.0, 1.0, 11)
+        path = tmp_path / "warps.csv"
+        path.write_text(edit_table(warp_csv_text(t, [t, 2 * t]), edit))
+        out = tmp_path / "out"
+        assert main(["fpca", "--input", str(path), "--output-dir", str(out), "--k", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: {path}: " in err and message.format(col="w0") in err
+        assert not out.exists()
+
 
 def _diag_residual(m, hfun, alpha_norm, xfun=None):
     u = np.linspace(0.0, 1.0, m)
     h = hfun(u)
     alpha_month = alpha_norm / (m - 1)
     x = 100.0 * np.exp(alpha_norm * h) if xfun is None else xfun(u)
-    warp = WarpSet(TimeGrid(0, m, normalized=True), ("s",), h[None], [alpha_month], [0.0], [True])
+    warp = WarpSet(TimeGrid(0, m), ("s",), h[None], [alpha_month], [0.0], [True])
     return second_order_diagnostic(one_series_panel(x), warp)[0]
 
 
@@ -235,12 +251,12 @@ class TestSecondOrderDiagnostic:
             second_order_diagnostic(panel, warps)
 
     def test_grid_too_small(self):
-        warp = WarpSet(TimeGrid(0, 4, normalized=True), ("s",), [np.linspace(0, 1, 4)], [0.01], [0.0], [True])
+        warp = WarpSet(TimeGrid(0, 4), ("s",), [np.linspace(0, 1, 4)], [0.01], [0.0], [True])
         with pytest.raises(GridError):
             second_order_diagnostic(one_series_panel(np.full(4, 10.0)), warp)
 
     def test_length_mismatch(self):
-        warp = WarpSet(TimeGrid(0, 6, normalized=True), ("s",), [np.linspace(0, 1, 6)], [0.01], [0.0], [True])
+        warp = WarpSet(TimeGrid(0, 6), ("s",), [np.linspace(0, 1, 6)], [0.01], [0.0], [True])
         with pytest.raises(GridError):
             second_order_diagnostic(one_series_panel(np.full(5, 10.0)), warp)
 

@@ -16,9 +16,13 @@ model fitted on real data can be fed back in as the truth. Generation
 rescales to calendar months internally: a normalized warp value u
 corresponds to ``u * elapsed_months`` months of market time.
 
-Each replicate's panel is one n x m array, filled row by row as candidates
-are accepted. Randomness is counter-based (Philox), one stream per
-``(seed, replicate index)``, and replicates run in index order.
+Candidates are drawn and scored in fixed chunks of ``_CHUNK``, with the
+warps summed term by term rather than by a matrix product, so generated
+data do not depend on BLAS. A candidate is rejected when its trajectory
+exceeds the cap or falls below the smallest normal float; the others fill
+the replicate's n x m panel in index order, and the replicate records how
+many candidates that took. Randomness is counter-based (Philox), one
+stream per ``(seed, replicate index)``, and replicates run in index order.
 """
 
 from __future__ import annotations
@@ -222,57 +226,79 @@ class Replicate:
 
     ``warps`` holds the anchored normalized truth ``h_i - h_i(0)`` that the
     estimation pipeline targets; ``scores`` are the standard normal draws.
+    ``attempts`` counts the candidates drawn up to and including the last
+    one accepted, so ``n / attempts`` is the replicate's acceptance rate.
     """
 
     panel: Panel
     alphas: np.ndarray
     warps: np.ndarray
     scores: np.ndarray
+    attempts: int
+
+
+#: Candidates drawn and scored per step of :func:`generate_replicate`.
+_CHUNK = 32
 
 
 def generate_replicate(truth: SimTruth, rng: np.random.Generator) -> Replicate:
     """Draw one accepted sample of n series from the truth.
 
-    Candidates are drawn as (score vector, rate, initial value) and
-    rejected wholesale whenever the trajectory exceeds the cap.
+    Candidates come in chunks of ``_CHUNK``. Each chunk draws, in this
+    order, the scores ``xi`` (``_CHUNK`` x K standard normals), the rates
+    and the initial values (``_CHUNK`` uniforms each) from ``rng``. Its
+    warps are summed elementwise in a fixed order, ``h = mu`` then
+    ``h += sqrt(lambda_k) xi_k phi_k`` for k = 1..K, so a candidate's bits
+    do not depend on the chunk around it or on BLAS. A candidate is
+    rejected wholesale when its trajectory exceeds the cap or falls below
+    the smallest normal float (a value no :class:`Panel` holds); the
+    others are accepted in index order until n are in.
 
     Raises
     ------
     ConfigError
-        If the acceptance rate drops below 1% over 10,000 draws.
+        If the acceptance rate is below 1% after at least 10,000 draws,
+        checked at the end of each chunk.
     """
+    n, n_comp = truth.n, truth.n_components
     m = truth.grid.n_points
     months = float(truth.grid.elapsed_months)
     root_lam = np.sqrt(truth.eigenvalues)
+    floor = np.finfo(float).tiny
 
-    values = np.empty((truth.n, m))
-    alphas = np.empty(truth.n)
-    warps = np.empty((truth.n, m))
-    scores = np.empty((truth.n, truth.n_components))
+    values = np.empty((n, m))
+    alphas = np.empty(n)
+    warps = np.empty((n, m))
+    scores = np.empty((n, n_comp))
     accepted = 0
     attempts = 0
-    while accepted < truth.n:
-        xi = rng.standard_normal(truth.n_components)
-        alpha = rng.uniform(*truth.alpha_range)
-        x0 = rng.uniform(*truth.x0_range)
-        attempts += 1
-        h = truth.mean + (root_lam * xi) @ truth.eigenfunctions
-        h_anchored = h - h[0]
-        x = x0 * np.exp(alpha * months * h_anchored)
-        if x.max() > truth.cap:
+    while accepted < n:
+        xi = rng.standard_normal((_CHUNK, n_comp))
+        alpha = rng.uniform(*truth.alpha_range, _CHUNK)
+        x0 = rng.uniform(*truth.x0_range, _CHUNK)
+        # An overflow leaves inf or NaN in x, or 0 after exp(-inf): each fails a test below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = xi * root_lam
+            h = np.repeat(truth.mean[None], _CHUNK, axis=0)
+            for k in range(n_comp):
+                h += c[:, k : k + 1] * truth.eigenfunctions[k]
+            h -= h[:, :1]
+            x = x0[:, None] * np.exp((alpha * months)[:, None] * h)
+        ok = np.flatnonzero((x.max(axis=1) <= truth.cap) & (x.min(axis=1) >= floor))[: n - accepted]
+        rows = slice(accepted, accepted + ok.size)
+        values[rows], alphas[rows], warps[rows], scores[rows] = x[ok], alpha[ok], h[ok], xi[ok]
+        accepted += ok.size
+        if accepted == n:
+            attempts += int(ok[-1]) + 1
+        else:
+            attempts += _CHUNK
             if attempts >= 10_000 and accepted / attempts < 0.01:
                 raise ConfigError(
                     f"acceptance rate {accepted / attempts:.2%} after {attempts} draws; "
                     f"truth is incompatible with the cap {truth.cap}"
                 )
-            continue
-        values[accepted] = x
-        alphas[accepted] = alpha
-        warps[accepted] = h_anchored
-        scores[accepted] = xi
-        accepted += 1
-    names = tuple(f"sim{i + 1:02d}" for i in range(truth.n))
-    return Replicate(Panel(truth.grid, names, values), alphas, warps, scores)
+    names = tuple(f"sim{i + 1:02d}" for i in range(n))
+    return Replicate(Panel(truth.grid, names, values), alphas, warps, scores, attempts)
 
 
 def _fsum_mean(values) -> float:
@@ -320,9 +346,14 @@ def sign_aligned_sq_error(phi_hat: np.ndarray, phi_true: np.ndarray, weights: np
 
 @dataclass(frozen=True)
 class ReplicateMetrics:
-    """Per-replicate outcome; failed replicates carry the error text."""
+    """Per-replicate outcome; failed replicates carry the error text.
+
+    ``attempts`` is the generator's candidate count (:class:`Replicate`),
+    kept for failed replicates too.
+    """
 
     index: int
+    attempts: int
     failed: bool = False
     error: str | None = None
     window_start: int | None = None
@@ -364,13 +395,14 @@ class SimReport:
 
     def replicates_to_csv(self) -> str:
         header = (
-            "replicate,failed,window_start,window_end,mean_r2,ase,rise,rise_excluded,"
+            "replicate,failed,attempts,window_start,window_end,mean_r2,ase,rise,rise_excluded,"
             "phi1_sq_err,phi2_sq_err,lambda1_rel_sq_err,lambda2_rel_sq_err,var_explained_2"
         ).split(",")
         rows = (
             [
                 r.index,
                 int(r.failed),
+                r.attempts,
                 "" if r.window_start is None else r.window_start,
                 "" if r.window_end is None else r.window_end,
                 r.mean_r2, r.ase, r.rise, r.rise_excluded,
@@ -426,6 +458,7 @@ def _run_one_replicate(truth: SimTruth, seed: int, index: int) -> ReplicateMetri
 
         return ReplicateMetrics(
             index=index,
+            attempts=rep.attempts,
             window_start=search.best_window[0],
             window_end=search.best_window[1],
             mean_r2=search.mean_r2,
@@ -437,7 +470,7 @@ def _run_one_replicate(truth: SimTruth, seed: int, index: int) -> ReplicateMetri
             var_explained_2=ve2,
         )
     except WarpGrowthError as exc:
-        return ReplicateMetrics(index=index, failed=True, error=f"{type(exc).__name__}: {exc}")
+        return ReplicateMetrics(index=index, attempts=rep.attempts, failed=True, error=f"{type(exc).__name__}: {exc}")
 
 
 def _mean_sd(values: list[float]) -> dict:
@@ -466,6 +499,7 @@ def run_study(truth: SimTruth, n_replicates: int, seed: int | None = None, n_job
     ok = [r for r in results if not r.failed]
     aggregates: dict = {"n_succeeded": len(ok)}
     if ok:
+        aggregates["acceptance_rate"] = truth.n * len(ok) / sum(r.attempts for r in ok)
         aggregates["ase"] = _mean_sd([r.ase for r in ok])
         aggregates["rise"] = _mean_sd([r.rise for r in ok])
         aggregates["window_start"] = _mean_sd([float(r.window_start) for r in ok])

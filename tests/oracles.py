@@ -141,3 +141,45 @@ def free_fit_per_series(series, grid, window):
     sst = float(np.sum(dc**2))
     r2 = 1.0 if sst == 0.0 else min(1.0, max(0.0, 1.0 - float(np.sum(resid**2)) / sst))
     return OlsFit(alpha, intercept, r2)
+
+
+def generate_replicate_per_candidate(truth, rng):
+    """``generate_replicate`` with the same chunked draws, each candidate built and tested on its own.
+
+    Every chunk draws ``_CHUNK`` score vectors, then ``_CHUNK`` rates, then
+    ``_CHUNK`` initial values. Candidate ``i`` sums its warp term by term
+    from the mean, anchors it at the first grid point and is kept when its
+    trajectory stays within ``[tiny, cap]``. Returns
+    (values, alphas, warps, scores, attempts), attempts counting through
+    the last candidate kept, or raises the same ConfigError when fewer
+    than 1% of at least 10,000 draws were kept at a chunk's end.
+    """
+    from warpgrowth.errors import ConfigError
+    from warpgrowth.simulate import _CHUNK
+
+    months = float(truth.grid.elapsed_months)
+    root_lam = np.sqrt(truth.eigenvalues)
+    tiny = np.finfo(float).tiny
+    kept = []
+    attempts = 0
+    while len(kept) < truth.n:
+        xi = rng.standard_normal((_CHUNK, truth.n_components))
+        alpha = rng.uniform(*truth.alpha_range, _CHUNK)
+        x0 = rng.uniform(*truth.x0_range, _CHUNK)
+        for i in range(_CHUNK):
+            attempts += 1
+            c = xi[i] * root_lam
+            h = truth.mean.copy()
+            for k in range(truth.n_components):
+                h += c[k] * truth.eigenfunctions[k]
+            h = h - h[0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = x0[i] * np.exp(alpha[i] * months * h)
+            if x.max() <= truth.cap and x.min() >= tiny:
+                kept.append((x, alpha[i], h, xi[i]))
+                if len(kept) == truth.n:
+                    break
+        if len(kept) < truth.n and attempts >= 10_000 and len(kept) / attempts < 0.01:
+            raise ConfigError(f"acceptance rate {len(kept) / attempts:.2%} after {attempts} draws")
+    values, alphas, warps, scores = (np.array(column) for column in zip(*kept))
+    return values, alphas, warps, scores.reshape(truth.n, truth.n_components), attempts

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -352,6 +353,27 @@ class TestSimulateCommand:
         manifest.write_text(json.dumps(fields))
         assert main(["simulate", "--output-dir", str(tmp_path / "o"), "--truth", str(manifest)]) == 4
         assert "configuration error: eigenvalues is not finite" in capsys.readouterr().err
+
+    def test_truth_with_overflowing_trajectories_runs(self, tmp_path, capsys):
+        # Eigenvalues x 1e8 keep the truth valid, but many candidate
+        # trajectories overflow or fall below the normal range; they are
+        # rejected like one over the cap, silently and never as an input error.
+        manifest = save_truth(default_truth(), tmp_path / "truth")
+        fields = json.loads(manifest.read_text())
+        fields["eigenvalues"] = [v * 1e8 for v in fields["eigenvalues"]]
+        manifest.write_text(json.dumps(fields))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                ["simulate", "--output-dir", str(out), "--truth", str(manifest), "--replicates", "2", "--seed", "0"]
+            )
+        err = capsys.readouterr().err
+        assert code in (0, 4), err
+        if code == 4:
+            assert "configuration error: acceptance rate" in err
+        else:
+            assert json.loads((out / "sim_report.json").read_text())["n_replicates"] == 2
 
     def test_requires_truth_choice(self, tmp_path):
         assert main(["simulate", "--output-dir", str(tmp_path / "o")]) == 4

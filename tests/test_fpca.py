@@ -10,6 +10,7 @@ from warpgrowth.errors import (
     SampleSizeError,
 )
 from warpgrowth.fpca import (
+    _spectrum,
     covariance_function,
     eigendecompose,
     fit_fpca,
@@ -363,6 +364,43 @@ class TestSampleSpectrum:
         ws = smooth_sample(n=10, seed=12)
         model = fit_fpca(ws, exclude=("w02",), k=3)
         assert np.array_equal(model.scores, project_scores(ws, model))
+
+
+class TestSignRuleTies:
+    """An eigenfunction odd about t = 1/2 has a zero integral; its sign is set by phi(1)."""
+
+    @staticmethod
+    def odd_even_pair(m):
+        # Exactly odd f (f[m-1-i] == -f[i]) and even g on a symmetric grid.
+        t = np.linspace(0, 1, m)
+        half = t[: m // 2] - 0.5
+        f = np.concatenate([half, [0.0], -half[::-1]])
+        g = 1.0 + np.cos(2.0 * np.pi * t)
+        g = (g + g[::-1]) / 2.0
+        w = trapezoid_weights(m)
+        return t, f / np.sqrt(np.sum(w * f**2)), g / np.sqrt(np.sum(w * g**2))
+
+    @pytest.mark.parametrize("n, m", [(8, 41), (44, 21)], ids=["svd-n<m", "eigh-n>=m"])
+    def test_odd_eigenfunction_ends_nonnegative(self, n, m):
+        t, f, g = self.odd_even_pair(m)
+        c1 = np.tile([1.0, -1.0], n // 2) * 0.3  # mean-zero, orthogonal score columns
+        c2 = np.tile([1.0, 1.0, -1.0, -1.0], n // 4) * 0.1
+        model = fit_fpca(make_warpset(t + np.outer(c1, f) + np.outer(c2, g)), k=2)
+        phi1 = model.eigenfunctions[0]
+        assert abs(float(phi1 @ model.weights)) <= 1e-12
+        assert phi1[-1] >= 0.0
+        np.testing.assert_allclose(phi1, f, rtol=0, atol=1e-10)
+        assert float(model.eigenfunctions[1] @ model.weights) > 0.0
+
+    def test_rule_not_solver_picks_the_sign(self):
+        m = 21
+        _, f, _ = self.odd_even_pair(m)
+        v = f * np.sqrt(trapezoid_weights(m))
+        vals = np.array([1.0])
+        _, up = _spectrum(vals, v[:, None], m)
+        _, down = _spectrum(vals, -v[:, None], m)
+        assert np.array_equal(up[0], down[0])
+        assert up[0, -1] > 0.0
 
 
 class TestModesOfVariation:

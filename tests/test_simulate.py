@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from warpgrowth.errors import ConfigError
 from warpgrowth.quadrature import trapezoid_weights
@@ -17,8 +20,10 @@ from warpgrowth.simulate import (
     save_truth,
     sign_aligned_sq_error,
 )
-from warpgrowth.simulate import _spline_coefficients, _spline_values
+from warpgrowth.simulate import _CHUNK, _spline_coefficients, _spline_values
 from warpgrowth.timeseries import TimeGrid
+
+from oracles import generate_replicate_per_candidate
 
 
 def identity_truth(n=20, alpha_range=(0.003, 0.018), x0_range=(85.0, 100.0), m=176, **kw):
@@ -28,6 +33,11 @@ def identity_truth(n=20, alpha_range=(0.003, 0.018), x0_range=(85.0, 100.0), m=1
     phi = np.empty((0, m))
     lam = np.empty(0)
     return SimTruth(grid, u, phi, lam, n=n, alpha_range=alpha_range, x0_range=x0_range, **kw)
+
+
+#: The default truth with its eigenvalues scaled by 1e8: valid, but most of
+#: its trajectories overflow or underflow.
+WIDE_TRUTH = replace(default_truth(), eigenvalues=default_truth().eigenvalues * 1e8)
 
 
 class TestSimTruthValidation:
@@ -139,6 +149,10 @@ class TestGenerateReplicate:
         rep = generate_replicate(truth, np.random.default_rng(1))
         for s in rep.panel.series:
             assert s.values.max() <= 300.0
+        # Trajectories that overflow or fall below the normal range are rejected too.
+        rep = generate_replicate(replace(WIDE_TRUTH, n=20), np.random.default_rng(0))
+        assert rep.panel.values.max() <= 300.0
+        assert rep.panel.values.min() >= np.finfo(float).tiny
 
     def test_rejection_truncates_rates(self):
         # Identity mean over 175 months: alpha above ~log(300/x0)/175 is
@@ -167,15 +181,53 @@ class TestGenerateReplicate:
             assert np.array_equal(a.values, b.values)
 
     def test_draw_order_is_scores_rate_initial(self):
-        truth = identity_truth(n=1, alpha_range=(0.003, 0.004), m=60)
+        # One chunk of 32 candidates: all 32 score vectors, then 32 rates,
+        # then 32 initial values. With n = 1 the first accepted candidate
+        # ends the draw, so the generator has taken exactly one chunk.
+        assert _CHUNK == 32
+        truth = replace(default_truth(), n=1)
         rng = np.random.default_rng(9)
         rep = generate_replicate(truth, rng)
         ref = np.random.default_rng(9)
-        ref.standard_normal(0)
-        alpha = ref.uniform(0.003, 0.004)
-        x0 = ref.uniform(85.0, 100.0)
-        assert rep.alphas[0] == alpha
-        assert rep.panel.series[0].values[0] == pytest.approx(x0, rel=1e-15)
+        xi = ref.standard_normal((32, 10))
+        alpha = ref.uniform(0.003, 0.018, 32)
+        x0 = ref.uniform(85.0, 100.0, 32)
+        i = rep.attempts - 1
+        assert 0 <= i < 32
+        assert np.array_equal(rep.scores[0], xi[i])
+        assert rep.alphas[0] == alpha[i]
+        assert rep.panel.values[0, 0] == x0[i]  # the warp is anchored at 0, so X(T0) = x0 exactly
+        assert rng.standard_normal() == ref.standard_normal()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["default", "identity", "wide"]),
+        n=st.integers(min_value=1, max_value=20),
+        cap=st.floats(min_value=170.0, max_value=400.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(kind="default", n=20, cap=300.0, seed=0)
+    @example(kind="identity", n=1, cap=300.0, seed=1)
+    @example(kind="default", n=1, cap=170.0, seed=2)
+    @example(kind="identity", n=20, cap=170.0, seed=3)
+    @example(kind="wide", n=2, cap=300.0, seed=0)
+    def test_matches_per_candidate_oracle(self, kind, n, cap, seed):
+        truth = {"default": default_truth(), "identity": identity_truth(), "wide": WIDE_TRUTH}[kind]
+        truth = replace(truth, n=n, cap=cap)
+        try:
+            values, alphas, warps, scores, attempts = generate_replicate_per_candidate(
+                truth, np.random.default_rng(seed)
+            )
+        except ConfigError:
+            with pytest.raises(ConfigError, match="acceptance"):
+                generate_replicate(truth, np.random.default_rng(seed))
+            return
+        rep = generate_replicate(truth, np.random.default_rng(seed))
+        assert rep.attempts == attempts
+        assert np.array_equal(rep.panel.values, values)
+        assert np.array_equal(rep.alphas, alphas)
+        assert np.array_equal(rep.warps, warps)
+        assert np.array_equal(rep.scores, scores)
 
 
 class TestMetrics:

@@ -6,12 +6,21 @@ in every cell) by :func:`write_table`, mixed rows by :func:`write_rows`.
 Input files go through :func:`read_file`, so malformed content raises a
 typed error (SchemaError, GridError) naming the file, never a builtin;
 every ``t_normalized`` table is checked by :func:`read_unit_table`.
+
+Numeric bodies are read by :func:`read_block`, which hands the lines
+after the header (:func:`split_header`) to :func:`numpy.loadtxt`'s C
+tokenizer. It returns None for any text the tokenizer might read other
+than :mod:`csv` and :func:`float` do; the caller then reads it again
+through :func:`csv_rows`, which is the reference and names the first bad
+cell. Only the header, whose names may be quoted or hold line breaks,
+always goes through :mod:`csv`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import reprlib
 import sys
@@ -71,6 +80,60 @@ def csv_rows(text: str) -> list[list[str]]:
         raise SchemaError(f"line {reader.line_num}: {exc}") from None
 
 
+def split_header(text: str) -> tuple[list[str], list[str]] | None:
+    """The first non-blank row of CSV text and the lines after it; None if :mod:`csv` finds no row or fails on it.
+
+    The header is read by :mod:`csv` from the same lines :func:`csv_rows`
+    reads, so the two agree on it. The lines are ``text`` split at
+    ``"\\n"``, which they lose; a ``"\\r"`` before it stays.
+    """
+    lines = text.split("\n")
+    reader = csv.reader(itertools.chain((line + "\n" for line in lines[:-1]), lines[-1:]))
+    try:
+        header = next(row for row in reader if row)
+    except (csv.Error, StopIteration):
+        return None
+    return header, lines[reader.line_num :]
+
+
+#: ASCII characters that numpy's float parser strips as whitespace and ``float`` refuses.
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def read_block(lines: list[str], n_cols: int, converters: dict | None = None) -> np.ndarray | None:
+    """The (rows, ``n_cols``) float array that CSV body ``lines`` spell, read by :func:`numpy.loadtxt`.
+
+    Blank lines (``""`` or ``"\\r"``) are skipped, as :func:`csv_rows`
+    skips them; ``converters`` maps a column to a function of its cell
+    text, as in :func:`numpy.loadtxt`. The tokenizer quotes and strips
+    cells as :mod:`csv` and :func:`float` do, and both convert digits
+    with the same ``PyOS_string_to_double``, so a block it takes holds
+    the bits :func:`read_table` would hold. The result is None where
+    the two readers could part ways, and the caller falls back to
+    :func:`csv_rows`:
+
+    - the tokenizer refuses a cell (an empty one, ``1_000``, non-ASCII
+      digits) or the number of cells in a row changes;
+    - a line is longer than ``csv.field_size_limit()``, so :mod:`csv`
+      may refuse one of its fields however valid its digits;
+    - a line holds ``\\x1c``-``\\x1f``, which only numpy strips;
+    - the block has fewer rows than non-blank lines: a quoted cell ran
+      over a line end, and the tokenizer joins lines that :mod:`csv`
+      keeps apart.
+    """
+    limit = csv.field_size_limit()
+    if any(len(line) > limit or any(c in line for c in _NUMPY_ONLY_SPACE) for line in lines):
+        return None
+    n_rows = sum(line not in ("", "\r") for line in lines)
+    if not n_rows:
+        return np.empty((0, n_cols))
+    try:
+        block = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2, converters=converters)
+    except ValueError:
+        return None
+    return block if block.shape == (n_rows, n_cols) else None
+
+
 def read_file(path: str | Path, parse: Callable[..., object], *args):
     """``parse(text, *args)`` of the UTF-8 text of file ``path``, line endings untranslated as :mod:`csv` expects.
 
@@ -125,7 +188,9 @@ def read_table(text: str) -> tuple[list[str], np.ndarray]:
     """Parse a column table into its header and a (rows, columns) float array.
 
     Blank lines are skipped. Empty text gives an empty header and a (0, 0)
-    array.
+    array. The body goes through :func:`read_block`; text it does not take
+    is read cell by cell with :func:`csv_rows` and ``float``, which gives
+    the same array or names the error.
 
     Raises
     ------
@@ -134,6 +199,10 @@ def read_table(text: str) -> tuple[list[str], np.ndarray]:
         than the header, or a cell is not a number. Rows are counted from
         1 at the header.
     """
+    split = split_header(text)
+    data = None if split is None else read_block(split[1], len(split[0]))
+    if data is not None:
+        return split[0], data
     rows = csv_rows(text)
     if not rows:
         return [], np.empty((0, 0))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._table import csv_rows, write_rows
+from ._table import csv_rows, read_block, split_header, write_rows
 from .errors import EmptyPanelError, GridError, MissingDataError, SchemaError
 
 EPOCH_YEAR = 1987
@@ -216,6 +216,48 @@ _BLANK_BITS = 0x7FF8_0000_0000_B1A4
 _BLANK = struct.unpack("<d", struct.pack("<Q", _BLANK_BITS))[0]
 
 
+def _series_names(header: list[str]) -> list[str]:
+    """The series names of a panel's header row; SchemaError unless it is ``date,<name1>,...`` with no empty name."""
+    if header[0].strip() != "date":
+        raise SchemaError(f"first header cell must be 'date', got {reprlib.repr(header[0])}")
+    names = [c.strip() for c in header[1:]]
+    if not names:
+        raise SchemaError("no series columns after the date column")
+    if any(not n for n in names):
+        raise SchemaError("empty series name in header")
+    return names
+
+
+def _mark_blanks(line: str) -> str:
+    """A panel body line with ``nan`` in each empty value cell, which the tokenizer would refuse; the
+    ``"\\r"`` of a ``"\\r\\n"`` line end goes, so a trailing empty cell is one too."""
+    line = line.removesuffix("\r").replace(",,", ",nan,").replace(",,", ",nan,")
+    return line + "nan" if line.endswith(",") else line
+
+
+def _parse_block(csv_text: str) -> Panel | None:
+    """:func:`parse_panel` through :func:`~warpgrowth._table.read_block`; None for text it does not take or
+    that fails a check, which :func:`parse_panel` then reads cell by cell to name the error."""
+    split = split_header(csv_text)
+    if split is None:
+        return None
+    header, lines = split
+    # A cell spelling nan or inf is never a valid level; without one, every NaN is a marked blank.
+    if any("n" in line or "N" in line for line in lines):
+        return None
+    block = read_block([_mark_blanks(line) for line in lines], len(header), {0: month_index})
+    if block is None or len(block) < 2:
+        return None
+    months = block[:, 0]
+    if not np.array_equal(months, months[0] + np.arange(len(months))):
+        return None
+    values = block[:, 1:].T
+    try:
+        return Panel(TimeGrid(int(months[0]), len(months)), tuple(_series_names(header)), values, np.isnan(values))
+    except SchemaError:
+        return None
+
+
 def parse_panel(csv_text: str) -> Panel:
     """Parse a panel from CSV text.
 
@@ -225,6 +267,14 @@ def parse_panel(csv_text: str) -> Panel:
     at least ``np.finfo(float).tiny``: zero, negatives, ``nan``, ``inf``
     and subnormals such as ``1e-320`` are rejected, because the pipeline
     takes their logarithm.
+
+    The header goes through :mod:`csv`; the rows go through
+    :func:`~warpgrowth._table.read_block`, numpy's C tokenizer, with each
+    empty cell marked ``nan`` first. A text it does not take, or one that
+    fails a check, is read again with :func:`~warpgrowth._table.csv_rows`
+    and one ``float`` per stripped cell: that path gives the same panel
+    for spellings only Python takes (``1_000``, non-ASCII digits,
+    whitespace-only blank cells) and names the first error.
 
     Raises
     ------
@@ -237,17 +287,13 @@ def parse_panel(csv_text: str) -> Panel:
     GridError
         On fewer than 2 rows, a malformed date or non-consecutive months.
     """
+    panel = _parse_block(csv_text)
+    if panel is not None:
+        return panel
     rows = csv_rows(csv_text)
     if not rows:
         raise SchemaError("empty input")
-    header = rows[0]
-    if header[0].strip() != "date":
-        raise SchemaError(f"first header cell must be 'date', got {reprlib.repr(header[0])}")
-    names = [c.strip() for c in header[1:]]
-    if not names:
-        raise SchemaError("no series columns after the date column")
-    if any(not n for n in names):
-        raise SchemaError("empty series name in header")
+    names = _series_names(rows[0])
 
     data_rows = rows[1:]
     if len(data_rows) < 2:
@@ -264,13 +310,15 @@ def parse_panel(csv_text: str) -> Panel:
                 f"non-consecutive months: {month_label(prev)} followed by {month_label(cur)}"
             )
 
-    # One conversion per cell, one row at a time: blank cells become the
-    # _BLANK NaN, which no spelled-out cell ("nan", "-nan") converts to.
+    # One conversion per stripped cell, one row at a time: blank cells become
+    # the _BLANK NaN, which no spelled-out cell ("nan", "-nan") converts to.
+    # float itself strips less than str.strip ("\x1c"-"\x1f" stay), so each
+    # cell is stripped first, as _raise_first_bad_cell strips it.
     n = len(data_rows)
     values = np.empty((len(names), n))
     try:
         for i, row in enumerate(data_rows):
-            values[:, i] = [float(c) if c.strip() else _BLANK for c in row[1:]]
+            values[:, i] = [float(c) if c else _BLANK for c in map(str.strip, row[1:])]
     except ValueError:
         _raise_first_bad_cell(data_rows, names)
         raise

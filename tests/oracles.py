@@ -64,6 +64,34 @@ def csv_table_per_cell(header, columns):
     return out.getvalue()
 
 
+def read_table_per_cell(text):
+    """Header and (rows, columns) float array of a column table, read by ``csv.reader`` with one ``float`` per cell.
+
+    Blank lines are skipped. Raises the ValueError whose message
+    ``warpgrowth._table.read_table`` gives its SchemaError: the first row,
+    in file order, of another width than the header or holding a cell that
+    is not a number.
+    """
+    import csv
+    import io
+    import reprlib
+
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    if not rows:
+        return [], np.empty((0, 0))
+    header, body = rows[0], rows[1:]
+    values = np.empty((len(body), len(header)))
+    for i, row in enumerate(body):
+        if len(row) != len(header):
+            raise ValueError(f"row {i + 2}: expected {len(header)} cells, got {len(row)}")
+        for j, (name, cell) in enumerate(zip(header, row)):
+            try:
+                values[i, j] = float(cell)
+            except ValueError:
+                raise ValueError(f"row {i + 2}, column {name!r}: cannot parse {reprlib.repr(cell)}") from None
+    return header, values
+
+
 def csv_rows_per_row(header, rows):
     """Mixed rows written one ``csv.writer`` row at a time, floats as ``f"{v:.17g}"`` strings.
 

@@ -457,10 +457,12 @@ class TestInputBoundary:
 
     def test_panel_cell_over_csv_field_limit(self, tmp_path, capsys):
         path = tmp_path / "huge.csv"
-        path.write_text("date,A\n2000-01,100\n2000-02," + "9" * 200_000 + "\n")
-        assert main(["fit", "--input", str(path), "--output-dir", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert str(path) in err and "field larger than field limit" in err
+        # The second cell spells the valid level 1, which numpy's tokenizer would take.
+        for cell in ("9" * 200_000, "1." + "0" * 200_000):
+            path.write_text("date,A\n2000-01,100\n2000-02," + cell + "\n")
+            assert main(["fit", "--input", str(path), "--output-dir", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert str(path) in err and "field larger than field limit" in err
 
         # Under the field limit the cell is read, and the message echoes it truncated.
         for cell in ("x" * 100_000, "9" * 100_000):  # not a number; a number that overflows
@@ -473,11 +475,12 @@ class TestInputBoundary:
         path = chain / "warps.csv"
         lines = path.read_text().splitlines()
         head, last = lines[3].rsplit(",", 1)[0], lines[0].rsplit(",", 1)[1]
-        lines[3] = head + "," + "9" * 200_000
-        path.write_text("\n".join(lines) + "\n")
-        assert main(["fpca", "--input", str(path), "--output-dir", str(chain / "f")]) == 2
-        err = capsys.readouterr().err
-        assert str(path) in err and "line 4" in err
+        for cell in ("9" * 200_000, "1." + "0" * 200_000):  # the second a valid number
+            lines[3] = head + "," + cell
+            path.write_text("\n".join(lines) + "\n")
+            assert main(["fpca", "--input", str(path), "--output-dir", str(chain / "f")]) == 2
+            err = capsys.readouterr().err
+            assert str(path) in err and "line 4: field larger than field limit" in err
 
         lines[3] = head + "," + "x" * 100_000
         path.write_text("\n".join(lines) + "\n")

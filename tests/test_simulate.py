@@ -140,15 +140,12 @@ class TestGenerateReplicate:
         for i in range(5):
             assert np.array_equal(rep.warps[i], truth.anchored_mean())
         # Trajectories still differ through alpha and the initial value.
-        v0 = rep.panel.series[0].values
-        v1 = rep.panel.series[1].values
-        assert not np.allclose(v0, v1)
+        assert not np.allclose(rep.panel.values[0], rep.panel.values[1])
 
     def test_cap_never_exceeded(self):
         truth = identity_truth(n=20)
         rep = generate_replicate(truth, np.random.default_rng(1))
-        for s in rep.panel.series:
-            assert s.values.max() <= 300.0
+        assert rep.panel.values.max() <= 300.0
         # Trajectories that overflow or fall below the normal range are rejected too.
         rep = generate_replicate(replace(WIDE_TRUTH, n=20), np.random.default_rng(0))
         assert rep.panel.values.max() <= 300.0
@@ -177,8 +174,7 @@ class TestGenerateReplicate:
         rep2 = generate_replicate(truth, np.random.default_rng(42))
         assert np.array_equal(rep1.alphas, rep2.alphas)
         assert np.array_equal(rep1.scores, rep2.scores)
-        for a, b in zip(rep1.panel.series, rep2.panel.series):
-            assert np.array_equal(a.values, b.values)
+        assert rep1.panel.values.tobytes() == rep2.panel.values.tobytes()
 
     def test_draw_order_is_scores_rate_initial(self):
         # One chunk of 32 candidates: all 32 score vectors, then 32 rates,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from warpgrowth._table import csv_rows, read_table, write_rows, write_table
 from warpgrowth.errors import SchemaError
 
-from oracles import csv_rows_per_row, csv_table_per_cell
+from oracles import csv_rows_per_row, csv_table_per_cell, read_table_per_cell
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1.5]
 
@@ -136,6 +136,56 @@ class TestReadTable:
         with pytest.raises(SchemaError, match="row 2: expected 2 cells, got 3"):
             read_table("t,a\n0,1,2\n1,2,3\n")
 
+    def test_quoted_cell_over_a_line_end(self):
+        # csv keeps the line break in the cell; numpy's tokenizer would join
+        # the two lines into the number 12.
+        with pytest.raises(SchemaError, match=r"row 2, column 't': cannot parse '1\\n2'"):
+            read_table('t,a\n"1\n2",5\n')
+
     def test_unparseable_cell_names_row_and_column(self):
         with pytest.raises(SchemaError, match="row 3, column 'a': cannot parse 'x'"):
             read_table("t,a\n0,1\n1,x\n")
+
+
+# Raw field texts: numbers as the table writer spells them, and spellings
+# where numpy's C tokenizer and csv + float could part ways (quoted, signed,
+# overflowing, "1_000", non-ASCII digits, blank, holding "#", edged with a
+# character only numpy strips, a quote left open over a line end).
+TABLE_CELLS = st.one_of(
+    floats.map(lambda v: "%.17g" % v),
+    st.integers(min_value=-10**6, max_value=10**6).map(str),
+    st.sampled_from(['"1"5', '"2.5"', '" 7 "', "+1", "-0", "1e400", "infinity", "-inf", "nan", "1_000", "١",
+                     "", " ", '""', "#", "1#", "x", '1"5"', "\x1c1", "1\x1f", '"1', '2"']),
+)
+
+
+@st.composite
+def table_texts(draw):
+    """Header and rows of raw cells, now and then one cell short or long, with "\\n" or "\\r\\n" line ends,
+    blank or whitespace-only lines between rows, and a final newline or none."""
+    n_cols = draw(st.integers(min_value=1, max_value=4))
+    header = draw(st.lists(st.sampled_from(["t", "a", '"b,c"', '"q""x"', " s "]), min_size=n_cols, max_size=n_cols))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        width = n_cols + draw(st.sampled_from([0] * 8 + [-1, 1]))
+        lines.append(",".join(draw(st.lists(TABLE_CELLS, min_size=width, max_size=width))))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        lines.insert(draw(st.integers(min_value=1, max_value=len(lines))), draw(st.sampled_from(["", "\r", " ", "\t"])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+class TestReadTableMatchesPerCellReader:
+    @settings(max_examples=300, deadline=None)
+    @given(table_texts())
+    def test_same_table_or_first_error(self, text):
+        try:
+            expected_header, expected = read_table_per_cell(text)
+        except ValueError as exc:
+            with pytest.raises(SchemaError) as got:
+                read_table(text)
+            assert str(got.value) == str(exc)
+        else:
+            header, data = read_table(text)
+            assert header == expected_header
+            assert same_bits(data, expected)

@@ -14,11 +14,25 @@ than :mod:`csv` and :func:`float` do; the caller then reads it again
 through :func:`csv_rows`, which is the reference and names the first bad
 cell. Only the header, whose names may be quoted or hold line breaks,
 always goes through :mod:`csv`.
+
+Column-table bodies are written by one vectorised ``%.17g`` kernel
+(:func:`_format_block`), a block of rows at a time, with no Python float
+per cell. :func:`_settle` scales each finite normal cell exactly enough
+to read off its 17 significant digits as an int64: a float64
+double-double product with a table of 10**k, built on first use from
+exact integers. Digits, point, sign, trailing-zero stripping and the
+exponent are laid out in NUL-padded byte rows that are compacted once.
+``"%.17g" % v`` stays the reference, as :func:`csv_rows` does for
+reading: it formats every cell the kernel cannot settle, namely ±0,
+subnormals, inf, nan, and a scaled value whose fraction lies within the
+kernel's error bound of ½, where round-half-to-even decides (every exact
+tie among them). A table written to a file goes out block by block.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -27,6 +41,7 @@ import sys
 from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
 from types import SimpleNamespace
+from typing import BinaryIO
 
 import numpy as np
 
@@ -43,22 +58,204 @@ def _line_writer() -> Callable[[Sequence], str]:
     return lambda cells: writerow(cells)[:-2] + "\n"
 
 
-def write_table(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
-    """Render a column table as CSV text.
+#: Range of k in the table of 10**k: 16 - e for every decimal exponent e of a normal double, and one more each way.
+_K_MIN, _K_MAX = -293, 325
+#: Dekker's splitting constant 2**27 + 1.
+_SPLIT = 134217729.0
+#: Cells the kernel formats at a time, which bounds its scratch arrays to a few MB.
+_BLOCK_CELLS = 1 << 15
+#: Bytes of one cell in the kernel's padded rows: sign, "0.000", 17 digits and a point, "e+308", separator.
+_SIGN, _LEAD, _DIGITS, _EXP, _SEP, _WIDTH = 0, 1, 6, 24, 29, 30
+
+
+@functools.cache
+def _powers_of_ten() -> tuple[np.ndarray, ...]:
+    """10**k for k in [_K_MIN, _K_MAX] as (H + L)·2**E with H in [1, 2], |H + L - 10**k/2**E| < 2**-106.
+
+    H and L are read off the integer floor(10**k/2**E · 2**120), each
+    rounded once. H comes back with its Dekker halves, so the kernel
+    splits only its own operand. The cached arrays are read-only.
+    """
+    hi, lo, exponent = [], [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        p = 10 ** abs(k)
+        if k >= 0:
+            e = p.bit_length() - 1
+            q = p << (120 - e) if e <= 120 else p >> (e - 120)
+        else:
+            e = -p.bit_length()
+            q = (1 << (120 - e)) // p
+        h = float(q)
+        hi.append(h)
+        lo.append(float(q - int(h)))
+        exponent.append(e)
+    h, l = np.array(hi) * 2.0**-120, np.array(lo) * 2.0**-120
+    c = h * _SPLIT
+    h_hi = c - (c - h)
+    table = h, h_hi, h - h_hi, l, np.array(exponent)
+    for part in table:
+        part.flags.writeable = False
+    return table
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``round(a · 10**(16 - e))`` as int64, ties to even, and where that rounding is not certain.
+
+    ``a`` holds positive normal doubles. With a = m·2**x (m in [0.5, 1))
+    and 10**k = (H + L)·2**E, Dekker's product gives m·H = p + pe
+    exactly; m·L and pe + m·L are rounded once each. So the scaled value
+    (p + pe + m·L)·2**(x + E) is off the exact one by less than 2**-104
+    of 2**(x + E), which is 2**-43 when the result is below 2**60. A
+    fraction within 2**-40 of ½ is flagged, exact ties included, as is an
+    ``e`` outside the table.
+    """
+    h, h_hi, h_lo, l, exponent = _powers_of_ten()
+    i = 16 - _K_MIN - e
+    unsure = (i < 0) | (i >= h.size)
+    i = np.clip(i, 0, h.size - 1)
+    bits = a.view(np.int64)
+    m = ((bits & 0x000FFFFFFFFFFFFF) | 0x3FE0000000000000).view(np.float64)
+    c = m * _SPLIT
+    m_hi = c - (c - m)
+    m_lo = m - m_hi
+    p = m * h[i]
+    pe = ((m_hi * h_hi[i] - p) + m_hi * h_lo[i] + m_lo * h_hi[i]) + m_lo * h_lo[i]
+    power = ((((bits >> 52) & 0x7FF) - 1022 + exponent[i] + 1023) << 52).view(np.float64)
+    y_hi, y_lo = p * power, (pe + m * l[i]) * power
+    n_hi = np.rint(y_hi)
+    r = (y_hi - n_hi) + y_lo
+    n_lo = np.rint(r)
+    unsure |= np.abs(np.abs(r - n_lo) - 0.5) <= 2.0**-40
+    return n_hi.astype(np.int64) + n_lo.astype(np.int64), unsure
+
+
+def _settle(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 significant digits ``"%.16e"`` gives each cell of ``v``, as an int64 in [10**16, 10**17), their exponent, and where both are certain.
+
+    The exponent is guessed as floor(log10|v|), which can be one off
+    next to a power of ten. A result outside (10**16, 10**17] is scaled
+    again one exponent over; a result of exactly 10**16 may come from
+    the exponent above the right one, so it is checked one below. A
+    result of 10**17 rounded up into the next decade: 10**16 there.
+    ±0, subnormals, inf, nan and cells :func:`_scaled` is unsure of are
+    not certain.
+    """
+    a = np.abs(v)
+    ok = (a >= sys.float_info.min) & (a <= sys.float_info.max)
+    a[~ok] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    digits, unsure = _scaled(a, e)
+    lo, hi = 10**16, 10**17
+    again = np.flatnonzero((digits <= lo) | (digits > hi))
+    if again.size:
+        first = digits[again]
+        e_again = e[again] + np.where(first > hi, 1, -1)
+        second, unsure_again = _scaled(a[again], e_again)
+        unsure[again] |= unsure_again | (second < lo) | ((second > hi) & (first != lo))
+        stay = (first == lo) & (second >= hi)
+        digits[again] = np.where(stay, lo, second)
+        e[again] = np.where(stay, e[again], e_again)
+    top = digits == hi
+    digits[top] = lo
+    e[top] += 1
+    return digits, e, ok & ~unsure
+
+
+def _format_block(block: np.ndarray) -> bytes:
+    """The CSV body lines of a C-ordered (rows, columns) float block, each cell as ``"%.17g" % v``.
+
+    ``%.17g`` writes the 17 digits of :func:`_settle` as a fixed-point
+    number when their exponent e is in [-4, 17), else as ``d.ddde±XX``,
+    and strips trailing zeros after the point (and the point if nothing
+    follows it). Each cell gets a padded row of ``_WIDTH`` bytes: the
+    sign, the ``0.000`` in front of a fixed number below 1, 17 digits
+    with the point inside them, the exponent and the separator. Bytes a
+    cell does not use stay NUL and are dropped at the end. A cell
+    :func:`_settle` is not certain of is formatted by ``"%.17g" % v``,
+    the reference, and copied into its row.
+    """
+    v = block.reshape(-1)
+    n = v.size
+    digits, e, ok = _settle(v)
+    e = e.astype(np.int16)
+    top = digits // 10**9
+    d = np.empty((17, n), np.uint8)
+    j = 17
+    for x, count in ((digits - top * 10**9).astype(np.uint32), 9), (top.astype(np.uint32), 8):
+        for _ in range(count):
+            q = x // 10
+            j -= 1
+            d[j] = x - q * 10
+            x = q
+    significant = np.full(n, 17, np.uint8)
+    trailing = np.ones(n, bool)
+    for j in range(16, 0, -1):
+        trailing &= d[j] == 0
+        significant -= trailing
+    fixed = (e >= -4) & (e < 17)
+    below_one = fixed & (e < 0)
+    scientific = ~fixed
+    integer_digits = np.clip(e + 1, 0, 17).astype(np.uint8)
+    # Digits written, and the digit slot holding the point (99: no point among the digits).
+    kept = np.where(fixed & (e >= 0), np.maximum(significant, integer_digits), significant)
+    point = np.where(scientific, np.uint8(1), np.where(fixed & (e >= 0), integer_digits, np.uint8(99)))
+    point[kept <= point] = 99
+
+    out = np.zeros((_WIDTH, n), np.uint8)
+    out[_SIGN] = np.uint8(45) * np.signbit(v)
+    out[_LEAD] = np.uint8(48) * below_one
+    out[_LEAD + 1] = np.uint8(46) * below_one
+    for z in range(1, 4):
+        out[_LEAD + 1 + z] = np.uint8(48) * (below_one & (e <= -1 - z))
+    chars = [(48 + d[j]) * (kept > j) for j in range(17)] + [np.zeros(n, np.uint8)]
+    out[_DIGITS] = chars[0]
+    for c in range(1, 18):
+        out[_DIGITS + c] = chars[c] * (point > c) + chars[c - 1] * (point < c) + np.uint8(46) * (point == c)
+    magnitude = np.abs(e).astype(np.uint16)
+    tens = magnitude // 10
+    out[_EXP] = np.uint8(101) * scientific
+    out[_EXP + 1] = scientific * (np.uint8(43) + np.uint8(2) * (e < 0))
+    out[_EXP + 2] = (scientific & (magnitude >= 100)) * (48 + magnitude // 100).astype(np.uint8)
+    out[_EXP + 3] = scientific * (48 + tens % 10).astype(np.uint8)
+    out[_EXP + 4] = scientific * (48 + magnitude - tens * 10).astype(np.uint8)
+    out[_SEP].reshape(block.shape)[:] = np.uint8(44)
+    out[_SEP].reshape(block.shape)[:, -1] = 10
+    rows = out.T.copy()
+    unsure = np.flatnonzero(~ok)
+    if unsure.size:
+        text = np.array(["%.17g" % c for c in v[unsure].tolist()], dtype=f"S{_SEP}")
+        rows[unsure, :_SEP] = text.view(np.uint8).reshape(-1, _SEP)
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _table_chunks(header: Sequence[str], columns: Sequence[np.ndarray]):
+    """The UTF-8 header line of a column table, then its body in blocks of rows; ValueError first if the widths differ."""
+    body = np.vstack(columns)
+    if body.shape[0] != len(header):
+        raise ValueError(f"{len(header)} header cells for {body.shape[0]} columns")
+    yield _line_writer()(header).encode("utf-8")
+    step = max(1, _BLOCK_CELLS // max(1, body.shape[0]))
+    for start in range(0, body.shape[1], step):
+        yield _format_block(np.ascontiguousarray(body[:, start : start + step].T))
+
+
+def write_table(header: Sequence[str], columns: Sequence[np.ndarray], file: BinaryIO | None = None) -> str | None:
+    """Render a column table as CSV text, or write it to the binary ``file`` and return None.
 
     ``columns`` holds 1-D arrays (one column each) and 2-D arrays (one
     column per row), stacked in order; together they must give one column
     per header cell. The header goes through :mod:`csv`, so names that
-    contain ``,``, ``"`` or a line break are quoted. Each body row is
-    formatted with ``"%.17g"``, which gives the same text as
-    ``format(v, ".17g")`` (``nan``, ``inf``, ``-0`` included) in a single
-    ``%`` per row.
+    contain ``,``, ``"`` or a line break are quoted. Each body cell is the
+    text of ``"%.17g" % v`` (``nan``, ``inf``, ``-0`` included), built
+    for a block of rows at a time by :func:`_format_block`; a ``file`` is
+    written block by block, so the whole text is never held.
     """
-    body = np.vstack(columns).T
-    if body.shape[1] != len(header):
-        raise ValueError(f"{len(header)} header cells for {body.shape[1]} columns")
-    row_format = ",".join(["%.17g"] * len(header)) + "\n"
-    return _line_writer()(header) + "".join([row_format % tuple(row) for row in body.tolist()])
+    chunks = _table_chunks(header, columns)
+    if file is None:
+        return b"".join(chunks).decode("utf-8")
+    for chunk in chunks:
+        file.write(chunk)
+    return None
 
 
 def write_rows(header: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -75,10 +76,15 @@ def _parse_lengths(text: str) -> tuple[int, ...]:
     return lengths
 
 
-def _write_text(path: Path, text: str) -> None:
+def _output(path: Path) -> BinaryIO:
+    """``path`` opened to write bytes, its directory made first."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    return open(path, "wb")
+
+
+def _write_text(path: Path, text: str) -> None:
+    with _output(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -156,7 +162,8 @@ def cmd_warp(args) -> int:
     )
 
     out = Path(args.output_dir)
-    _write_text(out / "warps.csv", warps_to_csv(warpset))
+    with _output(out / "warps.csv") as fh:
+        warps_to_csv(warpset, fh)
     _write_text(out / "setbacks.csv", setbacks)
     mean_setback = float(np.mean(setback))
     print(
@@ -245,11 +252,11 @@ def cmd_simulate(args) -> int:
 def cmd_diagnose(args) -> int:
     panel, warpset = _warps_for_artifact(args)
     residuals = second_order_diagnostic(panel, warpset)
-    table = _table.write_table(["t_normalized", *warpset.names], [warpset.grid.points, residuals])
     max_abs = np.abs(residuals).max(axis=1).tolist()
     summary = {"per_series": [{"name": name, "max_abs_residual": r} for name, r in zip(warpset.names, max_abs)]}
     out = Path(args.output_dir)
-    _write_text(out / "diagnostics.csv", table)
+    with _output(out / "diagnostics.csv") as fh:
+        _table.write_table(["t_normalized", *warpset.names], [warpset.grid.points, residuals], fh)
     _write_json(out / "diagnostics_summary.json", summary)
     worst = max(row["max_abs_residual"] for row in summary["per_series"])
     print(f"diagnose: {warpset.n_series} series, largest second-order residual {worst:.4g}")

@@ -18,6 +18,7 @@ a one-row panel and a one-row warp set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -185,14 +186,14 @@ def identity_deviation(warps: WarpSet) -> np.ndarray:
     return np.where(mask, np.abs(warps.values - t), 0.0).sum(axis=1) / mask.sum(axis=1)
 
 
-def warps_to_csv(warpset: WarpSet) -> str:
-    """Export warps as ``t_normalized,<name1>,<name2>,...`` rows.
+def warps_to_csv(warpset: WarpSet, file: BinaryIO | None = None) -> str | None:
+    """Export warps as ``t_normalized,<name1>,<name2>,...`` rows; with a binary ``file``, write them there and return None.
 
     The first column is the unit grid ``linspace(0, 1, m)``, which
     :func:`warps_from_csv` checks on the way back in. Floats carry 17
     significant digits so a read-back is exact.
     """
-    return write_table(["t_normalized", *warpset.names], [warpset.grid.points, warpset.values])
+    return write_table(["t_normalized", *warpset.names], [warpset.grid.points, warpset.values], file)
 
 
 def warps_from_csv(csv_text: str) -> WarpSet:

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from warpgrowth import _table
 from warpgrowth._table import csv_rows, read_table, write_rows, write_table
 from warpgrowth.errors import SchemaError
 
@@ -69,6 +71,101 @@ class TestWriteTable:
     def test_header_width_must_match(self):
         with pytest.raises(ValueError, match="2 header cells for 3 columns"):
             write_table(["t", "a"], [np.zeros(2), np.ones((2, 2))])
+        with pytest.raises(ValueError, match="2 header cells for 3 columns"):
+            write_table(["t", "a"], [np.zeros(2), np.ones((2, 2))], io.BytesIO())
+
+
+def over_one_block(rng, n_cols):
+    """Row count of a table of ``n_cols`` columns that spans more than one kernel block and ends in a partial one."""
+    return _table._BLOCK_CELLS // n_cols + int(rng.integers(1, 40))
+
+
+def kernel_matches_reference(body):
+    """``write_table`` of the (rows, columns) ``body`` equals the per-cell writer, also when streamed to a file."""
+    header = [f"c{j}" for j in range(body.shape[1])]
+    columns = list(body.T)
+    text = write_table(header, columns)
+    assert text == csv_table_per_cell(header, columns)
+    streamed = io.BytesIO()
+    assert write_table(header, columns, streamed) is None
+    assert streamed.getvalue() == text.encode()
+
+
+# Exact ties of the 17th significant digit: M·2**-(k+1) with M·5**k odd is
+# halfway between two 17-digit decimals when it lies in [1e16, 1e17)·10**-k.
+TIES = st.integers(min_value=1, max_value=24).flatmap(
+    lambda k: st.integers(
+        min_value=-(-2 * 10**16 // 5**k) // 2, max_value=min(2 * 10**17 // 5**k, 2**53) // 2 - 1
+    ).map(lambda h: math.ldexp(2 * h + 1, -k - 1))
+)
+
+
+class TestFormattingKernel:
+    """The vectorised ``%.17g`` of ``write_table`` against ``"%.17g" % v`` (the per-cell oracle)."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           patterns=st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), min_size=1, max_size=40))
+    def test_raw_bit_patterns(self, seed, patterns):
+        rng = np.random.default_rng(seed)
+        n_cols = int(rng.integers(1, 400))
+        body = rng.integers(-(2**63), 2**63, (over_one_block(rng, n_cols), n_cols), dtype=np.int64)
+        body.flat[rng.choice(body.size, len(patterns), replace=False)] = patterns
+        kernel_matches_reference(body.view(np.float64))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           exponents=st.lists(st.integers(min_value=-1022, max_value=1023), min_size=1, max_size=40))
+    def test_scaled_normals_across_every_exponent(self, seed, exponents):
+        rng = np.random.default_rng(seed)
+        n_cols = int(rng.integers(1, 400))
+        n_rows = over_one_block(rng, n_cols)
+        power = rng.integers(-1022, 1024, (n_rows, n_cols))
+        power.flat[rng.choice(power.size, len(exponents), replace=False)] = exponents
+        sign = rng.choice([-1.0, 1.0], (n_rows, n_cols))
+        kernel_matches_reference(sign * np.ldexp(rng.uniform(1.0, 2.0, (n_rows, n_cols)), power))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_short_decimals_with_trailing_zeros(self, seed):
+        # Values such as 0.25, 1234.5 and 1e+20 leave most of the 17 digits zero.
+        rng = np.random.default_rng(seed)
+        n_cols = int(rng.integers(1, 400))
+        shape = (over_one_block(rng, n_cols), n_cols)
+        digits = rng.integers(0, 10**6, shape) * 10.0 ** rng.integers(-30, 30, shape)
+        kernel_matches_reference(digits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(TIES)
+    def test_exact_ties_go_to_the_reference(self, tie):
+        value = np.array([tie, -tie])
+        assert not _table._settle(value)[2].any()
+        assert write_table(["v"], [value]) == csv_table_per_cell(["v"], [value])
+
+    @pytest.mark.parametrize("value, text", [
+        (1000000000000000.25, "1000000000000000.2"),
+        (1000000000000000.75, "1000000000000000.8"),
+        (100000000000000.125, "100000000000000.12"),
+        (100000000000000.375, "100000000000000.38"),
+        (1e-5, "1.0000000000000001e-05"),
+        (1e-4, "0.0001"),
+        (1e16, "10000000000000000"),
+        (1e17, "1e+17"),
+        (9.999999999999999e22, "9.9999999999999992e+22"),
+        (-2.2250738585072014e-308, "-2.2250738585072014e-308"),
+        (1.7976931348623157e308, "1.7976931348623157e+308"),
+    ])
+    def test_pinned_cells(self, value, text):
+        assert write_table(["v"], [np.array([value])]) == f"v\n{text}\n"
+
+    def test_next_to_every_power_of_ten(self):
+        # floor(log10 v) is one off for some of these, so the kernel must
+        # check the exponent it guessed.
+        powers = np.array([float(f"1e{k}") for k in range(-307, 309)])
+        body = np.stack([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)], axis=1)
+        kernel_matches_reference(np.concatenate([body, -body]))
+        # Only exact ties such as nextafter(1e15, 0) = 999999999999999.875 go to the reference.
+        assert _table._settle(body.reshape(-1))[2].sum() >= body.size - 2
 
 
 NAMES = st.sampled_from(["t", "a,b", 'q"x', "", " s ", "é", "a\nb"]) | st.text(max_size=5)

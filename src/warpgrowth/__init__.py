@@ -49,7 +49,6 @@ from .simulate import (
 )
 from .timeseries import (
     Panel,
-    PriceSeries,
     TimeGrid,
     month_index,
     month_label,
@@ -78,7 +77,6 @@ __all__ = [
     "MissingDataError",
     "NumericalError",
     "Panel",
-    "PriceSeries",
     "RateError",
     "SampleSizeError",
     "SchemaError",

@@ -1,8 +1,11 @@
-"""The package's one CSV dialect and its file-reading boundary.
+"""The package's one CSV dialect and its file boundary, for reading and writing.
 
-Every CSV artifact is written here, floats at 17 significant digits so a
+Every CSV artifact is rendered here, floats at 17 significant digits so a
 read-back is exact: column tables (``t_normalized`` or ``t`` first, a float
 in every cell) by :func:`write_table`, mixed rows by :func:`write_rows`.
+Every artifact file, CSV or JSON, is opened by :func:`open_output`, directly
+or through :func:`write_text` and :func:`write_json`: UTF-8, no newline
+translation, its directory made first.
 Input files go through :func:`read_file`, so malformed content raises a
 typed error (SchemaError, GridError) naming the file, never a builtin;
 every ``t_normalized`` table is checked by :func:`read_unit_table`.
@@ -268,6 +271,23 @@ def write_rows(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return line(header) + "".join([line(["%.17g" % c if isinstance(c, float) else c for c in row]) for row in rows])
 
 
+def open_output(path: Path) -> BinaryIO:
+    """``path`` opened to write bytes, its directory made first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "wb")
+
+
+def write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, line ends untranslated."""
+    with open_output(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
+def write_json(path: Path, obj) -> None:
+    """Write ``obj`` to ``path`` as JSON with sorted keys, indented 2, ending in a newline."""
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=True) + "\n")
+
+
 def csv_rows(text: str) -> list[list[str]]:
     """The non-blank rows of CSV text; SchemaError naming the line where :mod:`csv` fails (a cell over its size limit)."""
     reader = csv.reader(io.StringIO(text))
@@ -311,16 +331,20 @@ def read_block(lines: list[str], n_cols: int, converters: dict | None = None) ->
 
     - the tokenizer refuses a cell (an empty one, ``1_000``, non-ASCII
       digits) or the number of cells in a row changes;
-    - a line is longer than ``csv.field_size_limit()``, so :mod:`csv`
-      may refuse one of its fields however valid its digits;
+    - a line holds a comma-separated piece longer than
+      ``csv.field_size_limit()``, so :mod:`csv` may refuse that field
+      however valid its digits. :mod:`csv` limits fields, not lines, and
+      each field of a block the tokenizer takes is a number, which holds
+      no comma, so no field is longer than its piece;
     - a line holds ``\\x1c``-``\\x1f``, which only numpy strips;
     - the block has fewer rows than non-blank lines: a quoted cell ran
       over a line end, and the tokenizer joins lines that :mod:`csv`
       keeps apart.
     """
     limit = csv.field_size_limit()
-    if any(len(line) > limit or any(c in line for c in _NUMPY_ONLY_SPACE) for line in lines):
-        return None
+    for line in lines:
+        if (len(line) > limit and max(map(len, line.split(","))) > limit) or any(c in line for c in _NUMPY_ONLY_SPACE):
+            return None
     n_rows = sum(line not in ("", "\r") for line in lines)
     if not n_rows:
         return np.empty((0, n_cols))

@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
@@ -76,21 +75,6 @@ def _parse_lengths(text: str) -> tuple[int, ...]:
     return lengths
 
 
-def _output(path: Path) -> BinaryIO:
-    """``path`` opened to write bytes, its directory made first."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "wb")
-
-
-def _write_text(path: Path, text: str) -> None:
-    with _output(path) as fh:
-        fh.write(text.encode("utf-8"))
-
-
-def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=True) + "\n")
-
-
 def _parse_fit_artifact(text: str) -> tuple[tuple[int, int], WindowFits]:
     """The panel restriction and the rate fits of a fit artifact, every field type-checked."""
     artifact = json.loads(text)
@@ -134,7 +118,7 @@ def cmd_fit(args) -> int:
         "panel_end": panel.grid.end_month,
     }
     out = Path(args.output_dir)
-    _write_json(out / "fit.json", artifact)
+    _table.write_json(out / "fit.json", artifact)
     start, end = result.best_window
     print(
         f"fit: window {month_label(start)}..{month_label(end)} ({result.window_length_months} months), "
@@ -162,9 +146,9 @@ def cmd_warp(args) -> int:
     )
 
     out = Path(args.output_dir)
-    with _output(out / "warps.csv") as fh:
+    with _table.open_output(out / "warps.csv") as fh:
         warps_to_csv(warpset, fh)
-    _write_text(out / "setbacks.csv", setbacks)
+    _table.write_text(out / "setbacks.csv", setbacks)
     mean_setback = float(np.mean(setback))
     print(
         f"warp: {warpset.n_series} series on {warpset.grid.n_points} points, "
@@ -197,14 +181,14 @@ def cmd_fpca(args) -> int:
             regression = {"n": len(rows), "components": components}
 
     out = Path(args.output_dir)
-    _write_json(out / "fpca_model.json", model_to_json_dict(model))
-    _write_text(out / "eigenfunctions.csv", eigenfunctions_to_csv(model))
-    _write_text(out / "scores.csv", scores)
+    _table.write_json(out / "fpca_model.json", model_to_json_dict(model))
+    _table.write_text(out / "eigenfunctions.csv", eigenfunctions_to_csv(model))
+    _table.write_text(out / "scores.csv", scores)
     for k in (1, 2):
         if k <= model.n_retained:
-            _write_text(out / f"modes_k{k}.csv", modes_to_csv(modes_of_variation(model, k), model.grid))
+            _table.write_text(out / f"modes_k{k}.csv", modes_to_csv(modes_of_variation(model, k), model.grid))
     if regression is not None:
-        _write_json(out / "score_alpha_regression.json", regression)
+        _table.write_json(out / "score_alpha_regression.json", regression)
 
     shares = ", ".join(f"{v:.1%}" for v in model.var_explained[:2])
     print(
@@ -232,11 +216,11 @@ def cmd_simulate(args) -> int:
         sweep = sim.convergence_sweep(truth, (25, 100, 400), repeats=50, seed=args.seed)
 
     out = Path(args.output_dir)
-    _write_json(out / "sim_report.json", report.to_json_dict())
-    _write_text(out / "sim_replicates.csv", report.replicates_to_csv())
+    _table.write_json(out / "sim_report.json", report.to_json_dict())
+    _table.write_text(out / "sim_replicates.csv", report.replicates_to_csv())
     if sweep is not None:
-        _write_json(out / "convergence.json", sweep.to_json_dict())
-        _write_text(out / "convergence.csv", sweep.to_csv())
+        _table.write_json(out / "convergence.json", sweep.to_json_dict())
+        _table.write_text(out / "convergence.csv", sweep.to_csv())
 
     agg = report.aggregates
     ase = agg.get("ase", {}).get("mean", float("nan"))
@@ -255,9 +239,9 @@ def cmd_diagnose(args) -> int:
     max_abs = np.abs(residuals).max(axis=1).tolist()
     summary = {"per_series": [{"name": name, "max_abs_residual": r} for name, r in zip(warpset.names, max_abs)]}
     out = Path(args.output_dir)
-    with _output(out / "diagnostics.csv") as fh:
+    with _table.open_output(out / "diagnostics.csv") as fh:
         _table.write_table(["t_normalized", *warpset.names], [warpset.grid.points, residuals], fh)
-    _write_json(out / "diagnostics_summary.json", summary)
+    _table.write_json(out / "diagnostics_summary.json", summary)
     worst = max(row["max_abs_residual"] for row in summary["per_series"])
     print(f"diagnose: {warpset.n_series} series, largest second-order residual {worst:.4g}")
     return EXIT_OK

@@ -3,9 +3,9 @@
 Two least-squares fits of log index values on months since the window
 start share one (window length x series) block of logs and one R^2 rule:
 
-* a free-intercept fit, batched over windows of one length, used to
-  score candidate windows by their coefficient of determination after a
-  prefix-sum filter has set aside the windows that cannot win, and
+* a free-intercept fit, used to score candidate windows by their
+  coefficient of determination after a prefix-sum filter has set aside
+  the windows that cannot win, and
 * a fixed-intercept fit that pins the intercept at the log value of the
   window start and estimates only the growth rate, used for the final
   per-series rate estimates.
@@ -262,13 +262,11 @@ def search_interval(panel: Panel, lengths=DEFAULT_WINDOW_LENGTHS) -> IntervalSea
     (:func:`_r2_bracket`); they cover the rounding of the prefix sums and
     of the kernel. A window stays a candidate while its mean upper bound
     reaches the largest mean lower bound, so the best window and every
-    window tied with it are kept. The candidates of one length are
-    gathered side by side and rescored in one :func:`_free_ols` call (in
-    batches of at most ``n_months`` rows of logs). The kernel is
-    elementwise, so each candidate's r2 has the bits a scan of every
-    window gives it. Per-window means are sorted ``math.fsum`` sums, so
-    the choice does not depend on series order. Memory stays
-    O(n_series * n_months).
+    window tied with it are kept. Each candidate is rescored by its own
+    :func:`_free_ols` call on its rows of logs; the kernel is
+    elementwise, so its r2 has the bits a scan of every window gives it.
+    Per-window means are ``math.fsum`` sums, which are correctly rounded,
+    so the choice does not depend on series order. Memory stays O(n_series * n_months).
 
     The fits minimize ``sum_t (log X(t) - intercept - alpha * (t - t_start))^2``
     on the winning window (a constant series scores r2 = 1); they and
@@ -310,21 +308,16 @@ def search_interval(panel: Panel, lengths=DEFAULT_WINDOW_LENGTHS) -> IntervalSea
     slack = 2.0 * _gamma(n + 4)
     floor = max(float(s.max()) for s in lo_sum.values()) / n - slack
 
-    # Sorted sums keep each mean invariant to series ordering. The smallest
+    # Correctly rounded sums keep each mean invariant to series order. The smallest
     # key has the largest mean r2, then the earliest start, then the
     # shortest length.
     best = None
     for length in lengths:
-        offsets = np.flatnonzero(hi_sum[length] / n + slack >= floor).tolist()
-        per_call = max(1, m // length)
-        for b in range(0, len(offsets), per_call):
-            batch = offsets[b : b + per_call]
-            gathered = np.stack([logs_t[o : o + length] for o in batch], axis=1).reshape(length, -1)
-            fitted = [a.reshape(len(batch), n) for a in _free_ols(gathered, length)]
-            for row, (offset, r2) in enumerate(zip(batch, np.sort(fitted[2], axis=1).tolist())):
-                key = (-math.fsum(r2) / n, offset, length)
-                if best is None or key < best[0]:
-                    best = key, [a[row] for a in fitted]
+        for offset in np.flatnonzero(hi_sum[length] / n + slack >= floor).tolist():
+            fitted = [a[0] for a in _free_ols(logs_t[offset : offset + length], length)]
+            key = (-math.fsum(fitted[2].tolist()) / n, offset, length)
+            if best is None or key < best[0]:
+                best = key, fitted
     (neg_mean_r2, first, length), (alpha, intercept, r2) = best
     window = (grid.start_month + first, grid.start_month + first + length - 1)
     fits = WindowFits(window, panel.names, alpha, intercept, r2, np.zeros(n, dtype=bool))

@@ -34,9 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._table import json_field, read_file, read_unit_table, write_rows, write_table
+from ._table import json_field, read_file, read_unit_table, write_json, write_rows, write_table, write_text
 from .errors import ConfigError, WarpGrowthError
-from .fpca import _covariance, eigendecompose, fit_fpca
+from .fpca import _covariance, _spectrum, eigendecompose, fit_fpca
 from .growthfit import DEFAULT_WINDOW_LENGTHS, estimate_alphas, search_interval
 from .quadrature import trapezoid_weights
 from .timeseries import Panel, TimeGrid
@@ -139,9 +139,6 @@ class SimTruth:
             return float("nan")
         return float(self.eigenvalues[:2].sum()) / total
 
-    def anchored_mean(self) -> np.ndarray:
-        return self.mean - self.mean[0]
-
 
 def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Cubic spline through ``(x, y)`` with ``s'(x[0]) = 0`` and ``s''(x[-1]) = 0``.
@@ -211,10 +208,8 @@ def default_truth(seed: int = 0) -> SimTruth:
     w = trapezoid_weights(m)
     monomials = np.column_stack([u ** (k + 2) for k in range(n_components)])
     q, _ = np.linalg.qr(np.sqrt(w)[:, None] * monomials)
-    phi = (q / np.sqrt(w)[:, None]).T
-    phi /= np.sqrt((phi**2 @ w))[:, None]
-    flip = (phi @ w) < 0
-    phi[flip] = -phi[flip]
+    # Unit quadrature norm and the sign rule of every fitted model's eigenfunctions.
+    _, phi = _spectrum(np.zeros(n_components), q, m)
 
     eigenvalues = 0.01 * 0.2 ** np.arange(n_components)
     return SimTruth(grid, mean, phi, eigenvalues, seed=seed)
@@ -605,14 +600,13 @@ def save_truth(truth: SimTruth, directory: str | Path, stem: str = "truth") -> P
     Returns the manifest path; :func:`load_truth` reads it back.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     t = truth.grid.points
 
     mean_path = directory / f"{stem}_mean.csv"
-    mean_path.write_text(write_table(["t_normalized", "mean"], [t, truth.mean]), newline="")
+    write_text(mean_path, write_table(["t_normalized", "mean"], [t, truth.mean]))
     phi_path = directory / f"{stem}_eigenfunctions.csv"
     phi_header = ["t_normalized", *(f"phi_{k + 1}" for k in range(truth.n_components))]
-    phi_path.write_text(write_table(phi_header, [t, truth.eigenfunctions]), newline="")
+    write_text(phi_path, write_table(phi_header, [t, truth.eigenfunctions]))
 
     manifest = {
         "t0_month": truth.grid.start_month,
@@ -627,9 +621,7 @@ def save_truth(truth: SimTruth, directory: str | Path, stem: str = "truth") -> P
         "eigenfunctions_csv": phi_path.name,
     }
     manifest_path = directory / f"{stem}.json"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest_path, manifest)
     return manifest_path
 
 

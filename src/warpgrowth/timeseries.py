@@ -6,8 +6,8 @@ Under this convention December 1998 is month 144, November 2000 is month
 
 A :class:`Panel` holds n series as n x m value and missing-flag arrays,
 validated once when built. Every stage works on its row masks and column
-slices; a sample is built as a panel, not stacked from rows.
-:class:`PriceSeries` holds one series, validated like a panel row.
+slices; a sample is built as a panel, not stacked from rows, and one
+series is a one-row panel.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import re
 import reprlib
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,9 +83,6 @@ class TimeGrid:
     def to_normalized(self, month: float) -> float:
         return (month - self.start_month) / self.elapsed_months
 
-    def to_month(self, t: float) -> float:
-        return self.start_month + t * self.elapsed_months
-
     def index_of(self, month: int) -> int:
         if not self.start_month <= month <= self.end_month:
             raise GridError(
@@ -130,33 +126,6 @@ def freeze_names(obj, what: str) -> tuple[str, ...]:
     return names
 
 
-def _set_rows(obj, names: tuple[str, ...], shape: tuple[int, ...]) -> None:
-    """Store ``obj.values`` and ``obj.missing`` (None: none missing) read-only; GridError unless both
-    have ``shape``, SchemaError naming the first present value that is not finite or is below ``_TINY``."""
-    if obj.missing is None:
-        object.__setattr__(obj, "missing", np.zeros(shape, dtype=bool))
-    freeze_fields(obj, (("values", float, shape), ("missing", bool, shape)), f"{len(names)} series")
-    rows = (len(names), shape[-1])
-    values = obj.values.reshape(rows)
-    bad = np.argwhere(~(((values >= _TINY) & (values < math.inf)) | obj.missing.reshape(rows)))
-    if bad.size:
-        i, j = bad[0]
-        v = float(values[i, j])
-        raise SchemaError(f"series {names[i]!r}, point {j}: value {v!r} {_value_problem(v)}")
-
-
-@dataclass(frozen=True)
-class PriceSeries:
-    """One market's index values and missing mask, checked like a :class:`Panel` row."""
-
-    name: str
-    values: np.ndarray
-    missing: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        _set_rows(self, (self.name,), (np.size(self.values),))
-
-
 @dataclass(frozen=True)
 class Panel:
     """n series on one monthly grid, as read-only C-contiguous n x m arrays.
@@ -174,16 +143,25 @@ class Panel:
 
     def __post_init__(self):
         names = freeze_names(self, "panel")
-        _set_rows(self, names, (len(names), self.grid.n_points))
+        shape = (len(names), self.grid.n_points)
+        if self.missing is None:
+            object.__setattr__(self, "missing", np.zeros(shape, dtype=bool))
+        freeze_fields(self, (("values", float, shape), ("missing", bool, shape)), f"{len(names)} series")
+        bad = np.argwhere(~(((self.values >= _TINY) & (self.values < math.inf)) | self.missing))
+        if bad.size:
+            i, j = bad[0]
+            v = float(self.values[i, j])
+            raise SchemaError(f"series {names[i]!r}, point {j}: value {v!r} {_value_problem(v)}")
 
     @property
     def n_series(self) -> int:
         return len(self.names)
 
     @property
-    def series(self) -> tuple[PriceSeries, ...]:
-        """One :class:`PriceSeries` per row."""
-        return tuple(map(PriceSeries, self.names, self.values, self.missing))
+    def series(self) -> tuple[Panel, ...]:
+        """One one-row :class:`Panel` per row."""
+        rows = (slice(i, i + 1) for i in range(self.n_series))
+        return tuple(Panel(self.grid, self.names[r], self.values[r], self.missing[r]) for r in rows)
 
     def check_complete(self, lo: int, hi: int) -> None:
         """MissingDataError naming every series with a missing value on the inclusive index range [lo, hi]."""
@@ -208,12 +186,6 @@ def _raise_first_bad_cell(data_rows: list[list[str]], names: list[str]) -> None:
             problem = _value_problem(v)
             if problem:
                 raise SchemaError(f"row {i + 2}, column {names[j]!r}: value {reprlib.repr(cell)} {problem}")
-
-
-#: The NaN a blank panel cell parses to: its payload is one that ``float``
-#: never gives, so a blank cell and a cell spelling ``nan`` stay apart.
-_BLANK_BITS = 0x7FF8_0000_0000_B1A4
-_BLANK = struct.unpack("<d", struct.pack("<Q", _BLANK_BITS))[0]
 
 
 def _series_names(header: list[str]) -> list[str]:
@@ -310,20 +282,21 @@ def parse_panel(csv_text: str) -> Panel:
                 f"non-consecutive months: {month_label(prev)} followed by {month_label(cur)}"
             )
 
-    # One conversion per stripped cell, one row at a time: blank cells become
-    # the _BLANK NaN, which no spelled-out cell ("nan", "-nan") converts to.
+    # One conversion per stripped cell, one row at a time; a blank cell is
+    # missing, and a spelled-out "nan" is a value the Panel check rejects.
     # float itself strips less than str.strip ("\x1c"-"\x1f" stay), so each
     # cell is stripped first, as _raise_first_bad_cell strips it.
     n = len(data_rows)
     values = np.empty((len(names), n))
+    missing = np.empty((len(names), n), dtype=bool)
     try:
         for i, row in enumerate(data_rows):
-            values[:, i] = [float(c) if c else _BLANK for c in map(str.strip, row[1:])]
+            cells = [c.strip() for c in row[1:]]
+            missing[:, i] = [not c for c in cells]
+            values[:, i] = [float(c) if c else math.nan for c in cells]
     except ValueError:
         _raise_first_bad_cell(data_rows, names)
         raise
-    missing = values.view(np.uint64) == _BLANK_BITS
-    values[missing] = math.nan
     try:
         return Panel(TimeGrid(months[0], n), tuple(names), values, missing)
     except SchemaError:

@@ -25,7 +25,7 @@ import numpy as np
 from ._table import read_unit_table, write_table
 from .errors import ConfigError, GridError, NumericalError, RateError, SchemaError
 from .growthfit import AlphaEstimates, WindowFits
-from .timeseries import Panel, PriceSeries, TimeGrid, freeze_fields, freeze_names
+from .timeseries import Panel, TimeGrid, freeze_fields, freeze_names
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,8 @@ def compute_warp_set(
     return WarpSet(sub, panel.names, h, alpha, np.full(panel.n_series, t0_norm), ~fits.clamped)
 
 
-def baseline_growth(alpha: float, x0: float, grid: TimeGrid) -> PriceSeries:
-    """Latent smooth trajectory ``Z(t) = x0 * exp(alpha * t)`` on the grid.
+def baseline_growth(alpha: float, x0: float, grid: TimeGrid) -> Panel:
+    """Latent smooth trajectory ``Z(t) = x0 * exp(alpha * t)`` on the grid, as a one-row panel named ``baseline``.
 
     ``alpha`` is per month and ``t`` counts months since the grid start.
     These baselines are the aligned curves of the model: warping them back
@@ -117,7 +117,7 @@ def baseline_growth(alpha: float, x0: float, grid: TimeGrid) -> PriceSeries:
     if not x0 > 0:
         raise ConfigError(f"x0 must be positive, got {x0}")
     t = np.arange(grid.n_points, dtype=float)
-    return PriceSeries("baseline", x0 * np.exp(alpha * t))
+    return Panel(grid, ("baseline",), [x0 * np.exp(alpha * t)])
 
 
 def _derivative(f: np.ndarray, dt: float) -> np.ndarray:

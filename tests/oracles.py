@@ -142,8 +142,8 @@ def parse_cells_per_cell(data_rows, names):
     return values, missing
 
 
-def free_fit_per_series(series, grid, window):
-    """Free-intercept OLS of one ``PriceSeries`` on one window, written out with numpy sums.
+def free_fit_per_series(row, window):
+    """Free-intercept OLS of a one-row ``Panel`` on one window, written out with numpy sums.
 
     The values are anchored at the window-start log value, so a flat window
     has zero total variation and scores r2 = 1.
@@ -151,13 +151,13 @@ def free_fit_per_series(series, grid, window):
     from warpgrowth.errors import MissingDataError, WindowError
 
     start, end = window
-    lo = grid.index_of(start)
-    hi = grid.index_of(end)
+    lo = row.grid.index_of(start)
+    hi = row.grid.index_of(end)
     if hi - lo + 1 < 3:
         raise WindowError(f"window [{start}, {end}] has fewer than 3 points")
-    if series.missing[lo : hi + 1].any():
-        raise MissingDataError(f"series {series.name!r} has missing values inside window [{start}, {end}]")
-    y = np.log(series.values[lo : hi + 1])
+    if row.missing[0, lo : hi + 1].any():
+        raise MissingDataError(f"series {row.names[0]!r} has missing values inside window [{start}, {end}]")
+    y = np.log(row.values[0, lo : hi + 1])
     tau = np.arange(hi - lo + 1, dtype=float)
     d = y - y[0]
     tc = tau - tau.mean()

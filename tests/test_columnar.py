@@ -108,7 +108,8 @@ class TestRowViewsRoundTrip:
     def test_series_views_rebuild_the_panel(self, drawn):
         panel, _ = drawn
         series = panel.series
-        again = Panel(panel.grid, [s.name for s in series], [s.values for s in series], [s.missing for s in series])
+        assert all(s.grid == panel.grid and s.n_series == 1 for s in series)
+        again = Panel(panel.grid, [s.names[0] for s in series], [s.values[0] for s in series], [s.missing[0] for s in series])
         assert again.grid == panel.grid and again.names == panel.names
         assert again.values.tobytes() == panel.values.tobytes()
         assert again.missing.tobytes() == panel.missing.tobytes()

@@ -179,7 +179,7 @@ def brute_force_search(panel, lengths):
         for offset in range(panel.grid.n_points - length + 1):
             start = panel.grid.start_month + offset
             window = (start, start + length - 1)
-            r2 = [free_fit_per_series(s, panel.grid, window).r2 for s in panel.series]
+            r2 = [free_fit_per_series(s, window).r2 for s in panel.series]
             key = (math.fsum(sorted(r2)) / len(r2), -start, -length)
             if best_key is None or key > best_key:
                 best_key, best = key, window
@@ -219,7 +219,7 @@ class TestBatchedScan:
             for offset in range(r2.shape[0]):
                 start = panel.grid.start_month + offset
                 for i, s in enumerate(panel.series):
-                    ref = free_fit_per_series(s, panel.grid, (start, start + length - 1))
+                    ref = free_fit_per_series(s, (start, start + length - 1))
                     assert abs(r2[offset, i] - ref.r2) <= 1e-12
                     assert abs(alpha[offset, i] - ref.alpha) <= 1e-12
                     assert abs(intercept[offset, i] - ref.intercept) <= 1e-12 * abs(ref.intercept)
@@ -258,7 +258,7 @@ class TestBatchedScan:
             assert free.alpha[0] == 0.0 and free.r2[0] == 1.0
             fixed = fixed_fits(panel)
             assert fixed.clamped[0] and fixed.r2[0] == 1.0
-            assert free_fit_per_series(panel.series[0], panel.grid, (0, length - 1)).r2 == 1.0
+            assert free_fit_per_series(panel, (0, length - 1)).r2 == 1.0
 
 
 def full_scan(panel, lengths):

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -6,11 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from warpgrowth import _table
+from warpgrowth import _table, timeseries
 from warpgrowth._table import csv_rows, read_table, write_rows, write_table
 from warpgrowth.errors import SchemaError
+from warpgrowth.timeseries import parse_panel
 
-from oracles import csv_rows_per_row, csv_table_per_cell, read_table_per_cell
+from oracles import csv_rows_per_row, csv_table_per_cell, parse_cells_per_cell, read_table_per_cell
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1.5]
 
@@ -201,6 +203,42 @@ class TestCsvRows:
     def test_field_over_the_csv_limit_is_schema_error(self):
         with pytest.raises(SchemaError, match="line 2: field larger than field limit"):
             csv_rows("a,b\n1," + "9" * 200_000 + "\n")
+
+
+class TestFieldSizeLimit:
+    def test_long_lines_of_short_cells_stay_with_the_tokenizer(self, monkeypatch):
+        # csv refuses a field over its limit, not a line: every line here is
+        # far over the lowered limit, but no cell is, so neither reader falls
+        # back to csv_rows, and both give what the per-cell oracles give.
+        def refuse(text):
+            raise AssertionError("fell back to csv_rows")
+
+        rng = np.random.default_rng(0)
+        names = [f"s{j}" for j in range(30)]
+        table = write_table(["t_normalized", *names], [np.linspace(0.0, 1.0, 5), rng.uniform(0.5, 2.0, (30, 5))])
+        cells = [["%.6f" % v if rng.random() > 0.2 else "" for v in rng.uniform(50.0, 150.0, 30)] for _ in range(4)]
+        panel_text = "".join(f"{line}\n" for line in [",".join(["date", *names]), *(
+            ",".join([f"2000-0{i + 1}", *row]) for i, row in enumerate(cells))])
+        limit = csv.field_size_limit()
+        csv.field_size_limit(64)
+        try:
+            assert all(len(line) > 64 for line in [*table.splitlines(), *panel_text.splitlines()])
+            with monkeypatch.context() as patched:
+                patched.setattr(_table, "csv_rows", refuse)
+                patched.setattr(timeseries, "csv_rows", refuse)
+                header, data = read_table(table)
+                panel = parse_panel(panel_text)
+            expected_header, expected = read_table_per_cell(table)
+            rows = list(csv.reader(io.StringIO(panel_text)))[1:]
+            values, missing = parse_cells_per_cell(rows, names)
+            # A cell over the limit still sends the text to csv, which refuses it.
+            with pytest.raises(SchemaError, match="field larger than field limit"):
+                read_table(table.replace("\n1,", "\n1." + "0" * 64 + ",", 1))
+        finally:
+            csv.field_size_limit(limit)
+        assert header == expected_header and same_bits(data, expected)
+        assert panel.names == tuple(names) and np.array_equal(panel.missing, missing) and missing.any()
+        assert panel.values[~missing].tobytes() == values[~missing].tobytes()
 
 
 class TestReadTable:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from warpgrowth.errors import EmptyPanelError, GridError, SchemaError
 from warpgrowth.timeseries import (
     Panel,
-    PriceSeries,
     TimeGrid,
     month_index,
     month_label,
@@ -48,7 +47,7 @@ class TestTimeGrid:
     def test_normalized_roundtrip_exact(self):
         grid = TimeGrid(144, 176)
         for month in grid.months:
-            back = grid.to_month(grid.to_normalized(month))
+            back = grid.start_month + grid.to_normalized(month) * grid.elapsed_months
             assert abs(back - month) <= 1e-12 * max(1.0, abs(month))
 
     def test_normalized_points_span_unit_interval(self):
@@ -61,22 +60,24 @@ class TestTimeGrid:
 
 
 class TestPriceSeries:
+    """One market's price series is a one-row Panel, checked as every panel row is."""
+
     def test_nonpositive_value_rejected(self):
         with pytest.raises(SchemaError, match="series 'A', point 1: value 0.0 is not positive"):
-            PriceSeries("A", np.array([100.0, 0.0]))
+            Panel(TimeGrid(0, 2), ("A",), [[100.0, 0.0]])
 
     def test_nonpositive_allowed_when_masked(self):
-        s = PriceSeries("A", np.array([100.0, np.nan]), np.array([False, True]))
-        assert s.missing[1]
+        s = Panel(TimeGrid(0, 2), ("A",), [[100.0, np.nan]], [[False, True]])
+        assert s.missing[0, 1]
 
     def test_mask_length_mismatch(self):
         with pytest.raises(GridError):
-            PriceSeries("A", np.array([100.0, 101.0]), np.array([False]))
+            Panel(TimeGrid(0, 2), ("A",), [[100.0, 101.0]], [[False]])
 
     def test_values_are_readonly(self):
-        s = PriceSeries("A", np.array([100.0, 101.0]))
+        s = Panel(TimeGrid(0, 2), ("A",), [[100.0, 101.0]])
         with pytest.raises(ValueError):
-            s.values[0] = 5.0
+            s.values[0, 0] = 5.0
 
 
 class TestParsePanel:

@@ -31,7 +31,7 @@ def warp_of(values, alpha, start_month=0, window_start_month=None, t0_month=None
 class TestComputeWarp:
     def test_exact_exponential_gives_identity(self):
         s = baseline_growth(0.0075, 100.0, TimeGrid(144, 176))
-        w = warp_of(s.values, 0.0075, 144)
+        w = warp_of(s.values[0], 0.0075, 144)
         assert np.abs(w.values - w.grid.points).max() < 1e-12
 
     def test_constant_series_gives_zero(self):
@@ -49,7 +49,7 @@ class TestComputeWarp:
 
     def test_window_start_slices_analysis_window(self):
         s = baseline_growth(0.01, 50.0, TimeGrid(100, 30))
-        w = warp_of(s.values, 0.01, 100, window_start_month=110)
+        w = warp_of(s.values[0], 0.01, 100, window_start_month=110)
         assert w.grid.n_points == 20
         assert w.grid.start_month == 110
         assert np.abs(w.values - w.grid.points).max() < 1e-12
@@ -87,12 +87,12 @@ class TestComputeWarp:
 
     def test_t0_normalized_recorded(self):
         s = baseline_growth(0.01, 90.0, TimeGrid(144, 176))
-        w = warp_of(s.values, 0.01, 144, t0_month=167)
+        w = warp_of(s.values[0], 0.01, 144, t0_month=167)
         assert w.t0_normalized[0] == pytest.approx(23.0 / 175.0, abs=1e-15)
 
     def test_identity_deviation_exact_model(self):
         s = baseline_growth(0.0075, 100.0, TimeGrid(144, 176))
-        w = warp_of(s.values, 0.0075, 144, t0_month=167)
+        w = warp_of(s.values[0], 0.0075, 144, t0_month=167)
         assert identity_deviation(w)[0] < 1e-10
 
     def test_identity_deviation_per_row(self):
@@ -108,17 +108,18 @@ class TestBaselineGrowth:
     def test_zero_rate_constant(self):
         grid = TimeGrid(0, 12)
         z = baseline_growth(0.0, 42.0, grid)
-        assert np.all(z.values == 42.0)
+        assert z.names[0] == "baseline" and z.grid == grid
+        assert np.all(z.values[0] == 42.0)
 
     def test_twelve_month_value(self):
         grid = TimeGrid(0, 13)
         z = baseline_growth(0.0075, 100.0, grid)
-        assert z.values[12] == pytest.approx(100.0 * math.exp(0.09), rel=1e-14)
-        assert z.values[12] == pytest.approx(109.417, abs=5e-4)
+        assert z.values[0, 12] == pytest.approx(100.0 * math.exp(0.09), rel=1e-14)
+        assert z.values[0, 12] == pytest.approx(109.417, abs=5e-4)
 
     def test_round_trip_identity_warp(self):
         z = baseline_growth(0.012, 85.0, TimeGrid(0, 30))
-        w = warp_of(z.values, 0.012)
+        w = warp_of(z.values[0], 0.012)
         assert np.abs(w.values - w.grid.points).max() <= 1e-12
 
     def test_invalid_inputs(self):

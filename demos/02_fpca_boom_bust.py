@@ -32,11 +32,10 @@ rows = truth.mean + (xi * np.sqrt(truth.eigenvalues)) @ truth.eigenfunctions
 outlier_a = truth.mean + 4.5 * np.sqrt(truth.eigenvalues[0]) * truth.eigenfunctions[0]
 outlier_b = truth.mean - 5.0 * np.sqrt(truth.eigenvalues[1]) * truth.eigenfunctions[1]
 
-# The sample is one warp set: a row per market, with its rate (1 per
-# normalized window here), t0 and reliability flag.
+# The sample is one warp set, a row per market. It holds only the warps:
+# FPCA needs no growth rates, which enter only the regression at the end.
 names = [f"market{i:02d}" for i in range(n_regular)] + ["outlier_boom", "outlier_bust"]
-n = len(names)
-sample = WarpSet(grid, names, np.vstack([rows, outlier_a, outlier_b]), np.ones(n), np.zeros(n), np.ones(n, dtype=bool))
+sample = WarpSet(grid, names, np.vstack([rows, outlier_a, outlier_b]))
 
 # ---------------------------------------------------------------------------
 # Fit with the outliers excluded; they still receive projected scores.

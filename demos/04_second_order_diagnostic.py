@@ -22,8 +22,8 @@ alpha_month = alpha_norm / (m - 1)    # ... i.e. about 0.74% per month
 def diagnose(x, h, grid, alpha_month):
     """Residual row of one series ``x`` on the months of ``grid`` against its warp ``h`` at ``alpha_month``."""
     panel = Panel(grid, ("demo",), [x])
-    warp = WarpSet(grid, ("demo",), [h], [alpha_month], [0.0], [True])
-    return second_order_diagnostic(panel, warp)[0]
+    warp = WarpSet(grid, ("demo",), [h])
+    return second_order_diagnostic(panel, warp, [alpha_month])[0]
 
 
 # A smooth nonmonotone warp: boom above the diagonal, then a dip.

@@ -428,20 +428,16 @@ def read_table(text: str) -> tuple[list[str], np.ndarray]:
     if not rows:
         return [], np.empty((0, 0))
     header, body = rows[0], rows[1:]
-    try:
-        data = np.array([list(map(float, row)) for row in body], dtype=float)
-    except ValueError:
-        data = None
-    if data is None or data.shape != (len(body), len(header)):
-        for lineno, row in enumerate(body, start=2):
-            if len(row) != len(header):
-                raise SchemaError(f"row {lineno}: expected {len(header)} cells, got {len(row)}")
-            for name, cell in zip(header, row):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise SchemaError(f"row {lineno}, column {name!r}: cannot parse {reprlib.repr(cell)}") from None
-    return header, data.reshape(len(body), len(header))
+    data = np.empty((len(body), len(header)))
+    for lineno, (row, out) in enumerate(zip(body, data), start=2):
+        if len(row) != len(header):
+            raise SchemaError(f"row {lineno}: expected {len(header)} cells, got {len(row)}")
+        for j, cell in enumerate(row):
+            try:
+                out[j] = float(cell)
+            except ValueError:
+                raise SchemaError(f"row {lineno}, column {header[j]!r}: cannot parse {reprlib.repr(cell)}") from None
+    return header, data
 
 
 def read_unit_table(text: str, min_columns: int) -> tuple[list[str], np.ndarray]:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _table
 from . import simulate as sim
-from .errors import ConfigError, WarpGrowthError
+from .errors import ConfigError, GridError, WarpGrowthError
 from .fpca import (
     DEFAULT_VAR_THRESHOLD,
     eigenfunctions_to_csv,
@@ -62,7 +62,13 @@ def _parse_window(text: str) -> tuple[int, int]:
     parts = text.split(":")
     if len(parts) != 2:
         raise ConfigError(f"--window must be START:END, got {text!r}")
-    return _parse_month(parts[0]), _parse_month(parts[1])
+    try:
+        start, end = map(_parse_month, parts)
+    except GridError as exc:
+        raise ConfigError(f"--window: {exc}") from None
+    if end <= start:
+        raise ConfigError(f"--window {text!r}: END must come after START")
+    return start, end
 
 
 def _parse_lengths(text: str) -> tuple[int, ...]:
@@ -129,17 +135,19 @@ def cmd_fit(args) -> int:
 
 
 def _warps_for_artifact(args):
+    """The panel restricted as the fit artifact says, its fits in panel order, and their warps."""
     restriction, fits = _table.read_file(_fit_path(args), _parse_fit_artifact)
     panel, _ = restrict(_table.read_file(args.input, parse_panel), *restriction)
-    return panel, compute_warp_set(panel, fits, window_start_month=fits.window[0], t0_month=fits.window[1])
+    fits = fits.align(panel.names)
+    return panel, fits, compute_warp_set(panel, fits, window_start_month=fits.window[0], t0_month=fits.window[1])
 
 
 def cmd_warp(args) -> int:
-    _, warpset = _warps_for_artifact(args)
+    _, fits, warpset = _warps_for_artifact(args)
     months = warpset.grid.elapsed_months
     h_end = warpset.values[:, -1]
     setback = 1.0 - h_end
-    columns = (warpset.alpha_used, h_end, setback, setback * months, warpset.reliable.astype(int))
+    columns = (fits.alpha, h_end, setback, setback * months, (~fits.clamped).astype(int))
     setbacks = _table.write_rows(
         ["name", "alpha", "h_end", "setback_normalized", "setback_months", "reliable"],
         zip(warpset.names, *(c.tolist() for c in columns)),
@@ -234,8 +242,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    panel, warpset = _warps_for_artifact(args)
-    residuals = second_order_diagnostic(panel, warpset)
+    panel, fits, warpset = _warps_for_artifact(args)
+    residuals = second_order_diagnostic(panel, warpset, fits.alpha)
     max_abs = np.abs(residuals).max(axis=1).tolist()
     summary = {"per_series": [{"name": name, "max_abs_residual": r} for name, r in zip(warpset.names, max_abs)]}
     out = Path(args.output_dir)

@@ -297,14 +297,13 @@ def generate_replicate(truth: SimTruth, rng: np.random.Generator) -> Replicate:
 
 
 def _fsum_mean(values) -> float:
-    vals = sorted(float(v) for v in values)
-    return math.fsum(vals) / len(vals) if vals else float("nan")
+    return math.fsum(values) / len(values) if len(values) else float("nan")
 
 
 def averaged_relative_squared_error(alpha_hat: np.ndarray, alpha_true: np.ndarray) -> float:
     """ASE = (1/n) sum_i (alpha_hat_i - alpha_i)^2 / alpha_i^2.
 
-    Summed in sorted order, so the value is invariant to series reordering.
+    Summed with :func:`math.fsum`, so the value is invariant to series order.
     """
     ratios = ((np.asarray(alpha_hat) - np.asarray(alpha_true)) / np.asarray(alpha_true)) ** 2
     return _fsum_mean(ratios)
@@ -553,11 +552,14 @@ def convergence_sweep(
     trip); per size and repeat, the sup-norm errors of the empirical mean,
     covariance surface, first eigenfunction (sign-aligned) and first
     eigenvalue are recorded. The returned slopes are least squares fits of
-    log mean error against log n.
+    log mean error against log n. ConfigError unless ``sizes`` holds at
+    least 2 increasing entries and ``repeats`` is at least 1.
     """
     sizes = tuple(int(n) for n in sizes)
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigError(f"sizes must be at least 2 increasing entries, got {sizes}")
+    if repeats < 1:
+        raise ConfigError(f"repeats must be at least 1, got {repeats}")
     seed = _seed(truth, seed)
 
     root_lam = np.sqrt(truth.eigenvalues)

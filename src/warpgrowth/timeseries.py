@@ -172,22 +172,6 @@ class Panel:
             raise MissingDataError(f"series with missing values inside months [{start + lo}, {start + hi}]: {names}")
 
 
-def _raise_first_bad_cell(data_rows: list[list[str]], names: list[str]) -> None:
-    """Raise the error for the first bad value cell in row-major order, if there is one."""
-    for i, row in enumerate(data_rows):
-        for j, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            if not cell:
-                continue
-            try:
-                v = float(cell)
-            except ValueError:
-                raise SchemaError(f"row {i + 2}, column {names[j]!r}: cannot parse {reprlib.repr(cell)}") from None
-            problem = _value_problem(v)
-            if problem:
-                raise SchemaError(f"row {i + 2}, column {names[j]!r}: value {reprlib.repr(cell)} {problem}")
-
-
 def _series_names(header: list[str]) -> list[str]:
     """The series names of a panel's header row; SchemaError unless it is ``date,<name1>,...`` with no empty name."""
     if header[0].strip() != "date":
@@ -282,27 +266,22 @@ def parse_panel(csv_text: str) -> Panel:
                 f"non-consecutive months: {month_label(prev)} followed by {month_label(cur)}"
             )
 
-    # One conversion per stripped cell, one row at a time; a blank cell is
-    # missing, and a spelled-out "nan" is a value the Panel check rejects.
-    # float itself strips less than str.strip ("\x1c"-"\x1f" stay), so each
-    # cell is stripped first, as _raise_first_bad_cell strips it.
-    n = len(data_rows)
-    values = np.empty((len(names), n))
-    missing = np.empty((len(names), n), dtype=bool)
-    try:
-        for i, row in enumerate(data_rows):
-            cells = [c.strip() for c in row[1:]]
-            missing[:, i] = [not c for c in cells]
-            values[:, i] = [float(c) if c else math.nan for c in cells]
-    except ValueError:
-        _raise_first_bad_cell(data_rows, names)
-        raise
-    try:
-        return Panel(TimeGrid(months[0], n), tuple(names), values, missing)
-    except SchemaError:
-        # A bad level is reported by its cell; duplicate names pass through.
-        _raise_first_bad_cell(data_rows, names)
-        raise
+    # One row-major pass that raises at the first bad cell, as Panel checks
+    # levels. float strips less than str.strip ("\x1c"-"\x1f" stay), so each
+    # cell is stripped first. A blank cell is NaN; a spelled-out "nan" fails.
+    values = np.empty((len(data_rows), len(names)))
+    for lineno, (row, out) in enumerate(zip(data_rows, values), start=2):
+        for j, cell in enumerate(row[1:]):
+            cell = cell.strip()
+            try:
+                v = float(cell) if cell else math.nan
+            except ValueError:
+                raise SchemaError(f"row {lineno}, column {names[j]!r}: cannot parse {reprlib.repr(cell)}") from None
+            if cell and not _TINY <= v < math.inf:
+                raise SchemaError(f"row {lineno}, column {names[j]!r}: value {reprlib.repr(cell)} {_value_problem(v)}")
+            out[j] = v
+    values = values.T
+    return Panel(TimeGrid(months[0], len(data_rows)), tuple(names), values, np.isnan(values))
 
 
 def serialize_panel(panel: Panel) -> str:

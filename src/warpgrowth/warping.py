@@ -9,8 +9,9 @@ yields the identity warp ``h(t) = t``. Warps are not required to be
 monotone: decreasing stretches mean prices have retreated to the level of
 an earlier date, and values outside [0, 1] are kept as-is.
 
-A :class:`WarpSet` holds the n x m warp array and per-row rates, t0 and
-flags. :func:`compute_warp_set`, :func:`second_order_diagnostic` and
+A :class:`WarpSet` holds the n x m warp array and the one t0 of its
+window; the rates that produced the warps stay in the fits.
+:func:`compute_warp_set`, :func:`second_order_diagnostic` and
 :func:`identity_deviation` treat all rows in one array pass; one series is
 a one-row panel and a one-row warp set.
 """
@@ -30,29 +31,23 @@ from .timeseries import Panel, TimeGrid, freeze_fields, freeze_names
 
 @dataclass(frozen=True)
 class WarpSet:
-    """n warping functions on the unit points of one grid, as read-only arrays.
+    """n warping functions on the unit points of one grid, as a read-only array.
 
-    Row ``i`` of the n x m ``values`` (what :meth:`matrix` returns) and
-    entry ``i`` of the per-row arrays belong to ``names[i]``; column ``j``
-    is at ``grid.points[j]``. ``alpha_used`` is the per-month rate that
-    produced the warp, ``t0_normalized`` marks the end of the undisturbed
-    interval in [0, 1], and ``reliable`` is False when the rate was clamped
-    at the positivity floor. GridError for a shape mismatch, SchemaError
+    Row ``i`` of the n x m ``values`` (what :meth:`matrix` returns) belongs
+    to ``names[i]``; column ``j`` is at ``grid.points[j]``.
+    ``t0_normalized`` is the one point in [0, 1] where the undisturbed
+    interval of every row ends. GridError for a shape mismatch, SchemaError
     for a repeated name.
     """
 
     grid: TimeGrid
     names: tuple[str, ...]
     values: np.ndarray
-    alpha_used: np.ndarray
-    t0_normalized: np.ndarray
-    reliable: np.ndarray
+    t0_normalized: float = 0.0
 
     def __post_init__(self):
-        n = len(freeze_names(self, "warp set"))
-        fields = (("values", float, (n, self.grid.n_points)), ("alpha_used", float, (n,)),
-                  ("t0_normalized", float, (n,)), ("reliable", bool, (n,)))
-        freeze_fields(self, fields, f"warp set of {n} series on {self.grid.n_points} points")
+        n, m = len(freeze_names(self, "warp set")), self.grid.n_points
+        freeze_fields(self, (("values", float, (n, m)),), f"warp set of {n} series on {m} points")
 
     @property
     def n_series(self) -> int:
@@ -74,14 +69,14 @@ def compute_warp_set(
     The analysis window runs from ``window_start_month`` (default: grid
     start) to the grid end and maps affinely to [0, 1]. Row ``i`` is
     ``h_i = (log X_i - log X_i(start)) / (alpha_i * elapsed_months)`` at the
-    rate of the fit named like series ``i``, unreliable if that rate was
-    clamped, so exact exponential growth at rate ``alpha_i`` gives
-    ``h_i(t) = t``. SchemaError if a series has no fit, RateError unless
-    every rate is positive and every warp finite (a rate such as 1e-320
-    overflows it), MissingDataError for a gap on the window.
+    rate of the fit named like series ``i``, so exact exponential growth at
+    rate ``alpha_i`` gives ``h_i(t) = t``. ``t0_month`` (default: the
+    window start) gives the warp set's ``t0_normalized``. SchemaError if a
+    series has no fit, RateError unless every rate is positive and every
+    warp finite (a rate such as 1e-320 overflows it), MissingDataError for
+    a gap on the window.
     """
-    fits = (alphas.fits if isinstance(alphas, AlphaEstimates) else alphas).align(panel.names)
-    alpha = fits.alpha
+    alpha = (alphas.fits if isinstance(alphas, AlphaEstimates) else alphas).align(panel.names).alpha
     bad = np.flatnonzero(~(alpha > 0))
     if bad.size:
         raise RateError(f"series {panel.names[bad[0]]!r}: alpha must be positive, got {alpha[bad[0]]}")
@@ -100,8 +95,7 @@ def compute_warp_set(
     if bad.size:
         i = bad[0]
         raise RateError(f"series {panel.names[i]!r}: alpha {float(alpha[i])!r} is so small that its warp is not finite")
-    t0_norm = 0.0 if t0_month is None else sub.to_normalized(t0_month)
-    return WarpSet(sub, panel.names, h, alpha, np.full(panel.n_series, t0_norm), ~fits.clamped)
+    return WarpSet(sub, panel.names, h, 0.0 if t0_month is None else sub.to_normalized(t0_month))
 
 
 def baseline_growth(alpha: float, x0: float, grid: TimeGrid) -> Panel:
@@ -134,7 +128,7 @@ def _derivative(f: np.ndarray, dt: float) -> np.ndarray:
     return g
 
 
-def second_order_diagnostic(panel: Panel, warps: WarpSet) -> np.ndarray:
+def second_order_diagnostic(panel: Panel, warps: WarpSet, alpha: np.ndarray) -> np.ndarray:
     """Residuals of the second-order model identity: one row per series, one column per warp grid point.
 
     Under the constant-rate model, ``d/dt (X'(t)/X(t)) = alpha * h''(t)``.
@@ -145,12 +139,15 @@ def second_order_diagnostic(panel: Panel, warps: WarpSet) -> np.ndarray:
 
     ``warps`` must name the panel's series in order (else SchemaError) and
     span its last months (else GridError, as for under 5 points), on which
-    the series must be complete (else MissingDataError). Each row's rate is
-    its ``alpha_used``. NumericalError names the first series whose
-    residuals are not finite, as when a month at 1e307 next to one at
-    1e-300 overflows the differences.
+    the series must be complete (else MissingDataError). ``alpha`` holds
+    one per-month rate per warp row (else GridError). NumericalError names
+    the first series whose residuals are not finite, as when a month at
+    1e307 next to one at 1e-300 overflows the differences.
     """
     grid = warps.grid
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape != (warps.n_series,):
+        raise GridError(f"alpha must hold one rate per warp row, shape ({warps.n_series},), got {alpha.shape}")
     if grid.n_points < 5:
         raise GridError("second-order diagnostic needs at least 5 grid points")
     if warps.names != panel.names:
@@ -160,7 +157,7 @@ def second_order_diagnostic(panel: Panel, warps: WarpSet) -> np.ndarray:
     lo = panel.grid.index_of(grid.start_month)
     panel.check_complete(lo, panel.grid.n_points - 1)
     dt = 1.0 / grid.elapsed_months
-    alpha_norm = warps.alpha_used * grid.elapsed_months
+    alpha_norm = alpha * grid.elapsed_months
     x = panel.values[:, lo:]
     with np.errstate(over="ignore", invalid="ignore"):
         log_accel = _derivative(_derivative(x, dt) / x, dt)
@@ -176,14 +173,13 @@ def second_order_diagnostic(panel: Panel, warps: WarpSet) -> np.ndarray:
 def identity_deviation(warps: WarpSet) -> np.ndarray:
     """Per row, the mean absolute deviation of h(t) - t over the undisturbed [0, t0].
 
-    A row whose t0 lies before the first grid point is measured there.
-    Zero (up to rounding) when the identity anchor holds exactly on the
-    fitting region; grows with lack of fit there.
+    A t0 before the first grid point is measured there. Zero (up to
+    rounding) when the identity anchor holds exactly on the fitting region;
+    grows with lack of fit there.
     """
     t = warps.grid.points
-    mask = t <= warps.t0_normalized[:, None]
-    mask[:, 0] = True
-    return np.where(mask, np.abs(warps.values - t), 0.0).sum(axis=1) / mask.sum(axis=1)
+    mask = t <= max(0.0, warps.t0_normalized)
+    return np.where(mask, np.abs(warps.values - t), 0.0).sum(axis=1) / mask.sum()
 
 
 def warps_to_csv(warpset: WarpSet, file: BinaryIO | None = None) -> str | None:
@@ -203,9 +199,8 @@ def warps_from_csv(csv_text: str) -> WarpSet:
     a truncated file or one on another spacing raises GridError rather
     than being silently regridded, and a missing warp column or a cell that
     is not finite raises SchemaError, as does a repeated name. The CSV
-    carries neither month metadata nor rates, so the grid is anchored at
-    month 0 and every ``alpha_used`` is 1.
+    carries no month metadata, so the grid is anchored at month 0 and t0
+    is 0.
     """
     header, data = read_unit_table(csv_text, 2)
-    n, grid = len(header) - 1, TimeGrid(0, data.shape[0])
-    return WarpSet(grid, tuple(header[1:]), data[:, 1:].T, np.ones(n), np.zeros(n), np.ones(n, dtype=bool))
+    return WarpSet(TimeGrid(0, data.shape[0]), header[1:], data[:, 1:].T)

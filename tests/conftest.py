@@ -30,11 +30,10 @@ def rate_fits(names, alphas, clamped=None) -> WindowFits:
 
 
 def warp_set(grid, rows, names=None) -> WarpSet:
-    """Warps ``rows`` on the normalized ``grid`` at rate 1, t0 = 0 and reliable, named ``w0, w1, ...`` by default."""
+    """Warps ``rows`` on the normalized ``grid``, named ``w0, w1, ...`` by default."""
     rows = np.asarray(rows, dtype=float).reshape(-1, grid.n_points)
-    n = rows.shape[0]
-    names = [f"w{i}" for i in range(n)] if names is None else names
-    return WarpSet(grid, names, rows, np.ones(n), np.zeros(n), np.ones(n, dtype=bool))
+    names = [f"w{i}" for i in range(rows.shape[0])] if names is None else names
+    return WarpSet(grid, names, rows)
 
 
 def _set_cell(row: int, column: int, cell: str):

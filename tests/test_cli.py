@@ -86,6 +86,21 @@ class TestFitCommand:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("window", ["x:y", "2013-07:1998-12", "2000-01:2000-01", "2000-13:2001-01"])
+    def test_bad_window_flag_exits_4(self, exp_csv, tmp_path, capsys, window):
+        out = tmp_path / "o"
+        assert main(["fit", "--input", exp_csv, "--output-dir", str(out), "--window", window]) == 4
+        assert "configuration error: --window" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_window_outside_the_panel_exits_2(self, exp_csv, tmp_path, capsys):
+        # A well-formed window that the panel does not cover is an input error.
+        out = tmp_path / "o"
+        assert main(["fit", "--input", exp_csv, "--output-dir", str(out), "--window", "1990-01:2004-06"]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "outside grid" in err
+        assert not out.exists()
+
 
 class TestWarpCommand:
     def test_identity_fixture(self, exp_csv, tmp_path):
@@ -545,8 +560,7 @@ from warpgrowth.cli import main
 
 
 def sample(grid, rows):
-    n = len(rows)
-    return WarpSet(grid, [f"s{i}" for i in range(n)], rows, np.full(n, 0.01), np.zeros(n), np.ones(n, dtype=bool))
+    return WarpSet(grid, [f"s{i}" for i in range(len(rows))], rows)
 
 
 truth = default_truth()

@@ -32,11 +32,11 @@ def panels(draw, gap_share=0.0):
 
 
 def warp_set_of(panel, rng, draw):
-    """Warps of ``panel`` at random rates and clamp flags, from a random start with at least 5 points."""
+    """Warps of ``panel`` at random rates, from a random start with at least 5 points."""
     grid = panel.grid
     start = grid.start_month + draw(st.integers(min_value=0, max_value=grid.n_points - 5))
     t0 = draw(st.one_of(st.none(), st.integers(min_value=start, max_value=grid.end_month)))
-    fits = rate_fits(panel.names, rng.uniform(1e-4, 0.05, panel.n_series), rng.random(panel.n_series) < 0.3)
+    fits = rate_fits(panel.names, rng.uniform(1e-4, 0.05, panel.n_series))
     return compute_warp_set(panel, fits, start, t0), fits, start, t0
 
 
@@ -47,8 +47,7 @@ def row_of(panel, i):
 
 def warp_row(warps, i):
     """Row ``i`` of ``warps`` as a one-row warp set."""
-    rows = (warps.values, warps.alpha_used, warps.t0_normalized, warps.reliable)
-    return WarpSet(warps.grid, warps.names[i : i + 1], *(a[i : i + 1] for a in rows))
+    return WarpSet(warps.grid, warps.names[i : i + 1], warps.values[i : i + 1], warps.t0_normalized)
 
 
 class TestBatchedEqualsOneRow:
@@ -58,24 +57,22 @@ class TestBatchedEqualsOneRow:
         panel, rng = drawn
         warps, fits, start, t0 = warp_set_of(panel, rng, data.draw)
         assert warps.names == panel.names
-        assert warps.reliable.tolist() == (~fits.clamped).tolist()
         for i in range(panel.n_series):
             one = compute_warp_set(row_of(panel, i), fits, start, t0)
-            assert one.grid == warps.grid
-            for key in ("values", "alpha_used", "t0_normalized", "reliable"):
-                assert getattr(one, key)[0].tobytes() == getattr(warps, key)[i].tobytes(), key
+            assert (one.grid, one.t0_normalized) == (warps.grid, warps.t0_normalized)
+            assert one.values[0].tobytes() == warps.values[i].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(drawn=panels(), data=st.data())
     def test_diagnostic_rows_are_the_one_row_call(self, drawn, data):
         panel, rng = drawn
-        warps, _, start, _ = warp_set_of(panel, rng, data.draw)
-        batched = second_order_diagnostic(panel, warps)
+        warps, fits, start, _ = warp_set_of(panel, rng, data.draw)
+        batched = second_order_diagnostic(panel, warps, fits.alpha)
         assert batched.shape == warps.values.shape
         lo = panel.grid.index_of(start)
         for i in range(panel.n_series):
             row = Panel(TimeGrid(start, panel.grid.n_points - lo), panel.names[i : i + 1], panel.values[i : i + 1, lo:])
-            assert second_order_diagnostic(row, warp_row(warps, i)).tobytes() == batched[i].tobytes()
+            assert second_order_diagnostic(row, warp_row(warps, i), fits.alpha[i : i + 1]).tobytes() == batched[i].tobytes()
 
 
 class TestRestrict:

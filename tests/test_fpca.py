@@ -53,7 +53,7 @@ class TestMeanFunction:
     def test_empty_sample(self):
         grid = TimeGrid(0, 4)
         with pytest.raises(EmptySampleError):
-            mean_function(WarpSet(grid, (), np.empty((0, 4)), [], [], []))
+            mean_function(WarpSet(grid, (), np.empty((0, 4))))
 
 
 class TestCovarianceFunction:

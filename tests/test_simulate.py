@@ -339,6 +339,11 @@ class TestConvergenceSweep:
         with pytest.raises(ConfigError):
             convergence_sweep(default_truth(), (100, 50))
 
+    def test_repeats_validated(self):
+        # Zero repeats would average nothing into all-NaN errors and slopes.
+        with pytest.raises(ConfigError, match="repeats must be at least 1, got 0"):
+            convergence_sweep(default_truth(), (25, 100), repeats=0)
+
 
 class TestTruthIO:
     def test_save_load_round_trip(self, tmp_path):

@@ -88,7 +88,7 @@ class TestComputeWarp:
     def test_t0_normalized_recorded(self):
         s = baseline_growth(0.01, 90.0, TimeGrid(144, 176))
         w = warp_of(s.values[0], 0.01, 144, t0_month=167)
-        assert w.t0_normalized[0] == pytest.approx(23.0 / 175.0, abs=1e-15)
+        assert w.t0_normalized == pytest.approx(23.0 / 175.0, abs=1e-15)
 
     def test_identity_deviation_exact_model(self):
         s = baseline_growth(0.0075, 100.0, TimeGrid(144, 176))
@@ -96,12 +96,14 @@ class TestComputeWarp:
         assert identity_deviation(w)[0] < 1e-10
 
     def test_identity_deviation_per_row(self):
-        # Row 0 deviates by 0.1 on [0, t0]; row 1 has t0 before the grid and is measured at t = 0.
+        # Row 0 deviates by 0.1 everywhere, row 1 by 0.2 t: on [0, 0.5] that is a mean of 0.05.
+        # A t0 before the grid measures both rows at t = 0 alone.
         grid = TimeGrid(0, 11)
         t = grid.points
         rows = np.vstack([t + 0.1, t + 0.2 * t])
-        warps = WarpSet(grid, ("a", "b"), rows, [1.0, 1.0], [0.5, -0.1], [True, True])
-        np.testing.assert_allclose(identity_deviation(warps), [0.1, 0.0], rtol=1e-14, atol=0.0)
+        for t0, expected in ((0.5, [0.1, 0.05]), (-0.1, [0.1, 0.0])):
+            warps = WarpSet(grid, ("a", "b"), rows, t0)
+            np.testing.assert_allclose(identity_deviation(warps), expected, rtol=1e-14, atol=0.0)
 
 
 class TestBaselineGrowth:
@@ -135,8 +137,9 @@ class TestWarpSetPipeline:
         t = np.arange(40.0)
         panel = Panel(TimeGrid(0, 40), ("up", "down"), [100.0 * np.exp(0.01 * t), 100.0 * np.exp(-0.01 * t)])
         est = estimate_alphas(panel, (0, 23))
+        assert est.fits.clamped.tolist() == [False, True]
         ws = compute_warp_set(panel, est, t0_month=23)
-        assert ws.reliable.tolist() == [True, False]
+        assert ws.names == panel.names and np.isfinite(ws.values).all()
 
     def test_csv_round_trip(self):
         panel = exponential_panel([0.004, 0.009, 0.013], n_points=40)
@@ -213,8 +216,8 @@ def _diag_residual(m, hfun, alpha_norm, xfun=None):
     h = hfun(u)
     alpha_month = alpha_norm / (m - 1)
     x = 100.0 * np.exp(alpha_norm * h) if xfun is None else xfun(u)
-    warp = WarpSet(TimeGrid(0, m), ("s",), h[None], [alpha_month], [0.0], [True])
-    return second_order_diagnostic(one_series_panel(x), warp)[0]
+    warp = WarpSet(TimeGrid(0, m), ("s",), h[None])
+    return second_order_diagnostic(one_series_panel(x), warp, [alpha_month])[0]
 
 
 class TestSecondOrderDiagnostic:
@@ -249,17 +252,24 @@ class TestSecondOrderDiagnostic:
         panel = Panel(TimeGrid(0, 60), ("a", "b", "c"), x)
         warps = compute_warp_set(panel, rate_fits(panel.names, [0.01] * 3))
         with np.errstate(all="raise"), pytest.raises(NumericalError, match="series 'b'"):
-            second_order_diagnostic(panel, warps)
+            second_order_diagnostic(panel, warps, np.full(3, 0.01))
 
     def test_grid_too_small(self):
-        warp = WarpSet(TimeGrid(0, 4), ("s",), [np.linspace(0, 1, 4)], [0.01], [0.0], [True])
+        warp = WarpSet(TimeGrid(0, 4), ("s",), [np.linspace(0, 1, 4)])
         with pytest.raises(GridError):
-            second_order_diagnostic(one_series_panel(np.full(4, 10.0)), warp)
+            second_order_diagnostic(one_series_panel(np.full(4, 10.0)), warp, [0.01])
 
     def test_length_mismatch(self):
-        warp = WarpSet(TimeGrid(0, 6), ("s",), [np.linspace(0, 1, 6)], [0.01], [0.0], [True])
+        warp = WarpSet(TimeGrid(0, 6), ("s",), [np.linspace(0, 1, 6)])
         with pytest.raises(GridError):
-            second_order_diagnostic(one_series_panel(np.full(5, 10.0)), warp)
+            second_order_diagnostic(one_series_panel(np.full(5, 10.0)), warp, [0.01])
+
+    @pytest.mark.parametrize("alpha", [0.01, [0.01, 0.01], [[0.01]]])
+    def test_rates_must_be_one_per_row(self, alpha):
+        # A scalar or a wrong-length array would broadcast silently over the rows.
+        warp = WarpSet(TimeGrid(0, 6), ("s",), [np.linspace(0, 1, 6)])
+        with pytest.raises(GridError, match=r"one rate per warp row, shape \(1,\)"):
+            second_order_diagnostic(one_series_panel(np.full(6, 10.0)), warp, alpha)
 
 
 class TestPipelineIdentityAnchor:

@@ -60,7 +60,6 @@ from .warping import (
     WarpSet,
     baseline_growth,
     compute_warp_set,
-    second_order_diagnostic,
     warps_from_csv,
     warps_to_csv,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "save_truth",
     "score_rate_regression",
     "search_interval",
-    "second_order_diagnostic",
     "serialize_panel",
     "warps_from_csv",
     "warps_to_csv",

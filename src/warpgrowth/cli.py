@@ -4,7 +4,8 @@ Stages are chained through files rather than an in-memory session, so each
 step is independently reproducible: ``fit`` writes the selected window and
 rate estimates as JSON, ``warp`` turns panel + fit artifact into a warp
 CSV, ``fpca`` decomposes a warp CSV, ``simulate`` runs the Monte Carlo
-study, and ``diagnose`` emits second-order model residuals.
+study, and ``diagnose`` checks the identity anchor: how far each warp is
+from ``h(t) = t`` on the undisturbed window that ``fit`` selected.
 
 Exit codes are a stable contract: 0 success, 2 input error, 3 numerical
 failure, 4 configuration error, each declared by its ``WarpGrowthError``
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import _table
 from . import simulate as sim
-from .errors import ConfigError, GridError, WarpGrowthError
+from .errors import ConfigError, GridError, SchemaError, WarpGrowthError
 from .fpca import (
     DEFAULT_VAR_THRESHOLD,
     eigenfunctions_to_csv,
@@ -41,7 +42,7 @@ from .growthfit import (
     search_interval,
 )
 from .timeseries import month_index, month_label, parse_panel, restrict
-from .warping import compute_warp_set, second_order_diagnostic, warps_from_csv, warps_to_csv
+from .warping import compute_warp_set, identity_deviation, warps_from_csv, warps_to_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -82,7 +83,11 @@ def _parse_lengths(text: str) -> tuple[int, ...]:
 
 
 def _parse_fit_artifact(text: str) -> tuple[tuple[int, int], WindowFits]:
-    """The panel restriction and the rate fits of a fit artifact, every field type-checked."""
+    """The panel restriction and the rate fits of a fit artifact, every field type-checked.
+
+    SchemaError unless the window's start comes before its end and the
+    window lies inside the restriction.
+    """
     artifact = json.loads(text)
     field = _table.json_field
 
@@ -92,6 +97,11 @@ def _parse_fit_artifact(text: str) -> tuple[tuple[int, int], WindowFits]:
     window = span(field(artifact, "window", dict, "fit artifact"), "window")
     analysis = field(artifact, "analysis", dict, "fit artifact")
     restriction = span(field(analysis, "restriction", dict, "analysis"), "analysis.restriction")
+    (start, end), (lo, hi) = window, restriction
+    if start >= end:
+        raise SchemaError(f"window: start {start} must come before end {end}")
+    if start < lo or end > hi:
+        raise SchemaError(f"window {start}..{end} lies outside analysis.restriction {lo}..{hi}")
     rows = field(field(artifact, "alpha_estimates", dict, "fit artifact"), "per_series", [dict], "alpha_estimates")
     keys = (("name", str), ("alpha", float), ("intercept", float), ("r2", float))
     columns = [[] for _ in range(len(keys) + 1)]
@@ -135,15 +145,15 @@ def cmd_fit(args) -> int:
 
 
 def _warps_for_artifact(args):
-    """The panel restricted as the fit artifact says, its fits in panel order, and their warps."""
+    """The fit artifact's fits in the order of the panel it restricts, and the warps of that panel."""
     restriction, fits = _table.read_file(_fit_path(args), _parse_fit_artifact)
     panel, _ = restrict(_table.read_file(args.input, parse_panel), *restriction)
     fits = fits.align(panel.names)
-    return panel, fits, compute_warp_set(panel, fits, window_start_month=fits.window[0], t0_month=fits.window[1])
+    return fits, compute_warp_set(panel, fits, window_start_month=fits.window[0], t0_month=fits.window[1])
 
 
 def cmd_warp(args) -> int:
-    _, fits, warpset = _warps_for_artifact(args)
+    fits, warpset = _warps_for_artifact(args)
     months = warpset.grid.elapsed_months
     h_end = warpset.values[:, -1]
     setback = 1.0 - h_end
@@ -242,16 +252,23 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    panel, fits, warpset = _warps_for_artifact(args)
-    residuals = second_order_diagnostic(panel, warpset, fits.alpha)
-    max_abs = np.abs(residuals).max(axis=1).tolist()
-    summary = {"per_series": [{"name": name, "max_abs_residual": r} for name, r in zip(warpset.names, max_abs)]}
-    out = Path(args.output_dir)
-    with _table.open_output(out / "diagnostics.csv") as fh:
-        _table.write_table(["t_normalized", *warpset.names], [warpset.grid.points, residuals], fh)
-    _table.write_json(out / "diagnostics_summary.json", summary)
-    worst = max(row["max_abs_residual"] for row in summary["per_series"])
-    print(f"diagnose: {warpset.n_series} series, largest second-order residual {worst:.4g}")
+    fits, warpset = _warps_for_artifact(args)
+    deviation = identity_deviation(warpset)
+    worst = int(np.argmax(deviation))
+    start, end = fits.window
+    summary = {
+        "anchor_window": {"start": start, "end": end},
+        "worst": {"name": warpset.names[worst], "anchor_deviation": float(deviation[worst])},
+        "per_series": [
+            {"name": name, "anchor_deviation": d, "clamped": c}
+            for name, d, c in zip(warpset.names, deviation.tolist(), fits.clamped.tolist())
+        ],
+    }
+    _table.write_json(Path(args.output_dir) / "diagnostics_summary.json", summary)
+    print(
+        f"diagnose: {warpset.n_series} series, anchor window {month_label(start)}..{month_label(end)}, "
+        f"largest anchor deviation {deviation[worst]:.4g} ({warpset.names[worst]})"
+    )
     return EXIT_OK
 
 
@@ -299,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--convergence-sweep", action="store_true")
     simulate.set_defaults(func=cmd_simulate)
 
-    diagnose = sub.add_parser("diagnose", help="second-order model residuals per series")
+    diagnose = sub.add_parser("diagnose", help="per series, the warp's deviation from h(t) = t on the fit window")
     diagnose.add_argument("--input", required=True, help="panel CSV")
     diagnose.add_argument("--output-dir", required=True)
     diagnose.add_argument("--fit", default=None, help="fit artifact path (default: OUTPUT_DIR/fit.json)")

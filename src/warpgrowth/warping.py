@@ -1,4 +1,4 @@
-"""Recovery of nonmonotone time-warping functions and model diagnostics.
+"""Recovery of nonmonotone time-warping functions and the identity-anchor check.
 
 Given a growth rate ``alpha`` and a trajectory that is anchored at the
 start of the analysis window, the warping function is the rescaled
@@ -9,11 +9,15 @@ yields the identity warp ``h(t) = t``. Warps are not required to be
 monotone: decreasing stretches mean prices have retreated to the level of
 an earlier date, and values outside [0, 1] are kept as-is.
 
+The model anchors each warp on steady growth: ``h(t) = t`` on the
+undisturbed interval ``[0, t0]``, which is what makes the warp
+identifiable. :func:`identity_deviation` measures how far each warp is
+from that anchor.
+
 A :class:`WarpSet` holds the n x m warp array and the one t0 of its
 window; the rates that produced the warps stay in the fits.
-:func:`compute_warp_set`, :func:`second_order_diagnostic` and
-:func:`identity_deviation` treat all rows in one array pass; one series is
-a one-row panel and a one-row warp set.
+:func:`compute_warp_set` and :func:`identity_deviation` treat all rows in
+one array pass; one series is a one-row panel and a one-row warp set.
 """
 
 from __future__ import annotations
@@ -114,72 +118,25 @@ def baseline_growth(alpha: float, x0: float, grid: TimeGrid) -> Panel:
     return Panel(grid, ("baseline",), [x0 * np.exp(alpha * t)])
 
 
-def _derivative(f: np.ndarray, dt: float) -> np.ndarray:
-    """First derivative along the last axis: central stencil inside, one-sided at the ends.
-
-    The boundary stencils are chosen with the same leading error term as
-    the central stencil ((dt^2 / 6) f'''), so the error field stays smooth
-    across the grid and composed derivatives keep second-order accuracy.
-    """
-    g = np.empty_like(f, dtype=float)
-    g[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * dt)
-    g[..., 0] = (-2.0 * f[..., 0] + 3.5 * f[..., 1] - 2.0 * f[..., 2] + 0.5 * f[..., 3]) / dt
-    g[..., -1] = (2.0 * f[..., -1] - 3.5 * f[..., -2] + 2.0 * f[..., -3] - 0.5 * f[..., -4]) / dt
-    return g
-
-
-def second_order_diagnostic(panel: Panel, warps: WarpSet, alpha: np.ndarray) -> np.ndarray:
-    """Residuals of the second-order model identity: one row per series, one column per warp grid point.
-
-    Under the constant-rate model, ``d/dt (X'(t)/X(t)) = alpha * h''(t)``.
-    Both sides are discretized with finite differences on the warps'
-    normalized grid and their difference is returned; it vanishes at the
-    discretization order for model-conforming data and is order-one when
-    the underlying rate varies over time.
-
-    ``warps`` must name the panel's series in order (else SchemaError) and
-    span its last months (else GridError, as for under 5 points), on which
-    the series must be complete (else MissingDataError). ``alpha`` holds
-    one per-month rate per warp row (else GridError). NumericalError names
-    the first series whose residuals are not finite, as when a month at
-    1e307 next to one at 1e-300 overflows the differences.
-    """
-    grid = warps.grid
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (warps.n_series,):
-        raise GridError(f"alpha must hold one rate per warp row, shape ({warps.n_series},), got {alpha.shape}")
-    if grid.n_points < 5:
-        raise GridError("second-order diagnostic needs at least 5 grid points")
-    if warps.names != panel.names:
-        raise SchemaError("warps do not name the panel's series in panel order")
-    if panel.grid.end_month != grid.end_month:
-        raise GridError(f"panel ends at month {panel.grid.end_month}, warp grid at month {grid.end_month}")
-    lo = panel.grid.index_of(grid.start_month)
-    panel.check_complete(lo, panel.grid.n_points - 1)
-    dt = 1.0 / grid.elapsed_months
-    alpha_norm = alpha * grid.elapsed_months
-    x = panel.values[:, lo:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_accel = _derivative(_derivative(x, dt) / x, dt)
-        h_accel = _derivative(_derivative(warps.values, dt), dt)
-        residuals = log_accel - alpha_norm[:, None] * h_accel
-    bad = np.flatnonzero(~np.isfinite(residuals).all(axis=1))
-    if bad.size:
-        name = panel.names[bad[0]]
-        raise NumericalError(f"series {name!r}: second-order residual is not finite (finite differences overflow)")
-    return residuals
-
-
 def identity_deviation(warps: WarpSet) -> np.ndarray:
     """Per row, the mean absolute deviation of h(t) - t over the undisturbed [0, t0].
 
     A t0 before the first grid point is measured there. Zero (up to
     rounding) when the identity anchor holds exactly on the fitting region;
-    grows with lack of fit there.
+    grows with lack of fit there, and with a rate that does not match the
+    warp. NumericalError names the first series whose deviation is not
+    finite, as when warps near 1e307 (from a rate such as 2e-310) overflow
+    the sum.
     """
     t = warps.grid.points
     mask = t <= max(0.0, warps.t0_normalized)
-    return np.where(mask, np.abs(warps.values - t), 0.0).sum(axis=1) / mask.sum()
+    with np.errstate(over="ignore"):
+        deviation = np.where(mask, np.abs(warps.values - t), 0.0).sum(axis=1) / mask.sum()
+    bad = np.flatnonzero(~np.isfinite(deviation))
+    if bad.size:
+        name = warps.names[bad[0]]
+        raise NumericalError(f"series {name!r}: anchor deviation is not finite (its warp sum overflows)")
+    return deviation
 
 
 def warps_to_csv(warpset: WarpSet, file: BinaryIO | None = None) -> str | None:

@@ -11,7 +11,7 @@ import pytest
 
 import warpgrowth
 from warpgrowth.cli import main
-from warpgrowth.simulate import SimTruth, default_truth, save_truth
+from warpgrowth.simulate import SimTruth, default_truth, generate_replicate, save_truth
 from warpgrowth.timeseries import Panel, TimeGrid, month_label, serialize_panel
 
 from conftest import MALFORMED_UNIT_TABLES, edit_table, exponential_panel
@@ -400,26 +400,85 @@ class TestSimulateCommand:
         assert code == 4
 
 
+def edit_fit(path, edit):
+    """Rewrite the fit artifact at ``path`` after ``edit(artifact)``."""
+    artifact = json.loads(path.read_text())
+    edit(artifact)
+    path.write_text(json.dumps(artifact))
+
+
+def anchor_deviations(out):
+    return [row["anchor_deviation"] for row in json.loads((out / "diagnostics_summary.json").read_text())["per_series"]]
+
+
 class TestDiagnoseCommand:
     def test_exponential_fixture_small_residuals(self, exp_csv, tmp_path):
         out = tmp_path / "out"
-        main(["fit", "--input", exp_csv, "--output-dir", str(out)])
+        assert main(["fit", "--input", exp_csv, "--output-dir", str(out)]) == 0
         assert main(["diagnose", "--input", exp_csv, "--output-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["diagnostics_summary.json", "fit.json"]
         summary = json.loads((out / "diagnostics_summary.json").read_text())
+        window = json.loads((out / "fit.json").read_text())["window"]
+        assert summary["anchor_window"] == {"start": window["start"], "end": window["end"]}
+        assert [row["name"] for row in summary["per_series"]] == ["m01", "m02", "m03", "m04", "m05"]
         for row in summary["per_series"]:
-            assert row["max_abs_residual"] < 1e-3
+            assert row["anchor_deviation"] < 1e-10
+            assert row["clamped"] is False
+        worst = max(summary["per_series"], key=lambda row: row["anchor_deviation"])
+        assert summary["worst"] == {"name": worst["name"], "anchor_deviation": worst["anchor_deviation"]}
 
-
-    def test_overflowing_residuals_exit_3_without_outputs(self, tmp_path, capsys):
-        x = np.array([100.0 * np.exp(r * np.arange(60.0)) for r in (0.004, 0.01, 0.016)])
-        x[1, 40:42] = [1e307, 1e-300]
-        path = write_panel(tmp_path / "spike.csv", Panel(TimeGrid(144, 60), ("a", "b", "c"), x))
+    def test_rescaled_rates_move_every_deviation(self, tmp_path):
+        # The warps come from the same panel, so the anchor is what ties them to the rates.
+        rep = generate_replicate(default_truth(), np.random.default_rng(0))
+        panel = write_panel(tmp_path / "panel.csv", rep.panel)
         out = tmp_path / "out"
-        assert main(["fit", "--input", path, "--output-dir", str(out)]) == 0
-        with np.errstate(all="raise"):
-            assert main(["diagnose", "--input", path, "--output-dir", str(out)]) == 3
-        assert "series 'b'" in capsys.readouterr().err
-        assert sorted(p.name for p in out.iterdir()) == ["fit.json"]
+        assert main(["fit", "--input", panel, "--output-dir", str(out)]) == 0
+        assert main(["diagnose", "--input", panel, "--output-dir", str(out)]) == 0
+        before = anchor_deviations(out)
+
+        def scale(artifact):
+            for row in artifact["alpha_estimates"]["per_series"]:
+                row["alpha"] *= 3.7
+
+        edit_fit(out / "fit.json", scale)
+        assert main(["diagnose", "--input", panel, "--output-dir", str(out)]) == 0
+        after = anchor_deviations(out)
+        assert len(after) == len(before) == rep.panel.n_series
+        assert all(a != b for a, b in zip(after, before))
+
+    def test_overflowing_residuals_exit_3_without_outputs(self, exp_csv, chain, tmp_path, capsys):
+        # A rate of 2e-310 leaves each warp finite (up to about 1e307), but the sums of 'm04' and 'm05' overflow.
+        def tiny(artifact):
+            for row in artifact["alpha_estimates"]["per_series"]:
+                row["alpha"] = 2e-310
+
+        edit_fit(chain / "fit.json", tiny)
+        out = tmp_path / "diag"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["diagnose", "--input", exp_csv, "--output-dir", str(out), "--fit", str(chain / "fit.json")])
+        assert code == 3
+        assert "numerical failure: series 'm04': anchor deviation is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["warp", "diagnose"])
+    @pytest.mark.parametrize(
+        "window, problem",
+        [
+            ((170, 150), "window: start 170 must come before end 150"),
+            ((150, 150), "window: start 150 must come before end 150"),
+            ((150, 400), "window 150..400 lies outside analysis.restriction 144..233"),
+            ((100, 150), "window 100..150 lies outside analysis.restriction 144..233"),
+        ],
+        ids=["inverted", "empty", "past-the-panel", "before-the-panel"],
+    )
+    def test_contradictory_window_exits_2(self, exp_csv, chain, tmp_path, capsys, command, window, problem):
+        path = chain / "fit.json"
+        edit_fit(path, lambda artifact: artifact.update(window={"start": window[0], "end": window[1]}))
+        out = tmp_path / "o"
+        assert main([command, "--input", exp_csv, "--output-dir", str(out), "--fit", str(path)]) == 2
+        assert f"input error: {path}: {problem}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDeterminism:

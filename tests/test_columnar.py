@@ -1,9 +1,9 @@
 """Property tests of the columnar layer: batched kernels against their one-row cases.
 
 ``Panel`` and ``WarpSet`` hold n x m arrays, and ``compute_warp_set``,
-``second_order_diagnostic`` and ``restrict`` work on all rows at once. Each
-batched row must be bit-equal to the same call on a one-row panel of that
-series.
+``identity_deviation`` and ``restrict`` work on all rows at once. Each
+batched row must be bit-equal to the same call on a one-row panel or warp
+set of that series.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from warpgrowth.errors import EmptyPanelError
 from warpgrowth.timeseries import Panel, TimeGrid, restrict
-from warpgrowth.warping import WarpSet, compute_warp_set, second_order_diagnostic
+from warpgrowth.warping import WarpSet, compute_warp_set, identity_deviation
 
 from conftest import rate_fits
 
@@ -65,14 +65,13 @@ class TestBatchedEqualsOneRow:
     @settings(max_examples=60, deadline=None)
     @given(drawn=panels(), data=st.data())
     def test_diagnostic_rows_are_the_one_row_call(self, drawn, data):
+        # The per-series anchor deviation that ``warpgrowth diagnose`` reports.
         panel, rng = drawn
-        warps, fits, start, _ = warp_set_of(panel, rng, data.draw)
-        batched = second_order_diagnostic(panel, warps, fits.alpha)
-        assert batched.shape == warps.values.shape
-        lo = panel.grid.index_of(start)
+        warps = warp_set_of(panel, rng, data.draw)[0]
+        batched = identity_deviation(warps)
+        assert batched.shape == (panel.n_series,)
         for i in range(panel.n_series):
-            row = Panel(TimeGrid(start, panel.grid.n_points - lo), panel.names[i : i + 1], panel.values[i : i + 1, lo:])
-            assert second_order_diagnostic(row, warp_row(warps, i), fits.alpha[i : i + 1]).tobytes() == batched[i].tobytes()
+            assert identity_deviation(warp_row(warps, i)).tobytes() == batched[i : i + 1].tobytes()
 
 
 class TestRestrict:

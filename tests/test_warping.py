@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from warpgrowth.warping import (
     baseline_growth,
     compute_warp_set,
     identity_deviation,
-    second_order_diagnostic,
     warps_from_csv,
     warps_to_csv,
 )
@@ -104,6 +104,15 @@ class TestComputeWarp:
         for t0, expected in ((0.5, [0.1, 0.05]), (-0.1, [0.1, 0.0])):
             warps = WarpSet(grid, ("a", "b"), rows, t0)
             np.testing.assert_allclose(identity_deviation(warps), expected, rtol=1e-14, atol=0.0)
+
+    def test_identity_deviation_overflow_names_the_series(self):
+        # Each warp value is finite, but the sum over the anchor interval overflows for row 'b'.
+        grid = TimeGrid(0, 11)
+        rows = np.vstack([grid.points, np.full(11, 1e308), grid.points])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="series 'b': anchor deviation is not finite"):
+                identity_deviation(WarpSet(grid, ("a", "b", "c"), rows, 0.5))
 
 
 class TestBaselineGrowth:
@@ -209,67 +218,6 @@ class TestWarpCsvGrid:
         err = capsys.readouterr().err
         assert f"input error: {path}: " in err and message.format(col="w0") in err
         assert not out.exists()
-
-
-def _diag_residual(m, hfun, alpha_norm, xfun=None):
-    u = np.linspace(0.0, 1.0, m)
-    h = hfun(u)
-    alpha_month = alpha_norm / (m - 1)
-    x = 100.0 * np.exp(alpha_norm * h) if xfun is None else xfun(u)
-    warp = WarpSet(TimeGrid(0, m), ("s",), h[None])
-    return second_order_diagnostic(one_series_panel(x), warp, [alpha_month])[0]
-
-
-class TestSecondOrderDiagnostic:
-    HFUN = staticmethod(lambda u: u + 0.15 * np.sin(2.0 * np.pi * u) - 0.1 * u**2)
-    ALPHA = 1.3  # per normalized window, like 0.0074/month over 175 months
-
-    def test_exact_model_second_order_convergence(self):
-        # Halving the grid spacing must shrink the residual at order >= 1.9.
-        maxima = [np.abs(_diag_residual(m, self.HFUN, self.ALPHA)).max() for m in (45, 89, 177)]
-        orders = [math.log(a / b) / math.log(2.0) for a, b in zip(maxima, maxima[1:])]
-        assert all(o >= 1.9 for o in orders), orders
-
-    def test_exponential_series_near_zero_residual(self):
-        # Identity warp: h'' = 0 and X'/X constant, so only boundary-stencil
-        # crumbs of size O(alpha^3 dt^2) remain.
-        r = np.abs(_diag_residual(177, lambda u: u, self.ALPHA))
-        assert r.max() < 1e-3
-        assert r[3:-3].max() < 1e-9
-
-    def test_time_varying_rate_flagged(self):
-        # Underlying rate alpha(t) = a0 (1 + t/2) gives log X = a0 (h + h^2/4);
-        # the residual must exceed 10x the constant-rate calibration.
-        a0 = self.ALPHA
-        xfun = lambda u: 100.0 * np.exp(a0 * (self.HFUN(u) + self.HFUN(u) ** 2 / 4.0))
-        calibration = np.abs(_diag_residual(176, self.HFUN, a0)).max()
-        violation = np.abs(_diag_residual(176, self.HFUN, a0, xfun=xfun)).max()
-        assert violation > 10.0 * calibration
-
-    def test_overflowing_differences_name_the_series(self):
-        x = np.array([100.0 * np.exp(0.01 * np.arange(60.0))] * 3)
-        x[1, 40:42] = [1e307, 1e-300]
-        panel = Panel(TimeGrid(0, 60), ("a", "b", "c"), x)
-        warps = compute_warp_set(panel, rate_fits(panel.names, [0.01] * 3))
-        with np.errstate(all="raise"), pytest.raises(NumericalError, match="series 'b'"):
-            second_order_diagnostic(panel, warps, np.full(3, 0.01))
-
-    def test_grid_too_small(self):
-        warp = WarpSet(TimeGrid(0, 4), ("s",), [np.linspace(0, 1, 4)])
-        with pytest.raises(GridError):
-            second_order_diagnostic(one_series_panel(np.full(4, 10.0)), warp, [0.01])
-
-    def test_length_mismatch(self):
-        warp = WarpSet(TimeGrid(0, 6), ("s",), [np.linspace(0, 1, 6)])
-        with pytest.raises(GridError):
-            second_order_diagnostic(one_series_panel(np.full(5, 10.0)), warp, [0.01])
-
-    @pytest.mark.parametrize("alpha", [0.01, [0.01, 0.01], [[0.01]]])
-    def test_rates_must_be_one_per_row(self, alpha):
-        # A scalar or a wrong-length array would broadcast silently over the rows.
-        warp = WarpSet(TimeGrid(0, 6), ("s",), [np.linspace(0, 1, 6)])
-        with pytest.raises(GridError, match=r"one rate per warp row, shape \(1,\)"):
-            second_order_diagnostic(one_series_panel(np.full(6, 10.0)), warp, alpha)
 
 
 class TestPipelineIdentityAnchor:

@@ -10,13 +10,21 @@ Input files go through :func:`read_file`, so malformed content raises a
 typed error (SchemaError, GridError) naming the file, never a builtin;
 every ``t_normalized`` table is checked by :func:`read_unit_table`.
 
-Numeric bodies are read by :func:`read_block`, which hands the lines
-after the header (:func:`split_header`) to :func:`numpy.loadtxt`'s C
-tokenizer. It returns None for any text the tokenizer might read other
-than :mod:`csv` and :func:`float` do; the caller then reads it again
-through :func:`csv_rows`, which is the reference and names the first bad
-cell. Only the header, whose names may be quoted or hold line breaks,
-always goes through :mod:`csv`.
+Every CSV body, a column table's or a panel's, is read by
+:func:`read_table` under one cell rule: a cell is stripped with
+``str.strip``, column 0 goes through a converter (``float``, or the
+panel's date parser) and any other cell is a number, NaN and marked
+blank when empty. :func:`read_block` hands the lines after the header
+(:func:`split_header`) to :func:`numpy.loadtxt`'s C tokenizer and returns
+None for any text the tokenizer might read other than :mod:`csv`,
+``str.strip`` and :func:`float` do; :func:`read_table` then reads it
+again through :func:`csv_rows`, one cell at a time, which is the
+reference and names the first parse error in file order. Only the
+header, whose names may be quoted or hold line breaks, always goes
+through :mod:`csv`. The values are checked by the caller:
+:func:`read_unit_table` for ``t_normalized`` tables, where a blank cell
+is an error, and :func:`~warpgrowth.timeseries.parse_panel` for panels,
+where it is a missing value.
 
 Column-table bodies are written by one vectorised ``%.17g`` kernel
 (:func:`_format_block`), a block of rows at a time, with no Python float
@@ -39,6 +47,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import reprlib
 import sys
 from collections.abc import Callable, Iterable, Sequence
@@ -313,46 +322,60 @@ def split_header(text: str) -> tuple[list[str], list[str]] | None:
     return header, lines[reader.line_num :]
 
 
-#: ASCII characters that numpy's float parser strips as whitespace and ``float`` refuses.
-_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+def _mark_blanks(line: str) -> str:
+    """A body line with ``nan`` in each empty cell after the first, which the tokenizer would refuse; the
+    ``"\\r"`` of a ``"\\r\\n"`` line end goes, so a trailing empty cell is one too."""
+    line = line.removesuffix("\r").replace(",,", ",nan,").replace(",,", ",nan,")
+    return line + "nan" if line.endswith(",") else line
 
 
 def read_block(lines: list[str], n_cols: int, converters: dict | None = None) -> np.ndarray | None:
     """The (rows, ``n_cols``) float array that CSV body ``lines`` spell, read by :func:`numpy.loadtxt`.
 
-    Blank lines (``""`` or ``"\\r"``) are skipped, as :func:`csv_rows`
-    skips them; ``converters`` maps a column to a function of its cell
-    text, as in :func:`numpy.loadtxt`. The tokenizer quotes and strips
-    cells as :mod:`csv` and :func:`float` do, and both convert digits
-    with the same ``PyOS_string_to_double``, so a block it takes holds
-    the bits :func:`read_table` would hold. The result is None where
-    the two readers could part ways, and the caller falls back to
-    :func:`csv_rows`:
+    Blank lines (``""`` or ``"\\r"``) are dropped, as :func:`csv_rows`
+    skips them, and every empty cell after the first is marked ``nan``
+    (:func:`_mark_blanks`); ``converters`` maps a column to a function of
+    its cell text, as in :func:`numpy.loadtxt`. The tokenizer quotes and
+    strips cells as :mod:`csv` and ``str.strip`` do, and it converts
+    digits with the same ``PyOS_string_to_double`` as :func:`float`, so a
+    block it takes holds the bits :func:`read_table` would hold. The
+    result is None where the two readers could part ways, and the caller
+    falls back to :func:`csv_rows`:
 
-    - the tokenizer refuses a cell (an empty one, ``1_000``, non-ASCII
-      digits) or the number of cells in a row changes;
+    - a line holds ``n`` or ``N``, so a cell may spell ``nan`` or ``inf``:
+      without one, every NaN in the block is a marked blank;
+    - a line holds ``"\\r"`` before its end, which :mod:`csv` reads as a
+      line break (a blank row, a quoted cell's text or an error);
+    - the tokenizer refuses a cell (a whitespace-only one, ``1_000``,
+      non-ASCII digits) or the number of cells in a row changes;
     - a line holds a comma-separated piece longer than
       ``csv.field_size_limit()``, so :mod:`csv` may refuse that field
       however valid its digits. :mod:`csv` limits fields, not lines, and
       each field of a block the tokenizer takes is a number, which holds
       no comma, so no field is longer than its piece;
-    - a line holds ``\\x1c``-``\\x1f``, which only numpy strips;
     - the block has fewer rows than non-blank lines: a quoted cell ran
       over a line end, and the tokenizer joins lines that :mod:`csv`
-      keeps apart.
+      keeps apart. Blank lines are dropped before tokenizing because the
+      tokenizer ends an open quote at an empty line, which would hide
+      the join.
     """
     limit = csv.field_size_limit()
     for line in lines:
-        if (len(line) > limit and max(map(len, line.split(","))) > limit) or any(c in line for c in _NUMPY_ONLY_SPACE):
+        if (
+            "n" in line
+            or "N" in line
+            or 0 <= line.find("\r") < len(line) - 1
+            or (len(line) > limit and max(map(len, line.split(","))) > limit)
+        ):
             return None
-    n_rows = sum(line not in ("", "\r") for line in lines)
-    if not n_rows:
+    lines = [marked for marked in map(_mark_blanks, lines) if marked]
+    if not lines:
         return np.empty((0, n_cols))
     try:
         block = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2, converters=converters)
     except ValueError:
         return None
-    return block if block.shape == (n_rows, n_cols) else None
+    return block if block.shape == (len(lines), n_cols) else None
 
 
 def read_file(path: str | Path, parse: Callable[..., object], *args):
@@ -405,39 +428,49 @@ def json_field(obj, key: str, kind, where: str, error: type[WarpGrowthError] = S
     return float(value) if kind is float else value
 
 
-def read_table(text: str) -> tuple[list[str], np.ndarray]:
-    """Parse a column table into its header and a (rows, columns) float array.
+def read_table(text: str, first: Callable[[str], float] = float) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Parse a CSV table into its header, a (rows, columns) float array and the mask of its blank cells.
 
-    Blank lines are skipped. Empty text gives an empty header and a (0, 0)
-    array. The body goes through :func:`read_block`; text it does not take
-    is read cell by cell with :func:`csv_rows` and ``float``, which gives
-    the same array or names the error.
+    Every body cell is stripped with ``str.strip``, which also removes
+    ``\\x1c``-``\\x1f``. Column 0 goes through ``first``: ``float`` for a
+    column table, :func:`~warpgrowth.timeseries.month_index` for a panel.
+    Any other cell is a number; an empty one is NaN and True in the mask.
+    Blank lines are skipped, and empty text gives an empty header and
+    (0, 0) arrays. The body goes through :func:`read_block`; text it does
+    not take is read row by row with :func:`csv_rows`, which gives the
+    same arrays or names the first parse error in file order. The values
+    themselves are each caller's to check.
 
     Raises
     ------
     SchemaError
         If :func:`csv_rows` fails, a row has a different number of cells
-        than the header, or a cell is not a number. Rows are counted from
-        1 at the header.
+        than the header, or a cell is not a number (``first`` raising
+        ValueError included). Rows are counted from 1 at the header.
+    GridError
+        As ``first`` raises it, for a malformed date.
     """
     split = split_header(text)
-    data = None if split is None else read_block(split[1], len(split[0]))
-    if data is not None:
-        return split[0], data
+    if split is not None:
+        data = read_block(split[1], len(split[0]), None if first is float else {0: first})
+        if data is not None:
+            return split[0], data, np.isnan(data)
     rows = csv_rows(text)
     if not rows:
-        return [], np.empty((0, 0))
+        return [], np.empty((0, 0)), np.empty((0, 0), bool)
     header, body = rows[0], rows[1:]
     data = np.empty((len(body), len(header)))
-    for lineno, (row, out) in enumerate(zip(body, data), start=2):
+    blank = np.zeros(data.shape, bool)
+    for lineno, (row, out, gaps) in enumerate(zip(body, data, blank), start=2):
         if len(row) != len(header):
             raise SchemaError(f"row {lineno}: expected {len(header)} cells, got {len(row)}")
-        for j, cell in enumerate(row):
+        for j, cell in enumerate(map(str.strip, row)):
             try:
-                out[j] = float(cell)
+                out[j] = first(cell) if j == 0 else float(cell) if cell else math.nan
             except ValueError:
                 raise SchemaError(f"row {lineno}, column {header[j]!r}: cannot parse {reprlib.repr(cell)}") from None
-    return header, data
+            gaps[j] = j > 0 and not cell
+    return header, data, blank
 
 
 def read_unit_table(text: str, min_columns: int) -> tuple[list[str], np.ndarray]:
@@ -445,11 +478,11 @@ def read_unit_table(text: str, min_columns: int) -> tuple[list[str], np.ndarray]
 
     GridError unless the first header cell is ``t_normalized``, there are
     at least 2 rows and the first column is ``linspace(0, 1, m)`` within
-    1e-12 (naming the first row off it); SchemaError for too few columns
-    or a cell that is not finite (naming its row and column). Rows are
-    counted from 1 at the header.
+    1e-12 (naming the first row off it); SchemaError for too few columns,
+    or naming the row and column of the first cell, in row-major order,
+    that is empty or not finite. Rows are counted from 1 at the header.
     """
-    header, data = read_table(text)
+    header, data, blank = read_table(text)
     if not header or header[0] != "t_normalized":
         raise GridError(f"first header cell must be 't_normalized', got {reprlib.repr(header[0] if header else '')}")
     if len(header) < min_columns:
@@ -465,5 +498,6 @@ def read_unit_table(text: str, min_columns: int) -> tuple[list[str], np.ndarray]
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         i, j = bad[0]
-        raise SchemaError(f"row {i + 2}, column {header[j]!r}: value {float(data[i, j])!r} is not finite")
+        problem = "empty cell" if blank[i, j] else f"value {float(data[i, j])!r} is not finite"
+        raise SchemaError(f"row {i + 2}, column {header[j]!r}: {problem}")
     return header, data

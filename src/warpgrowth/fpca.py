@@ -328,13 +328,15 @@ def modes_of_variation(model: FpcaModel, k: int, gammas=DEFAULT_GAMMAS) -> Modes
 def score_rate_regression(scores: np.ndarray, alphas: np.ndarray) -> list[RegressionLine]:
     """Per-component least squares of score on growth rate.
 
+    ``scores`` holds one row per rate and one column per component.
     Returns slope, intercept and Pearson correlation for each score column.
     A constant score column gets slope 0 and correlation 0.
 
     Raises
     ------
     ConfigError
-        If the score rows and the rates differ in number.
+        If the score rows and the rates differ in number; a 1-D ``scores``
+        is one row.
     SampleSizeError
         If fewer than 3 observations are supplied.
     DegenerateRegressorError
@@ -347,8 +349,6 @@ def score_rate_regression(scores: np.ndarray, alphas: np.ndarray) -> list[Regres
     """
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     alphas = np.asarray(alphas, dtype=float)
-    if scores.shape[0] == 1 and alphas.shape[0] != 1:
-        scores = scores.T
     if scores.shape[0] != alphas.shape[0]:
         raise ConfigError(f"{scores.shape[0]} score rows vs {alphas.shape[0]} rates")
     if alphas.shape[0] < 3:

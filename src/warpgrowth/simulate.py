@@ -435,9 +435,8 @@ def _run_one_replicate(truth: SimTruth, seed: int, index: int) -> ReplicateMetri
         model = fit_fpca(warpset, k=k_fit)
 
         t = warpset.grid.points
-        t0_norm = warpset.grid.to_normalized(search.best_window[1])
         ase = averaged_relative_squared_error(estimates.fits.alpha, rep.alphas)
-        rise, rise_excluded = relative_integrated_squared_error(warpset.values, rep.warps, t, t0_norm)
+        rise, rise_excluded = relative_integrated_squared_error(warpset.values, rep.warps, t, warpset.t0_normalized)
 
         weights = model.weights
         phi_errs = []
@@ -633,7 +632,9 @@ def load_truth(manifest_path: str | Path) -> SimTruth:
     The mean and eigenfunction CSVs are read like a warp CSV, by
     :func:`~warpgrowth._table.read_unit_table`, with a mean column or one
     column per eigenvalue after ``t_normalized``; a malformed one raises
-    SchemaError or GridError naming it. A missing or mistyped manifest
+    SchemaError or GridError naming it. An optional field the manifest
+    leaves out (``n``, ``x0_range``, ``alpha_range``, ``cap``, ``seed``)
+    takes :class:`SimTruth`'s default. A missing required or a mistyped
     field, or a truth :class:`SimTruth` rejects, raises ConfigError.
     """
     manifest_path = Path(manifest_path)
@@ -647,14 +648,9 @@ def load_truth(manifest_path: str | Path) -> SimTruth:
     mean = read_file(base / get("mean_csv", str), read_unit_table, 2)[1][:, 1].copy()
     # One component per row, laid out like default_truth's eigenfunctions.
     phi = read_file(base / get("eigenfunctions_csv", str), read_unit_table, 1 + len(eigenvalues))[1][:, 1:].copy().T
-    return SimTruth(
-        grid=TimeGrid(t0, t1 - t0 + 1),
-        mean=mean,
-        eigenfunctions=phi,
-        eigenvalues=np.array(eigenvalues, dtype=float),
-        n=get("n", int, 20),
-        x0_range=tuple(get("x0_range", [float], (85.0, 100.0))),
-        alpha_range=tuple(get("alpha_range", [float], (0.003, 0.018))),
-        cap=get("cap", float, 300.0),
-        seed=get("seed", int, 0),
-    )
+    # An optional field the manifest leaves out keeps SimTruth's default.
+    optional = {}
+    for key, kind in (("n", int), ("x0_range", [float]), ("alpha_range", [float]), ("cap", float), ("seed", int)):
+        if key in manifest:
+            optional[key] = tuple(get(key, kind)) if kind == [float] else get(key, kind)
+    return SimTruth(TimeGrid(t0, t1 - t0 + 1), mean, phi, np.array(eigenvalues, dtype=float), **optional)

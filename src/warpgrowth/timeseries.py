@@ -8,6 +8,10 @@ A :class:`Panel` holds n series as n x m value and missing-flag arrays,
 validated once when built. Every stage works on its row masks and column
 slices; a sample is built as a panel, not stacked from rows, and one
 series is a one-row panel.
+
+:func:`parse_panel` reads a panel CSV with the package's one CSV body
+reader, :func:`~warpgrowth._table.read_table`, its date column converted
+by :func:`month_index`, and then checks the months and the levels.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._table import csv_rows, read_block, split_header, write_rows
+from ._table import read_table, write_rows
 from .errors import EmptyPanelError, GridError, MissingDataError, SchemaError
 
 EPOCH_YEAR = 1987
@@ -184,36 +188,6 @@ def _series_names(header: list[str]) -> list[str]:
     return names
 
 
-def _mark_blanks(line: str) -> str:
-    """A panel body line with ``nan`` in each empty value cell, which the tokenizer would refuse; the
-    ``"\\r"`` of a ``"\\r\\n"`` line end goes, so a trailing empty cell is one too."""
-    line = line.removesuffix("\r").replace(",,", ",nan,").replace(",,", ",nan,")
-    return line + "nan" if line.endswith(",") else line
-
-
-def _parse_block(csv_text: str) -> Panel | None:
-    """:func:`parse_panel` through :func:`~warpgrowth._table.read_block`; None for text it does not take or
-    that fails a check, which :func:`parse_panel` then reads cell by cell to name the error."""
-    split = split_header(csv_text)
-    if split is None:
-        return None
-    header, lines = split
-    # A cell spelling nan or inf is never a valid level; without one, every NaN is a marked blank.
-    if any("n" in line or "N" in line for line in lines):
-        return None
-    block = read_block([_mark_blanks(line) for line in lines], len(header), {0: month_index})
-    if block is None or len(block) < 2:
-        return None
-    months = block[:, 0]
-    if not np.array_equal(months, months[0] + np.arange(len(months))):
-        return None
-    values = block[:, 1:].T
-    try:
-        return Panel(TimeGrid(int(months[0]), len(months)), tuple(_series_names(header)), values, np.isnan(values))
-    except SchemaError:
-        return None
-
-
 def parse_panel(csv_text: str) -> Panel:
     """Parse a panel from CSV text.
 
@@ -224,64 +198,40 @@ def parse_panel(csv_text: str) -> Panel:
     and subnormals such as ``1e-320`` are rejected, because the pipeline
     takes their logarithm.
 
-    The header goes through :mod:`csv`; the rows go through
-    :func:`~warpgrowth._table.read_block`, numpy's C tokenizer, with each
-    empty cell marked ``nan`` first. A text it does not take, or one that
-    fails a check, is read again with :func:`~warpgrowth._table.csv_rows`
-    and one ``float`` per stripped cell: that path gives the same panel
-    for spellings only Python takes (``1_000``, non-ASCII digits,
-    whitespace-only blank cells) and names the first error.
+    The text is read by :func:`~warpgrowth._table.read_table` with
+    :func:`month_index` for the date column, under the cell rule every CSV
+    input shares. Its parse errors come first, in file order; then the
+    header, the row count and the months are checked, and last the levels.
 
     Raises
     ------
     SchemaError
         On a bad header, a row with the wrong number of cells, text that
         :mod:`csv` cannot split (such as a cell over its field size limit),
-        or a bad value cell; for a bad value the message names the first
-        one in row-major order as ``row N, column 'X'`` (rows counted from 1
-        at the header).
+        a cell that is not a number, or a bad level; a cell error names
+        its place as ``row N, column 'X'`` (rows counted from 1 at the
+        header), and a bad level is the first in row-major order.
     GridError
         On fewer than 2 rows, a malformed date or non-consecutive months.
     """
-    panel = _parse_block(csv_text)
-    if panel is not None:
-        return panel
-    rows = csv_rows(csv_text)
-    if not rows:
+    header, data, blank = read_table(csv_text, month_index)
+    if not header:
         raise SchemaError("empty input")
-    names = _series_names(rows[0])
-
-    data_rows = rows[1:]
-    if len(data_rows) < 2:
+    names = _series_names(header)
+    if len(data) < 2:
         raise GridError("panel needs at least 2 monthly rows")
-
-    months = []
-    for lineno, row in enumerate(data_rows, start=2):
-        if len(row) != len(names) + 1:
-            raise SchemaError(f"row {lineno}: expected {len(names) + 1} cells, got {len(row)}")
-        months.append(month_index(row[0]))
-    for prev, cur in zip(months, months[1:]):
-        if cur != prev + 1:
-            raise GridError(
-                f"non-consecutive months: {month_label(prev)} followed by {month_label(cur)}"
-            )
-
-    # One row-major pass that raises at the first bad cell, as Panel checks
-    # levels. float strips less than str.strip ("\x1c"-"\x1f" stay), so each
-    # cell is stripped first. A blank cell is NaN; a spelled-out "nan" fails.
-    values = np.empty((len(data_rows), len(names)))
-    for lineno, (row, out) in enumerate(zip(data_rows, values), start=2):
-        for j, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            try:
-                v = float(cell) if cell else math.nan
-            except ValueError:
-                raise SchemaError(f"row {lineno}, column {names[j]!r}: cannot parse {reprlib.repr(cell)}") from None
-            if cell and not _TINY <= v < math.inf:
-                raise SchemaError(f"row {lineno}, column {names[j]!r}: value {reprlib.repr(cell)} {_value_problem(v)}")
-            out[j] = v
-    values = values.T
-    return Panel(TimeGrid(months[0], len(data_rows)), tuple(names), values, np.isnan(values))
+    months = data[:, 0].astype(int)
+    gaps = np.flatnonzero(np.diff(months) != 1)
+    if gaps.size:
+        prev, cur = months[gaps[0]], months[gaps[0] + 1]
+        raise GridError(f"non-consecutive months: {month_label(prev)} followed by {month_label(cur)}")
+    values, missing = data[:, 1:], blank[:, 1:]
+    bad = np.argwhere(~(((values >= _TINY) & (values < math.inf)) | missing))
+    if bad.size:
+        i, j = bad[0]
+        v = float(values[i, j])
+        raise SchemaError(f"row {i + 2}, column {names[j]!r}: value {v!r} {_value_problem(v)}")
+    return Panel(TimeGrid(int(months[0]), len(months)), tuple(names), values.T, missing.T)
 
 
 def serialize_panel(panel: Panel) -> str:

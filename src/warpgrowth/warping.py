@@ -40,8 +40,8 @@ class WarpSet:
     Row ``i`` of the n x m ``values`` (what :meth:`matrix` returns) belongs
     to ``names[i]``; column ``j`` is at ``grid.points[j]``.
     ``t0_normalized`` is the one point in [0, 1] where the undisturbed
-    interval of every row ends. GridError for a shape mismatch, SchemaError
-    for a repeated name.
+    interval of every row ends. GridError for a shape mismatch or a
+    ``t0_normalized`` off [0, 1], SchemaError for a repeated name.
     """
 
     grid: TimeGrid
@@ -52,6 +52,8 @@ class WarpSet:
     def __post_init__(self):
         n, m = len(freeze_names(self, "warp set")), self.grid.n_points
         freeze_fields(self, (("values", float, (n, m)),), f"warp set of {n} series on {m} points")
+        if not 0.0 <= self.t0_normalized <= 1.0:
+            raise GridError(f"t0_normalized must lie in [0, 1], got {self.t0_normalized!r}")
 
     @property
     def n_series(self) -> int:
@@ -75,7 +77,8 @@ def compute_warp_set(
     ``h_i = (log X_i - log X_i(start)) / (alpha_i * elapsed_months)`` at the
     rate of the fit named like series ``i``, so exact exponential growth at
     rate ``alpha_i`` gives ``h_i(t) = t``. ``t0_month`` (default: the
-    window start) gives the warp set's ``t0_normalized``. SchemaError if a
+    window start) gives the warp set's ``t0_normalized``; GridError if it
+    is off the analysis window, as for a window start. SchemaError if a
     series has no fit, RateError unless every rate is positive and every
     warp finite (a rate such as 1e-320 overflows it), MissingDataError for
     a gap on the window.
@@ -92,6 +95,7 @@ def compute_warp_set(
         raise GridError("analysis window needs at least 2 points")
     panel.check_complete(lo, hi)
     sub = TimeGrid(start, hi - lo + 1)
+    t0 = 0 if t0_month is None else sub.index_of(t0_month)
     logs = np.log(panel.values[:, lo:])
     with np.errstate(over="ignore"):
         h = (logs - logs[:, :1]) / (alpha * sub.elapsed_months)[:, None]
@@ -99,7 +103,7 @@ def compute_warp_set(
     if bad.size:
         i = bad[0]
         raise RateError(f"series {panel.names[i]!r}: alpha {float(alpha[i])!r} is so small that its warp is not finite")
-    return WarpSet(sub, panel.names, h, 0.0 if t0_month is None else sub.to_normalized(t0_month))
+    return WarpSet(sub, panel.names, h, t0 / sub.elapsed_months)
 
 
 def baseline_growth(alpha: float, x0: float, grid: TimeGrid) -> Panel:
@@ -121,15 +125,14 @@ def baseline_growth(alpha: float, x0: float, grid: TimeGrid) -> Panel:
 def identity_deviation(warps: WarpSet) -> np.ndarray:
     """Per row, the mean absolute deviation of h(t) - t over the undisturbed [0, t0].
 
-    A t0 before the first grid point is measured there. Zero (up to
-    rounding) when the identity anchor holds exactly on the fitting region;
-    grows with lack of fit there, and with a rate that does not match the
-    warp. NumericalError names the first series whose deviation is not
-    finite, as when warps near 1e307 (from a rate such as 2e-310) overflow
-    the sum.
+    Zero (up to rounding) when the identity anchor holds exactly on the
+    fitting region; grows with lack of fit there, and with a rate that does
+    not match the warp. NumericalError names the first series whose
+    deviation is not finite, as when warps near 1e307 (from a rate such as
+    2e-310) overflow the sum.
     """
     t = warps.grid.points
-    mask = t <= max(0.0, warps.t0_normalized)
+    mask = t <= warps.t0_normalized
     with np.errstate(over="ignore"):
         deviation = np.where(mask, np.abs(warps.values - t), 0.0).sum(axis=1) / mask.sum()
     bad = np.flatnonzero(~np.isfinite(deviation))

@@ -56,6 +56,7 @@ MALFORMED_UNIT_TABLES = [
     pytest.param(_set_cell(3, 0, "0.5"), "row 4: t_normalized 0.5 is not point 2 of a uniform", id="off-grid-row"),
     pytest.param(_set_cell(2, 1, "nan"), "row 3, column '{col}': value nan is not finite", id="nan-cell"),
     pytest.param(_set_cell(5, 1, "-inf"), "row 6, column '{col}': value -inf is not finite", id="inf-cell"),
+    pytest.param(_set_cell(4, 1, " "), "row 5, column '{col}': empty cell", id="blank-cell"),
     pytest.param(lambda rows: [r[:1] for r in rows], "needs at least 2 columns, got 1", id="too-few-columns"),
 ]
 

@@ -64,13 +64,14 @@ def csv_table_per_cell(header, columns):
     return out.getvalue()
 
 
-def read_table_per_cell(text):
-    """Header and (rows, columns) float array of a column table, read by ``csv.reader`` with one ``float`` per cell.
+def read_table_per_cell(text, first=float):
+    """Header, (rows, columns) float array and blank mask of a CSV table, read by ``csv.reader`` one stripped cell at a time.
 
-    Blank lines are skipped. Raises the ValueError whose message
-    ``warpgrowth._table.read_table`` gives its SchemaError: the first row,
-    in file order, of another width than the header or holding a cell that
-    is not a number.
+    Blank lines are skipped. Column 0 goes through ``first``; any other
+    cell through ``float``, an empty one being NaN and blank. Raises the
+    ValueError whose message ``warpgrowth._table.read_table`` gives its
+    SchemaError: the first row, in file order, of another width than the
+    header or holding a cell that is not a number.
     """
     import csv
     import io
@@ -78,18 +79,23 @@ def read_table_per_cell(text):
 
     rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows:
-        return [], np.empty((0, 0))
+        return [], np.empty((0, 0)), np.empty((0, 0), dtype=bool)
     header, body = rows[0], rows[1:]
     values = np.empty((len(body), len(header)))
+    blank = np.zeros(values.shape, dtype=bool)
     for i, row in enumerate(body):
         if len(row) != len(header):
             raise ValueError(f"row {i + 2}: expected {len(header)} cells, got {len(row)}")
         for j, (name, cell) in enumerate(zip(header, row)):
+            cell = cell.strip()
+            if j > 0 and not cell:
+                values[i, j], blank[i, j] = np.nan, True
+                continue
             try:
-                values[i, j] = float(cell)
+                values[i, j] = first(cell) if j == 0 else float(cell)
             except ValueError:
                 raise ValueError(f"row {i + 2}, column {name!r}: cannot parse {reprlib.repr(cell)}") from None
-    return header, values
+    return header, values, blank
 
 
 def csv_rows_per_row(header, rows):
@@ -107,39 +113,6 @@ def csv_rows_per_row(header, rows):
     for row in rows:
         writer.writerow([f"{c:.17g}" if isinstance(c, float) else c for c in row])
     return out.getvalue()
-
-
-def parse_cells_per_cell(data_rows, names):
-    """Panel cells converted one at a time, rows in file order.
-
-    Returns (values, missing) as (series, months) arrays, or raises the
-    ValueError for the first bad cell in row-major order: unparseable,
-    not > 0, infinite, or below the smallest normal double.
-    """
-    tiny = np.finfo(float).tiny
-    n = len(data_rows)
-    values = np.empty((len(names), n))
-    missing = np.zeros((len(names), n), dtype=bool)
-    for i, row in enumerate(data_rows):
-        for j, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            where = f"row {i + 2}, column {names[j]!r}"
-            if not cell:
-                missing[j, i] = True
-                values[j, i] = np.nan
-                continue
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ValueError(f"{where}: cannot parse {cell!r}") from None
-            if not v > 0:
-                raise ValueError(f"{where}: value {cell!r} is not positive")
-            if np.isinf(v):
-                raise ValueError(f"{where}: value {cell!r} is not finite")
-            if v < tiny:
-                raise ValueError(f"{where}: value {cell!r} is subnormal (below {float(tiny)!r})")
-            values[j, i] = v
-    return values, missing
 
 
 def free_fit_per_series(row, window):

@@ -526,6 +526,31 @@ class TestDeterminism:
             assert results[0][name] == results[1][name], f"{name} differs between reruns"
 
 
+    def test_padded_copies_give_the_same_artifacts(self, exp_csv, tmp_path):
+        # Every body cell of the panel and of warps.csv rewritten as
+        # " " + cell + "\x1f", quoted, with "\r\n" line ends: each cell is
+        # stripped with str.strip, so the chain writes the same bytes.
+        def padded(src, dst):
+            rows = read_csv(src)
+            rows[1:] = [[f" {cell}\x1f" for cell in row] for row in rows[1:]]
+            with open(dst, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(rows)
+            return str(dst)
+
+        results = []
+        for panel, name in ((exp_csv, "plain"), (padded(exp_csv, tmp_path / "panel_padded.csv"), "padded")):
+            out = tmp_path / name
+            assert main(["fit", "--input", panel, "--output-dir", str(out)]) == 0
+            assert main(["warp", "--input", panel, "--output-dir", str(out)]) == 0
+            warps = str(out / "warps.csv")
+            if name == "padded":
+                warps = padded(warps, tmp_path / "warps_padded.csv")
+            assert main(["fpca", "--input", warps, "--output-dir", str(out)]) == 0
+            assert main(["diagnose", "--input", panel, "--output-dir", str(out)]) == 0
+            results.append(snapshot(out))
+        assert results[0] == results[1]
+
+
 class TestInputBoundary:
     """Bad input files exit 2 with a message naming the file; bad flags exit 4."""
 

@@ -456,6 +456,11 @@ class TestScoreRateRegression:
         with pytest.raises(SampleSizeError):
             score_rate_regression(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]))
 
+    def test_one_dimensional_scores_are_one_row(self):
+        # One score per rate comes as a column; a 1-D vector is not guessed to be one.
+        with pytest.raises(ConfigError, match="^1 score rows vs 3 rates$"):
+            score_rate_regression(np.array([2.0, 4.0, 6.0]), np.array([1.0, 2.0, 3.0]))
+
     @pytest.mark.parametrize(
         "scores, alphas",
         [

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 from dataclasses import replace
 
@@ -359,6 +361,18 @@ class TestTruthIO:
         assert np.array_equal(again.mean, truth.mean)
         assert np.array_equal(again.eigenfunctions, truth.eigenfunctions)
         assert np.array_equal(again.eigenvalues, truth.eigenvalues)
+
+    def test_optional_keys_default_to_sim_truth(self, tmp_path):
+        # A manifest with only the required keys gets SimTruth's own defaults.
+        manifest = save_truth(default_truth(seed=99), tmp_path)
+        obj = json.loads(manifest.read_text())
+        optional = [f for f in dataclasses.fields(SimTruth) if f.default is not dataclasses.MISSING]
+        for f in optional:
+            del obj[f.name]
+        manifest.write_text(json.dumps(obj))
+        again = load_truth(manifest)
+        assert [getattr(again, f.name) for f in optional] == [f.default for f in optional]
+        assert [f.name for f in optional] == ["n", "x0_range", "alpha_range", "cap", "seed"]
 
     def test_missing_manifest_key(self, tmp_path):
         path = tmp_path / "truth.json"

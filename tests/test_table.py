@@ -1,18 +1,19 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from warpgrowth import _table, timeseries
+from warpgrowth import _table
 from warpgrowth._table import csv_rows, read_table, write_rows, write_table
 from warpgrowth.errors import SchemaError
-from warpgrowth.timeseries import parse_panel
+from warpgrowth.timeseries import month_index, parse_panel
 
-from oracles import csv_rows_per_row, csv_table_per_cell, parse_cells_per_cell, read_table_per_cell
+from oracles import csv_rows_per_row, csv_table_per_cell, read_table_per_cell
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1.5]
 
@@ -208,8 +209,9 @@ class TestCsvRows:
 class TestFieldSizeLimit:
     def test_long_lines_of_short_cells_stay_with_the_tokenizer(self, monkeypatch):
         # csv refuses a field over its limit, not a line: every line here is
-        # far over the lowered limit, but no cell is, so neither reader falls
-        # back to csv_rows, and both give what the per-cell oracles give.
+        # far over the lowered limit, but no cell is, so neither the table
+        # nor the panel falls back to csv_rows, and both give what the
+        # per-cell oracle gives.
         def refuse(text):
             raise AssertionError("fell back to csv_rows")
 
@@ -225,18 +227,17 @@ class TestFieldSizeLimit:
             assert all(len(line) > 64 for line in [*table.splitlines(), *panel_text.splitlines()])
             with monkeypatch.context() as patched:
                 patched.setattr(_table, "csv_rows", refuse)
-                patched.setattr(timeseries, "csv_rows", refuse)
-                header, data = read_table(table)
+                header, data, blank = read_table(table)
                 panel = parse_panel(panel_text)
-            expected_header, expected = read_table_per_cell(table)
-            rows = list(csv.reader(io.StringIO(panel_text)))[1:]
-            values, missing = parse_cells_per_cell(rows, names)
+            expected_header, expected, _ = read_table_per_cell(table)
+            _, values, missing = read_table_per_cell(panel_text, month_index)
+            values, missing = values[:, 1:].T, missing[:, 1:].T
             # A cell over the limit still sends the text to csv, which refuses it.
             with pytest.raises(SchemaError, match="field larger than field limit"):
                 read_table(table.replace("\n1,", "\n1." + "0" * 64 + ",", 1))
         finally:
             csv.field_size_limit(limit)
-        assert header == expected_header and same_bits(data, expected)
+        assert header == expected_header and same_bits(data, expected) and not blank.any()
         assert panel.names == tuple(names) and np.array_equal(panel.missing, missing) and missing.any()
         assert panel.values[~missing].tobytes() == values[~missing].tobytes()
 
@@ -246,22 +247,32 @@ class TestReadTable:
     @given(tables())
     def test_round_trip_is_bit_exact(self, table):
         header, columns = table
-        got_header, data = read_table(write_table(header, columns))
-        assert data.shape == (len(columns[0]), len(columns))
+        got_header, data, blank = read_table(write_table(header, columns))
+        assert data.shape == blank.shape == (len(columns[0]), len(columns))
+        assert not blank.any()
         assert got_header == header
         for j, column in enumerate(columns):
             assert same_bits(data[:, j], column)
 
     def test_blank_lines_skipped(self):
-        header, data = read_table("t,a\n\n0,1\n\n1,2\n")
+        header, data, blank = read_table("t,a\n\n0,1\n\n1,2\n")
         assert header == ["t", "a"]
         np.testing.assert_array_equal(data, [[0, 1], [1, 2]])
+        assert not blank.any()
 
     def test_header_only_and_empty(self):
-        header, data = read_table("t,a\n")
-        assert header == ["t", "a"] and data.shape == (0, 2)
-        header, data = read_table("")
-        assert header == [] and data.shape == (0, 0)
+        header, data, blank = read_table("t,a\n")
+        assert header == ["t", "a"] and data.shape == blank.shape == (0, 2)
+        header, data, blank = read_table("")
+        assert header == [] and data.shape == blank.shape == (0, 0)
+
+    def test_carriage_returns_inside_a_line_go_to_csv(self):
+        # csv reads "\r\r\n" as a blank line; the tokenizer, given only such
+        # lines, warned that the input held no data.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            header, data, blank = read_table("t,a\r\n\r\r\n")
+        assert header == ["t", "a"] and data.shape == blank.shape == (0, 2)
 
     def test_ragged_row_names_row(self):
         with pytest.raises(SchemaError, match="row 3: expected 2 cells, got 1"):
@@ -277,15 +288,26 @@ class TestReadTable:
         with pytest.raises(SchemaError, match=r"row 2, column 't': cannot parse '1\\n2'"):
             read_table('t,a\n"1\n2",5\n')
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_quoted_cell_over_a_blank_line(self, eol):
+        # csv keeps both line breaks in the cell; numpy's tokenizer ended the
+        # open quote at the empty line, which hid the join from the row count.
+        text = eol.join(["t,a", '0,"1', "", "2,3", ""])
+        with pytest.raises(SchemaError, match=r"row 2, column 'a': cannot parse '1"):
+            read_table(text)
+        with pytest.raises(SchemaError, match=r"row 2, column 'a': cannot parse '1"):
+            parse_panel(text.replace("t,a", "date,a").replace("0,", "2000-01,").replace("2,3", "2000-02,3"))
+
     def test_unparseable_cell_names_row_and_column(self):
         with pytest.raises(SchemaError, match="row 3, column 'a': cannot parse 'x'"):
             read_table("t,a\n0,1\n1,x\n")
 
 
 # Raw field texts: numbers as the table writer spells them, and spellings
-# where numpy's C tokenizer and csv + float could part ways (quoted, signed,
-# overflowing, "1_000", non-ASCII digits, blank, holding "#", edged with a
-# character only numpy strips, a quote left open over a line end).
+# where numpy's C tokenizer and csv + str.strip + float could part ways
+# (quoted, signed, overflowing, "1_000", non-ASCII digits, blank, holding
+# "#", edged with a character float refuses and str.strip removes, a quote
+# left open over a line end).
 TABLE_CELLS = st.one_of(
     floats.map(lambda v: "%.17g" % v),
     st.integers(min_value=-10**6, max_value=10**6).map(str),
@@ -315,12 +337,13 @@ class TestReadTableMatchesPerCellReader:
     @given(table_texts())
     def test_same_table_or_first_error(self, text):
         try:
-            expected_header, expected = read_table_per_cell(text)
+            expected_header, expected, expected_blank = read_table_per_cell(text)
         except ValueError as exc:
             with pytest.raises(SchemaError) as got:
                 read_table(text)
             assert str(got.value) == str(exc)
         else:
-            header, data = read_table(text)
+            header, data, blank = read_table(text)
             assert header == expected_header
             assert same_bits(data, expected)
+            assert np.array_equal(blank, expected_blank)

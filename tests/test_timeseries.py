@@ -1,6 +1,4 @@
-import csv
 import dataclasses
-import io
 
 import numpy as np
 import pytest
@@ -19,7 +17,7 @@ from warpgrowth.timeseries import (
 )
 
 from conftest import rate_fits, warp_set
-from oracles import parse_cells_per_cell
+from oracles import read_table_per_cell
 
 
 class TestMonthMath:
@@ -135,7 +133,8 @@ class TestParsePanel:
         ],
     )
     def test_non_finite_and_subnormal_rejected(self, cell, problem):
-        with pytest.raises(SchemaError, match=f"row 3, column 'B': value '{cell}' {problem}"):
+        # The message names the value, not the cell text: "Infinity" is inf.
+        with pytest.raises(SchemaError, match=f"row 3, column 'B': value {float(cell)!r} {problem}"):
             parse_panel(f"date,A,B\n2000-01,100,5\n2000-02,101,{cell}\n")
 
     def test_smallest_normal_accepted(self):
@@ -157,9 +156,14 @@ class TestParsePanel:
         assert panel.values[~panel.missing].tolist() == values[~missing].tolist() == [1.0, 3.0]
 
     def test_first_bad_cell_in_row_major_order(self):
-        # An unparseable cell later in the file does not mask an earlier bad value.
+        # Every cell is parsed before any level is checked, so a cell that is
+        # not a number names itself even after an earlier bad level.
         text = "date,A,B\n2000-01,100,5\n2000-02,101,0\n2000-03,oops,7\n"
-        with pytest.raises(SchemaError, match="row 3, column 'B': value '0' is not positive"):
+        with pytest.raises(SchemaError, match="row 4, column 'A': cannot parse 'oops'"):
+            parse_panel(text)
+        # Among levels, the first bad one in row-major order is named.
+        text = "date,A,B\n2000-01,100,5\n2000-02,101,0\n2000-03,-1,7\n"
+        with pytest.raises(SchemaError, match="row 3, column 'B': value 0.0 is not positive"):
             parse_panel(text)
 
 
@@ -203,13 +207,21 @@ def panel_text(start, grid_cells, eol="\n", final_eol=True, inserts=()):
 
 
 def reference_parse(text):
-    """``csv.reader`` rows, each checked for its width, then :func:`parse_cells_per_cell`, as ``parse_panel`` orders its checks."""
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    names = [c.strip() for c in rows[0][1:]]
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(names) + 1:
-            raise ValueError(f"row {lineno}: expected {len(names) + 1} cells, got {len(row)}")
-    return parse_cells_per_cell(rows[1:], names)
+    """(values, missing) as (series, months) arrays: :func:`read_table_per_cell` with dates, then a cell-by-cell
+    level check in row-major order, as ``parse_panel`` orders its checks; ValueError for the first error."""
+    header, data, blank = read_table_per_cell(text, month_index)
+    names = [c.strip() for c in header[1:]]
+    tiny = float(np.finfo(float).tiny)
+    for i, j in zip(*np.nonzero(~blank[:, 1:])):
+        v = float(data[i, j + 1])
+        where = f"row {i + 2}, column {names[j]!r}: value {v!r}"
+        if not v > 0:
+            raise ValueError(f"{where} is not positive")
+        if v == np.inf:
+            raise ValueError(f"{where} is not finite")
+        if v < tiny:
+            raise ValueError(f"{where} is subnormal (below {tiny!r})")
+    return data[:, 1:].T, blank[:, 1:].T
 
 
 def assert_same_rows(a, b):

@@ -97,13 +97,24 @@ class TestComputeWarp:
 
     def test_identity_deviation_per_row(self):
         # Row 0 deviates by 0.1 everywhere, row 1 by 0.2 t: on [0, 0.5] that is a mean of 0.05.
-        # A t0 before the grid measures both rows at t = 0 alone.
+        # A t0 off [0, 1] is no warp set's: it bounds no anchor interval on the grid.
         grid = TimeGrid(0, 11)
         t = grid.points
         rows = np.vstack([t + 0.1, t + 0.2 * t])
-        for t0, expected in ((0.5, [0.1, 0.05]), (-0.1, [0.1, 0.0])):
-            warps = WarpSet(grid, ("a", "b"), rows, t0)
-            np.testing.assert_allclose(identity_deviation(warps), expected, rtol=1e-14, atol=0.0)
+        warps = WarpSet(grid, ("a", "b"), rows, 0.5)
+        np.testing.assert_allclose(identity_deviation(warps), [0.1, 0.05], rtol=1e-14, atol=0.0)
+        for t0 in (-0.1, 1.5, float("nan")):
+            with pytest.raises(GridError, match="t0_normalized must lie in"):
+                WarpSet(grid, ("a", "b"), rows, t0)
+
+    @pytest.mark.parametrize("window_start, t0", [(None, 400), (170, 150)], ids=["past-the-grid", "before-the-window"])
+    def test_t0_off_the_window_is_grid_error(self, window_start, t0):
+        # On a 60-month panel from month 144, these t0 would sit at 4.34 (past
+        # the grid) or -0.61 (before the window start) on the unit interval.
+        panel = exponential_panel([0.01, 0.02], n_points=60)
+        fits = rate_fits(panel.names, [0.01, 0.03])
+        with pytest.raises(GridError, match=f"month {t0} "):
+            compute_warp_set(panel, fits, window_start, t0)
 
     def test_identity_deviation_overflow_names_the_series(self):
         # Each warp value is finite, but the sum over the anchor interval overflows for row 'b'.

@@ -74,12 +74,18 @@ class WindowFits:
 
 @dataclass(frozen=True)
 class IntervalSearchResult:
-    """Best window over the scanned lengths, with the free-intercept fits there."""
+    """Best window over the scanned lengths, with the free-intercept fits there and their mean r2."""
 
-    best_window: tuple[int, int]
-    window_length_months: int
-    mean_r2: float
     fits: WindowFits
+    mean_r2: float
+
+    @property
+    def best_window(self) -> tuple[int, int]:
+        return self.fits.window
+
+    @property
+    def window_length_months(self) -> int:
+        return self.fits.window[1] - self.fits.window[0] + 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -95,8 +101,14 @@ class AlphaEstimates:
     """Fixed-intercept rate estimates for every series on one window."""
 
     fits: WindowFits
-    mean_alpha: float
-    sd_alpha: float
+
+    @property
+    def mean_alpha(self) -> float:
+        return float(self.fits.alpha.mean())
+
+    @property
+    def sd_alpha(self) -> float:
+        return float(self.fits.alpha.std(ddof=1)) if self.fits.alpha.size > 1 else 0.0
 
     def alphas(self) -> np.ndarray:
         return self.fits.alpha
@@ -122,48 +134,31 @@ def _r2(sse: np.ndarray, sst: np.ndarray) -> np.ndarray:
         return np.clip(np.where(sst > 0.0, 1.0 - sse / sst, 1.0), 0.0, 1.0)
 
 
-def _free_ols(logs_t: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Free-intercept OLS of every series on every window of one length.
+def _month_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over months (axis 0), added in month order onto zero: the rounding :func:`_r2_bracket` bounds."""
+    return np.cumsum(np.concatenate((np.zeros_like(terms[:1]), terms)), axis=0)[-1]
 
-    ``logs_t`` holds log values with months along axis 0 and series along
-    axis 1. Returns ``(alpha, intercept, r2)``, each (n_offsets, n_series),
-    row ``o`` for the window starting at month offset ``o``. Sums accumulate
-    on (n_offsets, n_series) arrays, so memory stays O(n_offsets * n_series).
-    The mean is taken of values less the window's first, so a flat window
-    has ``SST == 0`` exactly and scores 1; the residual form scores an exact
-    exponential exactly 1.
+
+def _free_ols(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Free-intercept OLS of every series on one window of logs, months along axis 0 and series along axis 1.
+
+    Returns ``(alpha, intercept, r2)``, one entry per series. The window
+    mean, Sxy, SST and SSE are :func:`_month_sum` sums. The mean is taken
+    of values less the window's first, so a flat window has ``SST == 0``
+    exactly and scores 1; the residual form scores an exact exponential
+    exactly 1.
     """
-    n_off = logs_t.shape[0] - length + 1
+    length = logs.shape[0]
     tbar = (length - 1) / 2.0
-    tc = np.arange(length, dtype=float) - tbar
+    tc = (np.arange(length, dtype=float) - tbar)[:, None]
     stt = float(np.sum(tc**2))
-
-    def window(j: int) -> np.ndarray:
-        return logs_t[j : j + n_off]
-
-    anchor = window(0)
-    mean = np.zeros_like(anchor)
-    yc = np.empty_like(anchor)
-    for j in range(1, length):
-        np.subtract(window(j), anchor, out=yc)
-        mean += yc
-    mean /= length
-    # The window mean of log X; on a flat window it is the anchor itself.
-    mean += anchor
-
-    sxy, sst = np.zeros_like(mean), np.zeros_like(mean)
-    for j in range(length):
-        np.subtract(window(j), mean, out=yc)
-        sxy += tc[j] * yc
-        sst += yc * yc
-    alpha = sxy / stt
-
-    sse = np.zeros_like(mean)
-    for j in range(length):
-        np.subtract(window(j), mean, out=yc)
-        yc -= alpha * tc[j]
-        sse += yc * yc
-    return alpha, mean - alpha * tbar, _r2(sse, sst)
+    # The window mean of log X; on a flat window it is the first month's log itself.
+    mean = _month_sum(logs[1:] - logs[0]) / length + logs[0]
+    yc = logs - mean
+    alpha = _month_sum(tc * yc) / stt
+    sst = _month_sum(yc * yc)
+    resid = yc - alpha * tc
+    return alpha, mean - alpha * tbar, _r2(_month_sum(resid * resid), sst)
 
 
 #: Unit roundoff of float64 arithmetic.
@@ -195,11 +190,11 @@ def _prefix_sums(logs_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _r2_bracket(sums: np.ndarray, scale: np.ndarray, level: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds ``lo <= r2 <= hi`` on the r2 that :func:`_free_ols` gives every window of one length.
+    """Bounds ``lo <= r2 <= hi`` on the r2 that :func:`_free_ols` gives each window of one length.
 
     ``sums`` and ``scale`` come from :func:`_prefix_sums`, ``level`` is
     each series' first log value. Returns two (n_offsets, n_series) arrays
-    in [0, 1].
+    in [0, 1], row ``o`` for the window starting at month offset ``o``.
 
     Each window's ``Sxy = sum (k - kbar) d`` and ``SST = sum d^2 - (sum d)^2 / L``
     are differences of prefix sums. Recursive summation of m terms errs by
@@ -211,9 +206,9 @@ def _r2_bracket(sums: np.ndarray, scale: np.ndarray, level: np.ndarray, length: 
     ``(|Sxy| -+ ex)^2 / (Stt (SST +- es))``. The kernel's own r2 differs
     from the exact one by at most ``kern``: its window mean is off by
     ``dm``, which perturbs its SST and SSE by ``h^2 = L dm^2 / SST``
-    relative, and its sums of L terms err by ``g = gamma_(L+8)``. Every
-    bound is doubled to cover second-order terms and the rounding of the
-    bound itself.
+    relative, and its in-order sums of L terms err by ``g = gamma_(L+8)``.
+    Every bound is doubled to cover second-order terms and the rounding of
+    the bound itself.
 
     A window whose SST is not above ``2 es``, so not resolved, gets all of
     [0, 1]; a series with ``d == 0`` on every month is constant, which the
@@ -262,9 +257,9 @@ def search_interval(panel: Panel, lengths=DEFAULT_WINDOW_LENGTHS) -> IntervalSea
     (:func:`_r2_bracket`); they cover the rounding of the prefix sums and
     of the kernel. A window stays a candidate while its mean upper bound
     reaches the largest mean lower bound, so the best window and every
-    window tied with it are kept. Each candidate is rescored by its own
-    :func:`_free_ols` call on its rows of logs; the kernel is
-    elementwise, so its r2 has the bits a scan of every window gives it.
+    window tied with it are kept. Each candidate is rescored by one
+    :func:`_free_ols` call on its rows of logs, whose rounding the bounds
+    cover, so the result is that of a fit of every window.
     Per-window means are ``math.fsum`` sums, which are correctly rounded,
     so the choice does not depend on series order. Memory stays O(n_series * n_months).
 
@@ -314,14 +309,13 @@ def search_interval(panel: Panel, lengths=DEFAULT_WINDOW_LENGTHS) -> IntervalSea
     best = None
     for length in lengths:
         for offset in np.flatnonzero(hi_sum[length] / n + slack >= floor).tolist():
-            fitted = [a[0] for a in _free_ols(logs_t[offset : offset + length], length)]
+            fitted = _free_ols(logs_t[offset : offset + length])
             key = (-math.fsum(fitted[2].tolist()) / n, offset, length)
             if best is None or key < best[0]:
                 best = key, fitted
     (neg_mean_r2, first, length), (alpha, intercept, r2) = best
     window = (grid.start_month + first, grid.start_month + first + length - 1)
-    fits = WindowFits(window, panel.names, alpha, intercept, r2, np.zeros(n, dtype=bool))
-    return IntervalSearchResult(window, length, -neg_mean_r2, fits)
+    return IntervalSearchResult(WindowFits(window, panel.names, alpha, intercept, r2, np.zeros(n, dtype=bool)), -neg_mean_r2)
 
 
 def estimate_alphas(panel: Panel, window: tuple[int, int]) -> AlphaEstimates:
@@ -341,6 +335,4 @@ def estimate_alphas(panel: Panel, window: tuple[int, int]) -> AlphaEstimates:
     alpha[clamped] = ALPHA_FLOOR
     sse = np.sum((d - np.outer(tau, alpha)) ** 2, axis=0)
     sst = np.sum((d - d.mean(axis=0)) ** 2, axis=0)
-    fits = WindowFits(window, panel.names, alpha, logs[0], _r2(sse, sst), clamped)
-    sd = float(alpha.std(ddof=1)) if alpha.size > 1 else 0.0
-    return AlphaEstimates(fits, float(alpha.mean()), sd)
+    return AlphaEstimates(WindowFits(window, panel.names, alpha, logs[0], _r2(sse, sst), clamped))

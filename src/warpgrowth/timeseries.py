@@ -99,15 +99,15 @@ class TimeGrid:
 _TINY = float(np.finfo(float).tiny)
 
 
-def _value_problem(v: float) -> str | None:
-    """Why a value is not a valid index level, or None if it is."""
-    if not v > 0:
-        return "is not positive"
-    if v == math.inf:
-        return "is not finite"
-    if v < _TINY:
-        return f"is subnormal (below {_TINY!r})"
-    return None
+def _first_bad_level(values: np.ndarray, missing: np.ndarray) -> tuple[int, int, str] | None:
+    """``(i, j, why)`` for the first value in row-major order that is neither missing nor a valid index level, or None."""
+    bad = np.argwhere(~(((values >= _TINY) & (values < math.inf)) | missing))
+    if not bad.size:
+        return None
+    i, j = bad[0]
+    v = float(values[i, j])
+    why = "is not positive" if not v > 0 else "is not finite" if v == math.inf else f"is subnormal (below {_TINY!r})"
+    return i, j, f"value {v!r} {why}"
 
 
 def freeze_fields(obj, fields, what: str) -> None:
@@ -151,11 +151,10 @@ class Panel:
         if self.missing is None:
             object.__setattr__(self, "missing", np.zeros(shape, dtype=bool))
         freeze_fields(self, (("values", float, shape), ("missing", bool, shape)), f"{len(names)} series")
-        bad = np.argwhere(~(((self.values >= _TINY) & (self.values < math.inf)) | self.missing))
-        if bad.size:
-            i, j = bad[0]
-            v = float(self.values[i, j])
-            raise SchemaError(f"series {names[i]!r}, point {j}: value {v!r} {_value_problem(v)}")
+        bad = _first_bad_level(self.values, self.missing)
+        if bad:
+            i, j, why = bad
+            raise SchemaError(f"series {names[i]!r}, point {j}: {why}")
 
     @property
     def n_series(self) -> int:
@@ -226,12 +225,15 @@ def parse_panel(csv_text: str) -> Panel:
         prev, cur = months[gaps[0]], months[gaps[0] + 1]
         raise GridError(f"non-consecutive months: {month_label(prev)} followed by {month_label(cur)}")
     values, missing = data[:, 1:], blank[:, 1:]
-    bad = np.argwhere(~(((values >= _TINY) & (values < math.inf)) | missing))
-    if bad.size:
-        i, j = bad[0]
-        v = float(values[i, j])
-        raise SchemaError(f"row {i + 2}, column {names[j]!r}: value {v!r} {_value_problem(v)}")
-    return Panel(TimeGrid(int(months[0]), len(months)), tuple(names), values.T, missing.T)
+    try:
+        return Panel(TimeGrid(int(months[0]), len(months)), tuple(names), values.T, missing.T)
+    except SchemaError:
+        # The panel names a bad level by series and point; name the first in file order, by row and column.
+        bad = _first_bad_level(values, missing)
+        if not bad:
+            raise
+        i, j, why = bad
+        raise SchemaError(f"row {i + 2}, column {names[j]!r}: {why}") from None
 
 
 def serialize_panel(panel: Panel) -> str:

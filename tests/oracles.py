@@ -144,6 +144,37 @@ def free_fit_per_series(row, window):
     return OlsFit(alpha, intercept, r2)
 
 
+def free_ols_per_month(logs):
+    """Free-intercept OLS of every series on one (length, n_series) window of logs, summed month by month.
+
+    Each sum starts at zero and adds one month at a time in order: the
+    window mean of the logs less the first month's, then Sxy and SST of
+    the centred logs, then SSE of the residuals. Returns
+    ``OlsFit(alpha, intercept, r2)`` of (n_series,) arrays, r2 being
+    ``1 - SSE / SST`` clipped to [0, 1] and 1 where ``SST == 0``.
+    """
+    length, n = logs.shape
+    tbar = (length - 1) / 2.0
+    tc = np.arange(length, dtype=float) - tbar
+    stt = float(np.sum(tc**2))
+    mean = np.zeros(n)
+    for j in range(1, length):
+        mean += logs[j] - logs[0]
+    mean = mean / length + logs[0]
+    sxy, sst, sse = np.zeros(n), np.zeros(n), np.zeros(n)
+    for j in range(length):
+        yc = logs[j] - mean
+        sxy += tc[j] * yc
+        sst += yc * yc
+    alpha = sxy / stt
+    for j in range(length):
+        resid = logs[j] - mean - alpha * tc[j]
+        sse += resid * resid
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r2 = np.clip(np.where(sst > 0.0, 1.0 - sse / sst, 1.0), 0.0, 1.0)
+    return OlsFit(alpha, mean - alpha * tbar, r2)
+
+
 def generate_replicate_per_candidate(truth, rng):
     """``generate_replicate`` with the same chunked draws, each candidate built and tested on its own.
 

@@ -22,7 +22,7 @@ from warpgrowth.timeseries import Panel, TimeGrid
 from warpgrowth.warping import compute_warp_set
 
 from conftest import exponential_panel, one_series_panel
-from oracles import free_fit_per_series
+from oracles import free_fit_per_series, free_ols_per_month
 
 
 def free_fits(panel):
@@ -33,6 +33,12 @@ def free_fits(panel):
 def fixed_fits(panel):
     """Fixed-intercept fits on the whole grid."""
     return estimate_alphas(panel, (panel.grid.start_month, panel.grid.end_month)).fits
+
+
+def scan_windows(logs_t, length):
+    """``_free_ols`` on every window of one length: (alpha, intercept, r2), each (n_offsets, n_series), row ``o`` for offset ``o``."""
+    fits = [_free_ols(logs_t[offset : offset + length]) for offset in range(logs_t.shape[0] - length + 1)]
+    return tuple(np.array(column) for column in zip(*fits))
 
 
 class TestFreeFit:
@@ -214,7 +220,7 @@ class TestBatchedScan:
         panel, lengths = case
         logs_t = np.log(panel.values).T.copy()
         for length in set(lengths):
-            alpha, intercept, r2 = _free_ols(logs_t, length)
+            alpha, intercept, r2 = scan_windows(logs_t, length)
             assert r2.shape == (panel.grid.n_points - length + 1, panel.n_series)
             for offset in range(r2.shape[0]):
                 start = panel.grid.start_month + offset
@@ -239,7 +245,7 @@ class TestBatchedScan:
         panel = exponential_panel([0.003, 0.009, 0.017], n_points=90, start_month=12)
         logs_t = np.log(panel.values).T.copy()
         for length in DEFAULT_WINDOW_LENGTHS:
-            assert np.all(_free_ols(logs_t, length)[2] == 1.0)
+            assert np.all(scan_windows(logs_t, length)[2] == 1.0)
         res = search_interval(panel)
         assert res.best_window == (12, 35)
         assert res.window_length_months == 24
@@ -252,8 +258,8 @@ class TestBatchedScan:
         # and the window mean incur, so every fit assigns r2 = 1.
         for length in range(3, 61):
             panel = one_series_panel([value] * length)
-            alpha, _, r2 = _free_ols(np.log(np.full((length, 1), value)), length)
-            assert alpha[0, 0] == 0.0 and r2[0, 0] == 1.0
+            alpha, _, r2 = _free_ols(np.log(np.full((length, 1), value)))
+            assert alpha[0] == 0.0 and r2[0] == 1.0
             free = free_fits(panel)
             assert free.alpha[0] == 0.0 and free.r2[0] == 1.0
             fixed = fixed_fits(panel)
@@ -262,7 +268,7 @@ class TestBatchedScan:
 
 
 def full_scan(panel, lengths):
-    """Reference scan: ``_free_ols`` on every offset of every length, sorted-``fsum`` means, same tie key.
+    """Reference scan: ``_free_ols`` on every window of every length, sorted-``fsum`` means, same tie key.
 
     Returns the window, its length, the winning mean r2 and the kernel's
     (alpha, intercept, r2) rows there.
@@ -272,7 +278,7 @@ def full_scan(panel, lengths):
     for length in sorted(set(lengths)):
         if length > panel.grid.n_points:
             continue
-        fitted = _free_ols(logs_t, length)
+        fitted = scan_windows(logs_t, length)
         for offset, row in enumerate(np.sort(fitted[2], axis=1).tolist()):
             key = (-math.fsum(row) / len(row), offset, length)
             if best is None or key < best[0]:
@@ -330,7 +336,7 @@ def tied_panels(draw):
 
 
 @st.composite
-def hard_logs(draw):
+def hard_logs(draw, kinds=("noisy", "exact", "flat", "ulps", "near_one", "step")):
     """Log blocks at the edges of the filter's error bound: extreme levels, near-flat and near-exact series."""
     n_points = draw(st.integers(min_value=3, max_value=80))
     n_series = draw(st.integers(min_value=1, max_value=4))
@@ -339,7 +345,7 @@ def hard_logs(draw):
     values = np.empty((n_series, n_points))
     for i in range(n_series):
         level = 10.0 ** draw(st.floats(min_value=-290.0, max_value=290.0))
-        kind = draw(st.sampled_from(["noisy", "exact", "flat", "ulps", "near_one", "step"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "noisy":
             logs = rng.uniform(-0.03, 0.03) * t + 10.0 ** rng.uniform(-12, -1) * rng.standard_normal(n_points)
             values[i] = level * np.exp(logs)
@@ -363,8 +369,19 @@ class TestPrefixFilter:
         sums, scale = _prefix_sums(logs_t)
         for length in range(3, logs_t.shape[0] + 1):
             lo, hi = _r2_bracket(sums, scale, logs_t[0], length)
-            r2 = _free_ols(logs_t, length)[2]
+            r2 = scan_windows(logs_t, length)[2]
             assert np.all((0.0 <= lo) & (lo <= r2) & (r2 <= hi) & (hi <= 1.0)), length
+
+    @settings(max_examples=150, deadline=None)
+    @given(logs_t=hard_logs(("flat", "ulps", "near_one", "step")), one_series=st.booleans())
+    def test_kernel_sums_in_month_order(self, logs_t, one_series):
+        # numpy sums a contiguous axis pairwise, so a one-series window is
+        # where a kernel summing with np.sum would lose the month order.
+        if one_series:
+            logs_t = np.ascontiguousarray(logs_t[:, :1])
+        fitted = _free_ols(logs_t)
+        for got, want in zip(fitted, free_ols_per_month(logs_t)):
+            assert got.tobytes() == want.tobytes()
 
     def test_bracket_is_tight_on_default_truth(self):
         # The filter only pays off if the bounds are far narrower than the

@@ -7,6 +7,15 @@ CSV, ``fpca`` decomposes a warp CSV, ``simulate`` runs the Monte Carlo
 study, and ``diagnose`` checks the identity anchor: how far each warp is
 from ``h(t) = t`` on the undisturbed window that ``fit`` selected.
 
+The artifacts of ``fit`` and ``fpca`` are rendered here from the arrays
+that :mod:`~warpgrowth.growthfit` and :mod:`~warpgrowth.fpca` return:
+``fit.json`` is written by :func:`cmd_fit` and read back by
+:func:`_parse_fit_artifact`, and :func:`cmd_fpca` writes
+``fpca_model.json``, ``eigenfunctions.csv``, ``scores.csv``,
+``modes_k*.csv`` and ``score_alpha_regression.json``. The warp, panel,
+simulation-report and truth formats keep one owner each in the library,
+next to their readers or outside callers.
+
 Exit codes are a stable contract: 0 success, 2 input error, 3 numerical
 failure, 4 configuration error, each declared by its ``WarpGrowthError``
 class; any other exception is a bug. Outputs are written only after the
@@ -26,15 +35,7 @@ import numpy as np
 from . import _table
 from . import simulate as sim
 from .errors import ConfigError, GridError, SchemaError, WarpGrowthError
-from .fpca import (
-    DEFAULT_VAR_THRESHOLD,
-    eigenfunctions_to_csv,
-    fit_fpca,
-    model_to_json_dict,
-    modes_of_variation,
-    modes_to_csv,
-    score_rate_regression,
-)
+from .fpca import DEFAULT_VAR_THRESHOLD, fit_fpca, modes_of_variation, score_rate_regression
 from .growthfit import (
     DEFAULT_WINDOW_LENGTHS,
     WindowFits,
@@ -113,6 +114,12 @@ def _parse_fit_artifact(text: str) -> tuple[tuple[int, int], WindowFits]:
     return restriction, WindowFits(window, *columns)
 
 
+def _fit_rows(fits: WindowFits, *keys: str) -> list[dict]:
+    """One ``{"name": ..., key: ...}`` object per series of ``fits``, the named arrays' entries as Python scalars."""
+    columns = [getattr(fits, key).tolist() for key in keys]
+    return [{"name": name, **dict(zip(keys, row))} for name, *row in zip(fits.names, *columns)]
+
+
 def cmd_fit(args) -> int:
     panel = _table.read_file(args.input, parse_panel)
     restriction = _parse_window(args.window) if args.window else (panel.grid.start_month, panel.grid.end_month)
@@ -120,22 +127,25 @@ def cmd_fit(args) -> int:
     lengths = _parse_lengths(args.window_lengths)
     result = search_interval(panel, lengths)
     estimates = estimate_alphas(panel, result.best_window)
-
-    artifact = result.to_json_dict()
-    artifact["alpha_estimates"] = {
-        "per_series": estimates.fits.json_rows("alpha", "intercept", "r2", "clamped"),
-        "mean_alpha": estimates.mean_alpha,
-        "sd_alpha": estimates.sd_alpha,
-    }
-    artifact["analysis"] = {
-        "restriction": {"start": restriction[0], "end": restriction[1]},
-        "dropped_series": dropped,
-        "panel_start": panel.grid.start_month,
-        "panel_end": panel.grid.end_month,
-    }
-    out = Path(args.output_dir)
-    _table.write_json(out / "fit.json", artifact)
     start, end = result.best_window
+    artifact = {
+        "window": {"start": start, "end": end},
+        "window_length_months": result.window_length_months,
+        "mean_r2": result.mean_r2,
+        "per_series": _fit_rows(result.fits, "alpha", "intercept", "r2"),
+        "alpha_estimates": {
+            "per_series": _fit_rows(estimates.fits, "alpha", "intercept", "r2", "clamped"),
+            "mean_alpha": estimates.mean_alpha,
+            "sd_alpha": estimates.sd_alpha,
+        },
+        "analysis": {
+            "restriction": {"start": restriction[0], "end": restriction[1]},
+            "dropped_series": dropped,
+            "panel_start": panel.grid.start_month,
+            "panel_end": panel.grid.end_month,
+        },
+    }
+    _table.write_json(Path(args.output_dir) / "fit.json", artifact)
     print(
         f"fit: window {month_label(start)}..{month_label(end)} ({result.window_length_months} months), "
         f"mean R2 {result.mean_r2:.4f}, mean alpha {estimates.mean_alpha * 100:.3f}%/month "
@@ -179,10 +189,26 @@ def cmd_fpca(args) -> int:
     warpset = _table.read_file(args.input, warps_from_csv)
     exclude = tuple(name.strip() for name in args.exclude.split(",") if name.strip()) if args.exclude else ()
     model = fit_fpca(warpset, exclude=exclude, k=args.k, var_threshold=args.var_threshold)
-    scores = _table.write_rows(
-        ["name", "out_of_sample", *(f"score_{k + 1}" for k in range(model.n_retained))],
-        ([name, int(model.out_of_sample[i]), *model.scores[i].tolist()] for i, name in enumerate(model.score_names)),
+    ks = range(1, model.n_retained + 1)
+    per_series = list(zip(model.score_names, model.out_of_sample.tolist(), model.scores.tolist()))
+    summary = {
+        "n_sample": model.n_sample,
+        "n_retained": model.n_retained,
+        "eigenvalues": model.eigenvalues.tolist(),
+        "var_explained": model.var_explained.tolist(),
+        "total_variance": model.total_variance,
+        "scores": [{"name": name, "out_of_sample": held, "scores": row} for name, held, row in per_series],
+    }
+    roots = np.sqrt(np.maximum(model.eigenvalues[: model.n_retained], 0.0))
+    eigenfunctions = _table.write_table(
+        ["t_normalized", "mean", *(f"phi_{k}" for k in ks), *(f"phi_scaled_{k}" for k in ks)],
+        [model.grid.points, model.mean, model.eigenfunctions, model.eigenfunctions * roots[:, None]],
     )
+    scores = _table.write_rows(
+        ["name", "out_of_sample", *(f"score_{k}" for k in ks)],
+        ([name, int(held), *row] for name, held, row in per_series),
+    )
+    modes = [modes_of_variation(model, k) for k in (1, 2) if k <= model.n_retained]
 
     regression = None
     fit_path = _fit_path(args)
@@ -199,12 +225,12 @@ def cmd_fpca(args) -> int:
             regression = {"n": len(rows), "components": components}
 
     out = Path(args.output_dir)
-    _table.write_json(out / "fpca_model.json", model_to_json_dict(model))
-    _table.write_text(out / "eigenfunctions.csv", eigenfunctions_to_csv(model))
+    _table.write_json(out / "fpca_model.json", summary)
+    _table.write_text(out / "eigenfunctions.csv", eigenfunctions)
     _table.write_text(out / "scores.csv", scores)
-    for k in (1, 2):
-        if k <= model.n_retained:
-            _table.write_text(out / f"modes_k{k}.csv", modes_to_csv(modes_of_variation(model, k), model.grid))
+    for mode in modes:
+        table = _table.write_table(["t", *(f"gamma_{g:g}" for g in mode.gammas)], [model.grid.points, mode.curves])
+        _table.write_text(out / f"modes_k{mode.component}.csv", table)
     if regression is not None:
         _table.write_json(out / "score_alpha_regression.json", regression)
 

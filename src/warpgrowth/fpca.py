@@ -19,6 +19,10 @@ quadrature normalization and the sign rule.
 
 Mean and covariance sums run in name-sorted series order, so refitting a
 permuted sample reproduces the model bit for bit.
+
+The module computes and returns arrays and knows no file format; the
+``fpca`` command of :mod:`warpgrowth.cli` renders the model, its
+eigenfunctions, scores and modes of variation as files.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._table import write_table
 from .errors import (
     ConfigError,
     DegenerateRegressorError,
@@ -313,14 +316,16 @@ def fit_fpca(
 def modes_of_variation(model: FpcaModel, k: int, gammas=DEFAULT_GAMMAS) -> ModesOfVariation:
     """Curves ``mu + gamma * sqrt(lambda_k) * phi_k`` for each gamma.
 
-    ``k`` is 1-based and must refer to a retained component (ConfigError
-    otherwise).
+    ``k`` is 1-based and must refer to a retained component, and
+    ``gammas`` must hold at least one value (ConfigError otherwise).
     """
     if not 1 <= k <= model.n_retained:
         raise ConfigError(f"component {k} outside retained range [1, {model.n_retained}]")
+    gammas = tuple(float(g) for g in gammas)
+    if not gammas:
+        raise ConfigError("modes of variation need at least one gamma")
     lam = max(float(model.eigenvalues[k - 1]), 0.0)
     phi = model.eigenfunctions[k - 1]
-    gammas = tuple(float(g) for g in gammas)
     curves = np.vstack([model.mean + g * np.sqrt(lam) * phi for g in gammas])
     return ModesOfVariation(k, gammas, curves)
 
@@ -372,40 +377,3 @@ def score_rate_regression(scores: np.ndarray, alphas: np.ndarray) -> list[Regres
         corr = xy / np.sqrt(sxx * yy) if yy > 0.0 else 0.0
         lines.append(RegressionLine(slope, intercept, float(corr)))
     return lines
-
-
-def model_to_json_dict(model: FpcaModel) -> dict:
-    """JSON-ready summary: spectrum, variance fractions and score table."""
-    return {
-        "n_sample": model.n_sample,
-        "n_retained": model.n_retained,
-        "eigenvalues": [float(v) for v in model.eigenvalues],
-        "var_explained": [float(v) for v in model.var_explained],
-        "total_variance": model.total_variance,
-        "scores": [
-            {
-                "name": name,
-                "out_of_sample": bool(model.out_of_sample[i]),
-                "scores": [float(s) for s in model.scores[i]],
-            }
-            for i, name in enumerate(model.score_names)
-        ],
-    }
-
-
-def eigenfunctions_to_csv(model: FpcaModel) -> str:
-    """Mean and eigenfunctions as CSV, raw and scaled by sqrt(lambda_k).
-
-    Layout matches the warp export: one ``t_normalized`` column followed by
-    value columns, floats at 17 significant digits.
-    """
-    ks = range(1, model.n_retained + 1)
-    header = ["t_normalized", "mean", *(f"phi_{k}" for k in ks), *(f"phi_scaled_{k}" for k in ks)]
-    roots = np.sqrt(np.maximum(model.eigenvalues[: model.n_retained], 0.0))
-    scaled = model.eigenfunctions * roots[:, None]
-    return write_table(header, [model.grid.points, model.mean, model.eigenfunctions, scaled])
-
-
-def modes_to_csv(modes: ModesOfVariation, grid: TimeGrid) -> str:
-    """Modes-of-variation plot data: ``t,gamma_-2,...,gamma_2``."""
-    return write_table(["t", *(f"gamma_{g:g}" for g in modes.gammas)], [grid.points, modes.curves])

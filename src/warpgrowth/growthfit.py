@@ -66,11 +66,6 @@ class WindowFits:
         rows = [index[name] for name in names]
         return WindowFits(self.window, names, self.alpha[rows], self.intercept[rows], self.r2[rows], self.clamped[rows])
 
-    def json_rows(self, *keys: str) -> list[dict]:
-        """One ``{"name": ..., key: ...}`` dict per series, with the named arrays' entries as Python scalars."""
-        columns = [getattr(self, key).tolist() for key in keys]
-        return [{"name": name, **dict(zip(keys, row))} for name, *row in zip(self.names, *columns)]
-
 
 @dataclass(frozen=True)
 class IntervalSearchResult:
@@ -86,14 +81,6 @@ class IntervalSearchResult:
     @property
     def window_length_months(self) -> int:
         return self.fits.window[1] - self.fits.window[0] + 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "window": {"start": self.best_window[0], "end": self.best_window[1]},
-            "window_length_months": self.window_length_months,
-            "mean_r2": self.mean_r2,
-            "per_series": self.fits.json_rows("alpha", "intercept", "r2"),
-        }
 
 
 @dataclass(frozen=True)

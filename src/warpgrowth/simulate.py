@@ -552,11 +552,14 @@ def convergence_sweep(
     covariance surface, first eigenfunction (sign-aligned) and first
     eigenvalue are recorded. The returned slopes are least squares fits of
     log mean error against log n. ConfigError unless ``sizes`` holds at
-    least 2 increasing entries and ``repeats`` is at least 1.
+    least 2 increasing entries, each at least 2 (a covariance needs two
+    draws), and ``repeats`` is at least 1.
     """
     sizes = tuple(int(n) for n in sizes)
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigError(f"sizes must be at least 2 increasing entries, got {sizes}")
+    if sizes[0] < 2:
+        raise ConfigError(f"sizes must be at least 2, since a covariance needs two draws, got {sizes}")
     if repeats < 1:
         raise ConfigError(f"repeats must be at least 1, got {repeats}")
     seed = _seed(truth, seed)

@@ -39,7 +39,7 @@ class WarpSet:
 
     Row ``i`` of the n x m ``values`` (what :meth:`matrix` returns) belongs
     to ``names[i]``; column ``j`` is at ``grid.points[j]``.
-    ``t0_normalized`` is the one point in [0, 1] where the undisturbed
+    ``t0_normalized`` is the one grid point in [0, 1] where the undisturbed
     interval of every row ends. GridError for a shape mismatch or a
     ``t0_normalized`` off [0, 1], SchemaError for a repeated name.
     """
@@ -76,9 +76,10 @@ def compute_warp_set(
     start) to the grid end and maps affinely to [0, 1]. Row ``i`` is
     ``h_i = (log X_i - log X_i(start)) / (alpha_i * elapsed_months)`` at the
     rate of the fit named like series ``i``, so exact exponential growth at
-    rate ``alpha_i`` gives ``h_i(t) = t``. ``t0_month`` (default: the
-    window start) gives the warp set's ``t0_normalized``; GridError if it
-    is off the analysis window, as for a window start. SchemaError if a
+    rate ``alpha_i`` gives ``h_i(t) = t``. The grid point of ``t0_month``
+    (default: the window start) is the warp set's ``t0_normalized``, so
+    :func:`identity_deviation` keeps that month; GridError if it is off
+    the analysis window, as for a window start. SchemaError if a
     series has no fit, RateError unless every rate is positive and every
     warp finite (a rate such as 1e-320 overflows it), MissingDataError for
     a gap on the window.
@@ -103,7 +104,7 @@ def compute_warp_set(
     if bad.size:
         i = bad[0]
         raise RateError(f"series {panel.names[i]!r}: alpha {float(alpha[i])!r} is so small that its warp is not finite")
-    return WarpSet(sub, panel.names, h, t0 / sub.elapsed_months)
+    return WarpSet(sub, panel.names, h, float(sub.points[t0]))
 
 
 def baseline_growth(alpha: float, x0: float, grid: TimeGrid) -> Panel:

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import warpgrowth
-from warpgrowth.cli import main
+from warpgrowth.cli import _parse_fit_artifact, main
+from warpgrowth.growthfit import DEFAULT_WINDOW_LENGTHS, estimate_alphas, search_interval
 from warpgrowth.simulate import SimTruth, default_truth, generate_replicate, save_truth
-from warpgrowth.timeseries import Panel, TimeGrid, month_label, serialize_panel
+from warpgrowth.timeseries import Panel, TimeGrid, month_label, parse_panel, restrict, serialize_panel
 
 from conftest import MALFORMED_UNIT_TABLES, edit_table, exponential_panel
 
@@ -55,6 +56,23 @@ class TestFitCommand:
         assert artifact["mean_r2"] == 1.0
         assert len(artifact["per_series"]) == 5
         assert artifact["alpha_estimates"]["per_series"][2]["alpha"] == pytest.approx(0.01, rel=1e-10)
+
+    def test_artifact_round_trips_through_its_reader(self, tmp_path):
+        # m02 is flat, so its rate is clamped; m04 has a gap, so restrict drops it.
+        panel = exponential_panel([0.004, 0.0, 0.01, 0.013], n_points=90)
+        missing = np.zeros((4, 90), dtype=bool)
+        missing[3, 40] = True
+        path = write_panel(tmp_path / "panel.csv", Panel(panel.grid, panel.names, panel.values, missing))
+        out = tmp_path / "out"
+        assert main(["fit", "--input", path, "--output-dir", str(out)]) == 0
+        restriction, fits = _parse_fit_artifact((out / "fit.json").read_text())
+        kept, dropped = restrict(parse_panel(Path(path).read_text()), 144, 233)
+        expected = estimate_alphas(kept, search_interval(kept, DEFAULT_WINDOW_LENGTHS).best_window).fits
+        assert (restriction, dropped) == ((144, 233), ["m04"])
+        assert (fits.window, fits.names) == (expected.window, ("m01", "m02", "m03"))
+        for key in ("alpha", "intercept", "r2", "clamped"):
+            assert getattr(fits, key).tobytes() == getattr(expected, key).tobytes(), key
+        assert fits.clamped.tolist() == [False, True, False]
 
     def test_window_override_with_labels(self, exp_csv, tmp_path):
         out = tmp_path / "out"
@@ -187,6 +205,18 @@ class TestFpcaCommand:
         scores = {r["name"]: r["scores"][0] for r in model["scores"]}
         assert abs(abs(scores["a"]) - norm) < 1e-10
         assert scores["a"] == pytest.approx(-scores["b"], rel=1e-10)
+
+    def test_model_json_structure(self, tmp_path):
+        t = np.linspace(0, 1, 41)
+        rows = t + 0.1 * np.random.default_rng(0).standard_normal((6, 1)) * np.sin(np.pi * t)
+        path = self._warp_csv(tmp_path, rows, [f"s{i}" for i in range(6)])
+        out = tmp_path / "out"
+        assert main(["fpca", "--input", path, "--output-dir", str(out), "--k", "2"]) == 0
+        d = json.loads((out / "fpca_model.json").read_text())
+        assert d["n_retained"] == 2
+        assert len(d["eigenvalues"]) == 41
+        assert len(d["scores"]) == 6
+        assert {"name", "out_of_sample", "scores"} <= set(d["scores"][0])
 
     def test_exclusion_flags_in_score_table(self, tmp_path):
         rng = np.random.default_rng(0)

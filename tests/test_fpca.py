@@ -15,7 +15,6 @@ from warpgrowth.fpca import (
     eigendecompose,
     fit_fpca,
     mean_function,
-    model_to_json_dict,
     modes_of_variation,
     project_scores,
     score_rate_regression,
@@ -429,6 +428,11 @@ class TestModesOfVariation:
         with pytest.raises(ConfigError):
             modes_of_variation(model, 3)
 
+    def test_no_gammas_is_a_configuration_error(self):
+        model = fit_fpca(smooth_sample(), k=2)
+        with pytest.raises(ConfigError, match="at least one gamma"):
+            modes_of_variation(model, 1, ())
+
 
 class TestScoreRateRegression:
     def test_exact_line(self):
@@ -477,13 +481,3 @@ class TestScoreRateRegression:
         scores = np.array([[0.0], [1e-16], [3e-16], [2e-16]])
         with np.errstate(all="raise"), pytest.raises(NumericalError, match="underflows"):
             score_rate_regression(scores, np.array([1e-150, 2e-150, 3e-150, 4e-150]))
-
-
-class TestExports:
-    def test_json_dict_structure(self):
-        model = fit_fpca(smooth_sample(n=6), k=2)
-        d = model_to_json_dict(model)
-        assert d["n_retained"] == 2
-        assert len(d["eigenvalues"]) == model.grid.n_points
-        assert len(d["scores"]) == 6
-        assert {"name", "out_of_sample", "scores"} <= set(d["scores"][0])

@@ -340,6 +340,10 @@ class TestConvergenceSweep:
             convergence_sweep(default_truth(), (100,))
         with pytest.raises(ConfigError):
             convergence_sweep(default_truth(), (100, 50))
+        # A covariance needs two draws: 0 would average an empty slice, -1 fail inside numpy.
+        for sizes in ((0, 5), (-1, 5), (1, 5)):
+            with pytest.raises(ConfigError, match="a covariance needs two draws"):
+                convergence_sweep(default_truth(), sizes, 1)
 
     def test_repeats_validated(self):
         # Zero repeats would average nothing into all-NaN errors and slopes.

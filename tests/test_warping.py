@@ -95,6 +95,28 @@ class TestComputeWarp:
         w = warp_of(s.values[0], 0.0075, 144, t0_month=167)
         assert identity_deviation(w)[0] < 1e-10
 
+    def test_anchor_mean_covers_every_month_of_the_window(self):
+        # Warps that start at the window start, as the CLI's do, with t0 at the
+        # window end: over all 411 windows of lengths 24, 36 and 60 on a
+        # 176-month grid, the mean must take every month of the window, bit for
+        # bit as a mean masked by month index. A t0 of end / elapsed months can
+        # land one ulp below the grid point and drop the last month.
+        rng = np.random.default_rng(3)
+        panel = exponential_panel([0.004, 0.008, 0.012])
+        panel = Panel(panel.grid, panel.names, panel.values * np.exp(0.01 * rng.standard_normal((3, 176))))
+        fits = rate_fits(panel.names, [0.004, 0.008, 0.012])
+        windows, short = 0, []
+        for length in (24, 36, 60):
+            for start in range(144, 144 + 176 - length + 1):
+                warps = compute_warp_set(panel, fits, start, start + length - 1)
+                t = warps.grid.points
+                kept = np.arange(t.size) < length
+                expected = np.where(kept, np.abs(warps.values - t), 0.0).sum(axis=1) / length
+                windows += 1
+                if identity_deviation(warps).tobytes() != expected.tobytes():
+                    short.append((start, length))
+        assert (windows, short) == (411, [])
+
     def test_identity_deviation_per_row(self):
         # Row 0 deviates by 0.1 everywhere, row 1 by 0.2 t: on [0, 0.5] that is a mean of 0.05.
         # A t0 off [0, 1] is no warp set's: it bounds no anchor interval on the grid.

@@ -12,7 +12,7 @@ The replicate count is kept small here so the script runs in seconds; the
 acceptance suite runs the full 100-replicate version.
 """
 
-from warpgrowth.simulate import convergence_sweep, default_truth, run_study
+from warpgrowth.simulate import HOUSING_STUDY_REFERENCE, convergence_sweep, default_truth, run_study
 
 truth = default_truth()
 print(f"truth: {truth.n_components} components on months "
@@ -36,7 +36,7 @@ ve2 = agg["var_explained_2"]
 print(f"variance explained by 2 components: mean {ve2['mean']:.1%} "
       f"(range {ve2['min']:.1%}..{ve2['max']:.1%}; truth {truth.two_component_fraction:.1%})")
 
-ref = report.reference
+ref = HOUSING_STUDY_REFERENCE
 print("\nfor context, the original 19-market housing study reported:")
 print(f"  ASE {ref['ase_mean']} (sd {ref['ase_sd']}), RISE {ref['rise_mean']}, "
       f"MISE {ref['mise_phi_1']}/{ref['mise_phi_2']}, VE2 mean {ref['var_explained_2_mean']:.0%}")

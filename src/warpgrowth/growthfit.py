@@ -98,6 +98,7 @@ class AlphaEstimates:
         return float(self.fits.alpha.std(ddof=1)) if self.fits.alpha.size > 1 else 0.0
 
     def alphas(self) -> np.ndarray:
+        """``fits.alpha``; kept only for the benchmark harness."""
         return self.fits.alpha
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +92,6 @@ class SimTruth:
     x0_range: tuple[float, float] = (85.0, 100.0)
     alpha_range: tuple[float, float] = (0.003, 0.018)
     cap: float = 300.0
-    seed: int = 0
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -134,10 +133,13 @@ class SimTruth:
     @property
     def two_component_fraction(self) -> float:
         """Fraction of total variance carried by the first two components."""
-        total = float(self.eigenvalues.sum())
-        if total <= 0.0 or self.n_components < 2:
-            return float("nan")
-        return float(self.eigenvalues[:2].sum()) / total
+        return _two_component_fraction(self.eigenvalues)
+
+
+def _two_component_fraction(eigenvalues: np.ndarray) -> float:
+    """Share of the first two eigenvalues in their sum; NaN for fewer than two or a nonpositive sum."""
+    total = float(eigenvalues.sum())
+    return float(eigenvalues[:2].sum()) / total if total > 0.0 and eigenvalues.shape[0] >= 2 else float("nan")
 
 
 def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -173,7 +175,7 @@ def _spline_values(coefficients: np.ndarray, x: np.ndarray, v: np.ndarray) -> np
     return ((c[0] * dv + c[1]) * dv + c[2]) * dv + c[3]
 
 
-def default_truth(seed: int = 0) -> SimTruth:
+def default_truth() -> SimTruth:
     """Bundled synthetic truth shaped like the housing-index application.
 
     The mean warp follows calendar time exactly on the first 23 months,
@@ -212,7 +214,7 @@ def default_truth(seed: int = 0) -> SimTruth:
     _, phi = _spectrum(np.zeros(n_components), q, m)
 
     eigenvalues = 0.01 * 0.2 ** np.arange(n_components)
-    return SimTruth(grid, mean, phi, eigenvalues, seed=seed)
+    return SimTruth(grid, mean, phi, eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -365,12 +367,14 @@ class ReplicateMetrics:
 class SimReport:
     """Study outcome: per-replicate metrics plus cross-replicate aggregates."""
 
-    n_replicates: int
     seed: int
     truth_two_component_fraction: float
     replicates: tuple[ReplicateMetrics, ...]
-    aggregates: dict = field(default_factory=dict)
-    reference: dict = field(default_factory=lambda: dict(HOUSING_STUDY_REFERENCE))
+    aggregates: dict
+
+    @property
+    def n_replicates(self) -> int:
+        return len(self.replicates)
 
     @property
     def n_failed(self) -> int:
@@ -383,7 +387,7 @@ class SimReport:
             "n_failed": self.n_failed,
             "truth_two_component_fraction": self.truth_two_component_fraction,
             "aggregates": self.aggregates,
-            "housing_study_reference": self.reference,
+            "housing_study_reference": HOUSING_STUDY_REFERENCE,
             "replicates": [asdict(r) for r in self.replicates],
         }
 
@@ -409,11 +413,10 @@ class SimReport:
         return write_rows(header, rows)
 
 
-def _seed(truth: SimTruth, seed: int | None) -> int:
-    seed = truth.seed if seed is None else int(seed)
-    if seed < 0:
+def _seed(seed: int) -> int:
+    if int(seed) < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
-    return seed
+    return int(seed)
 
 
 def _philox(seed: int, *key: int) -> np.random.Generator:
@@ -430,24 +433,16 @@ def _run_one_replicate(truth: SimTruth, seed: int, index: int) -> ReplicateMetri
         warpset = compute_warp_set(
             rep.panel, estimates, window_start_month=rep.panel.grid.start_month, t0_month=search.best_window[1]
         )
-        n_metric = min(2, truth.n_components)
-        k_fit = max(2, min(truth.n_components, truth.n - 1)) if truth.n >= 3 else None
-        model = fit_fpca(warpset, k=k_fit)
+        # Up to two components, fewer than the series; a replicate scores those the truth also has.
+        model = fit_fpca(warpset, k=max(1, min(2, truth.n - 1)))
+        n_scored = min(truth.n_components, model.n_retained)
 
         t = warpset.grid.points
         ase = averaged_relative_squared_error(estimates.fits.alpha, rep.alphas)
         rise, rise_excluded = relative_integrated_squared_error(warpset.values, rep.warps, t, warpset.t0_normalized)
-
-        weights = model.weights
-        phi_errs = []
-        lam_errs = []
-        for k in range(n_metric):
-            phi_errs.append(sign_aligned_sq_error(model.eigenfunctions[k], truth.eigenfunctions[k], weights))
-            lam_true = float(truth.eigenvalues[k])
-            lam_hat = float(model.eigenvalues[k])
-            lam_errs.append((lam_hat - lam_true) ** 2 / lam_true**2 if lam_true > 0 else float("nan"))
-        total = float(model.eigenvalues.sum())
-        ve2 = float(model.eigenvalues[:2].sum()) / total if total > 0 else float("nan")
+        phi_hat, lam_hat, lam = model.eigenfunctions[:n_scored], model.eigenvalues.tolist(), truth.eigenvalues.tolist()
+        phi_errs = tuple(sign_aligned_sq_error(*pair, model.weights) for pair in zip(phi_hat, truth.eigenfunctions))
+        lam_errs = tuple((lam_hat[k] - lam[k]) ** 2 / lam[k] ** 2 if lam[k] > 0 else math.nan for k in range(n_scored))
 
         return ReplicateMetrics(
             index=index,
@@ -458,9 +453,9 @@ def _run_one_replicate(truth: SimTruth, seed: int, index: int) -> ReplicateMetri
             ase=ase,
             rise=rise,
             rise_excluded=rise_excluded,
-            phi_sq_err=tuple(phi_errs),
-            eigenvalue_rel_sq_err=tuple(lam_errs),
-            var_explained_2=ve2,
+            phi_sq_err=phi_errs,
+            eigenvalue_rel_sq_err=lam_errs,
+            var_explained_2=_two_component_fraction(model.eigenvalues),
         )
     except WarpGrowthError as exc:
         return ReplicateMetrics(index=index, attempts=rep.attempts, failed=True, error=f"{type(exc).__name__}: {exc}")
@@ -474,7 +469,7 @@ def _mean_sd(values: list[float]) -> dict:
     return {"mean": _fsum_mean(arr), "sd": sd}
 
 
-def run_study(truth: SimTruth, n_replicates: int, seed: int | None = None, n_jobs: int = 1) -> SimReport:
+def run_study(truth: SimTruth, n_replicates: int, seed: int = 0, n_jobs: int = 1) -> SimReport:
     """Repeat generation + full estimation and aggregate the error metrics.
 
     Replicates run in index order, each on its own Philox stream keyed by
@@ -485,7 +480,7 @@ def run_study(truth: SimTruth, n_replicates: int, seed: int | None = None, n_job
     """
     if n_replicates < 1:
         raise ConfigError(f"need at least 1 replicate, got {n_replicates}")
-    seed = _seed(truth, seed)
+    seed = _seed(seed)
 
     results = [_run_one_replicate(truth, seed, i) for i in range(n_replicates)]
 
@@ -493,17 +488,11 @@ def run_study(truth: SimTruth, n_replicates: int, seed: int | None = None, n_job
     aggregates: dict = {"n_succeeded": len(ok)}
     if ok:
         aggregates["acceptance_rate"] = truth.n * len(ok) / sum(r.attempts for r in ok)
-        aggregates["ase"] = _mean_sd([r.ase for r in ok])
-        aggregates["rise"] = _mean_sd([r.rise for r in ok])
-        aggregates["window_start"] = _mean_sd([float(r.window_start) for r in ok])
-        aggregates["window_end"] = _mean_sd([float(r.window_end) for r in ok])
-        n_metric = min(len(r.phi_sq_err) for r in ok)
-        aggregates["mise_phi"] = [
-            _fsum_mean([r.phi_sq_err[k] for r in ok]) for k in range(n_metric)
-        ]
-        aggregates["eigenvalue_rel_sq_err"] = [
-            _fsum_mean([r.eigenvalue_rel_sq_err[k] for r in ok]) for k in range(n_metric)
-        ]
+        for key in ("ase", "rise", "window_start", "window_end"):
+            aggregates[key] = _mean_sd([float(getattr(r, key)) for r in ok])
+        # One column per scored component; every replicate scores the same number.
+        aggregates["mise_phi"] = [_fsum_mean(col) for col in zip(*(r.phi_sq_err for r in ok))]
+        aggregates["eigenvalue_rel_sq_err"] = [_fsum_mean(col) for col in zip(*(r.eigenvalue_rel_sq_err for r in ok))]
         ve2 = [r.var_explained_2 for r in ok if not math.isnan(r.var_explained_2)]
         stats = _mean_sd(ve2)
         if ve2:
@@ -511,7 +500,6 @@ def run_study(truth: SimTruth, n_replicates: int, seed: int | None = None, n_job
             stats["max"] = max(ve2)
         aggregates["var_explained_2"] = stats
     return SimReport(
-        n_replicates=n_replicates,
         seed=seed,
         truth_two_component_fraction=truth.two_component_fraction,
         replicates=tuple(results),
@@ -543,7 +531,7 @@ class ConvergenceResult:
 
 
 def convergence_sweep(
-    truth: SimTruth, sizes, repeats: int = 50, seed: int | None = None
+    truth: SimTruth, sizes, repeats: int = 50, seed: int = 0
 ) -> ConvergenceResult:
     """Estimate mean/covariance/leading-eigenpair errors at increasing n.
 
@@ -562,39 +550,33 @@ def convergence_sweep(
         raise ConfigError(f"sizes must be at least 2, since a covariance needs two draws, got {sizes}")
     if repeats < 1:
         raise ConfigError(f"repeats must be at least 1, got {repeats}")
-    seed = _seed(truth, seed)
+    seed = _seed(seed)
 
     root_lam = np.sqrt(truth.eigenvalues)
     g_true = (truth.eigenfunctions.T * truth.eigenvalues) @ truth.eigenfunctions
     has_components = truth.n_components >= 1 and float(truth.eigenvalues[0]) > 0
-
     estimands = ["mean", "covariance"] + (["phi_1", "lambda_1"] if has_components else [])
-    errors: dict[str, list[float]] = {k: [] for k in estimands}
+
+    per_size = []  # per size, the mean over the repeats of each estimand's error
     for si, n in enumerate(sizes):
-        sums = {k: [] for k in estimands}
+        rows = []  # one row of sup-norm errors per repeat, in estimands order
         for rep in range(repeats):
             xi = _philox(seed, 1, si, rep).standard_normal((n, truth.n_components))
             h = truth.mean + (xi * root_lam) @ truth.eigenfunctions
             g_hat = _covariance(h)
-            sums["mean"].append(float(np.abs(h.mean(axis=0) - truth.mean).max()))
-            sums["covariance"].append(float(np.abs(g_hat - g_true).max()))
+            row = [float(np.abs(h.mean(axis=0) - truth.mean).max()), float(np.abs(g_hat - g_true).max())]
             if has_components:
                 vals, phi = eigendecompose(g_hat, truth.grid)
-                diff_minus = float(np.abs(phi[0] - truth.eigenfunctions[0]).max())
-                diff_plus = float(np.abs(phi[0] + truth.eigenfunctions[0]).max())
-                sums["phi_1"].append(min(diff_minus, diff_plus))
-                sums["lambda_1"].append(abs(float(vals[0]) - float(truth.eigenvalues[0])))
-        for k in estimands:
-            errors[k].append(_fsum_mean(sums[k]))
-
+                phi_err = min(float(np.abs(phi[0] - sign * truth.eigenfunctions[0]).max()) for sign in (1.0, -1.0))
+                row += [phi_err, abs(float(vals[0]) - float(truth.eigenvalues[0]))]
+            rows.append(row)
+        per_size.append([_fsum_mean(col) for col in zip(*rows)])
+    errors = {k: list(col) for k, col in zip(estimands, zip(*per_size))}
     log_n = np.log(np.array(sizes, dtype=float))
-    slopes = {}
-    for k in estimands:
-        errs = np.array(errors[k])
-        if np.any(errs <= 0):
-            slopes[k] = float("nan")
-        else:
-            slopes[k] = float(np.polyfit(log_n, np.log(errs), 1)[0])
+    slopes = {
+        k: float(np.polyfit(log_n, np.log(errs), 1)[0]) if all(e > 0 for e in errs) else float("nan")
+        for k, errs in errors.items()
+    }
     return ConvergenceResult(sizes, repeats, errors, slopes)
 
 
@@ -619,7 +601,6 @@ def save_truth(truth: SimTruth, directory: str | Path, stem: str = "truth") -> P
         "x0_range": list(truth.x0_range),
         "alpha_range": list(truth.alpha_range),
         "cap": truth.cap,
-        "seed": truth.seed,
         "eigenvalues": [float(v) for v in truth.eigenvalues],
         "mean_csv": mean_path.name,
         "eigenfunctions_csv": phi_path.name,
@@ -636,9 +617,10 @@ def load_truth(manifest_path: str | Path) -> SimTruth:
     :func:`~warpgrowth._table.read_unit_table`, with a mean column or one
     column per eigenvalue after ``t_normalized``; a malformed one raises
     SchemaError or GridError naming it. An optional field the manifest
-    leaves out (``n``, ``x0_range``, ``alpha_range``, ``cap``, ``seed``)
-    takes :class:`SimTruth`'s default. A missing required or a mistyped
-    field, or a truth :class:`SimTruth` rejects, raises ConfigError.
+    leaves out (``n``, ``x0_range``, ``alpha_range``, ``cap``) takes
+    :class:`SimTruth`'s default. A missing required, a mistyped or an
+    unknown field (``seed`` included: the seed belongs to the run), or a
+    truth :class:`SimTruth` rejects, raises ConfigError.
     """
     manifest_path = Path(manifest_path)
     manifest = read_file(manifest_path, json.loads)
@@ -647,13 +629,18 @@ def load_truth(manifest_path: str | Path) -> SimTruth:
         return json_field(manifest, key, kind, "truth manifest", ConfigError, *default)
 
     t0, t1, eigenvalues = get("t0_month", int), get("t1_month", int), get("eigenvalues", [float])
+    optional = {"n": int, "x0_range": [float], "alpha_range": [float], "cap": float}
+    known = ("t0_month", "t1_month", "eigenvalues", "mean_csv", "eigenfunctions_csv", *optional)
+    unknown = sorted(manifest.keys() - set(known))
+    if unknown:
+        raise ConfigError(f"truth manifest: unknown keys {unknown}; the known keys are {list(known)}")
     base = manifest_path.parent
     mean = read_file(base / get("mean_csv", str), read_unit_table, 2)[1][:, 1].copy()
     # One component per row, laid out like default_truth's eigenfunctions.
     phi = read_file(base / get("eigenfunctions_csv", str), read_unit_table, 1 + len(eigenvalues))[1][:, 1:].copy().T
     # An optional field the manifest leaves out keeps SimTruth's default.
-    optional = {}
-    for key, kind in (("n", int), ("x0_range", [float]), ("alpha_range", [float]), ("cap", float), ("seed", int)):
+    given = {}
+    for key, kind in optional.items():
         if key in manifest:
-            optional[key] = tuple(get(key, kind)) if kind == [float] else get(key, kind)
-    return SimTruth(TimeGrid(t0, t1 - t0 + 1), mean, phi, np.array(eigenvalues, dtype=float), **optional)
+            given[key] = tuple(get(key, kind)) if kind == [float] else get(key, kind)
+    return SimTruth(TimeGrid(t0, t1 - t0 + 1), mean, phi, np.array(eigenvalues, dtype=float), **given)

@@ -162,7 +162,7 @@ class Panel:
 
     @property
     def series(self) -> tuple[Panel, ...]:
-        """One one-row :class:`Panel` per row."""
+        """One one-row :class:`Panel` per row; kept only for the benchmark harness."""
         rows = (slice(i, i + 1) for i in range(self.n_series))
         return tuple(Panel(self.grid, self.names[r], self.values[r], self.missing[r]) for r in rows)
 

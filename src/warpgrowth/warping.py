@@ -60,7 +60,7 @@ class WarpSet:
         return len(self.names)
 
     def matrix(self) -> np.ndarray:
-        """Warp values as the read-only (n_series, n_points) array."""
+        """``values``; kept only for the benchmark harness."""
         return self.values
 
 

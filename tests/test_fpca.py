@@ -255,7 +255,7 @@ class TestFitAndProject:
         ws = smooth_sample(n=n, seed=4)
         model = fit_fpca(ws, k=n - 1)
         w = model.weights
-        h = ws.matrix() - model.mean
+        h = ws.values - model.mean
         energies = (h**2 @ w)
         prev = energies.copy()
         for kk in range(1, n):

@@ -185,7 +185,7 @@ def brute_force_search(panel, lengths):
         for offset in range(panel.grid.n_points - length + 1):
             start = panel.grid.start_month + offset
             window = (start, start + length - 1)
-            r2 = [free_fit_per_series(s, window).r2 for s in panel.series]
+            r2 = [free_fit_per_series(panel, window, i).r2 for i in range(panel.n_series)]
             key = (math.fsum(sorted(r2)) / len(r2), -start, -length)
             if best_key is None or key > best_key:
                 best_key, best = key, window
@@ -224,8 +224,8 @@ class TestBatchedScan:
             assert r2.shape == (panel.grid.n_points - length + 1, panel.n_series)
             for offset in range(r2.shape[0]):
                 start = panel.grid.start_month + offset
-                for i, s in enumerate(panel.series):
-                    ref = free_fit_per_series(s, (start, start + length - 1))
+                for i in range(panel.n_series):
+                    ref = free_fit_per_series(panel, (start, start + length - 1), i)
                     assert abs(r2[offset, i] - ref.r2) <= 1e-12
                     assert abs(alpha[offset, i] - ref.alpha) <= 1e-12
                     assert abs(intercept[offset, i] - ref.intercept) <= 1e-12 * abs(ref.intercept)

@@ -315,6 +315,17 @@ class TestRunStudy:
             assert all(v >= 0.0 for v in rep.eigenvalue_rel_sq_err)
             assert 0.0 <= rep.var_explained_2 <= 1.0
 
+    def test_two_series_score_one_component(self):
+        # Two series leave one component of sample variance: each replicate fits and scores one.
+        report = run_study(replace(default_truth(), n=2), 3)
+        assert report.n_failed == 0
+        assert all(len(r.phi_sq_err) == len(r.eigenvalue_rel_sq_err) == 1 for r in report.replicates)
+        assert len(report.aggregates["mise_phi"]) == 1
+        header, *rows = [line.split(",") for line in report.replicates_to_csv().splitlines()]
+        columns = [header.index(name) for name in ("phi2_sq_err", "lambda2_rel_sq_err")]
+        assert all(row[c] == "nan" for row in rows for c in columns)
+        assert all(row[header.index("phi1_sq_err")] != "nan" for row in rows)
+
     def test_replicate_count_validated(self):
         with pytest.raises(ConfigError):
             run_study(default_truth(), 0)
@@ -353,12 +364,13 @@ class TestConvergenceSweep:
 
 class TestTruthIO:
     def test_save_load_round_trip(self, tmp_path):
-        truth = default_truth(seed=99)
+        truth = default_truth()
         manifest = save_truth(truth, tmp_path)
+        # The seed is a run option, not part of the truth.
+        assert "seed" not in json.loads(manifest.read_text())
         again = load_truth(manifest)
         assert again.grid == truth.grid
         assert again.n == truth.n
-        assert again.seed == 99
         assert again.x0_range == truth.x0_range
         assert again.alpha_range == truth.alpha_range
         assert again.cap == truth.cap
@@ -368,7 +380,7 @@ class TestTruthIO:
 
     def test_optional_keys_default_to_sim_truth(self, tmp_path):
         # A manifest with only the required keys gets SimTruth's own defaults.
-        manifest = save_truth(default_truth(seed=99), tmp_path)
+        manifest = save_truth(default_truth(), tmp_path)
         obj = json.loads(manifest.read_text())
         optional = [f for f in dataclasses.fields(SimTruth) if f.default is not dataclasses.MISSING]
         for f in optional:
@@ -376,7 +388,15 @@ class TestTruthIO:
         manifest.write_text(json.dumps(obj))
         again = load_truth(manifest)
         assert [getattr(again, f.name) for f in optional] == [f.default for f in optional]
-        assert [f.name for f in optional] == ["n", "x0_range", "alpha_range", "cap", "seed"]
+        assert [f.name for f in optional] == ["n", "x0_range", "alpha_range", "cap"]
+
+    @pytest.mark.parametrize("key, value", [("alpha_rnage", [0.001, 0.002]), ("seed", 3)])
+    def test_unknown_key_is_a_configuration_error(self, tmp_path, key, value):
+        # A misspelled optional key would otherwise take the default silently.
+        manifest = save_truth(default_truth(), tmp_path)
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), key: value}))
+        with pytest.raises(ConfigError, match=f"unknown keys \\['{key}'\\]"):
+            load_truth(manifest)
 
     def test_missing_manifest_key(self, tmp_path):
         path = tmp_path / "truth.json"

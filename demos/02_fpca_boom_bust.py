@@ -16,6 +16,7 @@ from warpgrowth import (
     modes_of_variation,
     score_rate_regression,
 )
+from warpgrowth.fpca import DEFAULT_GAMMAS
 from warpgrowth.simulate import default_truth
 
 rng = np.random.default_rng(8)
@@ -56,11 +57,11 @@ for i, name in enumerate(model.score_names):
 # The gamma sweep visualizes what each component does to the mean cycle.
 # ---------------------------------------------------------------------------
 for k in (1, 2):
-    modes = modes_of_variation(model, k)
+    curves = modes_of_variation(model, k)
     mid = m // 2
     end = m - 1
     print(f"\nmode {k}: value at mid-window / end of window per gamma")
-    for g, curve in zip(modes.gammas, modes.curves):
+    for g, curve in zip(DEFAULT_GAMMAS, curves):
         print(f"  gamma {g:+.0f}: {curve[mid]:6.3f} / {curve[end]:6.3f}")
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ import numpy as np
 from . import _table
 from . import simulate as sim
 from .errors import ConfigError, GridError, SchemaError, WarpGrowthError
-from .fpca import DEFAULT_VAR_THRESHOLD, fit_fpca, modes_of_variation, score_rate_regression
+from .fpca import DEFAULT_GAMMAS, DEFAULT_VAR_THRESHOLD, fit_fpca, modes_of_variation, score_rate_regression
 from .growthfit import (
     DEFAULT_WINDOW_LENGTHS,
     WindowFits,
@@ -209,7 +209,8 @@ def cmd_fpca(args) -> int:
         ["name", "out_of_sample", *(f"score_{k}" for k in ks)],
         ([name, int(held), *row] for name, held, row in per_series),
     )
-    modes = [modes_of_variation(model, k) for k in (1, 2) if k <= model.n_retained]
+    mode_header = ["t", *(f"gamma_{g:g}" for g in DEFAULT_GAMMAS)]
+    modes = {k: _table.write_table(mode_header, [model.grid.points, modes_of_variation(model, k)]) for k in ks[:2]}
 
     regression = None
     fit_path = _fit_path(args)
@@ -229,15 +230,15 @@ def cmd_fpca(args) -> int:
     _table.write_json(out / "fpca_model.json", summary)
     _table.write_text(out / "eigenfunctions.csv", eigenfunctions)
     _table.write_text(out / "scores.csv", scores)
-    for mode in modes:
-        table = _table.write_table(["t", *(f"gamma_{g:g}" for g in mode.gammas)], [model.grid.points, mode.curves])
-        _table.write_text(out / f"modes_k{mode.component}.csv", table)
+    # An earlier run's copy of an output this run does not write would pass for this run's.
+    for k in (1, 2):
+        if k in modes:
+            _table.write_text(out / f"modes_k{k}.csv", modes[k])
+        else:
+            (out / f"modes_k{k}.csv").unlink(missing_ok=True)
     if regression is not None:
         _table.write_json(out / "score_alpha_regression.json", regression)
-    # An earlier run's copy of an output this run does not write would pass for this run's.
-    if model.n_retained < 2:
-        (out / "modes_k2.csv").unlink(missing_ok=True)
-    if regression is None:
+    else:
         (out / "score_alpha_regression.json").unlink(missing_ok=True)
 
     shares = ", ".join(f"{v:.1%}" for v in model.var_explained[:2])

@@ -55,24 +55,20 @@ class FpcaModel:
     """Fitted FPCA model.
 
     ``eigenvalues`` holds the full spectrum in nonincreasing order with
-    tiny negatives floored at zero; ``eigenfunctions`` and
-    ``var_explained`` cover the retained components only. ``scores`` are
-    the quadrature projections of the centered warps onto each retained
-    eigenfunction, one row per input series in input order;
-    ``out_of_sample`` flags series that were excluded from estimation and
-    only projected afterwards.
+    tiny negatives floored at zero; ``eigenfunctions`` holds the retained
+    components only. ``scores`` are the quadrature projections of the
+    centered warps onto each retained eigenfunction, one row per input
+    series in input order; ``out_of_sample`` flags series that were
+    excluded from estimation and only projected afterwards.
     """
 
     grid: TimeGrid
     mean: np.ndarray
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
-    var_explained: np.ndarray
-    n_retained: int
     scores: np.ndarray
     score_names: tuple[str, ...]
     out_of_sample: np.ndarray
-    n_sample: int
 
     @property
     def weights(self) -> np.ndarray:
@@ -82,14 +78,24 @@ class FpcaModel:
     def total_variance(self) -> float:
         return float(self.eigenvalues.sum())
 
+    @property
+    def n_retained(self) -> int:
+        return self.eigenfunctions.shape[0]
 
-@dataclass(frozen=True)
-class ModesOfVariation:
-    """Mean perturbed along one eigenfunction: mu + gamma * sqrt(lambda) * phi."""
+    @property
+    def n_sample(self) -> int:
+        return int(np.count_nonzero(~self.out_of_sample))
 
-    component: int
-    gammas: tuple[float, ...]
-    curves: np.ndarray  # (len(gammas), n_points)
+    @property
+    def var_explained(self) -> np.ndarray:
+        """The retained components' shares of the total variance."""
+        return _shares(self.eigenvalues)[: self.n_retained]
+
+
+def _shares(eigenvalues: np.ndarray) -> np.ndarray:
+    """Each eigenvalue's share of their sum; all zero when the sum is not positive."""
+    total = float(eigenvalues.sum())
+    return eigenvalues / total if total > 0.0 else np.zeros_like(eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -285,49 +291,35 @@ def fit_fpca(
     else:
         vals, phi = eigendecompose(_covariance(h), warps.grid)
 
-    total = float(vals.sum())
-    fractions = vals / total if total > 0.0 else np.zeros_like(vals)
-    if k is not None:
-        n_retained = int(k)
-    else:
-        cumulative = np.cumsum(fractions)
-        reached = np.nonzero(cumulative >= var_threshold - 1e-15)[0]
-        n_retained = int(reached[0]) + 1 if reached.size else vals.shape[0]
+    if k is None:
+        reached = np.flatnonzero(np.cumsum(_shares(vals)) >= var_threshold - 1e-15)
+        k = int(reached[0]) + 1 if reached.size else vals.shape[0]
+    n_retained = int(k)
     if n_retained > phi.shape[0]:
         # More components than the thin SVD gives: complete the basis. The
         # added functions span the null space, so the spectrum is unchanged.
         _, phi = _sample_spectrum(h, mu, full=True)
 
-    scores = _scores(warps.values, mu, phi[:n_retained])
     return FpcaModel(
         grid=warps.grid,
         mean=mu,
         eigenvalues=vals,
         eigenfunctions=phi[:n_retained],
-        var_explained=fractions[:n_retained],
-        n_retained=n_retained,
-        scores=scores,
+        scores=_scores(warps.values, mu, phi[:n_retained]),
         score_names=warps.names,
         out_of_sample=np.array([name in exclude for name in warps.names]),
-        n_sample=h.shape[0],
     )
 
 
-def modes_of_variation(model: FpcaModel, k: int, gammas=DEFAULT_GAMMAS) -> ModesOfVariation:
-    """Curves ``mu + gamma * sqrt(lambda_k) * phi_k`` for each gamma.
+def modes_of_variation(model: FpcaModel, k: int) -> np.ndarray:
+    """Curves ``mu + gamma * sqrt(lambda_k) * phi_k``, one row per gamma of :data:`DEFAULT_GAMMAS`.
 
-    ``k`` is 1-based and must refer to a retained component, and
-    ``gammas`` must hold at least one value (ConfigError otherwise).
+    ``k`` is 1-based and must refer to a retained component (ConfigError otherwise).
     """
     if not 1 <= k <= model.n_retained:
         raise ConfigError(f"component {k} outside retained range [1, {model.n_retained}]")
-    gammas = tuple(float(g) for g in gammas)
-    if not gammas:
-        raise ConfigError("modes of variation need at least one gamma")
-    lam = max(float(model.eigenvalues[k - 1]), 0.0)
-    phi = model.eigenfunctions[k - 1]
-    curves = np.vstack([model.mean + g * np.sqrt(lam) * phi for g in gammas])
-    return ModesOfVariation(k, gammas, curves)
+    root = np.sqrt(max(float(model.eigenvalues[k - 1]), 0.0))
+    return np.vstack([model.mean + g * root * model.eigenfunctions[k - 1] for g in DEFAULT_GAMMAS])
 
 
 def score_rate_regression(scores: np.ndarray, alphas: np.ndarray) -> list[RegressionLine]:

@@ -434,12 +434,12 @@ def _run_one_replicate(truth: SimTruth, seed: int, index: int) -> ReplicateMetri
             rep.panel, estimates, window_start_month=rep.panel.grid.start_month, t0_month=search.best_window[1]
         )
         # Up to two components, fewer than the series; a replicate scores those the truth also has.
-        model = fit_fpca(warpset, k=max(1, min(2, truth.n - 1)))
+        model = fit_fpca(warpset, k=min(2, truth.n - 1))
         n_scored = min(truth.n_components, model.n_retained)
 
         t = warpset.grid.points
         ase = averaged_relative_squared_error(estimates.fits.alpha, rep.alphas)
-        rise, rise_excluded = relative_integrated_squared_error(warpset.values, rep.warps, t, warpset.t0_normalized)
+        rise, rise_excluded = relative_integrated_squared_error(warpset.values, rep.warps, t, t[warpset.t0_index])
         phi_hat, lam_hat, lam = model.eigenfunctions[:n_scored], model.eigenvalues.tolist(), truth.eigenvalues.tolist()
         phi_errs = tuple(sign_aligned_sq_error(*pair, model.weights) for pair in zip(phi_hat, truth.eigenfunctions))
         lam_errs = tuple((lam_hat[k] - lam[k]) ** 2 / lam[k] ** 2 if lam[k] > 0 else math.nan for k in range(n_scored))
@@ -476,10 +476,13 @@ def run_study(truth: SimTruth, n_replicates: int, seed: int = 0, n_jobs: int = 1
     (seed, index), so the report is byte-identical for identical inputs.
     ``n_jobs`` has no effect: replicates hold the interpreter lock for most
     of their time, and a thread pool ran slower than this loop. Failed
-    replicates are recorded, not dropped.
+    replicates are recorded, not dropped. ConfigError, before any draw,
+    for no replicates or a truth ``n`` below 2 (FPCA needs two series).
     """
     if n_replicates < 1:
         raise ConfigError(f"need at least 1 replicate, got {n_replicates}")
+    if truth.n < 2:
+        raise ConfigError(f"a study needs at least 2 series per replicate for FPCA, got truth n = {truth.n}")
     seed = _seed(seed)
 
     results = [_run_one_replicate(truth, seed, i) for i in range(n_replicates)]
@@ -514,20 +517,28 @@ class ConvergenceResult:
     sizes: tuple[int, ...]
     repeats: int
     errors: dict  # estimand -> list of mean sup-norm errors, one per size
-    slopes: dict  # estimand -> log-log slope
+
+    @property
+    def slopes(self) -> dict:
+        """Per estimand, the least squares slope of log mean error against log n; NaN unless every error is positive."""
+        log_n = np.log(np.array(self.sizes, dtype=float))
+        return {
+            k: float(np.polyfit(log_n, np.log(errs), 1)[0]) if all(e > 0 for e in errs) else float("nan")
+            for k, errs in self.errors.items()
+        }
 
     def to_json_dict(self) -> dict:
         return {
             "sizes": list(self.sizes),
             "repeats": self.repeats,
             "errors": {k: list(v) for k, v in self.errors.items()},
-            "slopes": dict(self.slopes),
+            "slopes": self.slopes,
         }
 
     def to_csv(self) -> str:
         names = list(self.errors)
         rows = [[n, *(self.errors[k][i] for k in names)] for i, n in enumerate(self.sizes)]
-        return write_rows(["n", *names], [*rows, ["slope", *(self.slopes[k] for k in names)]])
+        return write_rows(["n", *names], [*rows, ["slope", *self.slopes.values()]])
 
 
 def convergence_sweep(
@@ -538,10 +549,10 @@ def convergence_sweep(
     Warps are drawn directly from the truth (no price-trajectory round
     trip); per size and repeat, the sup-norm errors of the empirical mean,
     covariance surface, first eigenfunction (sign-aligned) and first
-    eigenvalue are recorded. The returned slopes are least squares fits of
-    log mean error against log n. ConfigError unless ``sizes`` holds at
-    least 2 increasing entries, each at least 2 (a covariance needs two
-    draws), and ``repeats`` is at least 1.
+    eigenvalue are recorded; :attr:`ConvergenceResult.slopes` fits their
+    log-log decay. ConfigError unless ``sizes`` holds at least 2
+    increasing entries, each at least 2 (a covariance needs two draws),
+    and ``repeats`` is at least 1.
     """
     sizes = tuple(int(n) for n in sizes)
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -572,25 +583,20 @@ def convergence_sweep(
             rows.append(row)
         per_size.append([_fsum_mean(col) for col in zip(*rows)])
     errors = {k: list(col) for k, col in zip(estimands, zip(*per_size))}
-    log_n = np.log(np.array(sizes, dtype=float))
-    slopes = {
-        k: float(np.polyfit(log_n, np.log(errs), 1)[0]) if all(e > 0 for e in errs) else float("nan")
-        for k, errs in errors.items()
-    }
-    return ConvergenceResult(sizes, repeats, errors, slopes)
+    return ConvergenceResult(sizes, repeats, errors)
 
 
-def save_truth(truth: SimTruth, directory: str | Path, stem: str = "truth") -> Path:
-    """Write a truth manifest plus its mean/eigenfunction CSV companions.
+def save_truth(truth: SimTruth, directory: str | Path) -> Path:
+    """Write the manifest ``truth.json`` into ``directory``, with ``truth_mean.csv`` and ``truth_eigenfunctions.csv``.
 
     Returns the manifest path; :func:`load_truth` reads it back.
     """
     directory = Path(directory)
     t = truth.grid.points
 
-    mean_path = directory / f"{stem}_mean.csv"
+    mean_path = directory / "truth_mean.csv"
     write_text(mean_path, write_table(["t_normalized", "mean"], [t, truth.mean]))
-    phi_path = directory / f"{stem}_eigenfunctions.csv"
+    phi_path = directory / "truth_eigenfunctions.csv"
     phi_header = ["t_normalized", *(f"phi_{k + 1}" for k in range(truth.n_components))]
     write_text(phi_path, write_table(phi_header, [t, truth.eigenfunctions]))
 
@@ -605,7 +611,7 @@ def save_truth(truth: SimTruth, directory: str | Path, stem: str = "truth") -> P
         "mean_csv": mean_path.name,
         "eigenfunctions_csv": phi_path.name,
     }
-    manifest_path = directory / f"{stem}.json"
+    manifest_path = directory / "truth.json"
     write_json(manifest_path, manifest)
     return manifest_path
 

@@ -14,14 +14,15 @@ undisturbed interval ``[0, t0]``, which is what makes the warp
 identifiable. :func:`identity_deviation` measures how far each warp is
 from that anchor.
 
-A :class:`WarpSet` holds the n x m warp array and the one t0 of its
-window; the rates that produced the warps stay in the fits.
+A :class:`WarpSet` holds the n x m warp array and the column of its
+window's t0; the rates that produced the warps stay in the fits.
 :func:`compute_warp_set` and :func:`identity_deviation` treat all rows in
 one array pass; one series is a one-row panel and a one-row warp set.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -38,22 +39,24 @@ class WarpSet:
     """n warping functions on the unit points of one grid, as a read-only array.
 
     Row ``i`` of the n x m ``values`` (what :meth:`matrix` returns) belongs
-    to ``names[i]``; column ``j`` is at ``grid.points[j]``.
-    ``t0_normalized`` is the one grid point in [0, 1] where the undisturbed
-    interval of every row ends. GridError for a shape mismatch or a
-    ``t0_normalized`` off [0, 1], SchemaError for a repeated name.
+    to ``names[i]``; column ``j`` is at ``grid.points[j]``. ``t0_index`` is
+    the column where the undisturbed interval of every row ends. GridError
+    for a shape mismatch or a ``t0_index`` that is not an integer in
+    ``[0, m)``, SchemaError for a repeated name.
     """
 
     grid: TimeGrid
     names: tuple[str, ...]
     values: np.ndarray
-    t0_normalized: float = 0.0
+    t0_index: int = 0
 
     def __post_init__(self):
         n, m = len(freeze_names(self, "warp set")), self.grid.n_points
         freeze_fields(self, (("values", float, (n, m)),), f"warp set of {n} series on {m} points")
-        if not 0.0 <= self.t0_normalized <= 1.0:
-            raise GridError(f"t0_normalized must lie in [0, 1], got {self.t0_normalized!r}")
+        t0 = self.t0_index
+        if isinstance(t0, bool) or not hasattr(t0, "__index__") or not 0 <= operator.index(t0) < m:
+            raise GridError(f"t0_index must be an integer in [0, {m}), got {t0!r}")
+        object.__setattr__(self, "t0_index", operator.index(t0))
 
     @property
     def n_series(self) -> int:
@@ -76,13 +79,12 @@ def compute_warp_set(
     start) to the grid end and maps affinely to [0, 1]. Row ``i`` is
     ``h_i = (log X_i - log X_i(start)) / (alpha_i * elapsed_months)`` at the
     rate of the fit named like series ``i``, so exact exponential growth at
-    rate ``alpha_i`` gives ``h_i(t) = t``. The grid point of ``t0_month``
-    (default: the window start) is the warp set's ``t0_normalized``, so
-    :func:`identity_deviation` keeps that month; GridError if it is off
-    the analysis window, as for a window start. SchemaError if a
-    series has no fit, RateError unless every rate is positive and every
-    warp finite (a rate such as 1e-320 overflows it), MissingDataError for
-    a gap on the window.
+    rate ``alpha_i`` gives ``h_i(t) = t``. The column of ``t0_month``
+    (default: the window start) is the warp set's ``t0_index``; GridError
+    if it is off the analysis window, as for a window start, or if the
+    window has a single point. SchemaError if a series has no fit,
+    RateError unless every rate is positive and every warp finite (a rate
+    such as 1e-320 overflows it), MissingDataError for a gap on the window.
     """
     alpha = (alphas.fits if isinstance(alphas, AlphaEstimates) else alphas).align(panel.names).alpha
     bad = np.flatnonzero(~(alpha > 0))
@@ -92,10 +94,8 @@ def compute_warp_set(
     start = grid.start_month if window_start_month is None else window_start_month
     lo = grid.index_of(start)
     hi = grid.n_points - 1
-    if hi - lo < 1:
-        raise GridError("analysis window needs at least 2 points")
-    panel.check_complete(lo, hi)
     sub = TimeGrid(start, hi - lo + 1)
+    panel.check_complete(lo, hi)
     t0 = 0 if t0_month is None else sub.index_of(t0_month)
     logs = np.log(panel.values[:, lo:])
     with np.errstate(over="ignore"):
@@ -104,7 +104,7 @@ def compute_warp_set(
     if bad.size:
         i = bad[0]
         raise RateError(f"series {panel.names[i]!r}: alpha {float(alpha[i])!r} is so small that its warp is not finite")
-    return WarpSet(sub, panel.names, h, float(sub.points[t0]))
+    return WarpSet(sub, panel.names, h, t0)
 
 
 def baseline_growth(alpha: float, x0: float, grid: TimeGrid) -> Panel:
@@ -124,7 +124,7 @@ def baseline_growth(alpha: float, x0: float, grid: TimeGrid) -> Panel:
 
 
 def identity_deviation(warps: WarpSet) -> np.ndarray:
-    """Per row, the mean absolute deviation of h(t) - t over the undisturbed [0, t0].
+    """Per row, the mean absolute deviation of h(t) - t over columns ``0..t0_index``, the undisturbed [0, t0].
 
     Zero (up to rounding) when the identity anchor holds exactly on the
     fitting region; grows with lack of fit there, and with a rate that does
@@ -133,9 +133,9 @@ def identity_deviation(warps: WarpSet) -> np.ndarray:
     2e-310) overflow the sum.
     """
     t = warps.grid.points
-    mask = t <= warps.t0_normalized
+    mask = np.arange(t.shape[0]) <= warps.t0_index
     with np.errstate(over="ignore"):
-        deviation = np.where(mask, np.abs(warps.values - t), 0.0).sum(axis=1) / mask.sum()
+        deviation = np.where(mask, np.abs(warps.values - t), 0.0).sum(axis=1) / (warps.t0_index + 1)
     bad = np.flatnonzero(~np.isfinite(deviation))
     if bad.size:
         name = warps.names[bad[0]]
@@ -160,8 +160,8 @@ def warps_from_csv(csv_text: str) -> WarpSet:
     a truncated file or one on another spacing raises GridError rather
     than being silently regridded, and a missing warp column or a cell that
     is not finite raises SchemaError, as does a repeated name. The CSV
-    carries no month metadata, so the grid is anchored at month 0 and t0
-    is 0.
+    carries no month metadata, so the grid is anchored at month 0 and
+    ``t0_index`` is 0.
     """
     header, data = read_unit_table(csv_text, 2)
     return WarpSet(TimeGrid(0, data.shape[0]), header[1:], data[:, 1:].T)

@@ -313,7 +313,7 @@ def test_criterion_7_call_sequence_on_a_synthetic_panel():
     assert np.abs(estimates.fits.alpha / alpha - 1.0).max() < 1e-10
 
     warps = compute_warp_set(study_panel, estimates, t0_month=result.best_window[1])
-    on_window = warps.grid.points <= warps.t0_normalized
+    on_window = np.arange(warps.grid.n_points) <= warps.t0_index
     assert np.abs(warps.values[:, on_window] - warps.grid.points[on_window]).max() < 1e-10
     names = {n.lower(): n for n in warps.names}
     vegas = next(v for k, v in names.items() if "vegas" in k)

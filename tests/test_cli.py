@@ -447,6 +447,33 @@ class TestSimulateCommand:
         header, *rows = read_csv(out / "sim_replicates.csv")
         assert [row[header.index("phi2_sq_err")] for row in rows] == ["nan", "nan"]
 
+    def test_one_series_truth_exits_4(self, tmp_path, capsys):
+        manifest = save_truth(dataclasses.replace(default_truth(), n=1), tmp_path / "truth")
+        out = tmp_path / "o"
+        assert main(["simulate", "--output-dir", str(out), "--truth", str(manifest), "--replicates", "2"]) == 4
+        assert "configuration error: a study needs at least 2 series" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_convergence_csv_equals_convergence_json(self, tmp_path):
+        # The n rows and the slope row hold the JSON's sizes, errors and slopes, bit for bit.
+        out = tmp_path / "o"
+        argv = ["simulate", "--output-dir", str(out), "--default-truth", "--replicates", "1", "--convergence-sweep"]
+        assert main(argv) == 0
+        sweep = json.loads((out / "convergence.json").read_text())
+        header, *rows, slope = read_csv(out / "convergence.csv")
+        # The JSON's keys are sorted; the CSV keeps the sweep's estimand order.
+        names = header[1:]
+        assert header[0] == "n" and sorted(names) == sorted(sweep["errors"]) == sorted(sweep["slopes"])
+        assert [int(row[0]) for row in rows] == sweep["sizes"]
+
+        def bits(values):
+            return [float(v).hex() for v in values]
+
+        for i, row in enumerate(rows):
+            assert bits(row[1:]) == bits(sweep["errors"][k][i] for k in names)
+        assert slope[0] == "slope"
+        assert bits(slope[1:]) == bits(sweep["slopes"][k] for k in names)
+
     def test_unknown_manifest_key_exits_4_naming_it(self, tmp_path, capsys):
         manifest = save_truth(default_truth(), tmp_path / "truth")
         manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "alpha_rnage": [0.001, 0.002]}))

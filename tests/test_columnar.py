@@ -47,7 +47,7 @@ def row_of(panel, i):
 
 def warp_row(warps, i):
     """Row ``i`` of ``warps`` as a one-row warp set."""
-    return WarpSet(warps.grid, warps.names[i : i + 1], warps.values[i : i + 1], warps.t0_normalized)
+    return WarpSet(warps.grid, warps.names[i : i + 1], warps.values[i : i + 1], warps.t0_index)
 
 
 class TestBatchedEqualsOneRow:
@@ -59,7 +59,7 @@ class TestBatchedEqualsOneRow:
         assert warps.names == panel.names
         for i in range(panel.n_series):
             one = compute_warp_set(row_of(panel, i), fits, start, t0)
-            assert (one.grid, one.t0_normalized) == (warps.grid, warps.t0_normalized)
+            assert (one.grid, one.t0_index) == (warps.grid, warps.t0_index)
             assert one.values[0].tobytes() == warps.values[i].tobytes()
 
     @settings(max_examples=60, deadline=None)

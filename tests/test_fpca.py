@@ -10,6 +10,7 @@ from warpgrowth.errors import (
     SampleSizeError,
 )
 from warpgrowth.fpca import (
+    DEFAULT_GAMMAS,
     _spectrum,
     covariance_function,
     eigendecompose,
@@ -405,33 +406,29 @@ class TestSignRuleTies:
 class TestModesOfVariation:
     def test_gamma_zero_is_mean(self):
         model = fit_fpca(smooth_sample(), k=2)
-        modes = modes_of_variation(model, 1)
-        idx = modes.gammas.index(0.0)
-        assert np.array_equal(modes.curves[idx], model.mean)
+        curves = modes_of_variation(model, 1)
+        idx = DEFAULT_GAMMAS.index(0.0)
+        assert np.array_equal(curves[idx], model.mean)
 
     def test_plus_minus_mirror_about_mean(self):
         model = fit_fpca(smooth_sample(), k=2)
-        modes = modes_of_variation(model, 2, gammas=(-1.0, 1.0))
-        avg = (modes.curves[0] + modes.curves[1]) / 2.0
+        curves = modes_of_variation(model, 2)
+        minus, plus = (curves[DEFAULT_GAMMAS.index(g)] for g in (-1.0, 1.0))
+        avg = (minus + plus) / 2.0
         np.testing.assert_allclose(avg, model.mean, atol=1e-12)
 
     def test_zero_eigenvalue_collapses_to_mean(self):
         t = np.linspace(0, 1, 9)
         ws = make_warpset([t, t, t])
         model = fit_fpca(ws, k=2)
-        modes = modes_of_variation(model, 2)
-        for curve in modes.curves:
+        curves = modes_of_variation(model, 2)
+        for curve in curves:
             np.testing.assert_allclose(curve, model.mean, atol=1e-12)
 
     def test_component_out_of_range(self):
         model = fit_fpca(smooth_sample(), k=2)
         with pytest.raises(ConfigError):
             modes_of_variation(model, 3)
-
-    def test_no_gammas_is_a_configuration_error(self):
-        model = fit_fpca(smooth_sample(), k=2)
-        with pytest.raises(ConfigError, match="at least one gamma"):
-            modes_of_variation(model, 1, ())
 
 
 class TestScoreRateRegression:

@@ -330,6 +330,15 @@ class TestRunStudy:
         with pytest.raises(ConfigError):
             run_study(default_truth(), 0)
 
+    def test_one_series_truth_is_rejected_before_any_draw(self, monkeypatch):
+        # FPCA needs two series, so no replicate of an n = 1 truth could succeed.
+        def draw(*args):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr("warpgrowth.simulate.generate_replicate", draw)
+        with pytest.raises(ConfigError, match="got truth n = 1"):
+            run_study(replace(default_truth(), n=1), 3)
+
 
 class TestConvergenceSweep:
     def test_zero_noise_mean_error_vanishes(self):

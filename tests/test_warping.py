@@ -85,10 +85,11 @@ class TestComputeWarp:
         with pytest.raises(MissingDataError):
             warp_of(vals, 0.01, missing=np.array([False, True, False, False, False]))
 
-    def test_t0_normalized_recorded(self):
+    def test_t0_index_recorded(self):
         s = baseline_growth(0.01, 90.0, TimeGrid(144, 176))
         w = warp_of(s.values[0], 0.01, 144, t0_month=167)
-        assert w.t0_normalized == pytest.approx(23.0 / 175.0, abs=1e-15)
+        assert w.t0_index == 23
+        assert w.grid.points[w.t0_index] == pytest.approx(23.0 / 175.0, abs=1e-15)
 
     def test_identity_deviation_exact_model(self):
         s = baseline_growth(0.0075, 100.0, TimeGrid(144, 176))
@@ -119,15 +120,17 @@ class TestComputeWarp:
 
     def test_identity_deviation_per_row(self):
         # Row 0 deviates by 0.1 everywhere, row 1 by 0.2 t: on [0, 0.5] that is a mean of 0.05.
-        # A t0 off [0, 1] is no warp set's: it bounds no anchor interval on the grid.
+        # A t0 that is not a column is no warp set's: it bounds no anchor interval on the grid.
         grid = TimeGrid(0, 11)
         t = grid.points
         rows = np.vstack([t + 0.1, t + 0.2 * t])
-        warps = WarpSet(grid, ("a", "b"), rows, 0.5)
+        warps = WarpSet(grid, ("a", "b"), rows, 5)
         np.testing.assert_allclose(identity_deviation(warps), [0.1, 0.05], rtol=1e-14, atol=0.0)
-        for t0 in (-0.1, 1.5, float("nan")):
-            with pytest.raises(GridError, match="t0_normalized must lie in"):
+        for t0 in (-1, 11, 1.5, True):
+            with pytest.raises(GridError, match=r"t0_index must be an integer in \[0, 11\)"):
                 WarpSet(grid, ("a", "b"), rows, t0)
+        # Any integer type is read with operator.index and stored as an int.
+        assert type(WarpSet(grid, ("a", "b"), rows, np.int64(5)).t0_index) is int
 
     @pytest.mark.parametrize("window_start, t0", [(None, 400), (170, 150)], ids=["past-the-grid", "before-the-window"])
     def test_t0_off_the_window_is_grid_error(self, window_start, t0):
@@ -138,6 +141,12 @@ class TestComputeWarp:
         with pytest.raises(GridError, match=f"month {t0} "):
             compute_warp_set(panel, fits, window_start, t0)
 
+    def test_one_point_window_is_grid_error(self):
+        # A window starting at the last month leaves one point, which no TimeGrid holds.
+        panel = exponential_panel([0.01, 0.02], n_points=60)
+        with pytest.raises(GridError, match="at least 2 points, got 1"):
+            compute_warp_set(panel, rate_fits(panel.names, [0.01, 0.02]), panel.grid.end_month)
+
     def test_identity_deviation_overflow_names_the_series(self):
         # Each warp value is finite, but the sum over the anchor interval overflows for row 'b'.
         grid = TimeGrid(0, 11)
@@ -145,7 +154,7 @@ class TestComputeWarp:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="series 'b': anchor deviation is not finite"):
-                identity_deviation(WarpSet(grid, ("a", "b", "c"), rows, 0.5))
+                identity_deviation(WarpSet(grid, ("a", "b", "c"), rows, 5))
 
 
 class TestBaselineGrowth:

@@ -55,8 +55,7 @@ print(f"best window: {month_label(start)}..{month_label(end)} "
 
 estimates = estimate_alphas(panel, result.best_window)
 print("\nper-market growth rates on the window:")
-fits = estimates.fits
-for name, alpha, r2 in zip(fits.names, fits.alpha, fits.r2):
+for name, alpha, r2 in zip(estimates.names, estimates.alpha, estimates.r2):
     print(f"  {name:9s} alpha = {alpha * 100:6.3f}% per month (R^2 {r2:.4f})")
 print(f"  mean {estimates.mean_alpha * 100:.3f}%/mo, sd {estimates.sd_alpha * 100:.3f}%/mo")
 

@@ -135,7 +135,7 @@ def cmd_fit(args) -> int:
         "mean_r2": result.mean_r2,
         "per_series": _fit_rows(result.fits, "alpha", "intercept", "r2"),
         "alpha_estimates": {
-            "per_series": _fit_rows(estimates.fits, "alpha", "intercept", "r2", "clamped"),
+            "per_series": _fit_rows(estimates, "alpha", "intercept", "r2", "clamped"),
             "mean_alpha": estimates.mean_alpha,
             "sd_alpha": estimates.sd_alpha,
         },

@@ -66,6 +66,19 @@ class WindowFits:
         rows = [index[name] for name in names]
         return WindowFits(self.window, names, self.alpha[rows], self.intercept[rows], self.r2[rows], self.clamped[rows])
 
+    @property
+    def mean_alpha(self) -> float:
+        return float(self.alpha.mean())
+
+    @property
+    def sd_alpha(self) -> float:
+        """Cross-series standard deviation of the rates, n-1 denominator; 0 for one series."""
+        return float(self.alpha.std(ddof=1)) if self.alpha.size > 1 else 0.0
+
+    def alphas(self) -> np.ndarray:
+        """``alpha``; kept only for the benchmark harness."""
+        return self.alpha
+
 
 @dataclass(frozen=True)
 class IntervalSearchResult:
@@ -81,25 +94,6 @@ class IntervalSearchResult:
     @property
     def window_length_months(self) -> int:
         return self.fits.window[1] - self.fits.window[0] + 1
-
-
-@dataclass(frozen=True)
-class AlphaEstimates:
-    """Fixed-intercept rate estimates for every series on one window."""
-
-    fits: WindowFits
-
-    @property
-    def mean_alpha(self) -> float:
-        return float(self.fits.alpha.mean())
-
-    @property
-    def sd_alpha(self) -> float:
-        return float(self.fits.alpha.std(ddof=1)) if self.fits.alpha.size > 1 else 0.0
-
-    def alphas(self) -> np.ndarray:
-        """``fits.alpha``; kept only for the benchmark harness."""
-        return self.fits.alpha
 
 
 def _window_logs(panel: Panel, window: tuple[int, int]) -> np.ndarray:
@@ -306,14 +300,14 @@ def search_interval(panel: Panel, lengths=DEFAULT_WINDOW_LENGTHS) -> IntervalSea
     return IntervalSearchResult(WindowFits(window, panel.names, alpha, intercept, r2, np.zeros(n, dtype=bool)), -neg_mean_r2)
 
 
-def estimate_alphas(panel: Panel, window: tuple[int, int]) -> AlphaEstimates:
+def estimate_alphas(panel: Panel, window: tuple[int, int]) -> WindowFits:
     """Fixed-intercept rate estimates for all series on the given window.
 
     Closed form: ``alpha = sum_t tau * (log X(t) - log X(start)) / sum_t tau^2``
     with ``tau`` the months elapsed since the window start, and the
     intercept pinned at ``log X(start)``. Rates below ``ALPHA_FLOOR`` are
-    raised to it and flagged ``clamped``. Also reports the cross-series
-    mean and standard deviation (n-1 denominator) of the estimated rates.
+    raised to it and flagged ``clamped``. The fits' ``mean_alpha`` and
+    ``sd_alpha`` summarise the rates across series.
     """
     logs = _window_logs(panel, window)
     tau = np.arange(logs.shape[0], dtype=float)
@@ -323,4 +317,4 @@ def estimate_alphas(panel: Panel, window: tuple[int, int]) -> AlphaEstimates:
     alpha[clamped] = ALPHA_FLOOR
     sse = np.sum((d - np.outer(tau, alpha)) ** 2, axis=0)
     sst = np.sum((d - d.mean(axis=0)) ** 2, axis=0)
-    return AlphaEstimates(WindowFits(window, panel.names, alpha, logs[0], _r2(sse, sst), clamped))
+    return WindowFits(window, panel.names, alpha, logs[0], _r2(sse, sst), clamped)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -365,12 +365,11 @@ class ReplicateMetrics:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Study outcome: per-replicate metrics plus cross-replicate aggregates."""
+    """Study outcome: the truth, the seed and the per-replicate metrics; the aggregates derive from them."""
 
+    truth: SimTruth = field(compare=False)  # its arrays have no ==; reports compare by seed and replicates
     seed: int
-    truth_two_component_fraction: float
     replicates: tuple[ReplicateMetrics, ...]
-    aggregates: dict
 
     @property
     def n_replicates(self) -> int:
@@ -379,6 +378,30 @@ class SimReport:
     @property
     def n_failed(self) -> int:
         return sum(1 for r in self.replicates if r.failed)
+
+    @property
+    def truth_two_component_fraction(self) -> float:
+        return self.truth.two_component_fraction
+
+    @property
+    def aggregates(self) -> dict:
+        """Cross-replicate means and spreads of the succeeded replicates' metrics; failed ones count only in ``n_failed``."""
+        ok = [r for r in self.replicates if not r.failed]
+        aggregates: dict = {"n_succeeded": len(ok)}
+        if ok:
+            aggregates["acceptance_rate"] = self.truth.n * len(ok) / sum(r.attempts for r in ok)
+            for key in ("ase", "rise", "window_start", "window_end"):
+                aggregates[key] = _mean_sd([float(getattr(r, key)) for r in ok])
+            # One column per scored component; every replicate scores the same number.
+            aggregates["mise_phi"] = [_fsum_mean(col) for col in zip(*(r.phi_sq_err for r in ok))]
+            aggregates["eigenvalue_rel_sq_err"] = [_fsum_mean(col) for col in zip(*(r.eigenvalue_rel_sq_err for r in ok))]
+            ve2 = [r.var_explained_2 for r in ok if not math.isnan(r.var_explained_2)]
+            stats = _mean_sd(ve2)
+            if ve2:
+                stats["min"] = min(ve2)
+                stats["max"] = max(ve2)
+            aggregates["var_explained_2"] = stats
+        return aggregates
 
     def to_json_dict(self) -> dict:
         return {
@@ -438,7 +461,7 @@ def _run_one_replicate(truth: SimTruth, seed: int, index: int) -> ReplicateMetri
         n_scored = min(truth.n_components, model.n_retained)
 
         t = warpset.grid.points
-        ase = averaged_relative_squared_error(estimates.fits.alpha, rep.alphas)
+        ase = averaged_relative_squared_error(estimates.alpha, rep.alphas)
         rise, rise_excluded = relative_integrated_squared_error(warpset.values, rep.warps, t, t[warpset.t0_index])
         phi_hat, lam_hat, lam = model.eigenfunctions[:n_scored], model.eigenvalues.tolist(), truth.eigenvalues.tolist()
         phi_errs = tuple(sign_aligned_sq_error(*pair, model.weights) for pair in zip(phi_hat, truth.eigenfunctions))
@@ -477,37 +500,18 @@ def run_study(truth: SimTruth, n_replicates: int, seed: int = 0, n_jobs: int = 1
     ``n_jobs`` has no effect: replicates hold the interpreter lock for most
     of their time, and a thread pool ran slower than this loop. Failed
     replicates are recorded, not dropped. ConfigError, before any draw,
-    for no replicates or a truth ``n`` below 2 (FPCA needs two series).
+    for no replicates, a truth ``n`` below 2 (FPCA needs two series) or a
+    truth grid shorter than every scanned window length.
     """
     if n_replicates < 1:
         raise ConfigError(f"need at least 1 replicate, got {n_replicates}")
     if truth.n < 2:
         raise ConfigError(f"a study needs at least 2 series per replicate for FPCA, got truth n = {truth.n}")
+    m, shortest = truth.grid.n_points, min(DEFAULT_WINDOW_LENGTHS)
+    if m < shortest:
+        raise ConfigError(f"a study scans windows of at least {shortest} months, longer than the {m}-month truth grid")
     seed = _seed(seed)
-
-    results = [_run_one_replicate(truth, seed, i) for i in range(n_replicates)]
-
-    ok = [r for r in results if not r.failed]
-    aggregates: dict = {"n_succeeded": len(ok)}
-    if ok:
-        aggregates["acceptance_rate"] = truth.n * len(ok) / sum(r.attempts for r in ok)
-        for key in ("ase", "rise", "window_start", "window_end"):
-            aggregates[key] = _mean_sd([float(getattr(r, key)) for r in ok])
-        # One column per scored component; every replicate scores the same number.
-        aggregates["mise_phi"] = [_fsum_mean(col) for col in zip(*(r.phi_sq_err for r in ok))]
-        aggregates["eigenvalue_rel_sq_err"] = [_fsum_mean(col) for col in zip(*(r.eigenvalue_rel_sq_err for r in ok))]
-        ve2 = [r.var_explained_2 for r in ok if not math.isnan(r.var_explained_2)]
-        stats = _mean_sd(ve2)
-        if ve2:
-            stats["min"] = min(ve2)
-            stats["max"] = max(ve2)
-        aggregates["var_explained_2"] = stats
-    return SimReport(
-        seed=seed,
-        truth_two_component_fraction=truth.two_component_fraction,
-        replicates=tuple(results),
-        aggregates=aggregates,
-    )
+    return SimReport(truth, seed, tuple(_run_one_replicate(truth, seed, i) for i in range(n_replicates)))
 
 
 @dataclass(frozen=True)
@@ -635,6 +639,8 @@ def load_truth(manifest_path: str | Path) -> SimTruth:
         return json_field(manifest, key, kind, "truth manifest", ConfigError, *default)
 
     t0, t1, eigenvalues = get("t0_month", int), get("t1_month", int), get("eigenvalues", [float])
+    if t1 <= t0:
+        raise ConfigError(f"truth manifest: t1_month {t1} must come after t0_month {t0}")
     optional = {"n": int, "x0_range": [float], "alpha_range": [float], "cap": float}
     known = ("t0_month", "t1_month", "eigenvalues", "mean_csv", "eigenfunctions_csv", *optional)
     unknown = sorted(manifest.keys() - set(known))

@@ -4,10 +4,10 @@ Month indices count months since a fixed epoch: index 1 is January 1987.
 Under this convention December 1998 is month 144, November 2000 is month
 167 and July 2013 is month 319.
 
-A :class:`Panel` holds n series as n x m value and missing-flag arrays,
-validated once when built. Every stage works on its row masks and column
-slices; a sample is built as a panel, not stacked from rows, and one
-series is a one-row panel.
+A :class:`Panel` holds n series as one n x m value array, NaN where a
+value is missing, validated once when built. Every stage works on its
+row masks and column slices; a sample is built as a panel, not stacked
+from rows, and one series is a one-row panel.
 
 :func:`parse_panel` reads a panel CSV with the package's one CSV body
 reader, :func:`~warpgrowth._table.read_table`, its date column converted
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,10 +132,10 @@ def freeze_names(obj, what: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class Panel:
-    """n series on one monthly grid, as read-only C-contiguous n x m arrays.
+    """n series on one monthly grid, as one read-only C-contiguous n x m array.
 
-    Row ``i`` of ``values`` and ``missing`` (default: none missing) belongs
-    to ``names[i]``. Every value not masked must be finite and at least
+    Row ``i`` of ``values`` belongs to ``names[i]``; a NaN is a missing
+    value. Every other value must be finite and at least
     ``np.finfo(float).tiny``, as in :func:`parse_panel`. A shape mismatch
     raises GridError, duplicate names or a bad value SchemaError.
     """
@@ -143,14 +143,10 @@ class Panel:
     grid: TimeGrid
     names: tuple[str, ...]
     values: np.ndarray
-    missing: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         names = freeze_names(self, "panel")
-        shape = (len(names), self.grid.n_points)
-        if self.missing is None:
-            object.__setattr__(self, "missing", np.zeros(shape, dtype=bool))
-        freeze_fields(self, (("values", float, shape), ("missing", bool, shape)), f"{len(names)} series")
+        freeze_fields(self, (("values", float, (len(names), self.grid.n_points)),), f"{len(names)} series")
         bad = _first_bad_level(self.values, self.missing)
         if bad:
             i, j, why = bad
@@ -161,14 +157,19 @@ class Panel:
         return len(self.names)
 
     @property
+    def missing(self) -> np.ndarray:
+        """The n x m mask of missing values: ``np.isnan(values)``."""
+        return np.isnan(self.values)
+
+    @property
     def series(self) -> tuple[Panel, ...]:
         """One one-row :class:`Panel` per row; kept only for the benchmark harness."""
         rows = (slice(i, i + 1) for i in range(self.n_series))
-        return tuple(Panel(self.grid, self.names[r], self.values[r], self.missing[r]) for r in rows)
+        return tuple(Panel(self.grid, self.names[r], self.values[r]) for r in rows)
 
     def check_complete(self, lo: int, hi: int) -> None:
         """MissingDataError naming every series with a missing value on the inclusive index range [lo, hi]."""
-        gappy = self.missing[:, lo : hi + 1].any(axis=1)
+        gappy = np.isnan(self.values[:, lo : hi + 1]).any(axis=1)
         if gappy.any():
             start = self.grid.start_month
             names = [name for name, gap in zip(self.names, gappy.tolist()) if gap]
@@ -192,10 +193,10 @@ def parse_panel(csv_text: str) -> Panel:
 
     Expected layout: header ``date,<name1>,<name2>,...``; one row per month
     with strictly consecutive ``YYYY-MM`` dates; empty (or blank) cells
-    mark missing values. Every other cell must parse to a finite number of
-    at least ``np.finfo(float).tiny``: zero, negatives, ``nan``, ``inf``
-    and subnormals such as ``1e-320`` are rejected, because the pipeline
-    takes their logarithm.
+    mark missing values, held as NaN. Every other cell must parse to a
+    finite number of at least ``np.finfo(float).tiny``: zero, negatives,
+    ``nan``, ``inf`` and subnormals such as ``1e-320`` are rejected,
+    because the pipeline takes their logarithm.
 
     The text is read by :func:`~warpgrowth._table.read_table` with
     :func:`month_index` for the date column, under the cell rule every CSV
@@ -224,16 +225,12 @@ def parse_panel(csv_text: str) -> Panel:
     if gaps.size:
         prev, cur = months[gaps[0]], months[gaps[0] + 1]
         raise GridError(f"non-consecutive months: {month_label(prev)} followed by {month_label(cur)}")
-    values, missing = data[:, 1:], blank[:, 1:]
-    try:
-        return Panel(TimeGrid(int(months[0]), len(months)), tuple(names), values.T, missing.T)
-    except SchemaError:
-        # The panel names a bad level by series and point; name the first in file order, by row and column.
-        bad = _first_bad_level(values, missing)
-        if not bad:
-            raise
+    # A blank cell is NaN in ``data``; a cell that spells nan is a bad level, named in file order.
+    bad = _first_bad_level(data[:, 1:], blank[:, 1:])
+    if bad:
         i, j, why = bad
-        raise SchemaError(f"row {i + 2}, column {names[j]!r}: {why}") from None
+        raise SchemaError(f"row {i + 2}, column {names[j]!r}: {why}")
+    return Panel(TimeGrid(int(months[0]), len(months)), tuple(names), data[:, 1:].T)
 
 
 def serialize_panel(panel: Panel) -> str:
@@ -242,8 +239,8 @@ def serialize_panel(panel: Panel) -> str:
     Values are written with ``repr`` so parse(serialize(p)) reproduces the
     panel bit-exactly; names are quoted where :mod:`csv` needs it.
     """
-    columns = zip(panel.grid.months.tolist(), panel.values.T.tolist(), panel.missing.T.tolist())
-    rows = ([month_label(month), *("" if gap else repr(v) for v, gap in zip(vals, gaps))] for month, vals, gaps in columns)
+    columns = zip(panel.grid.months.tolist(), panel.values.T.tolist())
+    rows = ([month_label(month), *("" if math.isnan(v) else repr(v) for v in vals)] for month, vals in columns)
     return write_rows(["date", *panel.names], rows)
 
 
@@ -264,11 +261,11 @@ def restrict(panel: Panel, from_month: int, to_month: int) -> tuple[Panel, list[
     if to_month < from_month:
         raise GridError("empty window: to_month precedes from_month")
     cols = slice(panel.grid.index_of(from_month), panel.grid.index_of(to_month) + 1)
-    gappy = panel.missing[:, cols].any(axis=1)
+    gappy = np.isnan(panel.values[:, cols]).any(axis=1)
     if gappy.all():
         raise EmptyPanelError(f"all {panel.n_series} series have gaps inside the window")
     kept = ~gappy
     names = np.array(panel.names, dtype=object)
     sub = TimeGrid(from_month, to_month - from_month + 1)
-    restricted = Panel(sub, tuple(names[kept]), panel.values[kept, cols], panel.missing[kept, cols])
+    restricted = Panel(sub, tuple(names[kept]), panel.values[kept, cols])
     return restricted, names[gappy].tolist()

@@ -30,7 +30,7 @@ import numpy as np
 
 from ._table import read_unit_table, write_table
 from .errors import ConfigError, GridError, NumericalError, RateError, SchemaError
-from .growthfit import AlphaEstimates, WindowFits
+from .growthfit import WindowFits
 from .timeseries import Panel, TimeGrid, freeze_fields, freeze_names
 
 
@@ -69,7 +69,7 @@ class WarpSet:
 
 def compute_warp_set(
     panel: Panel,
-    alphas: AlphaEstimates | WindowFits,
+    fits: WindowFits,
     window_start_month: int | None = None,
     t0_month: int | None = None,
 ) -> WarpSet:
@@ -86,7 +86,7 @@ def compute_warp_set(
     RateError unless every rate is positive and every warp finite (a rate
     such as 1e-320 overflows it), MissingDataError for a gap on the window.
     """
-    alpha = (alphas.fits if isinstance(alphas, AlphaEstimates) else alphas).align(panel.names).alpha
+    alpha = fits.align(panel.names).alpha
     bad = np.flatnonzero(~(alpha > 0))
     if bad.size:
         raise RateError(f"series {panel.names[bad[0]]!r}: alpha must be positive, got {alpha[bad[0]]}")

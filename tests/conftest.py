@@ -16,10 +16,10 @@ def exponential_panel(alphas, x0s=None, start_month=144, n_points=176, names=Non
     return Panel(TimeGrid(start_month, n_points), names, values)
 
 
-def one_series_panel(values, start_month=0, missing=None, name="s") -> Panel:
-    """Panel of one series on a grid of its length from ``start_month``."""
+def one_series_panel(values, start_month=0, name="s") -> Panel:
+    """Panel of one series on a grid of its length from ``start_month``; a NaN is a missing value."""
     values = np.asarray(values, dtype=float)
-    return Panel(TimeGrid(start_month, values.size), (name,), values[None], None if missing is None else [missing])
+    return Panel(TimeGrid(start_month, values.size), (name,), values[None])
 
 
 def rate_fits(names, alphas, clamped=None) -> WindowFits:

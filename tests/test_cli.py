@@ -61,14 +61,14 @@ class TestFitCommand:
     def test_artifact_round_trips_through_its_reader(self, tmp_path):
         # m02 is flat, so its rate is clamped; m04 has a gap, so restrict drops it.
         panel = exponential_panel([0.004, 0.0, 0.01, 0.013], n_points=90)
-        missing = np.zeros((4, 90), dtype=bool)
-        missing[3, 40] = True
-        path = write_panel(tmp_path / "panel.csv", Panel(panel.grid, panel.names, panel.values, missing))
+        values = panel.values.copy()
+        values[3, 40] = np.nan
+        path = write_panel(tmp_path / "panel.csv", Panel(panel.grid, panel.names, values))
         out = tmp_path / "out"
         assert main(["fit", "--input", path, "--output-dir", str(out)]) == 0
         restriction, fits = _parse_fit_artifact((out / "fit.json").read_text())
         kept, dropped = restrict(parse_panel(Path(path).read_text()), 144, 233)
-        expected = estimate_alphas(kept, search_interval(kept, DEFAULT_WINDOW_LENGTHS).best_window).fits
+        expected = estimate_alphas(kept, search_interval(kept, DEFAULT_WINDOW_LENGTHS).best_window)
         assert (restriction, dropped) == ((144, 233), ["m04"])
         assert (fits.window, fits.names) == (expected.window, ("m01", "m02", "m03"))
         for key in ("alpha", "intercept", "r2", "clamped"):
@@ -454,6 +454,16 @@ class TestSimulateCommand:
         assert "configuration error: a study needs at least 2 series" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_truth_grid_shorter_than_every_window_exits_4(self, tmp_path, capsys):
+        # No scanned window fits 23 months, so every replicate would fail its window search.
+        truth = SimTruth(TimeGrid(144, 23), np.linspace(0, 1, 23), np.empty((0, 23)), np.empty(0), n=6)
+        manifest = save_truth(truth, tmp_path / "truth")
+        out = tmp_path / "o"
+        assert main(["simulate", "--output-dir", str(out), "--truth", str(manifest), "--replicates", "3"]) == 4
+        err = capsys.readouterr().err
+        assert "configuration error: a study scans windows of at least 24 months, longer than the 23-month truth grid" in err
+        assert not out.exists()
+
     def test_convergence_csv_equals_convergence_json(self, tmp_path):
         # The n rows and the slope row hold the JSON's sizes, errors and slopes, bit for bit.
         out = tmp_path / "o"
@@ -480,6 +490,16 @@ class TestSimulateCommand:
         out = tmp_path / "o"
         assert main(["simulate", "--output-dir", str(out), "--truth", str(manifest)]) == 4
         assert "configuration error: truth manifest: unknown keys ['alpha_rnage']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shift", [0, -5])
+    def test_truth_end_not_after_start_exits_4(self, tmp_path, capsys, shift):
+        manifest = save_truth(default_truth(), tmp_path / "truth")
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "t1_month": 144 + shift}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--output-dir", str(out), "--truth", str(manifest)]) == 4
+        err = capsys.readouterr().err
+        assert f"configuration error: truth manifest: t1_month {144 + shift} must come after t0_month 144" in err
         assert not out.exists()
 
     def test_requires_truth_choice(self, tmp_path):

@@ -28,7 +28,7 @@ def panels(draw, gap_share=0.0):
     missing = rng.random((n, m)) < gap_share
     values = np.where(missing, np.nan, np.exp(logs))
     grid = TimeGrid(draw(st.integers(min_value=1, max_value=400)), m)
-    return Panel(grid, tuple(f"s{i}" for i in range(n)), values, missing), rng
+    return Panel(grid, tuple(f"s{i}" for i in range(n)), values), rng
 
 
 def warp_set_of(panel, rng, draw):
@@ -42,7 +42,7 @@ def warp_set_of(panel, rng, draw):
 
 def row_of(panel, i):
     """Series ``i`` of ``panel`` as a one-row panel on the same grid."""
-    return Panel(panel.grid, panel.names[i : i + 1], panel.values[i : i + 1], panel.missing[i : i + 1])
+    return Panel(panel.grid, panel.names[i : i + 1], panel.values[i : i + 1])
 
 
 def warp_row(warps, i):
@@ -104,9 +104,9 @@ class TestRowViewsRoundTrip:
     def test_series_views_rebuild_the_panel(self, drawn):
         panel, _ = drawn
         rows = (slice(i, i + 1) for i in range(panel.n_series))
-        series = [Panel(panel.grid, panel.names[r], panel.values[r], panel.missing[r]) for r in rows]
+        series = [Panel(panel.grid, panel.names[r], panel.values[r]) for r in rows]
         assert all(s.grid == panel.grid and s.n_series == 1 for s in series)
-        again = Panel(panel.grid, [s.names[0] for s in series], [s.values[0] for s in series], [s.missing[0] for s in series])
+        again = Panel(panel.grid, [s.names[0] for s in series], [s.values[0] for s in series])
         assert again.grid == panel.grid and again.names == panel.names
         assert again.values.tobytes() == panel.values.tobytes()
         assert again.missing.tobytes() == panel.missing.tobytes()

@@ -32,7 +32,7 @@ def free_fits(panel):
 
 def fixed_fits(panel):
     """Fixed-intercept fits on the whole grid."""
-    return estimate_alphas(panel, (panel.grid.start_month, panel.grid.end_month)).fits
+    return estimate_alphas(panel, (panel.grid.start_month, panel.grid.end_month))
 
 
 def scan_windows(logs_t, length):
@@ -67,7 +67,7 @@ class TestFreeFit:
 
     def test_missing_data_rejected(self):
         vals = np.array([100.0, np.nan, 102.0, 103.0])
-        panel = one_series_panel(vals, missing=np.array([False, True, False, False]))
+        panel = one_series_panel(vals)
         with pytest.raises(MissingDataError):
             free_fits(panel)
 
@@ -171,9 +171,8 @@ class TestSearchInterval:
 
     def test_gappy_series_rejected(self):
         vals = 100.0 * np.exp(0.01 * np.arange(40.0))
-        mask = np.zeros(40, dtype=bool)
-        mask[5] = True
-        panel = one_series_panel(vals, missing=mask)
+        vals[5] = np.nan
+        panel = one_series_panel(vals)
         with pytest.raises(MissingDataError):
             search_interval(panel, (24,))
 
@@ -425,8 +424,8 @@ class TestEstimateAlphas:
     def test_fits_in_input_order(self):
         panel = exponential_panel([0.012, 0.004], n_points=30, names=["zz", "aa"])
         est = estimate_alphas(panel, (144, 167))
-        assert est.fits.names == ("zz", "aa")
-        assert est.fits.alpha[0] == pytest.approx(0.012, rel=1e-10)
+        assert est.names == ("zz", "aa")
+        assert est.alpha[0] == pytest.approx(0.012, rel=1e-10)
 
 
 TRUTH = default_truth()
@@ -450,7 +449,7 @@ def fit_chain(panel):
     warps = compute_warp_set(
         panel, estimates, window_start_month=panel.grid.start_month, t0_month=search.best_window[1]
     )
-    rates = dict(zip(estimates.fits.names, estimates.fits.alpha.tolist()))
+    rates = dict(zip(estimates.names, estimates.alpha.tolist()))
     model = fit_fpca(warps, k=max(2, min(TRUTH.n_components, TRUTH.n - 1)))
     return search, rates, dict(zip(warps.names, warps.values)), model
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from warpgrowth.errors import ConfigError
+from warpgrowth.errors import ConfigError, NumericalError
+from warpgrowth.fpca import fit_fpca
 from warpgrowth.quadrature import trapezoid_weights
 from warpgrowth.simulate import (
+    SimReport,
     SimTruth,
     averaged_relative_squared_error,
     convergence_sweep,
@@ -282,6 +285,10 @@ class TestRunStudy:
         assert r1.to_json_dict() == r2.to_json_dict()
         assert r1.replicates_to_csv() == r2.replicates_to_csv()
 
+    def test_reports_of_equal_runs_compare_equal(self):
+        # Each run builds its own truth, whose arrays have no ==; reports compare by seed and replicates.
+        assert run_study(default_truth(), 2, seed=7) == run_study(default_truth(), 2, seed=7)
+
     def test_threads_do_not_change_results(self):
         truth = default_truth()
         r1 = run_study(truth, 4, seed=3, n_jobs=1)
@@ -338,6 +345,56 @@ class TestRunStudy:
         monkeypatch.setattr("warpgrowth.simulate.generate_replicate", draw)
         with pytest.raises(ConfigError, match="got truth n = 1"):
             run_study(replace(default_truth(), n=1), 3)
+
+    def test_grid_shorter_than_every_window_is_rejected_before_any_draw(self, monkeypatch):
+        # No window of DEFAULT_WINDOW_LENGTHS fits 23 months; the sweep, which searches none, still runs.
+        truth = identity_truth(n=5, m=23)
+        assert convergence_sweep(truth, (2, 3), repeats=1).sizes == (2, 3)
+
+        def draw(*args):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr("warpgrowth.simulate.generate_replicate", draw)
+        with pytest.raises(ConfigError, match="windows of at least 24 months, longer than the 23-month truth grid"):
+            run_study(truth, 3)
+
+
+def failing_fit_fpca(failing):
+    """``fit_fpca``, except that the calls numbered in ``failing`` (from 1) raise NumericalError."""
+    calls = itertools.count(1)
+
+    def fit(*args, **kwargs):
+        if next(calls) in failing:
+            raise NumericalError("injected")
+        return fit_fpca(*args, **kwargs)
+
+    return fit
+
+
+class TestFailedReplicates:
+    def test_failed_replicates_are_recorded_and_not_aggregated(self, monkeypatch):
+        truth = default_truth()
+        full = run_study(truth, 4, 0)
+        monkeypatch.setattr("warpgrowth.simulate.fit_fpca", failing_fit_fpca({2, 4}))
+        report = run_study(truth, 4, 0)
+        assert report.n_failed == 2
+        assert [r.failed for r in report.replicates] == [False, True, False, True]
+        for i in (1, 3):
+            failed = report.replicates[i]
+            assert failed.attempts == full.replicates[i].attempts
+            assert failed.error.startswith("NumericalError: ")
+        header, *rows = [line.split(",") for line in report.replicates_to_csv().splitlines()]
+        metrics = "mean_r2 ase rise phi1_sq_err phi2_sq_err lambda1_rel_sq_err lambda2_rel_sq_err var_explained_2".split()
+        for i in (1, 3):
+            assert [rows[i][header.index(c)] for c in ("window_start", "window_end")] == ["", ""]
+            assert [rows[i][header.index(c)] for c in metrics] == ["nan"] * len(metrics)
+        assert report.aggregates == SimReport(truth, 0, (full.replicates[0], full.replicates[2])).aggregates
+
+    def test_every_replicate_failed_aggregates_only_the_count(self, monkeypatch):
+        monkeypatch.setattr("warpgrowth.simulate.fit_fpca", failing_fit_fpca(range(1, 4)))
+        report = run_study(default_truth(), 3, 0)
+        assert report.n_failed == 3
+        assert report.aggregates == {"n_succeeded": 0}
 
 
 class TestConvergenceSweep:

@@ -64,14 +64,6 @@ class TestPriceSeries:
         with pytest.raises(SchemaError, match="series 'A', point 1: value 0.0 is not positive"):
             Panel(TimeGrid(0, 2), ("A",), [[100.0, 0.0]])
 
-    def test_nonpositive_allowed_when_masked(self):
-        s = Panel(TimeGrid(0, 2), ("A",), [[100.0, np.nan]], [[False, True]])
-        assert s.missing[0, 1]
-
-    def test_mask_length_mismatch(self):
-        with pytest.raises(GridError):
-            Panel(TimeGrid(0, 2), ("A",), [[100.0, 101.0]], [[False]])
-
     def test_values_are_readonly(self):
         s = Panel(TimeGrid(0, 2), ("A",), [[100.0, 101.0]])
         with pytest.raises(ValueError):
@@ -298,7 +290,7 @@ class TestSerializeRoundTrip:
             )
             missing[j] = data.draw(st.lists(st.booleans(), min_size=n_points, max_size=n_points))
         values[missing] = np.nan
-        panel = Panel(grid, [f"s{j}" for j in range(n_series)], values, missing)
+        panel = Panel(grid, [f"s{j}" for j in range(n_series)], values)
         again = parse_panel(serialize_panel(panel))
         assert again.grid == panel.grid
         assert again.names == panel.names
@@ -413,7 +405,7 @@ class TestPanelInvariants:
         for j in range(len(names)):
             missing[j] = rng.random(n_points) < 0.2
             values[j] = np.where(missing[j], np.nan, rng.uniform(1.0, 500.0, n_points))
-        panel = Panel(TimeGrid(150, n_points), names, values, missing)
+        panel = Panel(TimeGrid(150, n_points), names, values)
         again = parse_panel(serialize_panel(panel))
         assert again.names == panel.names
         assert_same_rows(again, panel)

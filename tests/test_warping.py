@@ -22,9 +22,9 @@ from warpgrowth.warping import (
 from conftest import MALFORMED_UNIT_TABLES, edit_table, exponential_panel, one_series_panel, rate_fits
 
 
-def warp_of(values, alpha, start_month=0, window_start_month=None, t0_month=None, missing=None):
+def warp_of(values, alpha, start_month=0, window_start_month=None, t0_month=None):
     """The warp set of one series from ``start_month`` at rate ``alpha``."""
-    panel = one_series_panel(values, start_month, missing)
+    panel = one_series_panel(values, start_month)
     return compute_warp_set(panel, rate_fits(panel.names, [alpha]), window_start_month, t0_month)
 
 
@@ -83,7 +83,7 @@ class TestComputeWarp:
     def test_missing_values_rejected(self):
         vals = np.array([10.0, np.nan, 10.0, 10.0, 10.0])
         with pytest.raises(MissingDataError):
-            warp_of(vals, 0.01, missing=np.array([False, True, False, False, False]))
+            warp_of(vals, 0.01)
 
     def test_t0_index_recorded(self):
         s = baseline_growth(0.01, 90.0, TimeGrid(144, 176))
@@ -188,7 +188,7 @@ class TestWarpSetPipeline:
         t = np.arange(40.0)
         panel = Panel(TimeGrid(0, 40), ("up", "down"), [100.0 * np.exp(0.01 * t), 100.0 * np.exp(-0.01 * t)])
         est = estimate_alphas(panel, (0, 23))
-        assert est.fits.clamped.tolist() == [False, True]
+        assert est.clamped.tolist() == [False, True]
         ws = compute_warp_set(panel, est, t0_month=23)
         assert ws.names == panel.names and np.isfinite(ws.values).all()
 

@@ -60,12 +60,13 @@ for name, alpha, r2 in zip(estimates.names, estimates.alpha, estimates.r2):
 print(f"  mean {estimates.mean_alpha * 100:.3f}%/mo, sd {estimates.sd_alpha * 100:.3f}%/mo")
 
 # ---------------------------------------------------------------------------
-# Warping functions: h(t) = log(X(t)/X(0)) / alpha on the window rescaled to
-# [0, 1]. h(t) = t means prices on trend; h above the diagonal is a boom;
+# Warping functions: h(t) = log(X(t)/X(0)) / alpha on the panel's months
+# rescaled to [0, 1], anchored from the panel start to the window end.
+# h(t) = t means prices on trend; h above the diagonal is a boom;
 # decreasing stretches are price declines ("time moving backward"); h(1) < 1
 # is a time setback at the end of the observation period.
 # ---------------------------------------------------------------------------
-warps = compute_warp_set(panel, estimates, t0_month=end)
+warps = compute_warp_set(panel, estimates)
 months = warps.grid.elapsed_months
 setback = 1.0 - warps.values[:, -1]
 print("\nwarping summary:")

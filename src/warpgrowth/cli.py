@@ -5,7 +5,9 @@ step is independently reproducible: ``fit`` writes the selected window and
 rate estimates as JSON, ``warp`` turns panel + fit artifact into a warp
 CSV, ``fpca`` decomposes a warp CSV, ``simulate`` runs the Monte Carlo
 study, and ``diagnose`` checks the identity anchor: how far each warp is
-from ``h(t) = t`` on the undisturbed window that ``fit`` selected.
+from ``h(t) = t`` from the restricted panel's first month to the end of
+the window that ``fit`` selected. ``warp`` and ``diagnose`` build their
+warps with :func:`~warpgrowth.warping.compute_warp_set`, as the study does.
 
 The artifacts of ``fit`` and ``fpca`` are rendered here from the arrays
 that :mod:`~warpgrowth.growthfit` and :mod:`~warpgrowth.fpca` return:
@@ -160,7 +162,7 @@ def _warps_for_artifact(args):
     restriction, fits = _table.read_file(_fit_path(args), _parse_fit_artifact)
     panel, _ = restrict(_table.read_file(args.input, parse_panel), *restriction)
     fits = fits.align(panel.names)
-    return fits, compute_warp_set(panel, fits, window_start_month=fits.window[0], t0_month=fits.window[1])
+    return fits, compute_warp_set(panel, fits)
 
 
 def cmd_warp(args) -> int:
@@ -258,8 +260,6 @@ def cmd_simulate(args) -> int:
         truth = sim.default_truth()
     else:
         raise ConfigError("simulate needs --truth MANIFEST or --default-truth")
-    if args.replicates < 1:
-        raise ConfigError(f"--replicates must be at least 1, got {args.replicates}")
 
     report = sim.run_study(truth, args.replicates, seed=args.seed)
     sweep = None
@@ -288,7 +288,7 @@ def cmd_diagnose(args) -> int:
     fits, warpset = _warps_for_artifact(args)
     deviation = identity_deviation(warpset)
     worst = int(np.argmax(deviation))
-    start, end = fits.window
+    start, end = warpset.grid.start_month, fits.window[1]
     summary = {
         "anchor_window": {"start": start, "end": end},
         "worst": {"name": warpset.names[worst], "anchor_deviation": float(deviation[worst])},
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--convergence-sweep", action="store_true")
     simulate.set_defaults(func=cmd_simulate)
 
-    diagnose = sub.add_parser("diagnose", help="per series, the warp's deviation from h(t) = t on the fit window")
+    diagnose = sub.add_parser("diagnose", help="per series, the warp's deviation from h(t) = t up to the fit window's end")
     diagnose.add_argument("--input", required=True, help="panel CSV")
     diagnose.add_argument("--output-dir", required=True)
     diagnose.add_argument("--fit", default=None, help="fit artifact path (default: OUTPUT_DIR/fit.json)")

@@ -50,7 +50,7 @@ DEFAULT_VAR_THRESHOLD = 0.999
 DEFAULT_GAMMAS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FpcaModel:
     """Fitted FPCA model.
 

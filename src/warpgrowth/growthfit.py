@@ -33,7 +33,7 @@ ALPHA_FLOOR = 1e-8
 DEFAULT_WINDOW_LENGTHS = (24, 36, 60)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindowFits:
     """Exponential fits of n series on one window, as read-only arrays.
 

@@ -72,14 +72,14 @@ HOUSING_STUDY_REFERENCE = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimTruth:
     """Ground truth for the simulation study.
 
     ``mean`` (per grid point), ``eigenfunctions`` (one row per component)
-    and ``eigenvalues`` are in normalized units on ``grid.points``, the
-    grid's [0, 1] rescaling; all three must be finite, and the
-    eigenfunctions orthonormal under the trapezoid quadrature. ``grid``
+    and ``eigenvalues`` are read-only arrays in normalized units on
+    ``grid.points``, the grid's [0, 1] rescaling; all three must be finite,
+    and the eigenfunctions orthonormal under the trapezoid quadrature. ``grid``
     fixes the calendar months the normalized window corresponds to.
     ConfigError names the first field that breaks a rule.
     """
@@ -122,9 +122,9 @@ class SimTruth:
             raise ConfigError(f"invalid alpha range {self.alpha_range}")
         if not self.cap > 0:
             raise ConfigError(f"cap must be positive, got {self.cap}")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "eigenfunctions", phi)
-        object.__setattr__(self, "eigenvalues", lam)
+        for key, a in (("mean", mean), ("eigenfunctions", phi), ("eigenvalues", lam)):
+            a.setflags(write=False)
+            object.__setattr__(self, key, a)
 
     @property
     def n_components(self) -> int:
@@ -217,7 +217,7 @@ def default_truth() -> SimTruth:
     return SimTruth(grid, mean, phi, eigenvalues)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Replicate:
     """One generated dataset with its generating quantities.
 
@@ -367,7 +367,7 @@ class ReplicateMetrics:
 class SimReport:
     """Study outcome: the truth, the seed and the per-replicate metrics; the aggregates derive from them."""
 
-    truth: SimTruth = field(compare=False)  # its arrays have no ==; reports compare by seed and replicates
+    truth: SimTruth = field(compare=False)  # a truth is equal only to itself; reports compare by seed and replicates
     seed: int
     replicates: tuple[ReplicateMetrics, ...]
 
@@ -453,9 +453,7 @@ def _run_one_replicate(truth: SimTruth, seed: int, index: int) -> ReplicateMetri
     try:
         search = search_interval(rep.panel, DEFAULT_WINDOW_LENGTHS)
         estimates = estimate_alphas(rep.panel, search.best_window)
-        warpset = compute_warp_set(
-            rep.panel, estimates, window_start_month=rep.panel.grid.start_month, t0_month=search.best_window[1]
-        )
+        warpset = compute_warp_set(rep.panel, estimates)
         # Up to two components, fewer than the series; a replicate scores those the truth also has.
         model = fit_fpca(warpset, k=min(2, truth.n - 1))
         n_scored = min(truth.n_components, model.n_retained)

@@ -130,7 +130,7 @@ def freeze_names(obj, what: str) -> tuple[str, ...]:
     return names
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Panel:
     """n series on one monthly grid, as one read-only C-contiguous n x m array.
 

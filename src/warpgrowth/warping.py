@@ -1,9 +1,9 @@
 """Recovery of nonmonotone time-warping functions and the identity-anchor check.
 
 Given a growth rate ``alpha`` and a trajectory that is anchored at the
-start of the analysis window, the warping function is the rescaled
-log-ratio ``h(t) = log(X(t) / X(0)) / alpha``. Time is normalized so the
-analysis window maps to [0, 1]; the rate is rescaled to the unit interval
+start of its panel, the warping function is the rescaled log-ratio
+``h(t) = log(X(t) / X(0)) / alpha``. Time is normalized so the panel's
+grid maps to [0, 1]; the rate is rescaled to the unit interval
 (per-month rate times elapsed months) so that exact exponential growth
 yields the identity warp ``h(t) = t``. Warps are not required to be
 monotone: decreasing stretches mean prices have retreated to the level of
@@ -11,8 +11,9 @@ an earlier date, and values outside [0, 1] are kept as-is.
 
 The model anchors each warp on steady growth: ``h(t) = t`` on the
 undisturbed interval ``[0, t0]``, which is what makes the warp
-identifiable. :func:`identity_deviation` measures how far each warp is
-from that anchor.
+identifiable. :func:`compute_warp_set` alone sets that interval: from
+the panel's first month to the fitted window's end.
+:func:`identity_deviation` measures how far each warp is from the anchor.
 
 A :class:`WarpSet` holds the n x m warp array and the column of its
 window's t0; the rates that produced the warps stay in the fits.
@@ -34,7 +35,7 @@ from .growthfit import WindowFits
 from .timeseries import Panel, TimeGrid, freeze_fields, freeze_names
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WarpSet:
     """n warping functions on the unit points of one grid, as a read-only array.
 
@@ -70,21 +71,22 @@ class WarpSet:
 def compute_warp_set(
     panel: Panel,
     fits: WindowFits,
+    *,
     window_start_month: int | None = None,
     t0_month: int | None = None,
 ) -> WarpSet:
     """Warping functions of every panel series, in panel order, in one array pass.
 
-    The analysis window runs from ``window_start_month`` (default: grid
-    start) to the grid end and maps affinely to [0, 1]. Row ``i`` is
-    ``h_i = (log X_i - log X_i(start)) / (alpha_i * elapsed_months)`` at the
-    rate of the fit named like series ``i``, so exact exponential growth at
-    rate ``alpha_i`` gives ``h_i(t) = t``. The column of ``t0_month``
-    (default: the window start) is the warp set's ``t0_index``; GridError
-    if it is off the analysis window, as for a window start, or if the
-    window has a single point. SchemaError if a series has no fit,
-    RateError unless every rate is positive and every warp finite (a rate
-    such as 1e-320 overflows it), MissingDataError for a gap on the window.
+    The warps span the panel's whole grid, mapped affinely to [0, 1]. Row
+    ``i`` is ``h_i = (log X_i - log X_i(start)) / (alpha_i * elapsed_months)``
+    at the rate of the fit named like series ``i``, so exact exponential
+    growth at rate ``alpha_i`` gives ``h_i(t) = t``. ``t0_index`` is the
+    column of the fit window's end ``fits.window[1]``: the undisturbed
+    interval runs from the panel start to there. GridError if that month is
+    off the grid, SchemaError if a series has no fit, RateError unless every
+    rate is positive and every warp finite (a rate such as 1e-320 overflows
+    it), MissingDataError for a gap. ``window_start_month`` and ``t0_month``
+    are kept only for the benchmark harness, which passes the values above.
     """
     alpha = fits.align(panel.names).alpha
     bad = np.flatnonzero(~(alpha > 0))
@@ -96,7 +98,7 @@ def compute_warp_set(
     hi = grid.n_points - 1
     sub = TimeGrid(start, hi - lo + 1)
     panel.check_complete(lo, hi)
-    t0 = 0 if t0_month is None else sub.index_of(t0_month)
+    t0 = sub.index_of(fits.window[1] if t0_month is None else t0_month)
     logs = np.log(panel.values[:, lo:])
     with np.errstate(over="ignore"):
         h = (logs - logs[:, :1]) / (alpha * sub.elapsed_months)[:, None]

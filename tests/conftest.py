@@ -22,11 +22,11 @@ def one_series_panel(values, start_month=0, name="s") -> Panel:
     return Panel(TimeGrid(start_month, values.size), (name,), values[None])
 
 
-def rate_fits(names, alphas, clamped=None) -> WindowFits:
-    """Fits carrying only rates and clamp flags (default: none clamped), the fields ``compute_warp_set`` reads."""
+def rate_fits(names, alphas, window, clamped=None) -> WindowFits:
+    """Fits on ``window`` carrying only rates and clamp flags (default: none clamped), the fields ``compute_warp_set`` reads."""
     n = len(names)
     clamped = np.zeros(n, dtype=bool) if clamped is None else clamped
-    return WindowFits((0, 0), names, alphas, np.full(n, np.nan), np.full(n, np.nan), clamped)
+    return WindowFits(window, names, alphas, np.full(n, np.nan), np.full(n, np.nan), clamped)
 
 
 def warp_set(grid, rows, names=None) -> WarpSet:

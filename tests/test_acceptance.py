@@ -55,7 +55,7 @@ def test_criterion_1_exact_model_recovery():
     panel = exponential_panel(alphas, n_points=176)
     result = search_interval(panel)
     estimates = estimate_alphas(panel, result.best_window)
-    warps = compute_warp_set(panel, estimates, t0_month=result.best_window[1])
+    warps = compute_warp_set(panel, estimates)
     rel_err = np.abs(estimates.alpha - alphas) / alphas
     t = warps.grid.points
     sup_err = np.abs(warps.values - t).max()
@@ -119,7 +119,7 @@ def _fitted_models_for_suite():
     rep = generate_replicate(truth, np.random.default_rng(77))
     search = search_interval(rep.panel)
     est = estimate_alphas(rep.panel, search.best_window)
-    ws2 = compute_warp_set(rep.panel, est, t0_month=search.best_window[1])
+    ws2 = compute_warp_set(rep.panel, est)
     models.append((fit_fpca(ws2, k=10), ws2))
     return models
 
@@ -233,7 +233,7 @@ def test_criterion_7_real_data_reproduction():
     assert abs(estimates.mean_alpha - 0.0075) <= 0.0002, estimates.mean_alpha
     assert abs(estimates.sd_alpha - 0.0037) <= 0.0002, estimates.sd_alpha
 
-    warps = compute_warp_set(study_panel, estimates, t0_month=result.best_window[1])
+    warps = compute_warp_set(study_panel, estimates)
     names = {n.lower(): n for n in warps.names}
     vegas = next(v for k, v in names.items() if "vegas" in k)
     portland = next(v for k, v in names.items() if "portland" in k)
@@ -312,7 +312,7 @@ def test_criterion_7_call_sequence_on_a_synthetic_panel():
     alpha = np.array([planted[name] for name in study_panel.names])
     assert np.abs(estimates.alpha / alpha - 1.0).max() < 1e-10
 
-    warps = compute_warp_set(study_panel, estimates, t0_month=result.best_window[1])
+    warps = compute_warp_set(study_panel, estimates)
     on_window = np.arange(warps.grid.n_points) <= warps.t0_index
     assert np.abs(warps.values[:, on_window] - warps.grid.points[on_window]).max() < 1e-10
     names = {n.lower(): n for n in warps.names}

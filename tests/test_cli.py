@@ -15,6 +15,7 @@ from warpgrowth.cli import _parse_fit_artifact, main
 from warpgrowth.growthfit import DEFAULT_WINDOW_LENGTHS, estimate_alphas, search_interval
 from warpgrowth.simulate import SimTruth, default_truth, generate_replicate, save_truth
 from warpgrowth.timeseries import Panel, TimeGrid, month_label, parse_panel, restrict, serialize_panel
+from warpgrowth.warping import compute_warp_set, identity_deviation, warps_to_csv
 
 from conftest import MALFORMED_UNIT_TABLES, edit_table, exponential_panel
 
@@ -505,11 +506,12 @@ class TestSimulateCommand:
     def test_requires_truth_choice(self, tmp_path):
         assert main(["simulate", "--output-dir", str(tmp_path / "o")]) == 4
 
-    def test_zero_replicates_exit_4(self, tmp_path):
+    def test_zero_replicates_exit_4(self, tmp_path, capsys):
         code = main(
             ["simulate", "--output-dir", str(tmp_path / "o"), "--default-truth", "--replicates", "0"]
         )
         assert code == 4
+        assert "configuration error: need at least 1 replicate, got 0" in capsys.readouterr().err
 
 
 def edit_fit(path, edit):
@@ -572,6 +574,20 @@ class TestDiagnoseCommand:
         assert code == 3
         assert "numerical failure: series 'm04': anchor deviation is not finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_cli_runs_the_study_estimator(self, tmp_path):
+        # This replicate's window is 146..169, after the panel's first month:
+        # the CLI's warps must still be the study's, from the panel start.
+        rep = generate_replicate(default_truth(), np.random.default_rng(0))
+        panel = write_panel(tmp_path / "panel.csv", rep.panel)
+        out = tmp_path / "out"
+        for command in ("fit", "warp", "diagnose"):
+            assert main([command, "--input", panel, "--output-dir", str(out)]) == 0
+        warps = compute_warp_set(rep.panel, estimate_alphas(rep.panel, search_interval(rep.panel).best_window))
+        assert (out / "warps.csv").read_bytes() == warps_to_csv(warps).encode()
+        assert anchor_deviations(out) == identity_deviation(warps).tolist()
+        summary = json.loads((out / "diagnostics_summary.json").read_text())
+        assert summary["anchor_window"] == {"start": 144, "end": 169}
 
     @pytest.mark.parametrize("command", ["warp", "diagnose"])
     @pytest.mark.parametrize(

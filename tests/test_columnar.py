@@ -32,12 +32,11 @@ def panels(draw, gap_share=0.0):
 
 
 def warp_set_of(panel, rng, draw):
-    """Warps of ``panel`` at random rates, from a random start with at least 5 points."""
+    """Warps of ``panel`` at random rates fitted on a random window, whose end sets t0."""
     grid = panel.grid
-    start = grid.start_month + draw(st.integers(min_value=0, max_value=grid.n_points - 5))
-    t0 = draw(st.one_of(st.none(), st.integers(min_value=start, max_value=grid.end_month)))
-    fits = rate_fits(panel.names, rng.uniform(1e-4, 0.05, panel.n_series))
-    return compute_warp_set(panel, fits, start, t0), fits, start, t0
+    end = draw(st.integers(min_value=grid.start_month, max_value=grid.end_month))
+    fits = rate_fits(panel.names, rng.uniform(1e-4, 0.05, panel.n_series), (grid.start_month, end))
+    return compute_warp_set(panel, fits), fits
 
 
 def row_of(panel, i):
@@ -55,10 +54,10 @@ class TestBatchedEqualsOneRow:
     @given(drawn=panels(), data=st.data())
     def test_warp_set_rows_are_one_row_warp_sets(self, drawn, data):
         panel, rng = drawn
-        warps, fits, start, t0 = warp_set_of(panel, rng, data.draw)
+        warps, fits = warp_set_of(panel, rng, data.draw)
         assert warps.names == panel.names
         for i in range(panel.n_series):
-            one = compute_warp_set(row_of(panel, i), fits, start, t0)
+            one = compute_warp_set(row_of(panel, i), fits)
             assert (one.grid, one.t0_index) == (warps.grid, warps.t0_index)
             assert one.values[0].tobytes() == warps.values[i].tobytes()
 

@@ -446,9 +446,7 @@ def fit_chain(panel):
     """
     search = search_interval(panel, DEFAULT_WINDOW_LENGTHS)
     estimates = estimate_alphas(panel, search.best_window)
-    warps = compute_warp_set(
-        panel, estimates, window_start_month=panel.grid.start_month, t0_month=search.best_window[1]
-    )
+    warps = compute_warp_set(panel, estimates)
     rates = dict(zip(estimates.names, estimates.alpha.tolist()))
     model = fit_fpca(warps, k=max(2, min(TRUTH.n_components, TRUTH.n - 1)))
     return search, rates, dict(zip(warps.names, warps.values)), model

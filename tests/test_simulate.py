@@ -28,6 +28,7 @@ from warpgrowth.simulate import (
 from warpgrowth.simulate import _CHUNK, _spline_coefficients, _spline_values
 from warpgrowth.timeseries import TimeGrid
 
+from conftest import exponential_panel, rate_fits, warp_set
 from oracles import generate_replicate_per_candidate
 
 
@@ -93,6 +94,33 @@ class TestSimTruthValidation:
             identity_truth(alpha_range=(0.0, 0.01))
         with pytest.raises(ConfigError):
             identity_truth(x0_range=(100.0, 85.0))
+
+    def test_arrays_are_read_only(self):
+        truth = default_truth()
+        for key in ("mean", "eigenfunctions", "eigenvalues"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(truth, key)[0] = 5.0
+        with pytest.raises(ConfigError, match=r"^mean has shape \(49,\), grid has 50 points$"):
+            SimTruth(TimeGrid(144, 50), np.zeros(49), np.ones((1, 50)), np.array([0.01]))
+
+
+#: Records that hold arrays, each built afresh by a call, equal field by field from call to call.
+ARRAY_RECORDS = [
+    pytest.param(lambda: exponential_panel([0.01, 0.02], n_points=12), id="Panel"),
+    pytest.param(lambda: rate_fits(("a", "b"), [0.01, 0.02], (144, 155)), id="WindowFits"),
+    pytest.param(lambda: warp_set(TimeGrid(0, 5), np.ones((2, 5))), id="WarpSet"),
+    pytest.param(lambda: fit_fpca(warp_set(TimeGrid(0, 5), [[0, 1, 2, 3, 4], [0, 2, 2, 2, 4]]), k=1), id="FpcaModel"),
+    pytest.param(default_truth, id="SimTruth"),
+    pytest.param(lambda: generate_replicate(default_truth(), np.random.default_rng(0)), id="Replicate"),
+]
+
+
+@pytest.mark.parametrize("build", ARRAY_RECORDS)
+def test_array_records_compare_by_identity(build):
+    # Field-wise == on arrays raises ValueError; such a record equals only itself.
+    record, twin = build(), build()
+    assert (record == twin) is False and (record != twin) is True
+    assert (record == record) is True
 
 
 class TestBumpSpline:
@@ -286,7 +314,7 @@ class TestRunStudy:
         assert r1.replicates_to_csv() == r2.replicates_to_csv()
 
     def test_reports_of_equal_runs_compare_equal(self):
-        # Each run builds its own truth, whose arrays have no ==; reports compare by seed and replicates.
+        # Each run builds its own truth, equal only to itself; reports compare by seed and replicates.
         assert run_study(default_truth(), 2, seed=7) == run_study(default_truth(), 2, seed=7)
 
     def test_threads_do_not_change_results(self):

@@ -373,7 +373,7 @@ class TestPanelInvariants:
 
     @pytest.mark.parametrize("record, what", [
         (lambda names: Panel(TimeGrid(1, 2), names, np.ones((3, 2))), "panel"),
-        (lambda names: rate_fits(names, np.ones(3)), "fits"),
+        (lambda names: rate_fits(names, np.ones(3), (1, 2)), "fits"),
         (lambda names: warp_set(TimeGrid(0, 2), np.ones((3, 2)), names), "warp set"),
     ])
     def test_every_record_lists_repeated_names(self, record, what):

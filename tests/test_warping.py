@@ -22,10 +22,11 @@ from warpgrowth.warping import (
 from conftest import MALFORMED_UNIT_TABLES, edit_table, exponential_panel, one_series_panel, rate_fits
 
 
-def warp_of(values, alpha, start_month=0, window_start_month=None, t0_month=None):
-    """The warp set of one series from ``start_month`` at rate ``alpha``."""
+def warp_of(values, alpha, start_month=0, window=None, window_start_month=None):
+    """The warp set of one series from ``start_month`` at rate ``alpha`` fitted on ``window`` (default: all of it)."""
     panel = one_series_panel(values, start_month)
-    return compute_warp_set(panel, rate_fits(panel.names, [alpha]), window_start_month, t0_month)
+    fits = rate_fits(panel.names, [alpha], window or (panel.grid.start_month, panel.grid.end_month))
+    return compute_warp_set(panel, fits, window_start_month=window_start_month)
 
 
 class TestComputeWarp:
@@ -76,7 +77,7 @@ class TestComputeWarp:
 
     def test_overflowing_warp_names_the_series(self):
         panel = exponential_panel([0.01, 0.02, 0.03], n_points=60, names=["a", "b", "c"])
-        fits = rate_fits(panel.names, [0.01, 1e-320, 0.03])
+        fits = rate_fits(panel.names, [0.01, 1e-320, 0.03], (144, 167))
         with np.errstate(all="raise"), pytest.raises(RateError, match="series 'b'"):
             compute_warp_set(panel, fits)
 
@@ -87,32 +88,33 @@ class TestComputeWarp:
 
     def test_t0_index_recorded(self):
         s = baseline_growth(0.01, 90.0, TimeGrid(144, 176))
-        w = warp_of(s.values[0], 0.01, 144, t0_month=167)
+        w = warp_of(s.values[0], 0.01, 144, window=(144, 167))
         assert w.t0_index == 23
         assert w.grid.points[w.t0_index] == pytest.approx(23.0 / 175.0, abs=1e-15)
 
     def test_identity_deviation_exact_model(self):
         s = baseline_growth(0.0075, 100.0, TimeGrid(144, 176))
-        w = warp_of(s.values[0], 0.0075, 144, t0_month=167)
+        w = warp_of(s.values[0], 0.0075, 144, window=(144, 167))
         assert identity_deviation(w)[0] < 1e-10
 
     def test_anchor_mean_covers_every_month_of_the_window(self):
-        # Warps that start at the window start, as the CLI's do, with t0 at the
-        # window end: over all 411 windows of lengths 24, 36 and 60 on a
-        # 176-month grid, the mean must take every month of the window, bit for
-        # bit as a mean masked by month index. A t0 of end / elapsed months can
-        # land one ulp below the grid point and drop the last month.
+        # Warps from the panel start with t0 at the fitted window's end, as the
+        # CLI and the study build them: over all 411 windows of lengths 24, 36
+        # and 60 on a 176-month grid, the mean must take every month up to the
+        # window end, bit for bit as a mean masked by month index. A t0 of
+        # end / elapsed months can land one ulp below the grid point and drop
+        # the last month.
         rng = np.random.default_rng(3)
         panel = exponential_panel([0.004, 0.008, 0.012])
         panel = Panel(panel.grid, panel.names, panel.values * np.exp(0.01 * rng.standard_normal((3, 176))))
-        fits = rate_fits(panel.names, [0.004, 0.008, 0.012])
         windows, short = 0, []
         for length in (24, 36, 60):
             for start in range(144, 144 + 176 - length + 1):
-                warps = compute_warp_set(panel, fits, start, start + length - 1)
+                end = start + length - 1
+                warps = compute_warp_set(panel, rate_fits(panel.names, [0.004, 0.008, 0.012], (start, end)))
                 t = warps.grid.points
-                kept = np.arange(t.size) < length
-                expected = np.where(kept, np.abs(warps.values - t), 0.0).sum(axis=1) / length
+                kept = np.arange(t.size) <= end - 144
+                expected = np.where(kept, np.abs(warps.values - t), 0.0).sum(axis=1) / (end - 143)
                 windows += 1
                 if identity_deviation(warps).tobytes() != expected.tobytes():
                     short.append((start, length))
@@ -137,15 +139,16 @@ class TestComputeWarp:
         # On a 60-month panel from month 144, these t0 would sit at 4.34 (past
         # the grid) or -0.61 (before the window start) on the unit interval.
         panel = exponential_panel([0.01, 0.02], n_points=60)
-        fits = rate_fits(panel.names, [0.01, 0.03])
+        fits = rate_fits(panel.names, [0.01, 0.03], (144, t0))
         with pytest.raises(GridError, match=f"month {t0} "):
-            compute_warp_set(panel, fits, window_start, t0)
+            compute_warp_set(panel, fits, window_start_month=window_start)
 
     def test_one_point_window_is_grid_error(self):
         # A window starting at the last month leaves one point, which no TimeGrid holds.
         panel = exponential_panel([0.01, 0.02], n_points=60)
+        fits = rate_fits(panel.names, [0.01, 0.02], (144, 167))
         with pytest.raises(GridError, match="at least 2 points, got 1"):
-            compute_warp_set(panel, rate_fits(panel.names, [0.01, 0.02]), panel.grid.end_month)
+            compute_warp_set(panel, fits, window_start_month=panel.grid.end_month)
 
     def test_identity_deviation_overflow_names_the_series(self):
         # Each warp value is finite, but the sum over the anchor interval overflows for row 'b'.
@@ -189,13 +192,13 @@ class TestWarpSetPipeline:
         panel = Panel(TimeGrid(0, 40), ("up", "down"), [100.0 * np.exp(0.01 * t), 100.0 * np.exp(-0.01 * t)])
         est = estimate_alphas(panel, (0, 23))
         assert est.clamped.tolist() == [False, True]
-        ws = compute_warp_set(panel, est, t0_month=23)
+        ws = compute_warp_set(panel, est)
         assert ws.names == panel.names and np.isfinite(ws.values).all()
 
     def test_csv_round_trip(self):
         panel = exponential_panel([0.004, 0.009, 0.013], n_points=40)
         est = estimate_alphas(panel, (panel.grid.start_month, panel.grid.start_month + 23))
-        ws = compute_warp_set(panel, est, t0_month=panel.grid.start_month + 23)
+        ws = compute_warp_set(panel, est)
         again = warps_from_csv(warps_to_csv(ws))
         assert again.names == ws.names
         assert np.array_equal(again.values, ws.values)
@@ -267,6 +270,6 @@ class TestPipelineIdentityAnchor:
         panel = exponential_panel([0.003 + 0.015 * i / 19 for i in range(20)], n_points=176)
         res = search_interval(panel)
         est = estimate_alphas(panel, res.best_window)
-        ws = compute_warp_set(panel, est, t0_month=res.best_window[1])
+        ws = compute_warp_set(panel, est)
         assert np.abs(ws.values - ws.grid.points).max() < 1e-10
         assert identity_deviation(ws).max() < 1e-10

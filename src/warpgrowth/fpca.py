@@ -40,7 +40,7 @@ from .errors import (
     SampleSizeError,
 )
 from .quadrature import trapezoid_weights
-from .timeseries import TimeGrid
+from .timeseries import TimeGrid, freeze_fields
 from .warping import WarpSet
 
 #: Cumulative variance-explained threshold used when no explicit component
@@ -52,7 +52,7 @@ DEFAULT_GAMMAS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 @dataclass(frozen=True, eq=False)
 class FpcaModel:
-    """Fitted FPCA model.
+    """Fitted FPCA model, as read-only arrays.
 
     ``eigenvalues`` holds the full spectrum in nonincreasing order with
     tiny negatives floored at zero; ``eigenfunctions`` holds the retained
@@ -69,6 +69,12 @@ class FpcaModel:
     scores: np.ndarray
     score_names: tuple[str, ...]
     out_of_sample: np.ndarray
+
+    def __post_init__(self):
+        n, k, m = len(self.score_names), len(self.eigenfunctions), self.grid.n_points
+        fields = (("mean", float, (m,)), ("eigenvalues", float, (m,)), ("eigenfunctions", float, (k, m)))
+        fields += (("scores", float, (n, k)), ("out_of_sample", bool, (n,)))
+        freeze_fields(self, fields, f"FPCA model of {n} series on {m} points")
 
     @property
     def weights(self) -> np.ndarray:
@@ -189,8 +195,10 @@ def _spectrum(vals: np.ndarray, vecs: np.ndarray, m: int) -> tuple[np.ndarray, n
     spectrum with zeros to length ``m``, maps the vectors to functions
     ``phi_k = W^{-1/2} v_k`` of unit quadrature norm and applies the sign
     rule: nonnegative quadrature integral, exact ties broken by a
-    nonnegative value at the right endpoint.
+    nonnegative value at the right endpoint; NumericalError for an eigenvalue that is not finite.
     """
+    if not np.isfinite(vals).all():
+        raise NumericalError("the covariance spectrum is not finite (the warps are too large)")
     floor = 1e-10 * max(float(vals[0]), 0.0)
     vals = np.where((vals < 0.0) & (vals >= -floor), 0.0, vals)
     vals = np.concatenate([vals, np.zeros(m - vals.shape[0])])
@@ -228,8 +236,8 @@ def _scores(h: np.ndarray, mu: np.ndarray, phi: np.ndarray) -> np.ndarray:
 def project_scores(warps: WarpSet, model: FpcaModel) -> np.ndarray:
     """Project warps onto the model: ``s_ik = <h_i - mu, phi_k>``.
 
-    Works for in-sample and held-out series alike; each row depends only on
-    its own warp. Rows follow the warp-set order.
+    Works for in-sample and held-out series alike. Rows follow the warp-set order, and agree with
+    one-row projections only to rounding (bit-for-bit row independence is ROADMAP.md item 11).
 
     Raises
     ------
@@ -285,11 +293,12 @@ def fit_fpca(
     if h.shape[0] < 2:
         raise SampleSizeError(f"need at least 2 series after exclusion, got {h.shape[0]}")
 
-    mu = h.mean(axis=0)
-    if h.shape[0] < h.shape[1]:
-        vals, phi = _sample_spectrum(h, mu)
-    else:
-        vals, phi = eigendecompose(_covariance(h), warps.grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # _solve or _spectrum rejects the inf or NaN left
+        mu = h.mean(axis=0)
+        if h.shape[0] < h.shape[1]:
+            vals, phi = _sample_spectrum(h, mu)
+        else:
+            vals, phi = eigendecompose(_covariance(h), warps.grid)
 
     if k is None:
         reached = np.flatnonzero(np.cumsum(_shares(vals)) >= var_threshold - 1e-15)

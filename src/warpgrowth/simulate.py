@@ -39,7 +39,7 @@ from .errors import ConfigError, WarpGrowthError
 from .fpca import _covariance, _spectrum, eigendecompose, fit_fpca
 from .growthfit import DEFAULT_WINDOW_LENGTHS, estimate_alphas, search_interval
 from .quadrature import trapezoid_weights
-from .timeseries import Panel, TimeGrid
+from .timeseries import Panel, TimeGrid, freeze_fields
 from .warping import compute_warp_set
 
 #: Default simulation grid: December 1998 through July 2013 in month
@@ -94,9 +94,7 @@ class SimTruth:
     cap: float = 300.0
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        phi = np.asarray(self.eigenfunctions, dtype=float)
-        lam = np.asarray(self.eigenvalues, dtype=float)
+        mean, phi, lam = (np.asarray(a, dtype=float) for a in (self.mean, self.eigenfunctions, self.eigenvalues))
         m = self.grid.n_points
         if mean.shape != (m,):
             raise ConfigError(f"mean has shape {mean.shape}, grid has {m} points")
@@ -122,9 +120,8 @@ class SimTruth:
             raise ConfigError(f"invalid alpha range {self.alpha_range}")
         if not self.cap > 0:
             raise ConfigError(f"cap must be positive, got {self.cap}")
-        for key, a in (("mean", mean), ("eigenfunctions", phi), ("eigenvalues", lam)):
-            a.setflags(write=False)
-            object.__setattr__(self, key, a)
+        fields = (("mean", float, mean.shape), ("eigenfunctions", float, phi.shape), ("eigenvalues", float, lam.shape))
+        freeze_fields(self, fields, "truth")
 
     @property
     def n_components(self) -> int:
@@ -219,7 +216,7 @@ def default_truth() -> SimTruth:
 
 @dataclass(frozen=True, eq=False)
 class Replicate:
-    """One generated dataset with its generating quantities.
+    """One generated dataset with its generating quantities, as read-only arrays.
 
     ``warps`` holds the anchored normalized truth ``h_i - h_i(0)`` that the
     estimation pipeline targets; ``scores`` are the standard normal draws.
@@ -232,6 +229,11 @@ class Replicate:
     warps: np.ndarray
     scores: np.ndarray
     attempts: int
+
+    def __post_init__(self):
+        n, m = self.panel.values.shape
+        fields = (("alphas", float, (n,)), ("warps", float, (n, m)), ("scores", float, (n, np.shape(self.scores)[-1])))
+        freeze_fields(self, fields, f"replicate of {n} series")
 
 
 #: Candidates drawn and scored per step of :func:`generate_replicate`.
@@ -645,12 +647,12 @@ def load_truth(manifest_path: str | Path) -> SimTruth:
     if unknown:
         raise ConfigError(f"truth manifest: unknown keys {unknown}; the known keys are {list(known)}")
     base = manifest_path.parent
-    mean = read_file(base / get("mean_csv", str), read_unit_table, 2)[1][:, 1].copy()
+    mean = read_file(base / get("mean_csv", str), read_unit_table, 2)[1][:, 1]
     # One component per row, laid out like default_truth's eigenfunctions.
-    phi = read_file(base / get("eigenfunctions_csv", str), read_unit_table, 1 + len(eigenvalues))[1][:, 1:].copy().T
+    phi = read_file(base / get("eigenfunctions_csv", str), read_unit_table, 1 + len(eigenvalues))[1][:, 1:].T
     # An optional field the manifest leaves out keeps SimTruth's default.
     given = {}
     for key, kind in optional.items():
         if key in manifest:
             given[key] = tuple(get(key, kind)) if kind == [float] else get(key, kind)
-    return SimTruth(TimeGrid(t0, t1 - t0 + 1), mean, phi, np.array(eigenvalues, dtype=float), **given)
+    return SimTruth(TimeGrid(t0, t1 - t0 + 1), mean, phi, eigenvalues, **given)

@@ -111,10 +111,10 @@ def _first_bad_level(values: np.ndarray, missing: np.ndarray) -> tuple[int, int,
 
 
 def freeze_fields(obj, fields, what: str) -> None:
-    """Store each ``(key, dtype, shape)`` field of the frozen dataclass ``obj`` as a read-only
-    C-contiguous array; GridError naming ``what`` for a field not of its ``shape``."""
+    """Store each ``(key, dtype, shape)`` field of the frozen dataclass ``obj`` as its own read-only C-contiguous copy,
+    so no record aliases or freezes its caller's array; GridError naming ``what`` for a field not of its ``shape``."""
     for key, dtype, shape in fields:
-        a = np.ascontiguousarray(getattr(obj, key), dtype=dtype)
+        a = np.array(getattr(obj, key), dtype=dtype, order="C")
         if a.shape != shape:
             raise GridError(f"{what}: {key} is {a.shape}, not {shape}")
         a.setflags(write=False)

@@ -77,31 +77,31 @@ def compute_warp_set(
 ) -> WarpSet:
     """Warping functions of every panel series, in panel order, in one array pass.
 
-    The warps span the panel's whole grid, mapped affinely to [0, 1]. Row
-    ``i`` is ``h_i = (log X_i - log X_i(start)) / (alpha_i * elapsed_months)``
-    at the rate of the fit named like series ``i``, so exact exponential
-    growth at rate ``alpha_i`` gives ``h_i(t) = t``. ``t0_index`` is the
-    column of the fit window's end ``fits.window[1]``: the undisturbed
-    interval runs from the panel start to there. GridError if that month is
-    off the grid, SchemaError if a series has no fit, RateError unless every
-    rate is positive and every warp finite (a rate such as 1e-320 overflows
-    it), MissingDataError for a gap. ``window_start_month`` and ``t0_month``
-    are kept only for the benchmark harness, which passes the values above.
+    The warps span the panel's whole grid, mapped affinely to [0, 1]. Row ``i`` is
+    ``h_i = (log X_i - log X_i(start)) / (alpha_i * elapsed_months)`` at the rate of the fit named
+    like series ``i``, so exact exponential growth at rate ``alpha_i`` gives ``h_i(t) = t``.
+    ``t0_index`` is the column of the fit window's end ``fits.window[1]``: the undisturbed interval
+    runs from the panel start to there. GridError if that month is off the grid, SchemaError if a
+    series has no fit, RateError unless every rate is positive, every ``alpha_i * elapsed_months``
+    finite (1e308 is not: it would give an all-zero warp) and every warp finite (a rate such as
+    1e-320 overflows it), MissingDataError for a gap. ``window_start_month`` and ``t0_month`` are
+    kept only for the benchmark harness, which passes the values above.
     """
     alpha = fits.align(panel.names).alpha
-    bad = np.flatnonzero(~(alpha > 0))
-    if bad.size:
-        raise RateError(f"series {panel.names[bad[0]]!r}: alpha must be positive, got {alpha[bad[0]]}")
     grid = panel.grid
     start = grid.start_month if window_start_month is None else window_start_month
     lo = grid.index_of(start)
-    hi = grid.n_points - 1
-    sub = TimeGrid(start, hi - lo + 1)
-    panel.check_complete(lo, hi)
+    sub = TimeGrid(start, grid.n_points - lo)
+    with np.errstate(over="ignore"):
+        rate = alpha * sub.elapsed_months
+    bad = np.flatnonzero(~((rate > 0) & (rate < np.inf)))
+    if bad.size:
+        raise RateError(f"series {panel.names[bad[0]]!r}: alpha {alpha[bad[0]]} is not positive or too large to scale")
+    panel.check_complete(lo, grid.n_points - 1)
     t0 = sub.index_of(fits.window[1] if t0_month is None else t0_month)
     logs = np.log(panel.values[:, lo:])
     with np.errstate(over="ignore"):
-        h = (logs - logs[:, :1]) / (alpha * sub.elapsed_months)[:, None]
+        h = (logs - logs[:, :1]) / rate[:, None]
     bad = np.flatnonzero(~np.isfinite(h).all(axis=1))
     if bad.size:
         i = bad[0]

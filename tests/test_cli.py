@@ -177,6 +177,15 @@ class TestWarpCommand:
         assert "series 'b'" in capsys.readouterr().err
         assert not (out / "warps.csv").exists() and not (out / "setbacks.csv").exists()
 
+    @pytest.mark.parametrize("alpha", [float("inf"), 1e308])
+    def test_overflowing_fit_rate_exits_3_naming_the_series(self, chain, exp_csv, capsys, alpha):
+        edit_fit(chain / "fit.json", lambda artifact: artifact["alpha_estimates"]["per_series"][1].update(alpha=alpha))
+        out = chain.parent / "again"
+        with np.errstate(all="raise"):
+            assert main(["warp", "--input", exp_csv, "--output-dir", str(out), "--fit", str(chain / "fit.json")]) == 3
+        assert "numerical failure: series 'm02'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFpcaCommand:
     def _warp_csv(self, tmp_path, rows, names):
@@ -327,6 +336,16 @@ class TestFpcaCommand:
             assert main(argv) == 0
             assert json.loads((out / "fpca_model.json").read_text())["n_sample"] == n_sample
             assert [(out / name).exists() for name in optional] == [n_sample == 20] * 2
+
+    def test_overflowing_spectrum_exits_3_without_a_model(self, tmp_path, capsys):
+        # One warp near 1e297 (what warp writes for a rate of 1e-300) squares past the float range.
+        rows = np.tile(np.linspace(0, 1, 176), (20, 1)) + 0.01 * np.random.default_rng(3).standard_normal((20, 176))
+        rows[3] *= 1e297
+        path = self._warp_csv(tmp_path, rows, [f"s{i:02d}" for i in range(20)])
+        out = tmp_path / "out"
+        assert main(["fpca", "--input", path, "--output-dir", str(out)]) == 3
+        assert "the covariance spectrum is not finite" in capsys.readouterr().err
+        assert not (out / "fpca_model.json").exists()
 
     def test_bad_threshold_exit_4(self, tmp_path):
         t = np.linspace(0, 1, 10)

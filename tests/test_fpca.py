@@ -360,6 +360,14 @@ class TestSampleSpectrum:
         assert np.abs(gram - np.eye(15)).max() < 1e-10
         assert np.all(model.scores == 0.0)
 
+    @pytest.mark.parametrize("n", [20, 200], ids=["svd", "eigh"])
+    def test_overflowing_spectrum_is_a_numerical_error(self, n):
+        # Tier-1 turns any RuntimeWarning into an error, so neither path may warn on the way.
+        rows = np.random.default_rng(5).standard_normal((n, 176))
+        rows[3] *= 1e297
+        with pytest.raises(NumericalError, match="not finite|non-finite"):
+            fit_fpca(make_warpset(rows))
+
     def test_in_sample_scores_equal_projection(self):
         ws = smooth_sample(n=10, seed=12)
         model = fit_fpca(ws, exclude=("w02",), k=3)

@@ -10,9 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from warpgrowth.errors import ConfigError, NumericalError
-from warpgrowth.fpca import fit_fpca
+from warpgrowth.fpca import FpcaModel, fit_fpca
+from warpgrowth.growthfit import WindowFits
 from warpgrowth.quadrature import trapezoid_weights
 from warpgrowth.simulate import (
+    Replicate,
     SimReport,
     SimTruth,
     averaged_relative_squared_error,
@@ -26,7 +28,8 @@ from warpgrowth.simulate import (
     sign_aligned_sq_error,
 )
 from warpgrowth.simulate import _CHUNK, _spline_coefficients, _spline_values
-from warpgrowth.timeseries import TimeGrid
+from warpgrowth.timeseries import Panel, TimeGrid
+from warpgrowth.warping import WarpSet
 
 from conftest import exponential_panel, rate_fits, warp_set
 from oracles import generate_replicate_per_candidate
@@ -115,12 +118,68 @@ ARRAY_RECORDS = [
 ]
 
 
+def array_fields(record) -> dict:
+    """The record's array fields, by name."""
+    fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    return {key: a for key, a in fields.items() if isinstance(a, np.ndarray)}
+
+
 @pytest.mark.parametrize("build", ARRAY_RECORDS)
 def test_array_records_compare_by_identity(build):
     # Field-wise == on arrays raises ValueError; such a record equals only itself.
     record, twin = build(), build()
     assert (record == twin) is False and (record != twin) is True
     assert (record == record) is True
+    assert not any(a.flags.writeable for a in array_fields(record).values())
+
+
+GRID = TimeGrid(0, 5)
+
+#: Each array record as ``(build, inputs)``: ``build`` makes it from the dict of
+#: C-contiguous arrays that ``inputs()`` returns, which the caller keeps.
+FROM_CALLER_ARRAYS = [
+    pytest.param(lambda a: Panel(GRID, ("a", "b"), a["values"]), lambda: {"values": np.full((2, 5), 2.0)}, id="Panel"),
+    pytest.param(
+        lambda a: WindowFits((0, 4), ("a", "b"), a["alpha"], a["intercept"], a["r2"], a["clamped"]),
+        lambda: {"alpha": np.full(2, 0.01), "intercept": np.zeros(2), "r2": np.ones(2), "clamped": np.zeros(2, bool)},
+        id="WindowFits",
+    ),
+    pytest.param(lambda a: WarpSet(GRID, ("a", "b"), a["values"]), lambda: {"values": np.ones((2, 5))}, id="WarpSet"),
+    pytest.param(
+        lambda a: FpcaModel(GRID, a["mean"], a["vals"], a["phi"], a["scores"], ("a", "b"), a["held"]),
+        lambda: {
+            "mean": np.zeros(5),
+            "vals": np.zeros(5),
+            "phi": np.ones((1, 5)),
+            "scores": np.zeros((2, 1)),
+            "held": np.zeros(2, bool),
+        },
+        id="FpcaModel",
+    ),
+    pytest.param(
+        lambda a: SimTruth(GRID, a["mean"], a["phi"], a["vals"]),
+        lambda: {"mean": np.linspace(0.0, 1.0, 5), "phi": np.ones((1, 5)), "vals": np.array([0.01])},
+        id="SimTruth",
+    ),
+    pytest.param(
+        lambda a: Replicate(Panel(GRID, ("a", "b"), a["values"]), a["alphas"], a["warps"], a["scores"], 2),
+        lambda: {"values": np.full((2, 5), 2.0), "alphas": np.ones(2), "warps": np.ones((2, 5)), "scores": np.ones((2, 1))},
+        id="Replicate",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, inputs", FROM_CALLER_ARRAYS)
+def test_records_keep_their_own_read_only_copies(build, inputs):
+    held = inputs()
+    record = build(held)
+    assert all(a.flags.writeable for a in held.values())
+    stored = {key: a.copy() for key, a in array_fields(record).items()}
+    for a in held.values():
+        a[...] = ~a if a.dtype == bool else 7.0
+    for key, a in array_fields(record).items():
+        assert np.array_equal(a, stored[key])
+        assert not a.flags.writeable and a.flags.c_contiguous
 
 
 class TestBumpSpline:

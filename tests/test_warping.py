@@ -81,6 +81,14 @@ class TestComputeWarp:
         with np.errstate(all="raise"), pytest.raises(RateError, match="series 'b'"):
             compute_warp_set(panel, fits)
 
+    @pytest.mark.parametrize("alpha", [math.inf, 1e308])
+    def test_non_finite_scaled_rate_names_the_series(self, alpha):
+        # inf, or 1e308 times 59 months, would divide every log ratio to an all-zero warp.
+        panel = exponential_panel([0.01, 0.02, 0.03], n_points=60, names=["a", "b", "c"])
+        fits = rate_fits(panel.names, [0.01, alpha, 0.03], (144, 167))
+        with np.errstate(all="raise"), pytest.raises(RateError, match="series .b.: alpha .* too large to scale"):
+            compute_warp_set(panel, fits)
+
     def test_missing_values_rejected(self):
         vals = np.array([10.0, np.nan, 10.0, 10.0, 10.0])
         with pytest.raises(MissingDataError):

@@ -218,7 +218,7 @@ def cmd_fpca(args) -> int:
     fit_path = _fit_path(args)
     if args.fit or fit_path.exists():
         fits = _table.read_file(fit_path, _parse_fit_artifact)[1]
-        rows = np.flatnonzero(~model.out_of_sample)
+        rows = sorted(np.flatnonzero(~model.out_of_sample), key=model.score_names.__getitem__)  # name order, as fit_fpca sums
         if len(rows) >= 3:
             alpha = fits.align([model.score_names[i] for i in rows]).alpha
             lines = score_rate_regression(model.scores[rows], alpha)
@@ -287,7 +287,7 @@ def cmd_simulate(args) -> int:
 def cmd_diagnose(args) -> int:
     fits, warpset = _warps_for_artifact(args)
     deviation = identity_deviation(warpset)
-    worst = int(np.argmax(deviation))
+    worst = min(range(warpset.n_series), key=lambda i: (-deviation[i], warpset.names[i]))  # a tie goes to the first name
     start, end = warpset.grid.start_month, fits.window[1]
     summary = {
         "anchor_window": {"start": start, "end": end},

@@ -129,11 +129,16 @@ def mean_function(warps: WarpSet) -> np.ndarray:
 def covariance_function(warps: WarpSet) -> np.ndarray:
     """Sample covariance surface G(s, t) with divisor n, symmetrized.
 
-    ``G(s, t) = (1/n) sum_i h_i(s) h_i(t) - mu(s) mu(t)``.
+    ``G(s, t) = (1/n) sum_i h_i(s) h_i(t) - mu(s) mu(t)``. NumericalError
+    if the surface is not finite, as when the warps' squares overflow.
     """
     if warps.n_series < 2:
         raise SampleSizeError(f"covariance needs at least 2 series, got {warps.n_series}")
-    return _covariance(_sorted_matrix(warps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _covariance(_sorted_matrix(warps))
+    if not np.isfinite(g).all():
+        raise NumericalError("the covariance surface is not finite (the warps are too large)")
+    return g
 
 
 def _covariance(h: np.ndarray) -> np.ndarray:
@@ -164,12 +169,13 @@ def eigendecompose(g: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, np.ndarra
     m = grid.n_points
     if g.shape != (m, m):
         raise GridError(f"covariance is {g.shape}, grid has {m} points")
-    scale = max(1.0, float(np.abs(g).max()))
-    if float(np.abs(g - g.T).max()) > 1e-8 * scale:
-        raise NumericalError("covariance surface is asymmetric beyond tolerance")
-    g = (g + g.T) / 2.0
-    sqrt_w = np.sqrt(trapezoid_weights(m))
-    vals, vecs = _solve(np.linalg.eigh, g * np.outer(sqrt_w, sqrt_w))
+    with np.errstate(over="ignore", invalid="ignore"):  # _solve rejects the inf or NaN left
+        scale = max(1.0, float(np.abs(g).max()))
+        if float(np.abs(g - g.T).max()) > 1e-8 * scale:
+            raise NumericalError("covariance surface is asymmetric beyond tolerance")
+        g = (g + g.T) / 2.0
+        sqrt_w = np.sqrt(trapezoid_weights(m))
+        vals, vecs = _solve(np.linalg.eigh, g * np.outer(sqrt_w, sqrt_w))
     return _spectrum(vals[::-1], vecs[:, ::-1], m)
 
 
@@ -229,15 +235,17 @@ def _sample_spectrum(h: np.ndarray, mu: np.ndarray, full: bool = False) -> tuple
 
 
 def _scores(h: np.ndarray, mu: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Quadrature projections ``s_ik = <h_i - mu, phi_k>``, one row per warp."""
-    return (h - mu) @ (phi * trapezoid_weights(h.shape[1])).T
+    """``s_ik = <h_i - mu, phi_k>`` by row sums, not a matrix product, so row ``i`` depends only on ``h_i``."""
+    centred = h - mu
+    columns = [(centred * p).sum(axis=1) for p in phi * trapezoid_weights(h.shape[1])]
+    return np.array(columns).reshape(len(phi), len(h)).T
 
 
 def project_scores(warps: WarpSet, model: FpcaModel) -> np.ndarray:
     """Project warps onto the model: ``s_ik = <h_i - mu, phi_k>``.
 
-    Works for in-sample and held-out series alike. Rows follow the warp-set order, and agree with
-    one-row projections only to rounding (bit-for-bit row independence is ROADMAP.md item 11).
+    Works for in-sample and held-out series alike. Rows follow the warp-set order, and each row
+    is bit for bit the projection of that warp alone.
 
     Raises
     ------

@@ -68,12 +68,14 @@ class WindowFits:
 
     @property
     def mean_alpha(self) -> float:
-        return float(self.alpha.mean())
+        """Cross-series mean of the rates, a ``math.fsum`` sum, so it does not depend on series order."""
+        return math.fsum(self.alpha.tolist()) / self.alpha.size
 
     @property
     def sd_alpha(self) -> float:
-        """Cross-series standard deviation of the rates, n-1 denominator; 0 for one series."""
-        return float(self.alpha.std(ddof=1)) if self.alpha.size > 1 else 0.0
+        """Cross-series standard deviation of the rates, n-1 denominator and ``math.fsum`` sums; 0 for one series."""
+        n = self.alpha.size
+        return math.sqrt(math.fsum(((self.alpha - self.mean_alpha) ** 2).tolist()) / (n - 1)) if n > 1 else 0.0
 
     def alphas(self) -> np.ndarray:
         """``alpha``; kept only for the benchmark harness."""
@@ -306,15 +308,15 @@ def estimate_alphas(panel: Panel, window: tuple[int, int]) -> WindowFits:
     Closed form: ``alpha = sum_t tau * (log X(t) - log X(start)) / sum_t tau^2``
     with ``tau`` the months elapsed since the window start, and the
     intercept pinned at ``log X(start)``. Rates below ``ALPHA_FLOOR`` are
-    raised to it and flagged ``clamped``. The fits' ``mean_alpha`` and
-    ``sd_alpha`` summarise the rates across series.
+    raised to it and flagged ``clamped``. Rate, SSE and SST are the in-order
+    :func:`_month_sum` of :func:`_free_ols`, so row ``i`` is series ``i``'s own fit.
     """
     logs = _window_logs(panel, window)
-    tau = np.arange(logs.shape[0], dtype=float)
+    tau = np.arange(logs.shape[0], dtype=float)[:, None]
     d = logs - logs[0]
-    alpha = tau @ d / float(np.sum(tau**2))
+    alpha = _month_sum(tau * d) / float(np.sum(tau**2))
     clamped = alpha < ALPHA_FLOOR
     alpha[clamped] = ALPHA_FLOOR
-    sse = np.sum((d - np.outer(tau, alpha)) ** 2, axis=0)
-    sst = np.sum((d - d.mean(axis=0)) ** 2, axis=0)
+    sse = _month_sum((d - tau * alpha) ** 2)
+    sst = _month_sum((d - _month_sum(d) / logs.shape[0]) ** 2)
     return WindowFits(window, panel.names, alpha, logs[0], _r2(sse, sst), clamped)

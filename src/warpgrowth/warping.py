@@ -83,8 +83,10 @@ def compute_warp_set(
     ``t0_index`` is the column of the fit window's end ``fits.window[1]``: the undisturbed interval
     runs from the panel start to there. GridError if that month is off the grid, SchemaError if a
     series has no fit, RateError unless every rate is positive, every ``alpha_i * elapsed_months``
-    finite (1e308 is not: it would give an all-zero warp) and every warp finite (a rate such as
-    1e-320 overflows it), MissingDataError for a gap. ``window_start_month`` and ``t0_month`` are
+    finite (1e308 is not: it would give an all-zero warp), every warp finite (a rate such as
+    1e-320 overflows it) and no nonzero warp value below ``np.finfo(float).tiny`` in magnitude
+    (a rate such as 1e306 makes it subnormal; :class:`Panel` rejects such levels too),
+    MissingDataError for a gap. ``window_start_month`` and ``t0_month`` are
     kept only for the benchmark harness, which passes the values above.
     """
     alpha = fits.align(panel.names).alpha
@@ -100,12 +102,16 @@ def compute_warp_set(
     panel.check_complete(lo, grid.n_points - 1)
     t0 = sub.index_of(fits.window[1] if t0_month is None else t0_month)
     logs = np.log(panel.values[:, lo:])
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         h = (logs - logs[:, :1]) / rate[:, None]
     bad = np.flatnonzero(~np.isfinite(h).all(axis=1))
     if bad.size:
         i = bad[0]
         raise RateError(f"series {panel.names[i]!r}: alpha {float(alpha[i])!r} is so small that its warp is not finite")
+    bad = np.flatnonzero(((h != 0.0) & (np.abs(h) < np.finfo(float).tiny)).any(axis=1))
+    if bad.size:
+        i = bad[0]
+        raise RateError(f"series {panel.names[i]!r}: alpha {float(alpha[i])!r} is so large that its warp is subnormal")
     return WarpSet(sub, panel.names, h, t0)
 
 

@@ -560,6 +560,20 @@ class TestDiagnoseCommand:
         worst = max(summary["per_series"], key=lambda row: row["anchor_deviation"])
         assert summary["worst"] == {"name": worst["name"], "anchor_deviation": worst["anchor_deviation"]}
 
+    def test_tied_worst_series_is_the_first_name_in_any_column_order(self, tmp_path):
+        rng = np.random.default_rng(0)
+        values = np.exp(np.cumsum(rng.normal(0.005, 0.03, (3, 60)), axis=1)) * 100.0
+        values[1] = values[0]
+        for names in (("a", "b", "c"), ("b", "a", "c")):
+            panel = write_panel(tmp_path / "panel.csv", Panel(TimeGrid(100, 60), names, values))
+            out = tmp_path / "-".join(names)
+            assert main(["fit", "--input", panel, "--output-dir", str(out)]) == 0
+            assert main(["diagnose", "--input", panel, "--output-dir", str(out)]) == 0
+            summary = json.loads((out / "diagnostics_summary.json").read_text())
+            deviations = {row["name"]: row["anchor_deviation"] for row in summary["per_series"]}
+            assert deviations["a"] == deviations["b"] == max(deviations.values())
+            assert summary["worst"]["name"] == "a"
+
     def test_rescaled_rates_move_every_deviation(self, tmp_path):
         # The warps come from the same panel, so the anchor is what ties them to the rates.
         rep = generate_replicate(default_truth(), np.random.default_rng(0))
@@ -607,6 +621,20 @@ class TestDiagnoseCommand:
         assert anchor_deviations(out) == identity_deviation(warps).tolist()
         summary = json.loads((out / "diagnostics_summary.json").read_text())
         assert summary["anchor_window"] == {"start": 144, "end": 169}
+
+    @pytest.mark.parametrize("command", ["warp", "diagnose"])
+    def test_rate_that_makes_the_warp_subnormal_exits_3(self, tmp_path, capsys, command):
+        # 1e306 per month times 175 months is finite, but each log ratio divided by it is subnormal.
+        rep = generate_replicate(default_truth(), np.random.default_rng(0))
+        panel = write_panel(tmp_path / "panel.csv", rep.panel)
+        fit = tmp_path / "fit"
+        assert main(["fit", "--input", panel, "--output-dir", str(fit)]) == 0
+        edit_fit(fit / "fit.json", lambda artifact: artifact["alpha_estimates"]["per_series"][0].update(alpha=1e306))
+        out = tmp_path / "out"
+        assert main([command, "--input", panel, "--output-dir", str(out), "--fit", str(fit / "fit.json")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: series 'sim01': alpha 1e+306" in err and "subnormal" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["warp", "diagnose"])
     @pytest.mark.parametrize(

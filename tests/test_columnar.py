@@ -1,9 +1,9 @@
 """Property tests of the columnar layer: batched kernels against their one-row cases.
 
-``Panel`` and ``WarpSet`` hold n x m arrays, and ``compute_warp_set``,
-``identity_deviation`` and ``restrict`` work on all rows at once. Each
-batched row must be bit-equal to the same call on a one-row panel or warp
-set of that series.
+``Panel`` and ``WarpSet`` hold n x m arrays, and ``estimate_alphas``,
+``compute_warp_set``, ``identity_deviation``, ``project_scores`` and
+``restrict`` work on all rows at once. Each batched row must be bit-equal
+to the same call on a one-row panel or warp set of that series.
 """
 
 import numpy as np
@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpgrowth.errors import EmptyPanelError
+from warpgrowth.fpca import FpcaModel, project_scores
+from warpgrowth.growthfit import estimate_alphas
 from warpgrowth.timeseries import Panel, TimeGrid, restrict
 from warpgrowth.warping import WarpSet, compute_warp_set, identity_deviation
 
@@ -71,6 +73,34 @@ class TestBatchedEqualsOneRow:
         assert batched.shape == (panel.n_series,)
         for i in range(panel.n_series):
             assert identity_deviation(warp_row(warps, i)).tobytes() == batched[i : i + 1].tobytes()
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=panels(), data=st.data())
+    def test_rate_fit_rows_are_one_row_fits(self, drawn, data):
+        panel, _ = drawn
+        grid = panel.grid
+        start = data.draw(st.integers(min_value=grid.start_month, max_value=grid.end_month - 2))
+        window = (start, data.draw(st.integers(min_value=start + 2, max_value=grid.end_month)))
+        fits = estimate_alphas(panel, window)
+        for i in range(panel.n_series):
+            one = estimate_alphas(row_of(panel, i), window)
+            for field in ("alpha", "intercept", "r2", "clamped"):
+                assert getattr(one, field).tobytes() == getattr(fits, field)[i : i + 1].tobytes(), field
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=panels(), data=st.data())
+    def test_score_rows_are_one_row_projections(self, drawn, data):
+        panel, rng = drawn
+        warps = warp_set_of(panel, rng, data.draw)[0]
+        m, k = warps.grid.n_points, data.draw(st.integers(min_value=1, max_value=4))
+        # A random mean and components: the projection must not care where they came from.
+        mean, components = rng.normal(0.5, 0.3, m), rng.normal(0.0, 1.0, (k, m))
+        model = FpcaModel(warps.grid, mean, np.zeros(m), components, np.zeros((0, k)), (), np.zeros(0, bool))
+        batched = project_scores(warps, model)
+        assert batched.shape == (panel.n_series, k)
+        for i in range(panel.n_series):
+            assert project_scores(warp_row(warps, i), model).tobytes() == batched[i : i + 1].tobytes()
 
 
 class TestRestrict:

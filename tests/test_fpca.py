@@ -77,6 +77,13 @@ class TestCovarianceFunction:
         with pytest.raises(SampleSizeError):
             covariance_function(ws)
 
+    def test_overflowing_surface_is_a_numerical_error(self):
+        # Called directly, as the convergence sweep calls it; tier-1 turns any RuntimeWarning into an error.
+        rows = np.random.default_rng(5).standard_normal((200, 176))
+        rows[3] *= 1e297
+        with pytest.raises(NumericalError, match="covariance surface is not finite"):
+            covariance_function(make_warpset(rows))
+
 
 class TestEigendecompose:
     def test_rank_one_surface(self):
@@ -95,6 +102,12 @@ class TestEigendecompose:
         grid = TimeGrid(0, 5)
         vals, _ = eigendecompose(np.zeros((5, 5)), grid)
         assert np.all(vals == 0.0)
+
+    @pytest.mark.parametrize("entry", [np.inf, 1.5e308], ids=["inf", "overflowing"])
+    def test_non_finite_surface_is_a_numerical_error_without_warnings(self, entry):
+        # An infinite surface gives inf - inf in the symmetry check, a huge one overflows g + g.T.
+        with pytest.raises(NumericalError, match="non-finite"):
+            eigendecompose(np.full((176, 176), entry), TimeGrid(0, 176))
 
     def test_asymmetric_rejected(self):
         grid = TimeGrid(0, 3)

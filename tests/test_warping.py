@@ -89,6 +89,13 @@ class TestComputeWarp:
         with np.errstate(all="raise"), pytest.raises(RateError, match="series .b.: alpha .* too large to scale"):
             compute_warp_set(panel, fits)
 
+    def test_subnormal_warp_names_the_series(self):
+        # 1e306 times 59 months is finite, but every log ratio divided by it is subnormal.
+        panel = exponential_panel([0.01, 0.02, 0.03], n_points=60, names=["a", "b", "c"])
+        fits = rate_fits(panel.names, [0.01, 1e306, 0.03], (144, 167))
+        with np.errstate(all="raise"), pytest.raises(RateError, match="series 'b': alpha 1e\\+306 .* subnormal"):
+            compute_warp_set(panel, fits)
+
     def test_missing_values_rejected(self):
         vals = np.array([10.0, np.nan, 10.0, 10.0, 10.0])
         with pytest.raises(MissingDataError):

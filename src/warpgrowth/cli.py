@@ -211,14 +211,14 @@ def cmd_fpca(args) -> int:
         ["name", "out_of_sample", *(f"score_{k}" for k in ks)],
         ([name, int(held), *row] for name, held, row in per_series),
     )
-    mode_header = ["t", *(f"gamma_{g:g}" for g in DEFAULT_GAMMAS)]
+    mode_header = ["t_normalized", *(f"gamma_{g:g}" for g in DEFAULT_GAMMAS)]
     modes = {k: _table.write_table(mode_header, [model.grid.points, modes_of_variation(model, k)]) for k in ks[:2]}
 
     regression = None
     fit_path = _fit_path(args)
     if args.fit or fit_path.exists():
         fits = _table.read_file(fit_path, _parse_fit_artifact)[1]
-        rows = sorted(np.flatnonzero(~model.out_of_sample), key=model.score_names.__getitem__)  # name order, as fit_fpca sums
+        rows = np.flatnonzero(~model.out_of_sample)
         if len(rows) >= 3:
             alpha = fits.align([model.score_names[i] for i in rows]).alpha
             lines = score_rate_regression(model.scores[rows], alpha)
@@ -288,7 +288,7 @@ def cmd_diagnose(args) -> int:
     fits, warpset = _warps_for_artifact(args)
     deviation = identity_deviation(warpset)
     worst = min(range(warpset.n_series), key=lambda i: (-deviation[i], warpset.names[i]))  # a tie goes to the first name
-    start, end = warpset.grid.start_month, fits.window[1]
+    start, end = warpset.grid.start_month, warpset.grid.start_month + warpset.t0_index
     summary = {
         "anchor_window": {"start": start, "end": end},
         "worst": {"name": warpset.names[worst], "anchor_deviation": float(deviation[worst])},

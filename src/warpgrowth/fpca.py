@@ -18,7 +18,9 @@ SVD path against it. Both paths share one tail for the eigenvalue floor,
 quadrature normalization and the sign rule.
 
 Mean and covariance sums run in name-sorted series order, so refitting a
-permuted sample reproduces the model bit for bit.
+permuted sample reproduces the model bit for bit. :func:`score_rate_regression`
+takes its sums with :func:`math.fsum`, so its lines do not depend on row
+order either.
 
 The module computes and returns arrays and knows no file format; the
 ``fpca`` command of :mod:`warpgrowth.cli` renders the model, its
@@ -27,6 +29,7 @@ eigenfunctions, scores and modes of variation as files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -344,7 +347,10 @@ def score_rate_regression(scores: np.ndarray, alphas: np.ndarray) -> list[Regres
 
     ``scores`` holds one row per rate and one column per component.
     Returns slope, intercept and Pearson correlation for each score column.
-    A constant score column gets slope 0 and correlation 0.
+    A constant score column gets slope 0 and correlation 0. Every mean and
+    every sum over rows is a :func:`math.fsum` sum of elementwise terms, so
+    the lines depend on neither the order of the rows nor the BLAS thread
+    count.
 
     Raises
     ------
@@ -365,14 +371,20 @@ def score_rate_regression(scores: np.ndarray, alphas: np.ndarray) -> list[Regres
     alphas = np.asarray(alphas, dtype=float)
     if scores.shape[0] != alphas.shape[0]:
         raise ConfigError(f"{scores.shape[0]} score rows vs {alphas.shape[0]} rates")
-    if alphas.shape[0] < 3:
-        raise SampleSizeError(f"regression needs at least 3 points, got {alphas.shape[0]}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        xc = alphas - alphas.mean()
-        sxx = float(np.sum(xc**2))
-        yc = [col - col.mean() for col in scores.T]
-        sxy = [float(np.dot(xc, y)) for y in yc]
-        syy = [float(np.sum(y**2)) for y in yc]
+    n = alphas.shape[0]
+    if n < 3:
+        raise SampleSizeError(f"regression needs at least 3 points, got {n}")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_mean = math.fsum(alphas.tolist()) / n
+            y_means = [math.fsum(col.tolist()) / n for col in scores.T]
+            xc = alphas - x_mean
+            yc = [col - mean for col, mean in zip(scores.T, y_means)]
+            sxx = math.fsum((xc * xc).tolist())
+            sxy = [math.fsum((xc * y).tolist()) for y in yc]
+            syy = [math.fsum((y * y).tolist()) for y in yc]
+    except (OverflowError, ValueError):  # math.fsum: a partial sum overflows, or inf meets -inf
+        raise NumericalError("score-rate regression sums are not finite") from None
     if not np.isfinite([sxx, *sxy, *syy, *(sxx * yy for yy in syy)]).all():
         raise NumericalError("score-rate regression sums are not finite")
     if sxx == 0.0:
@@ -380,9 +392,8 @@ def score_rate_regression(scores: np.ndarray, alphas: np.ndarray) -> list[Regres
     if any(0.0 < yy and sxx * yy < np.finfo(float).tiny for yy in syy):
         raise NumericalError("score-rate regression: the product of the sums of squares underflows")
     lines = []
-    for col, xy, yy in zip(scores.T, sxy, syy):
+    for y_mean, xy, yy in zip(y_means, sxy, syy):
         slope = xy / sxx
-        intercept = float(col.mean() - slope * alphas.mean())
-        corr = xy / np.sqrt(sxx * yy) if yy > 0.0 else 0.0
-        lines.append(RegressionLine(slope, intercept, float(corr)))
+        corr = xy / math.sqrt(sxx * yy) if yy > 0.0 else 0.0
+        lines.append(RegressionLine(slope, y_mean - slope * x_mean, corr))
     return lines

@@ -382,10 +382,6 @@ class SimReport:
         return sum(1 for r in self.replicates if r.failed)
 
     @property
-    def truth_two_component_fraction(self) -> float:
-        return self.truth.two_component_fraction
-
-    @property
     def aggregates(self) -> dict:
         """Cross-replicate means and spreads of the succeeded replicates' metrics; failed ones count only in ``n_failed``."""
         ok = [r for r in self.replicates if not r.failed]
@@ -410,7 +406,7 @@ class SimReport:
             "n_replicates": self.n_replicates,
             "seed": self.seed,
             "n_failed": self.n_failed,
-            "truth_two_component_fraction": self.truth_two_component_fraction,
+            "truth_two_component_fraction": self.truth.two_component_fraction,
             "aggregates": self.aggregates,
             "housing_study_reference": HOUSING_STUDY_REFERENCE,
             "replicates": [asdict(r) for r in self.replicates],

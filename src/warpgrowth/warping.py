@@ -87,21 +87,24 @@ def compute_warp_set(
     1e-320 overflows it) and no nonzero warp value below ``np.finfo(float).tiny`` in magnitude
     (a rate such as 1e306 makes it subnormal; :class:`Panel` rejects such levels too),
     MissingDataError for a gap. ``window_start_month`` and ``t0_month`` are
-    kept only for the benchmark harness, which passes the values above.
+    kept only for the benchmark harness; each accepts only the value the rule gives, the panel's
+    first month and ``fits.window[1]``, and any other value raises ConfigError.
     """
-    alpha = fits.align(panel.names).alpha
     grid = panel.grid
-    start = grid.start_month if window_start_month is None else window_start_month
-    lo = grid.index_of(start)
-    sub = TimeGrid(start, grid.n_points - lo)
+    rules = (("window_start_month", window_start_month, grid.start_month, "the panel's first month"),
+             ("t0_month", t0_month, fits.window[1], "the fit window's end"))
+    for key, value, rule, what in rules:
+        if value is not None and value != rule:
+            raise ConfigError(f"{key} {value!r} is not {what}, {rule}")
+    alpha = fits.align(panel.names).alpha
     with np.errstate(over="ignore"):
-        rate = alpha * sub.elapsed_months
+        rate = alpha * grid.elapsed_months
     bad = np.flatnonzero(~((rate > 0) & (rate < np.inf)))
     if bad.size:
         raise RateError(f"series {panel.names[bad[0]]!r}: alpha {alpha[bad[0]]} is not positive or too large to scale")
-    panel.check_complete(lo, grid.n_points - 1)
-    t0 = sub.index_of(fits.window[1] if t0_month is None else t0_month)
-    logs = np.log(panel.values[:, lo:])
+    panel.check_complete(0, grid.n_points - 1)
+    t0 = grid.index_of(fits.window[1])
+    logs = np.log(panel.values)
     with np.errstate(over="ignore", under="ignore"):
         h = (logs - logs[:, :1]) / rate[:, None]
     bad = np.flatnonzero(~np.isfinite(h).all(axis=1))
@@ -112,7 +115,7 @@ def compute_warp_set(
     if bad.size:
         i = bad[0]
         raise RateError(f"series {panel.names[i]!r}: alpha {float(alpha[i])!r} is so large that its warp is subnormal")
-    return WarpSet(sub, panel.names, h, t0)
+    return WarpSet(grid, panel.names, h, t0)
 
 
 def baseline_growth(alpha: float, x0: float, grid: TimeGrid) -> Panel:

@@ -172,7 +172,7 @@ def test_criterion_5_simulation_round_trip():
     ase = agg["ase"]["mean"]
     mise_phi1 = agg["mise_phi"][0]
     ve2 = agg["var_explained_2"]["mean"]
-    ve2_truth = report.truth_two_component_fraction
+    ve2_truth = report.truth.two_component_fraction
     assert ase < 0.05, ase
     assert mise_phi1 < 0.15, mise_phi1
     assert abs(ve2 - ve2_truth) < 0.05, (ve2, ve2_truth)

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 import warpgrowth
+from warpgrowth import _table
 from warpgrowth.cli import _parse_fit_artifact, main
+from warpgrowth.fpca import DEFAULT_GAMMAS, fit_fpca, modes_of_variation, score_rate_regression
 from warpgrowth.growthfit import DEFAULT_WINDOW_LENGTHS, estimate_alphas, search_interval
 from warpgrowth.simulate import SimTruth, default_truth, generate_replicate, save_truth
 from warpgrowth.timeseries import Panel, TimeGrid, month_label, parse_panel, restrict, serialize_panel
-from warpgrowth.warping import compute_warp_set, identity_deviation, warps_to_csv
+from warpgrowth.warping import compute_warp_set, identity_deviation, warps_from_csv, warps_to_csv
 
 from conftest import MALFORMED_UNIT_TABLES, edit_table, exponential_panel
 
@@ -336,6 +338,45 @@ class TestFpcaCommand:
             assert main(argv) == 0
             assert json.loads((out / "fpca_model.json").read_text())["n_sample"] == n_sample
             assert [(out / name).exists() for name in optional] == [n_sample == 20] * 2
+
+    def test_regression_takes_the_in_sample_rows_in_input_order(self, tmp_path):
+        # Series columns out of name order and two held out: the artifact is the
+        # regression of the in-sample rows as they come, as demo 02 calls it.
+        panel = generate_replicate(dataclasses.replace(default_truth(), n=40), np.random.default_rng(4)).panel
+        order = np.random.default_rng(5).permutation(panel.n_series)
+        shuffled = Panel(panel.grid, [panel.names[i] for i in order], panel.values[order])
+        path = write_panel(tmp_path / "panel.csv", shuffled)
+        out = tmp_path / "out"
+        assert main(["fit", "--input", path, "--output-dir", str(out)]) == 0
+        assert main(["warp", "--input", path, "--output-dir", str(out)]) == 0
+        argv = ["fpca", "--input", str(out / "warps.csv"), "--output-dir", str(out), "--exclude", "sim03,sim17"]
+        assert main(argv) == 0
+        fits = json.loads((out / "fit.json").read_text())["alpha_estimates"]["per_series"]
+        rates = {row["name"]: row["alpha"] for row in fits}
+        kept = [row for row in json.loads((out / "fpca_model.json").read_text())["scores"] if not row["out_of_sample"]]
+        assert [row["name"] for row in kept] != sorted(row["name"] for row in kept)
+        scores = np.array([row["scores"] for row in kept])
+        lines = score_rate_regression(scores, np.array([rates[row["name"]] for row in kept]))
+        expected = [
+            {"component": k, "slope": line.slope, "intercept": line.intercept, "correlation": line.correlation}
+            for k, line in enumerate(lines, start=1)
+        ]
+        artifact = json.loads((out / "score_alpha_regression.json").read_text())
+        assert artifact == {"n": 38, "components": expected}
+
+    def test_modes_read_back_as_a_unit_table(self, tmp_path):
+        # Every float table the package writes reads back through read_unit_table.
+        t = np.linspace(0, 1, 30)
+        rows = t + 0.1 * np.random.default_rng(2).standard_normal((8, 30))
+        path = self._warp_csv(tmp_path, rows, [f"s{i}" for i in range(8)])
+        out = tmp_path / "out"
+        assert main(["fpca", "--input", path, "--output-dir", str(out), "--k", "2"]) == 0
+        model = fit_fpca(_table.read_file(path, warps_from_csv), k=2)
+        for k in (1, 2):
+            header, data = _table.read_file(out / f"modes_k{k}.csv", _table.read_unit_table, 2)
+            assert header == ["t_normalized", *(f"gamma_{g:g}" for g in DEFAULT_GAMMAS)]
+            assert data[:, 0].tobytes() == model.grid.points.tobytes()
+            assert data[:, 1:].T.tobytes() == modes_of_variation(model, k).tobytes()
 
     def test_overflowing_spectrum_exits_3_without_a_model(self, tmp_path, capsys):
         # One warp near 1e297 (what warp writes for a rate of 1e-300) squares past the float range.

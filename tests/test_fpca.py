@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import warpgrowth
 from warpgrowth.errors import (
     ConfigError,
     DegenerateRegressorError,
@@ -488,6 +496,9 @@ class TestScoreRateRegression:
         [
             ([[1.0], [2.0], [3.0]], [-1e308, 0.01, 0.02]),  # sum of squares overflows
             ([[-1.0], [1.0], [0.0]], [1.7e308, -1.7e308, 0.01]),  # used to give NaN slope
+            ([[1.0], [2.0], [3.0]], [1.7e308, 1.7e308, 0.01]),  # math.fsum of the rates overflows
+            ([[1.0], [2.0], [3.0]], [np.inf, -np.inf, 0.01]),  # math.fsum of the rates meets inf - inf
+            ([[1.7e308], [1.7e308], [0.0]], [0.01, 0.02, 0.03]),  # math.fsum of a score column overflows
         ],
     )
     def test_overflowing_rates_are_numerical_errors(self, scores, alphas):
@@ -499,3 +510,42 @@ class TestScoreRateRegression:
         scores = np.array([[0.0], [1e-16], [3e-16], [2e-16]])
         with np.errstate(all="raise"), pytest.raises(NumericalError, match="underflows"):
             score_rate_regression(scores, np.array([1e-150, 2e-150, 3e-150, 4e-150]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(3, 40).flatmap(lambda n: st.permutations(range(n))))
+    def test_row_order_leaves_every_line_bit_identical(self, seed, order):
+        # Rates and two score columns as in a housing panel; the sums over rows must not depend on their order.
+        rng = np.random.default_rng(seed)
+        alphas = rng.uniform(0.003, 0.018, len(order))
+        scores = rng.standard_normal((len(order), 2)) - 30 * alphas[:, None]
+        lines = score_rate_regression(scores, alphas)
+        permuted = score_rate_regression(scores[order], alphas[order])
+        assert [line_bits(line) for line in permuted] == [line_bits(line) for line in lines]
+
+    def test_blas_thread_count_leaves_every_line_bit_identical(self):
+        # On a one-core machine both runs use one thread, and the test passes trivially.
+        code = """
+import numpy as np
+from warpgrowth.fpca import score_rate_regression
+rng = np.random.default_rng(5)
+a = rng.uniform(0.003, 0.018, 20000)
+s = rng.standard_normal((20000, 2)) - 30 * a[:, None]
+p = rng.permutation(20000)
+for line in score_rate_regression(s[p], a[p]):
+    print(line.slope.hex(), line.intercept.hex(), line.correlation.hex())
+"""
+        src = str(Path(warpgrowth.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            runs.append(done.stdout)
+        assert runs[0] == runs[1]
+        assert len(runs[0].splitlines()) == 2
+
+
+def line_bits(line):
+    """The exact bits of a regression line's fields, as ``float.hex`` strings."""
+    return tuple(float(value).hex() for value in (line.slope, line.intercept, line.correlation))

@@ -22,11 +22,11 @@ from warpgrowth.warping import (
 from conftest import MALFORMED_UNIT_TABLES, edit_table, exponential_panel, one_series_panel, rate_fits
 
 
-def warp_of(values, alpha, start_month=0, window=None, window_start_month=None):
+def warp_of(values, alpha, start_month=0, window=None):
     """The warp set of one series from ``start_month`` at rate ``alpha`` fitted on ``window`` (default: all of it)."""
     panel = one_series_panel(values, start_month)
     fits = rate_fits(panel.names, [alpha], window or (panel.grid.start_month, panel.grid.end_month))
-    return compute_warp_set(panel, fits, window_start_month=window_start_month)
+    return compute_warp_set(panel, fits)
 
 
 class TestComputeWarp:
@@ -47,13 +47,6 @@ class TestComputeWarp:
     def test_anchor_is_exact_zero(self):
         w = warp_of(100.0 * np.exp(0.01 * np.arange(10.0)) * (1 + 0.02 * np.cos(np.arange(10.0))), 0.01)
         assert w.values[0, 0] == 0.0
-
-    def test_window_start_slices_analysis_window(self):
-        s = baseline_growth(0.01, 50.0, TimeGrid(100, 30))
-        w = warp_of(s.values[0], 0.01, 100, window_start_month=110)
-        assert w.grid.n_points == 20
-        assert w.grid.start_month == 110
-        assert np.abs(w.values - w.grid.points).max() < 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(scale=st.floats(min_value=1e-4, max_value=1e6))
@@ -149,21 +142,36 @@ class TestComputeWarp:
         # Any integer type is read with operator.index and stored as an int.
         assert type(WarpSet(grid, ("a", "b"), rows, np.int64(5)).t0_index) is int
 
-    @pytest.mark.parametrize("window_start, t0", [(None, 400), (170, 150)], ids=["past-the-grid", "before-the-window"])
-    def test_t0_off_the_window_is_grid_error(self, window_start, t0):
+    @pytest.mark.parametrize("window", [(144, 400), (100, 120)], ids=["past-the-grid", "before-the-window"])
+    def test_t0_off_the_window_is_grid_error(self, window):
         # On a 60-month panel from month 144, these t0 would sit at 4.34 (past
-        # the grid) or -0.61 (before the window start) on the unit interval.
+        # the grid) or -0.41 (a fit window that ends before the panel's first
+        # month) on the unit interval.
         panel = exponential_panel([0.01, 0.02], n_points=60)
-        fits = rate_fits(panel.names, [0.01, 0.03], (144, t0))
-        with pytest.raises(GridError, match=f"month {t0} "):
-            compute_warp_set(panel, fits, window_start_month=window_start)
+        fits = rate_fits(panel.names, [0.01, 0.03], window)
+        with pytest.raises(GridError, match=f"month {window[1]} "):
+            compute_warp_set(panel, fits)
 
-    def test_one_point_window_is_grid_error(self):
-        # A window starting at the last month leaves one point, which no TimeGrid holds.
+    @pytest.mark.parametrize(
+        "keyword, value, message",
+        [
+            ("window_start_month", 150, "window_start_month 150 is not the panel's first month, 144"),
+            ("window_start_month", 143, "window_start_month 143 is not the panel's first month, 144"),
+            ("t0_month", 166, "t0_month 166 is not the fit window's end, 167"),
+            ("t0_month", 203, "t0_month 203 is not the fit window's end, 167"),
+        ],
+        ids=["late-start", "early-start", "early-t0", "late-t0"],
+    )
+    def test_anchor_keywords_accept_only_the_rule(self, keyword, value, message):
+        # The panel's first month and the fit window's end set the anchor; a keyword may only restate them.
         panel = exponential_panel([0.01, 0.02], n_points=60)
         fits = rate_fits(panel.names, [0.01, 0.02], (144, 167))
-        with pytest.raises(GridError, match="at least 2 points, got 1"):
-            compute_warp_set(panel, fits, window_start_month=panel.grid.end_month)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            compute_warp_set(panel, fits, **{keyword: value})
+        ruled = compute_warp_set(panel, fits, window_start_month=144, t0_month=167)
+        plain = compute_warp_set(panel, fits)
+        assert (ruled.grid, ruled.t0_index) == (plain.grid, plain.t0_index) == (panel.grid, 23)
+        assert ruled.values.tobytes() == plain.values.tobytes()
 
     def test_identity_deviation_overflow_names_the_series(self):
         # Each warp value is finite, but the sum over the anchor interval overflows for row 'b'.

@@ -1,16 +1,17 @@
 """The package's one CSV dialect and its file boundary, for reading and writing.
 
 Every CSV artifact is rendered here, floats at 17 significant digits so a
-read-back is exact: column tables (``t_normalized`` or ``t`` first, a float
-in every cell) by :func:`write_table`, mixed rows by :func:`write_rows`.
-Every artifact file, CSV or JSON, is opened by :func:`open_output`, directly
-or through :func:`write_text` and :func:`write_json`: UTF-8, no newline
-translation, its directory made first.
-Input files go through :func:`read_file`, so malformed content raises a
-typed error (SchemaError, GridError) naming the file, never a builtin;
-every ``t_normalized`` table is checked by :func:`read_unit_table`.
+read-back is exact: the unit table (``t_normalized`` and ``linspace(0, 1,
+m)`` first) by :func:`write_unit_table`, next to its reader
+:func:`read_unit_table`, and mixed rows by :func:`write_rows`. Every
+artifact file is opened by :func:`open_output`, directly or through
+:func:`write_text` and :func:`write_json`: UTF-8, no newline translation,
+its directory made first; given None, these two remove the file instead.
+Input files go through :func:`read_file` (UTF-8, a byte-order mark
+dropped), so malformed content raises a typed error (SchemaError,
+GridError) naming the file, never a builtin.
 
-Every CSV body, a column table's or a panel's, is read by
+Every CSV body, a unit table's or a panel's, is read by
 :func:`read_table` under one cell rule: a cell is stripped with
 ``str.strip``, column 0 goes through a converter (``float``, or the
 panel's date parser) and any other cell is a number, NaN and marked
@@ -26,7 +27,7 @@ through :mod:`csv`. The values are checked by the caller:
 is an error, and :func:`~warpgrowth.timeseries.parse_panel` for panels,
 where it is a missing value.
 
-Column-table bodies are written by one vectorised ``%.17g`` kernel
+Unit-table bodies are written by one vectorised ``%.17g`` kernel
 (:func:`_format_block`), a block of rows at a time, with no Python float
 per cell. :func:`_settle` scales each finite normal cell exactly enough
 to read off its 17 significant digits as an int64: a float64
@@ -240,29 +241,29 @@ def _format_block(block: np.ndarray) -> bytes:
     return rows.tobytes().translate(None, b"\0")
 
 
-def _table_chunks(header: Sequence[str], columns: Sequence[np.ndarray]):
-    """The UTF-8 header line of a column table, then its body in blocks of rows; ValueError first if the widths differ."""
-    body = np.vstack(columns)
-    if body.shape[0] != len(header):
-        raise ValueError(f"{len(header)} header cells for {body.shape[0]} columns")
-    yield _line_writer()(header).encode("utf-8")
-    step = max(1, _BLOCK_CELLS // max(1, body.shape[0]))
+def _unit_table_chunks(names: Sequence[str], rows: Sequence[np.ndarray]):
+    """The UTF-8 header line of a unit table, then its body in blocks of rows; ValueError first if the widths differ."""
+    body = np.vstack([np.linspace(0.0, 1.0, np.shape(rows[0])[-1]), *rows])
+    if body.shape[0] != len(names) + 1:
+        raise ValueError(f"{len(names) + 1} header cells for {body.shape[0]} columns")
+    yield _line_writer()(["t_normalized", *names]).encode("utf-8")
+    step = max(1, _BLOCK_CELLS // body.shape[0])
     for start in range(0, body.shape[1], step):
         yield _format_block(np.ascontiguousarray(body[:, start : start + step].T))
 
 
-def write_table(header: Sequence[str], columns: Sequence[np.ndarray], file: BinaryIO | None = None) -> str | None:
-    """Render a column table as CSV text, or write it to the binary ``file`` and return None.
+def write_unit_table(names: Sequence[str], rows: Sequence[np.ndarray], file: BinaryIO | None = None) -> str | None:
+    """Render a ``t_normalized,<names>`` table as CSV text, or write it to the binary ``file`` and return None.
 
-    ``columns`` holds 1-D arrays (one column each) and 2-D arrays (one
-    column per row), stacked in order; together they must give one column
-    per header cell. The header goes through :mod:`csv`, so names that
-    contain ``,``, ``"`` or a line break are quoted. Each body cell is the
-    text of ``"%.17g" % v`` (``nan``, ``inf``, ``-0`` included), built
-    for a block of rows at a time by :func:`_format_block`; a ``file`` is
-    written block by block, so the whole text is never held.
+    ``rows`` holds 1-D arrays (one column each) and 2-D arrays (one column
+    per row) of m values, stacked after the grid ``linspace(0, 1, m)``; one
+    column per name. The header goes through :mod:`csv`, so names holding
+    ``,``, ``"`` or a line break are quoted. Each body cell is the text of
+    ``"%.17g" % v`` (``nan``, ``inf``, ``-0`` included), built for a block
+    of rows at a time by :func:`_format_block`; a ``file`` is written block
+    by block, so the whole text is never held.
     """
-    chunks = _table_chunks(header, columns)
+    chunks = _unit_table_chunks(names, rows)
     if file is None:
         return b"".join(chunks).decode("utf-8")
     for chunk in chunks:
@@ -271,7 +272,7 @@ def write_table(header: Sequence[str], columns: Sequence[np.ndarray], file: Bina
 
 
 def write_rows(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Render a header and rows of mixed cells as CSV text, quoted like :func:`write_table`'s header.
+    """Render a header and rows of mixed cells as CSV text, quoted like :func:`write_unit_table`'s header.
 
     Float cells (numpy floats included) are written at ``"%.17g"``, other
     cells as their ``str``.
@@ -286,15 +287,18 @@ def open_output(path: Path) -> BinaryIO:
     return open(path, "wb")
 
 
-def write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, line ends untranslated."""
+def write_text(path: Path, text: str | None) -> None:
+    """Write ``text`` to ``path`` as UTF-8, line ends untranslated; None removes ``path``: the run has no such output."""
+    if text is None:
+        path.unlink(missing_ok=True)
+        return
     with open_output(path) as fh:
         fh.write(text.encode("utf-8"))
 
 
 def write_json(path: Path, obj) -> None:
-    """Write ``obj`` to ``path`` as JSON with sorted keys, indented 2, ending in a newline."""
-    write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=True) + "\n")
+    """Write ``obj`` to ``path`` as JSON with sorted keys, indented 2, ending in a newline; None removes ``path``."""
+    write_text(path, None if obj is None else json.dumps(obj, indent=2, sort_keys=True, allow_nan=True) + "\n")
 
 
 def csv_rows(text: str) -> list[list[str]]:
@@ -379,14 +383,14 @@ def read_block(lines: list[str], n_cols: int, converters: dict | None = None) ->
 
 
 def read_file(path: str | Path, parse: Callable[..., object], *args):
-    """``parse(text, *args)`` of the UTF-8 text of file ``path``, line endings untranslated as :mod:`csv` expects.
+    """``parse(text, *args)`` of the UTF-8 text of file ``path``, less a leading BOM, line endings untranslated as :mod:`csv` expects.
 
     Text that is not UTF-8 or not valid JSON raises SchemaError naming the
     file; a typed error of ``parse`` gets the path put in front of its
     message. ``OSError`` passes through.
     """
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return parse(fh.read(), *args)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"{path}: {exc}") from None

@@ -21,9 +21,10 @@ next to their readers or outside callers.
 Exit codes are a stable contract: 0 success, 2 input error, 3 numerical
 failure, 4 configuration error, each declared by its ``WarpGrowthError``
 class; any other exception is a bug. Outputs are written only after the
-whole computation succeeds (``fpca`` then removes the optional outputs it
-did not write), and identical inputs plus an identical seed yield
-byte-identical artifacts.
+whole computation succeeds, an optional output the run does not write
+(``modes_k*.csv``, ``score_alpha_regression.json``, ``convergence.*``) is
+removed, and identical inputs plus an identical seed yield byte-identical
+artifacts.
 """
 
 from __future__ import annotations
@@ -203,16 +204,16 @@ def cmd_fpca(args) -> int:
         "scores": [{"name": name, "out_of_sample": held, "scores": row} for name, held, row in per_series],
     }
     roots = np.sqrt(np.maximum(model.eigenvalues[: model.n_retained], 0.0))
-    eigenfunctions = _table.write_table(
-        ["t_normalized", "mean", *(f"phi_{k}" for k in ks), *(f"phi_scaled_{k}" for k in ks)],
-        [model.grid.points, model.mean, model.eigenfunctions, model.eigenfunctions * roots[:, None]],
+    eigenfunctions = _table.write_unit_table(
+        ["mean", *(f"phi_{k}" for k in ks), *(f"phi_scaled_{k}" for k in ks)],
+        [model.mean, model.eigenfunctions, model.eigenfunctions * roots[:, None]],
     )
     scores = _table.write_rows(
         ["name", "out_of_sample", *(f"score_{k}" for k in ks)],
         ([name, int(held), *row] for name, held, row in per_series),
     )
-    mode_header = ["t_normalized", *(f"gamma_{g:g}" for g in DEFAULT_GAMMAS)]
-    modes = {k: _table.write_table(mode_header, [model.grid.points, modes_of_variation(model, k)]) for k in ks[:2]}
+    mode_names = [f"gamma_{g:g}" for g in DEFAULT_GAMMAS]
+    modes = {k: _table.write_unit_table(mode_names, [modes_of_variation(model, k)]) for k in ks[:2]}
 
     regression = None
     fit_path = _fit_path(args)
@@ -232,16 +233,9 @@ def cmd_fpca(args) -> int:
     _table.write_json(out / "fpca_model.json", summary)
     _table.write_text(out / "eigenfunctions.csv", eigenfunctions)
     _table.write_text(out / "scores.csv", scores)
-    # An earlier run's copy of an output this run does not write would pass for this run's.
     for k in (1, 2):
-        if k in modes:
-            _table.write_text(out / f"modes_k{k}.csv", modes[k])
-        else:
-            (out / f"modes_k{k}.csv").unlink(missing_ok=True)
-    if regression is not None:
-        _table.write_json(out / "score_alpha_regression.json", regression)
-    else:
-        (out / "score_alpha_regression.json").unlink(missing_ok=True)
+        _table.write_text(out / f"modes_k{k}.csv", modes.get(k))
+    _table.write_json(out / "score_alpha_regression.json", regression)
 
     shares = ", ".join(f"{v:.1%}" for v in model.var_explained[:2])
     print(
@@ -262,16 +256,16 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate needs --truth MANIFEST or --default-truth")
 
     report = sim.run_study(truth, args.replicates, seed=args.seed)
-    sweep = None
+    sweep_json = sweep_csv = None
     if args.convergence_sweep:
         sweep = sim.convergence_sweep(truth, (25, 100, 400), repeats=50, seed=args.seed)
+        sweep_json, sweep_csv = sweep.to_json_dict(), sweep.to_csv()
 
     out = Path(args.output_dir)
     _table.write_json(out / "sim_report.json", report.to_json_dict())
     _table.write_text(out / "sim_replicates.csv", report.replicates_to_csv())
-    if sweep is not None:
-        _table.write_json(out / "convergence.json", sweep.to_json_dict())
-        _table.write_text(out / "convergence.csv", sweep.to_csv())
+    _table.write_json(out / "convergence.json", sweep_json)
+    _table.write_text(out / "convergence.csv", sweep_csv)
 
     agg, ref = report.aggregates, sim.HOUSING_STUDY_REFERENCE
     ase = agg.get("ase", {}).get("mean", float("nan"))

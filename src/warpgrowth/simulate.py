@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._table import json_field, read_file, read_unit_table, write_json, write_rows, write_table, write_text
+from ._table import json_field, read_file, read_unit_table, write_json, write_rows, write_text, write_unit_table
 from .errors import ConfigError, WarpGrowthError
 from .fpca import _covariance, _spectrum, eigendecompose, fit_fpca
 from .growthfit import DEFAULT_WINDOW_LENGTHS, estimate_alphas, search_interval
@@ -592,13 +592,11 @@ def save_truth(truth: SimTruth, directory: str | Path) -> Path:
     Returns the manifest path; :func:`load_truth` reads it back.
     """
     directory = Path(directory)
-    t = truth.grid.points
-
     mean_path = directory / "truth_mean.csv"
-    write_text(mean_path, write_table(["t_normalized", "mean"], [t, truth.mean]))
+    write_text(mean_path, write_unit_table(["mean"], [truth.mean]))
     phi_path = directory / "truth_eigenfunctions.csv"
-    phi_header = ["t_normalized", *(f"phi_{k + 1}" for k in range(truth.n_components))]
-    write_text(phi_path, write_table(phi_header, [t, truth.eigenfunctions]))
+    phi_names = [f"phi_{k + 1}" for k in range(truth.n_components)]
+    write_text(phi_path, write_unit_table(phi_names, [truth.eigenfunctions]))
 
     manifest = {
         "t0_month": truth.grid.start_month,

@@ -29,7 +29,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from ._table import read_unit_table, write_table
+from ._table import read_unit_table, write_unit_table
 from .errors import ConfigError, GridError, NumericalError, RateError, SchemaError
 from .growthfit import WindowFits
 from .timeseries import Panel, TimeGrid, freeze_fields, freeze_names
@@ -161,7 +161,7 @@ def warps_to_csv(warpset: WarpSet, file: BinaryIO | None = None) -> str | None:
     :func:`warps_from_csv` checks on the way back in. Floats carry 17
     significant digits so a read-back is exact.
     """
-    return write_table(["t_normalized", *warpset.names], [warpset.grid.points, warpset.values], file)
+    return write_unit_table(warpset.names, [warpset.values], file)
 
 
 def warps_from_csv(csv_text: str) -> WarpSet:

@@ -545,6 +545,14 @@ class TestSimulateCommand:
         assert slope[0] == "slope"
         assert bits(slope[1:]) == bits(sweep["slopes"][k] for k in names)
 
+    def test_rerun_without_the_sweep_removes_its_outputs(self, tmp_path):
+        # The first run's convergence.* must not stay next to the second run's report.
+        out = tmp_path / "out"
+        argv = ["simulate", "--output-dir", str(out), "--default-truth", "--replicates", "1"]
+        assert main([*argv, "--seed", "0", "--convergence-sweep"]) == 0
+        assert main([*argv, "--seed", "1"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["sim_replicates.csv", "sim_report.json"]
+
     def test_unknown_manifest_key_exits_4_naming_it(self, tmp_path, capsys):
         manifest = save_truth(default_truth(), tmp_path / "truth")
         manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "alpha_rnage": [0.001, 0.002]}))
@@ -829,6 +837,20 @@ class TestInputBoundary:
     def test_negative_seed_is_configuration_error(self, tmp_path):
         code = main(["simulate", "--output-dir", str(tmp_path / "o"), "--default-truth", "--seed", "-1"])
         assert code == 4
+
+    def test_panel_with_a_byte_order_mark_reads_as_without(self, exp_csv, tmp_path):
+        # A spreadsheet's "CSV UTF-8" export starts with U+FEFF.
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(exp_csv).read_bytes())
+        for path, out in ((exp_csv, "plain"), (marked, "marked")):
+            assert main(["fit", "--input", str(path), "--output-dir", str(tmp_path / out)]) == 0
+        assert (tmp_path / "marked" / "fit.json").read_bytes() == (tmp_path / "plain" / "fit.json").read_bytes()
+
+    def test_fit_artifact_with_a_byte_order_mark_reads_as_without(self, exp_csv, chain):
+        fit = chain / "fit.json"
+        fit.write_bytes(b"\xef\xbb\xbf" + fit.read_bytes())
+        assert main(["warp", "--input", exp_csv, "--output-dir", str(chain / "marked"), "--fit", str(fit)]) == 0
+        assert (chain / "marked" / "warps.csv").read_bytes() == (chain / "warps.csv").read_bytes()
 
     def test_non_utf8_panel(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"

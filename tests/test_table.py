@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from warpgrowth import _table
-from warpgrowth._table import csv_rows, read_table, write_rows, write_table
+from warpgrowth._table import csv_rows, read_table, read_unit_table, write_rows, write_unit_table
 from warpgrowth.errors import SchemaError
 from warpgrowth.timeseries import month_index, parse_panel
 
@@ -25,6 +25,11 @@ def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     both_nan = np.isnan(a) & np.isnan(b)
     return a.shape == b.shape and bool(np.all(both_nan | (a.view(np.int64) == b.view(np.int64))))
+
+
+def with_grid(header, columns):
+    """The header and columns of the unit table ``write_unit_table(header, columns)`` writes, grid column first."""
+    return ["t_normalized", *header], [np.linspace(0.0, 1.0, len(columns[0])), *columns]
 
 
 @st.composite
@@ -44,17 +49,17 @@ class TestWriteTable:
     def test_equals_per_cell_writer(self, table):
         header, columns = table
         assume(not any("\r" in name for name in header))  # quoted since; see below
-        assert write_table(header, columns) == csv_table_per_cell(header, columns)
+        assert write_unit_table(header, columns) == csv_table_per_cell(*with_grid(header, columns))
 
     def test_special_values_single_column(self):
         column = np.array(SPECIAL)
-        text = write_table(["v"], [column])
-        assert text == csv_table_per_cell(["v"], [column])
-        assert text.splitlines()[1:5] == ["nan", "inf", "-inf", "-0"]
+        text = write_unit_table(["v"], [column])
+        assert text == csv_table_per_cell(*with_grid(["v"], [column]))
+        assert [line.split(",")[1] for line in text.splitlines()[1:5]] == ["nan", "inf", "-inf", "-0"]
 
     def test_quoted_names_round_trip(self):
         header = ["t_normalized", "Dallas, TX", 'say "hi"']
-        text = write_table(header, [np.linspace(0, 1, 3), np.ones((2, 3))])
+        text = write_unit_table(header[1:], [np.ones((2, 3))])
         assert text.splitlines()[0] == 't_normalized,"Dallas, TX","say ""hi"""'
         assert read_table(text)[0] == header
 
@@ -62,20 +67,20 @@ class TestWriteTable:
         # A cell-by-cell csv.writer with a "\n" terminator leaves "\r" unquoted,
         # which csv.reader then refuses; the table writer quotes it.
         header = ["t", "a\rb", "c\nd"]
-        text = write_table(header, [np.zeros(2)] * 3)
-        assert text.splitlines(keepends=True)[-2:] == ["0,0,0\n"] * 2
-        assert read_table(text)[0] == header
+        text = write_unit_table(header, [np.zeros(2)] * 3)
+        assert text.splitlines(keepends=True)[-2:] == ["0,0,0,0\n", "1,0,0,0\n"]
+        assert read_table(text)[0] == ["t_normalized", *header]
 
     def test_two_dimensional_blocks_stack_as_columns(self):
         block = np.arange(6.0).reshape(2, 3)
-        text = write_table(["t", "a", "b"], [np.zeros(3), block])
-        assert text == csv_table_per_cell(["t", "a", "b"], [np.zeros(3), block[0], block[1]])
+        text = write_unit_table(["t", "a", "b"], [np.zeros(3), block])
+        assert text == csv_table_per_cell(*with_grid(["t", "a", "b"], [np.zeros(3), block[0], block[1]]))
 
     def test_header_width_must_match(self):
         with pytest.raises(ValueError, match="2 header cells for 3 columns"):
-            write_table(["t", "a"], [np.zeros(2), np.ones((2, 2))])
+            write_unit_table(["a"], [np.ones((2, 2))])
         with pytest.raises(ValueError, match="2 header cells for 3 columns"):
-            write_table(["t", "a"], [np.zeros(2), np.ones((2, 2))], io.BytesIO())
+            write_unit_table(["a"], [np.ones((2, 2))], io.BytesIO())
 
 
 def over_one_block(rng, n_cols):
@@ -84,13 +89,13 @@ def over_one_block(rng, n_cols):
 
 
 def kernel_matches_reference(body):
-    """``write_table`` of the (rows, columns) ``body`` equals the per-cell writer, also when streamed to a file."""
+    """``write_unit_table`` of the (rows, columns) ``body`` equals the per-cell writer, also when streamed to a file."""
     header = [f"c{j}" for j in range(body.shape[1])]
     columns = list(body.T)
-    text = write_table(header, columns)
-    assert text == csv_table_per_cell(header, columns)
+    text = write_unit_table(header, columns)
+    assert text == csv_table_per_cell(*with_grid(header, columns))
     streamed = io.BytesIO()
-    assert write_table(header, columns, streamed) is None
+    assert write_unit_table(header, columns, streamed) is None
     assert streamed.getvalue() == text.encode()
 
 
@@ -104,7 +109,7 @@ TIES = st.integers(min_value=1, max_value=24).flatmap(
 
 
 class TestFormattingKernel:
-    """The vectorised ``%.17g`` of ``write_table`` against ``"%.17g" % v`` (the per-cell oracle)."""
+    """The vectorised ``%.17g`` of ``write_unit_table`` against ``"%.17g" % v`` (the per-cell oracle)."""
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -143,7 +148,7 @@ class TestFormattingKernel:
     def test_exact_ties_go_to_the_reference(self, tie):
         value = np.array([tie, -tie])
         assert not _table._settle(value)[2].any()
-        assert write_table(["v"], [value]) == csv_table_per_cell(["v"], [value])
+        assert write_unit_table(["v"], [value]) == csv_table_per_cell(*with_grid(["v"], [value]))
 
     @pytest.mark.parametrize("value, text", [
         (1000000000000000.25, "1000000000000000.2"),
@@ -159,7 +164,7 @@ class TestFormattingKernel:
         (1.7976931348623157e308, "1.7976931348623157e+308"),
     ])
     def test_pinned_cells(self, value, text):
-        assert write_table(["v"], [np.array([value])]) == f"v\n{text}\n"
+        assert write_unit_table(["v"], [np.array([value])]) == f"t_normalized,v\n0,{text}\n"
 
     def test_next_to_every_power_of_ten(self):
         # floor(log10 v) is one off for some of these, so the kernel must
@@ -196,8 +201,8 @@ class TestWriteRows:
         assert csv_rows(text) == [["name", "a\rb"], ["c\rd", "0.5", "2"]]
 
     def test_header_matches_table_header(self):
-        header = ["t", "a\rb", 'q"x', "c,d"]
-        assert write_rows(header, []) == write_table(header, [np.zeros(0)] * 4)
+        header = ["t_normalized", "a\rb", 'q"x', "c,d"]
+        assert write_rows(header, []) == write_unit_table(header[1:], [np.zeros(0)] * 3)
 
 
 class TestCsvRows:
@@ -217,7 +222,7 @@ class TestFieldSizeLimit:
 
         rng = np.random.default_rng(0)
         names = [f"s{j}" for j in range(30)]
-        table = write_table(["t_normalized", *names], [np.linspace(0.0, 1.0, 5), rng.uniform(0.5, 2.0, (30, 5))])
+        table = write_unit_table(names, [rng.uniform(0.5, 2.0, (30, 5))])
         cells = [["%.6f" % v if rng.random() > 0.2 else "" for v in rng.uniform(50.0, 150.0, 30)] for _ in range(4)]
         panel_text = "".join(f"{line}\n" for line in [",".join(["date", *names]), *(
             ",".join([f"2000-0{i + 1}", *row]) for i, row in enumerate(cells))])
@@ -246,13 +251,29 @@ class TestReadTable:
     @settings(max_examples=100, deadline=None)
     @given(tables())
     def test_round_trip_is_bit_exact(self, table):
-        header, columns = table
-        got_header, data, blank = read_table(write_table(header, columns))
+        header, columns = with_grid(*table)
+        got_header, data, blank = read_table(write_unit_table(*table))
         assert data.shape == blank.shape == (len(columns[0]), len(columns))
         assert not blank.any()
         assert got_header == header
         for j, column in enumerate(columns):
             assert same_bits(data[:, j], column)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        names=st.lists(NAMES | st.sampled_from(["Zürich, CH", 'say "hi"', "x\ny", "東京"]), min_size=1, max_size=4),
+        m=st.integers(min_value=2, max_value=8),
+        data=st.data(),
+    )
+    def test_unit_table_round_trip_is_bit_exact(self, names, m, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+        values = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -1e-310, 2.2250738585072014e-308]), finite)
+        block = np.array(data.draw(st.lists(values, min_size=len(names) * m, max_size=len(names) * m)))
+        block = block.reshape(len(names), m)
+        header, table = read_unit_table(write_unit_table(names, [block[0], block[1:]]), len(names) + 1)
+        assert header == ["t_normalized", *names]
+        assert same_bits(table[:, 0], np.linspace(0.0, 1.0, m))
+        assert same_bits(table[:, 1:], block.T)
 
     def test_blank_lines_skipped(self):
         header, data, blank = read_table("t,a\n\n0,1\n\n1,2\n")

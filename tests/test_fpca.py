@@ -18,6 +18,7 @@ from warpgrowth.errors import (
     SampleSizeError,
 )
 from warpgrowth.fpca import (
+    _FACTOR_RANK_DIVISOR,
     DEFAULT_GAMMAS,
     _spectrum,
     covariance_function,
@@ -169,6 +170,98 @@ class TestEigendecompose:
                 assert abs(vals[k] - ovals[k]) <= tol
                 d = min(np.abs(phi[k] - ophi[k]).max(), np.abs(phi[k] + ophi[k]).max())
                 assert d < 1e-8
+
+
+def eigh_path(g, m):
+    """``eigh`` of the weighted surface, as ``eigendecompose`` solves every surface it does not factor."""
+    g = (g + g.T) / 2.0
+    sqrt_w = np.sqrt(trapezoid_weights(m))
+    vals, vecs = np.linalg.eigh(g * np.outer(sqrt_w, sqrt_w))
+    return _spectrum(vals[::-1], vecs[:, ::-1], m)
+
+
+def weighted_basis(m, r, seed):
+    """``r`` functions orthonormal under the quadrature, and their weighted vectors (orthonormal columns)."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, r)))
+    return q.T / np.sqrt(trapezoid_weights(m)), q
+
+
+def rank_r_surface(m, r, seed=0):
+    """A PSD surface of rank ``r``: eigenvalues 1e-3 / k, k = 1..r, so each gap is at least 1e-3 / r^2."""
+    f, _ = weighted_basis(m, r, seed)
+    return sum(1e-3 / k * np.outer(fk, fk) for k, fk in enumerate(f, start=1))
+
+
+FACTOR_CASES = [
+    (m, r) for m in (9, 12, 41, 176) for r in sorted({1, max(1, m // _FACTOR_RANK_DIVISOR // 2), m // _FACTOR_RANK_DIVISOR})
+]
+
+
+def ornstein_uhlenbeck_surface(m):
+    """``exp(-|s - t|)``: positive definite, so of full rank."""
+    u = np.linspace(0.0, 1.0, m)
+    return np.exp(-np.abs(np.subtract.outer(u, u)))
+
+
+def indefinite_surface(m):
+    """``b b' - v v' / 4`` with ``v`` orthogonal to ``b``, weighted: a positive diagonal and one negative eigenvalue.
+
+    The factorization stops after one column, so only the certificate sees the negative eigenvalue.
+    """
+    _, q = weighted_basis(m, 2, seed=m)
+    b = np.abs(q[:, 0]) + 1.0
+    v = q[:, 1] - (q[:, 1] @ b) / (b @ b) * b
+    v *= np.min(b) / np.abs(v).max()
+    sqrt_w = np.sqrt(trapezoid_weights(m))
+    g = (np.outer(b, b) - np.outer(v, v) / 4.0) / np.outer(sqrt_w, sqrt_w)
+    assert np.all(np.diag(g) > 0.0) and eigh_path(g, m)[0][-1] < 0.0
+    return g
+
+
+DECLINED_SURFACES = {
+    "rank-past-the-cut-off": lambda m: rank_r_surface(m, m // _FACTOR_RANK_DIVISOR + 1, seed=m),
+    "full-rank": ornstein_uhlenbeck_surface,
+    "indefinite-positive-diagonal": indefinite_surface,
+    "zero": lambda m: np.zeros((m, m)),
+}
+
+
+class TestLowRankFactorPath:
+    """Surfaces of rank at most m // _FACTOR_RANK_DIVISOR take the pivoted Cholesky factor; every other keeps the eigh bits."""
+
+    @pytest.mark.parametrize("m, r", FACTOR_CASES)
+    def test_factored_spectrum_matches_eigh(self, m, r):
+        grid = TimeGrid(0, m)
+        g = rank_r_surface(m, r, seed=m + r)
+        vals, phi = eigendecompose(g, grid)
+        ref_vals, ref_phi = eigh_path(g, m)
+        lam1 = ref_vals[0]
+        assert np.abs(vals - ref_vals).max() <= 1e-12 * lam1
+        # Past the rank the factor path gives exact zeros, where eigh gives rounding noise.
+        assert np.count_nonzero(vals[r:]) == 0 and np.all(vals[:r] > 0.0)
+        w = trapezoid_weights(m)
+        for k in range(r):
+            align = np.sign(np.sum(w * phi[k] * ref_phi[k]))
+            assert np.abs(phi[k] - align * ref_phi[k]).max() <= 1e-10
+        if m <= 12:
+            ovals, ophi = oracle_eigendecompose(g, grid)
+            assert np.abs(vals - ovals).max() <= 1e-12 * lam1
+            for k in range(r):
+                assert min(np.abs(phi[k] - s * ophi[k]).max() for s in (1.0, -1.0)) <= 1e-10
+        # All m functions, the completed null space included: orthonormal, and signed by the rule.
+        assert phi.shape == (m, m)
+        assert np.abs((phi * w) @ phi.T - np.eye(m)).max() <= 1e-12
+        integrals = phi @ w
+        assert np.all(integrals >= -1e-12)
+        assert np.all(phi[np.abs(integrals) <= 1e-12, -1] >= 0.0)
+
+    @pytest.mark.parametrize("m", [12, 41, 176])
+    @pytest.mark.parametrize("surface", DECLINED_SURFACES.values(), ids=DECLINED_SURFACES)
+    def test_declined_surface_keeps_the_eigh_bits(self, surface, m):
+        g = surface(m)
+        vals, phi = eigendecompose(g, TimeGrid(0, m))
+        ref_vals, ref_phi = eigh_path(g, m)
+        assert np.array_equal(vals, ref_vals) and np.array_equal(phi, ref_phi)
 
 
 def smooth_sample(n=12, m=41, seed=0):
@@ -329,6 +422,26 @@ class TestSampleSpectrum:
             # Same sign rule on both paths: compare without re-aligning.
             d = model.eigenfunctions[k] - phi[k]
             assert np.sqrt(np.sum(w * d**2)) < 1e-8
+
+    def test_paper_size_sample_matches_eigh_of_the_weighted_covariance(self):
+        # eigendecompose may factor a covariance of rank n - 1 <= m // 6 as well, so the slow path here is eigh itself.
+        rng = np.random.default_rng(12)
+        n, m = 20, 176
+        t = np.linspace(0, 1, m)
+        ws = make_warpset(t + 0.01 * rng.standard_normal((n, m)).cumsum(axis=1))
+        model = fit_fpca(ws, k=m)
+        w = model.weights
+        lam, vecs = np.linalg.eigh(covariance_function(ws) * np.sqrt(np.outer(w, w)))
+        lam, vecs = lam[::-1], vecs[:, ::-1]
+        assert np.abs(model.eigenvalues - lam).max() <= 1e-12 * lam[0]
+        gaps = np.minimum(lam[:-1] - lam[1:], np.r_[np.inf, lam[:-2] - lam[1:-1]])
+        separated = [k for k in range(n - 1) if gaps[k] > 1e-3 * lam[0]]
+        assert len(separated) >= 5
+        for k in separated:
+            ref = vecs[:, k] / np.sqrt(w)
+            ref /= np.sqrt(np.sum(w * ref**2))
+            align = np.sign(np.sum(w * ref * model.eigenfunctions[k]))
+            assert np.abs(model.eigenfunctions[k] - align * ref).max() < 1e-8
 
     def test_near_equal_pair_spans_same_subspace(self):
         m = 33

@@ -7,23 +7,17 @@ operator is diagonalized through the weighted symmetric eigenproblem of
 flip so the quadrature integral of each eigenfunction is nonnegative,
 breaking exact ties by the sign at the right endpoint.
 
-:func:`fit_fpca` takes one of two spectral paths. With fewer series than
-grid points (n < m) the covariance has rank at most n - 1, and the
-spectrum comes from a thin SVD of the weighted centred sample
-``(H - mu) W^{1/2} / sqrt(n)``, padded with zeros to length m. Otherwise
-it forms the m x m surface with :func:`covariance_function` and solves it
-with :func:`eigendecompose`, which itself takes one of two paths. A
-weighted surface of numerical rank at most ``m // 6`` (29 at m = 176), as
-the convergence sweep's covariances of n draws from a K-component truth
-have (rank min(n - 1, K)), is factored by a pivoted Cholesky
-factorization, and the SVD of that m x r factor gives the spectrum. Any
-other surface, and any whose factor fails its certificate (an indefinite
-or zero surface), goes to ``numpy.linalg.eigh``. :func:`eigendecompose`
-is the path checked against the Jacobi oracle of the acceptance suite; the
-tests check its factor path against ``eigh``, and the SVD path of
-:func:`fit_fpca` against it and against ``eigh`` directly. All paths share
-one tail for the eigenvalue floor, quadrature normalization and the sign
-rule.
+One SVD kernel takes the spectrum from a row factor ``R`` of
+``W^{1/2} G W^{1/2} = R^T R``. With fewer series than grid points (n < m)
+:func:`fit_fpca` feeds it the weighted centred sample
+``(H - mu) W^{1/2} / sqrt(n)``; otherwise it forms the m x m surface with
+:func:`covariance_function`, and :func:`eigendecompose` feeds the kernel
+the transposed pivoted Cholesky factor of a surface of numerical rank at
+most ``m // 6`` (29 at m = 176), as the convergence sweep's covariances
+have. Every other surface goes to ``numpy.linalg.eigh``. Both routes
+share one tail for the eigenvalue floor, quadrature normalization and the
+sign rule; the acceptance suite checks :func:`eigendecompose` against a
+Jacobi oracle, and the tests check the kernel against ``eigh``.
 
 Mean and covariance sums run in name-sorted series order, so refitting a
 permuted sample reproduces the model bit for bit. :func:`score_rate_regression`
@@ -148,8 +142,10 @@ def mean_function(warps: WarpSet) -> np.ndarray:
 def covariance_function(warps: WarpSet) -> np.ndarray:
     """Sample covariance surface G(s, t) with divisor n, symmetrized.
 
-    ``G(s, t) = (1/n) sum_i h_i(s) h_i(t) - mu(s) mu(t)``. NumericalError
-    if the surface is not finite, as when the warps' squares overflow.
+    ``G(s, t) = (1/n) sum_i (h_i(s) - mu(s)) (h_i(t) - mu(t))``, centred
+    before the product, so a constant offset of the warps does not round
+    into it. NumericalError if the surface is not finite, as when the
+    warps' squares overflow.
     """
     if warps.n_series < 2:
         raise SampleSizeError(f"covariance needs at least 2 series, got {warps.n_series}")
@@ -161,8 +157,8 @@ def covariance_function(warps: WarpSet) -> np.ndarray:
 
 
 def _covariance(h: np.ndarray) -> np.ndarray:
-    mu = h.mean(axis=0)
-    g = (h.T @ h) / h.shape[0] - np.outer(mu, mu)
+    c = h - h.mean(axis=0)
+    g = (c.T @ c) / h.shape[0]
     return (g + g.T) / 2.0
 
 
@@ -181,9 +177,9 @@ def eigendecompose(g: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, np.ndarra
     stopping once the largest remaining pivot is at most
     ``tol = m * eps * max(diag(A))``. The factor is used only when
     ``r <= m // 6`` and ``max|A - L L^T| <= tol``; then the eigenvalues are
-    the squared singular values of ``L`` and the eigenvectors its left
-    singular vectors, with the null space completed by the full SVD. By
-    Weyl's inequality each eigenvalue of ``L L^T`` lies within
+    the squared singular values of ``L`` and the eigenvectors the right
+    singular vectors of ``L^T``, the null space completed by the full SVD.
+    By Weyl's inequality each eigenvalue of ``L L^T`` lies within
     ``m * tol = m^2 * eps * max(diag(A))`` of that of ``A``, and those past
     the numerical rank come out exactly 0, where ``eigh`` returns rounding
     noise of about 1e-17. A surface of higher rank, an indefinite one whose
@@ -208,13 +204,10 @@ def eigendecompose(g: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, np.ndarra
         sqrt_w = np.sqrt(trapezoid_weights(m))
         a = g * np.outer(sqrt_w, sqrt_w)
         factor = _low_rank_factor(a)
-        if factor is None:
-            vals, vecs = _solve(np.linalg.eigh, a)
-            vals, vecs = vals[::-1], vecs[:, ::-1]
-        else:
-            vecs, sv, _ = _solve(np.linalg.svd, factor, full_matrices=True)
-            vals = sv**2
-    return _spectrum(vals, vecs, m)
+        if factor is not None:
+            return _factor_spectrum(factor.T, full=True)
+        vals, vecs = _solve(np.linalg.eigh, a)
+    return _spectrum(vals[::-1], vecs[:, ::-1], m)
 
 
 def _low_rank_factor(a: np.ndarray) -> np.ndarray | None:
@@ -266,7 +259,7 @@ def _solve(solver, a: np.ndarray, **kwargs):
 
 
 def _spectrum(vals: np.ndarray, vecs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shared tail of both spectral paths: functions from weighted eigenvectors.
+    """Shared tail of the SVD and ``eigh`` paths: functions from weighted eigenvectors.
 
     ``vals`` are eigenvalues of ``W^{1/2} G W^{1/2}`` in nonincreasing order
     and the columns of ``vecs`` the matching orthonormal eigenvectors (at
@@ -290,21 +283,16 @@ def _spectrum(vals: np.ndarray, vecs: np.ndarray, m: int) -> tuple[np.ndarray, n
     return vals, np.where(flip[:, None], -phi, phi)
 
 
-def _sample_spectrum(h: np.ndarray, mu: np.ndarray, full: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Spectrum of the divisor-n sample covariance from a thin SVD of the sample.
+def _factor_spectrum(rows: np.ndarray, full: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Spectrum of ``A = R^T R`` from the SVD of its row factor ``R`` (r x m).
 
-    The right singular vectors of ``(H - mu) W^{1/2} / sqrt(n)``, from
-    ``numpy.linalg.svd``, are the eigenvectors of ``W^{1/2} G W^{1/2}`` and
-    its squared singular values the eigenvalues, so the m x m surface is
-    never formed. Returns the spectrum padded with zeros to length m and
-    ``min(n, m)`` eigenfunctions, or all ``m`` (an orthonormal completion)
-    when ``full`` is set.
+    The right singular vectors of ``R`` are the eigenvectors of ``A`` and its
+    squared singular values the eigenvalues, so ``A`` is never solved in full.
+    Returns the spectrum padded with zeros to length m and ``min(r, m)``
+    eigenfunctions, or all ``m`` (an orthonormal completion) when ``full`` is set.
     """
-    n, m = h.shape
-    sqrt_w = np.sqrt(trapezoid_weights(m))
-    a = (h - mu) * (sqrt_w / np.sqrt(n))
-    _, sv, vt = _solve(np.linalg.svd, a, full_matrices=full)
-    return _spectrum(sv**2, vt.T, m)
+    _, sv, vt = _solve(np.linalg.svd, rows, full_matrices=full)
+    return _spectrum(sv**2, vt.T, rows.shape[1])
 
 
 def _scores(h: np.ndarray, mu: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -376,8 +364,10 @@ def fit_fpca(
 
     with np.errstate(over="ignore", invalid="ignore"):  # _solve or _spectrum rejects the inf or NaN left
         mu = h.mean(axis=0)
-        if h.shape[0] < h.shape[1]:
-            vals, phi = _sample_spectrum(h, mu)
+        n, m = h.shape
+        if n < m:
+            rows = (h - mu) * (np.sqrt(trapezoid_weights(m)) / np.sqrt(n))
+            vals, phi = _factor_spectrum(rows)
         else:
             vals, phi = eigendecompose(_covariance(h), warps.grid)
 
@@ -388,7 +378,7 @@ def fit_fpca(
     if n_retained > phi.shape[0]:
         # More components than the thin SVD gives: complete the basis. The
         # added functions span the null space, so the spectrum is unchanged.
-        _, phi = _sample_spectrum(h, mu, full=True)
+        _, phi = _factor_spectrum(rows, full=True)
 
     return FpcaModel(
         grid=warps.grid,

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from warpgrowth import fpca
 from warpgrowth.cli import main
 from warpgrowth.errors import WarpGrowthError
 from warpgrowth.fpca import covariance_function, eigendecompose, fit_fpca, project_scores
@@ -196,11 +197,23 @@ def test_criterion_5_simulation_round_trip():
     )
 
 
-def test_criterion_6_consistency_rates():
+def test_criterion_6_consistency_rates(monkeypatch):
+    # Every sample covariance of the sweep has rank at most 10, so each one's
+    # pivoted Cholesky factor must pass its certificate.
+    declined = []
+    low_rank_factor = fpca._low_rank_factor
+
+    def counted(a):
+        factor = low_rank_factor(a)
+        declined.append(factor is None)
+        return factor
+
+    monkeypatch.setattr(fpca, "_low_rank_factor", counted)
     start = time.perf_counter()
     truth = default_truth()
     result = convergence_sweep(truth, (25, 100, 400), repeats=50, seed=0)
     elapsed = time.perf_counter() - start
+    assert len(declined) == 150 and not any(declined), sum(declined)
     assert result.slopes["mean"] <= -0.4, result.slopes
     assert result.slopes["lambda_1"] <= -0.4, result.slopes
     assert elapsed < 120.0, elapsed

@@ -81,6 +81,12 @@ class TestCovarianceFunction:
         ws = make_warpset([[0.0, 1.0], [0.0, 3.0]])
         np.testing.assert_allclose(covariance_function(ws), [[0.0, 0.0], [0.0, 1.0]], atol=1e-15)
 
+    def test_constant_offset_does_not_round_into_the_surface(self):
+        # Centring before the product: h'h / n - mu mu' would lose about 1e-7 here to cancellation.
+        h = 0.01 * np.random.default_rng(3).standard_normal((30, 176)).cumsum(axis=1)
+        shifted = covariance_function(make_warpset(h + 1e4))
+        assert np.abs(shifted - covariance_function(make_warpset(h))).max() <= 1e-12
+
     def test_needs_two_series(self):
         ws = make_warpset([np.linspace(0, 1, 4)])
         with pytest.raises(SampleSizeError):

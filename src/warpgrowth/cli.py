@@ -24,7 +24,8 @@ class; any other exception is a bug. Outputs are written only after the
 whole computation succeeds, an optional output the run does not write
 (``modes_k*.csv``, ``score_alpha_regression.json``, ``convergence.*``) is
 removed, and identical inputs plus an identical seed yield byte-identical
-artifacts.
+artifacts, at 1 and at 2 OpenBLAS threads alike (acceptance criterion 8
+checks both).
 """
 
 from __future__ import annotations

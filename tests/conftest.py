@@ -1,9 +1,38 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import warpgrowth
 from warpgrowth.growthfit import WindowFits
 from warpgrowth.timeseries import Panel, TimeGrid
 from warpgrowth.warping import WarpSet
+
+
+def snapshot(directory) -> dict:
+    """Every file under ``directory``, keyed by its path relative to it, as bytes."""
+    directory = Path(directory)
+    return {p.relative_to(directory).as_posix(): p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def run_python(code: str, *args, threads=None) -> str:
+    """The stdout of ``code`` run in a fresh interpreter on this package, with ``args`` as ``sys.argv[1:]``.
+
+    A numpy ``RuntimeWarning`` fails the child, as pytest's own
+    ``filterwarnings`` fails a test. With ``threads``, OpenBLAS runs on that
+    many threads in the child.
+    """
+    src = str(Path(warpgrowth.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-c", code, *map(str, args)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def exponential_panel(alphas, x0s=None, start_month=144, n_points=176, names=None) -> Panel:

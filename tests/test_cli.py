@@ -1,16 +1,12 @@
 import csv
 import dataclasses
 import json
-import os
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import warpgrowth
 from warpgrowth import _table
 from warpgrowth.cli import _parse_fit_artifact, main
 from warpgrowth.fpca import DEFAULT_GAMMAS, fit_fpca, modes_of_variation, score_rate_regression
@@ -19,7 +15,7 @@ from warpgrowth.simulate import SimTruth, default_truth, generate_replicate, sav
 from warpgrowth.timeseries import Panel, TimeGrid, month_label, parse_panel, restrict, serialize_panel
 from warpgrowth.warping import compute_warp_set, identity_deviation, warps_from_csv, warps_to_csv
 
-from conftest import MALFORMED_UNIT_TABLES, edit_table, exponential_panel
+from conftest import MALFORMED_UNIT_TABLES, edit_table, exponential_panel, run_python, snapshot
 
 
 def write_panel(path, panel):
@@ -27,13 +23,13 @@ def write_panel(path, panel):
     return str(path)
 
 
+#: Maps the ASCII digits to ARABIC-INDIC DIGIT ZERO..NINE (U+0660..U+0669).
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
 def read_csv(path):
     with open(path) as fh:
         return [row for row in csv.reader(fh)]
-
-
-def snapshot(directory):
-    return {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.is_file()}
 
 
 @pytest.fixture
@@ -372,6 +368,12 @@ class TestFpcaCommand:
         out = tmp_path / "out"
         assert main(["fpca", "--input", path, "--output-dir", str(out), "--k", "2"]) == 0
         model = fit_fpca(_table.read_file(path, warps_from_csv), k=2)
+        header, data = _table.read_file(out / "eigenfunctions.csv", _table.read_unit_table, 2)
+        assert header == ["t_normalized", "mean", "phi_1", "phi_2", "phi_scaled_1", "phi_scaled_2"]
+        assert data[:, 1].tobytes() == model.mean.tobytes()
+        assert data[:, 2:4].T.tobytes() == model.eigenfunctions.tobytes()
+        scaled = model.eigenfunctions * np.sqrt(model.eigenvalues[:2])[:, None]
+        assert data[:, 4:].T.tobytes() == scaled.tobytes()
         for k in (1, 2):
             header, data = _table.read_file(out / f"modes_k{k}.csv", _table.read_unit_table, 2)
             assert header == ["t_normalized", *(f"gamma_{g:g}" for g in DEFAULT_GAMMAS)]
@@ -706,69 +708,31 @@ class TestDiagnoseCommand:
 
 
 class TestDeterminism:
-    def test_rerun_produces_byte_identical_artifacts(self, exp_csv, tmp_path):
-        results = []
-        for name in ("run1", "run2"):
-            out = tmp_path / name
-            assert main(["fit", "--input", exp_csv, "--output-dir", str(out)]) == 0
-            assert main(["warp", "--input", exp_csv, "--output-dir", str(out)]) == 0
-            assert (
-                main(
-                    [
-                        "fpca",
-                        "--input",
-                        str(out / "warps.csv"),
-                        "--output-dir",
-                        str(out),
-                        "--fit",
-                        str(out / "fit.json"),
-                        "--k",
-                        "2",
-                    ]
-                )
-                == 0
-            )
-            assert main(["diagnose", "--input", exp_csv, "--output-dir", str(out)]) == 0
-            assert (
-                main(
-                    [
-                        "simulate",
-                        "--output-dir",
-                        str(out),
-                        "--default-truth",
-                        "--replicates",
-                        "2",
-                        "--seed",
-                        "9",
-                    ]
-                )
-                == 0
-            )
-            results.append(snapshot(out))
-        assert results[0].keys() == results[1].keys()
-        for name in results[0]:
-            assert results[0][name] == results[1][name], f"{name} differs between reruns"
-
-
-    def test_padded_copies_give_the_same_artifacts(self, exp_csv, tmp_path):
-        # Every body cell of the panel and of warps.csv rewritten as
-        # " " + cell + "\x1f", quoted, with "\r\n" line ends: each cell is
-        # stripped with str.strip, so the chain writes the same bytes.
-        def padded(src, dst):
+    @pytest.mark.parametrize(
+        "respell",
+        [lambda cell: f" {cell}\x1f", lambda cell: cell.translate(ARABIC_INDIC_DIGITS)],
+        ids=["padded", "arabic-indic"],
+    )
+    def test_padded_and_arabic_indic_copies_give_the_same_artifacts(self, exp_csv, tmp_path, respell):
+        # Every body cell of the panel and of warps.csv respelled, quoted, with
+        # "\r\n" line ends. A padded cell is stripped with str.strip. Only
+        # float reads Arabic-Indic digits, so read_table reads both files of
+        # that copy with its csv fallback. Either way the chain writes the same bytes.
+        def respelled(src, dst):
             rows = read_csv(src)
-            rows[1:] = [[f" {cell}\x1f" for cell in row] for row in rows[1:]]
+            rows[1:] = [[respell(cell) for cell in row] for row in rows[1:]]
             with open(dst, "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(rows)
             return str(dst)
 
         results = []
-        for panel, name in ((exp_csv, "plain"), (padded(exp_csv, tmp_path / "panel_padded.csv"), "padded")):
+        for panel, name in ((exp_csv, "plain"), (respelled(exp_csv, tmp_path / "panel_respelled.csv"), "respelled")):
             out = tmp_path / name
             assert main(["fit", "--input", panel, "--output-dir", str(out)]) == 0
             assert main(["warp", "--input", panel, "--output-dir", str(out)]) == 0
             warps = str(out / "warps.csv")
-            if name == "padded":
-                warps = padded(warps, tmp_path / "warps_padded.csv")
+            if name == "respelled":
+                warps = respelled(warps, tmp_path / "warps_respelled.csv")
             assert main(["fpca", "--input", warps, "--output-dir", str(out)]) == 0
             assert main(["diagnose", "--input", panel, "--output-dir", str(out)]) == 0
             results.append(snapshot(out))
@@ -901,11 +865,7 @@ assert main(["simulate", "--default-truth", "--replicates", "2", "--seed", "0", 
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
 """
-        src = str(Path(warpgrowth.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        argv = [sys.executable, "-c", code, exp_csv, str(tmp_path / "out")]
-        done = subprocess.run(argv, env=env, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
+        run_python(code, exp_csv, tmp_path / "out")
         assert (tmp_path / "out" / "score_alpha_regression.json").exists()
 
 

@@ -1,14 +1,8 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import warpgrowth
 from warpgrowth.errors import (
     ConfigError,
     DegenerateRegressorError,
@@ -33,7 +27,7 @@ from warpgrowth.quadrature import trapezoid_weights
 from warpgrowth.timeseries import TimeGrid
 from warpgrowth.warping import WarpSet
 
-from conftest import warp_set
+from conftest import run_python, warp_set
 from oracles import oracle_eigendecompose
 
 
@@ -653,14 +647,7 @@ p = rng.permutation(20000)
 for line in score_rate_regression(s[p], a[p]):
     print(line.slope.hex(), line.intercept.hex(), line.correlation.hex())
 """
-        src = str(Path(warpgrowth.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        runs = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
-            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-            assert done.returncode == 0, done.stderr
-            runs.append(done.stdout)
+        runs = [run_python(code, threads=threads) for threads in ("1", "2")]
         assert runs[0] == runs[1]
         assert len(runs[0].splitlines()) == 2
 

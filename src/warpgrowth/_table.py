@@ -4,9 +4,10 @@ Every CSV artifact is rendered here, floats at 17 significant digits so a
 read-back is exact: the unit table (``t_normalized`` and ``linspace(0, 1,
 m)`` first) by :func:`write_unit_table`, next to its reader
 :func:`read_unit_table`, and mixed rows by :func:`write_rows`. Every
-artifact file is opened by :func:`open_output`, directly or through
-:func:`write_text` and :func:`write_json`: UTF-8, no newline translation,
-its directory made first; given None, these two remove the file instead.
+artifact file is written by :func:`write_output`, which
+:func:`warpgrowth.cli.main` calls on the outputs each ``cmd_*`` returns by
+name: text, JSON or a streamed table, its directory made first; None
+removes the file instead.
 Input files go through :func:`read_file` (UTF-8, a byte-order mark
 dropped), so malformed content raises a typed error (SchemaError,
 GridError) naming the file, never a builtin.
@@ -281,24 +282,20 @@ def write_rows(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return line(header) + "".join([line(["%.17g" % c if isinstance(c, float) else c for c in row]) for row in rows])
 
 
-def open_output(path: Path) -> BinaryIO:
-    """``path`` opened to write bytes, its directory made first."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "wb")
-
-
-def write_text(path: Path, text: str | None) -> None:
-    """Write ``text`` to ``path`` as UTF-8, line ends untranslated; None removes ``path``: the run has no such output."""
-    if text is None:
+def write_output(path: Path, content: str | dict | Callable[[BinaryIO], object] | None) -> None:
+    """Write a ``str`` to ``path`` as UTF-8, line ends untranslated, a ``dict`` as JSON (sorted keys, indent 2,
+    a final newline), or call a function on the file opened to write bytes, so a table can stream; None removes it."""
+    if content is None:
         path.unlink(missing_ok=True)
         return
-    with open_output(path) as fh:
-        fh.write(text.encode("utf-8"))
-
-
-def write_json(path: Path, obj) -> None:
-    """Write ``obj`` to ``path`` as JSON with sorted keys, indented 2, ending in a newline; None removes ``path``."""
-    write_text(path, None if obj is None else json.dumps(obj, indent=2, sort_keys=True, allow_nan=True) + "\n")
+    if isinstance(content, dict):
+        content = json.dumps(content, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        if isinstance(content, str):
+            fh.write(content.encode("utf-8"))
+        else:
+            content(fh)
 
 
 def csv_rows(text: str) -> list[list[str]]:

@@ -11,8 +11,8 @@ warps with :func:`~warpgrowth.warping.compute_warp_set`, as the study does.
 
 The artifacts of ``fit`` and ``fpca`` are rendered here from the arrays
 that :mod:`~warpgrowth.growthfit` and :mod:`~warpgrowth.fpca` return:
-``fit.json`` is written by :func:`cmd_fit` and read back by
-:func:`_parse_fit_artifact`, and :func:`cmd_fpca` writes
+``fit.json`` is rendered by :func:`cmd_fit` and read back by
+:func:`_parse_fit_artifact`, and :func:`cmd_fpca` renders
 ``fpca_model.json``, ``eigenfunctions.csv``, ``scores.csv``,
 ``modes_k*.csv`` and ``score_alpha_regression.json``. The warp, panel,
 simulation-report and truth formats keep one owner each in the library,
@@ -20,12 +20,15 @@ next to their readers or outside callers.
 
 Exit codes are a stable contract: 0 success, 2 input error, 3 numerical
 failure, 4 configuration error, each declared by its ``WarpGrowthError``
-class; any other exception is a bug. Outputs are written only after the
-whole computation succeeds, an optional output the run does not write
+class; any other exception is a bug. A ``cmd_*`` writes nothing: it
+returns its outputs by file name, in write order, and its summary line,
+and :func:`main` alone writes them with :func:`~warpgrowth._table.write_output`
+and then prints the line. So outputs are written only after the whole
+computation succeeds, an optional output the run does not produce
 (``modes_k*.csv``, ``score_alpha_regression.json``, ``convergence.*``) is
-removed, and identical inputs plus an identical seed yield byte-identical
-artifacts, at 1 and at 2 OpenBLAS threads alike (acceptance criterion 8
-checks both).
+None and removed, and identical inputs plus an identical seed yield
+byte-identical artifacts, at 1 and at 2 OpenBLAS threads alike (acceptance
+criterion 8 checks both).
 """
 
 from __future__ import annotations
@@ -125,7 +128,7 @@ def _fit_rows(fits: WindowFits, *keys: str) -> list[dict]:
     return [{"name": name, **dict(zip(keys, row))} for name, *row in zip(fits.names, *columns)]
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> tuple[dict, str]:
     panel = _table.read_file(args.input, parse_panel)
     restriction = _parse_window(args.window) if args.window else (panel.grid.start_month, panel.grid.end_month)
     panel, dropped = restrict(panel, *restriction)
@@ -150,13 +153,11 @@ def cmd_fit(args) -> int:
             "panel_end": panel.grid.end_month,
         },
     }
-    _table.write_json(Path(args.output_dir) / "fit.json", artifact)
-    print(
+    return {"fit.json": artifact}, (
         f"fit: window {month_label(start)}..{month_label(end)} ({result.window_length_months} months), "
         f"mean R2 {result.mean_r2:.4f}, mean alpha {estimates.mean_alpha * 100:.3f}%/month "
         f"({panel.n_series} series, {len(dropped)} dropped)"
     )
-    return EXIT_OK
 
 
 def _warps_for_artifact(args):
@@ -167,7 +168,7 @@ def _warps_for_artifact(args):
     return fits, compute_warp_set(panel, fits)
 
 
-def cmd_warp(args) -> int:
+def cmd_warp(args) -> tuple[dict, str]:
     fits, warpset = _warps_for_artifact(args)
     months = warpset.grid.elapsed_months
     h_end = warpset.values[:, -1]
@@ -177,20 +178,13 @@ def cmd_warp(args) -> int:
         ["name", "alpha", "h_end", "setback_normalized", "setback_months", "reliable"],
         zip(warpset.names, *(c.tolist() for c in columns)),
     )
-
-    out = Path(args.output_dir)
-    with _table.open_output(out / "warps.csv") as fh:
-        warps_to_csv(warpset, fh)
-    _table.write_text(out / "setbacks.csv", setbacks)
-    mean_setback = float(np.mean(setback))
-    print(
+    return {"warps.csv": lambda fh: warps_to_csv(warpset, fh), "setbacks.csv": setbacks}, (
         f"warp: {warpset.n_series} series on {warpset.grid.n_points} points, "
-        f"mean time setback {mean_setback * months:.1f} months"
+        f"mean time setback {float(np.mean(setback)) * months:.1f} months"
     )
-    return EXIT_OK
 
 
-def cmd_fpca(args) -> int:
+def cmd_fpca(args) -> tuple[dict, str]:
     warpset = _table.read_file(args.input, warps_from_csv)
     exclude = tuple(name.strip() for name in args.exclude.split(",") if name.strip()) if args.exclude else ()
     model = fit_fpca(warpset, exclude=exclude, k=args.k, var_threshold=args.var_threshold)
@@ -230,23 +224,21 @@ def cmd_fpca(args) -> int:
             ]
             regression = {"n": len(rows), "components": components}
 
-    out = Path(args.output_dir)
-    _table.write_json(out / "fpca_model.json", summary)
-    _table.write_text(out / "eigenfunctions.csv", eigenfunctions)
-    _table.write_text(out / "scores.csv", scores)
-    for k in (1, 2):
-        _table.write_text(out / f"modes_k{k}.csv", modes.get(k))
-    _table.write_json(out / "score_alpha_regression.json", regression)
-
+    outputs = {
+        "fpca_model.json": summary,
+        "eigenfunctions.csv": eigenfunctions,
+        "scores.csv": scores,
+        **{f"modes_k{k}.csv": modes.get(k) for k in (1, 2)},
+        "score_alpha_regression.json": regression,
+    }
     shares = ", ".join(f"{v:.1%}" for v in model.var_explained[:2])
-    print(
+    return outputs, (
         f"fpca: {model.n_sample} series in sample, {model.n_retained} components retained, "
         f"leading variance shares {shares}"
     )
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[dict, str]:
     if args.truth and args.default_truth:
         raise ConfigError("pass either --truth or --default-truth, not both")
     if args.truth:
@@ -257,29 +249,24 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate needs --truth MANIFEST or --default-truth")
 
     report = sim.run_study(truth, args.replicates, seed=args.seed)
-    sweep_json = sweep_csv = None
-    if args.convergence_sweep:
-        sweep = sim.convergence_sweep(truth, (25, 100, 400), repeats=50, seed=args.seed)
-        sweep_json, sweep_csv = sweep.to_json_dict(), sweep.to_csv()
-
-    out = Path(args.output_dir)
-    _table.write_json(out / "sim_report.json", report.to_json_dict())
-    _table.write_text(out / "sim_replicates.csv", report.replicates_to_csv())
-    _table.write_json(out / "convergence.json", sweep_json)
-    _table.write_text(out / "convergence.csv", sweep_csv)
-
+    sweep = sim.convergence_sweep(truth, (25, 100, 400), repeats=50, seed=args.seed) if args.convergence_sweep else None
+    outputs = {
+        "sim_report.json": report.to_json_dict(),
+        "sim_replicates.csv": report.replicates_to_csv(),
+        "convergence.json": sweep and sweep.to_json_dict(),
+        "convergence.csv": sweep and sweep.to_csv(),
+    }
     agg, ref = report.aggregates, sim.HOUSING_STUDY_REFERENCE
     ase = agg.get("ase", {}).get("mean", float("nan"))
     ve2 = agg.get("var_explained_2", {}).get("mean", float("nan"))
-    print(
+    return outputs, (
         f"simulate: {report.n_replicates} replicates ({report.n_failed} failed), "
         f"ASE mean {ase:.4g}, variance explained by 2 components {ve2:.1%} "
         f"(housing-study reference: ASE {ref['ase_mean']}, {ref['var_explained_2_mean']:.0%})"
     )
-    return EXIT_OK
 
 
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(args) -> tuple[dict, str]:
     fits, warpset = _warps_for_artifact(args)
     deviation = identity_deviation(warpset)
     worst = min(range(warpset.n_series), key=lambda i: (-deviation[i], warpset.names[i]))  # a tie goes to the first name
@@ -292,12 +279,10 @@ def cmd_diagnose(args) -> int:
             for name, d, c in zip(warpset.names, deviation.tolist(), fits.clamped.tolist())
         ],
     }
-    _table.write_json(Path(args.output_dir) / "diagnostics_summary.json", summary)
-    print(
+    return {"diagnostics_summary.json": summary}, (
         f"diagnose: {warpset.n_series} series, anchor window {month_label(start)}..{month_label(end)}, "
         f"largest anchor deviation {deviation[worst]:.4g} ({warpset.names[worst]})"
     )
-    return EXIT_OK
 
 
 def _fit_path(args) -> Path:
@@ -353,15 +338,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command: 0, the code a WarpGrowthError's class declares, 2 for an OSError; a bug propagates."""
+    """Run one command, write its outputs, print its summary: 0, the code a WarpGrowthError's class declares,
+    2 for an OSError; a bug propagates."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        outputs, summary = args.func(args)
+        for name, content in outputs.items():
+            _table.write_output(Path(args.output_dir) / name, content)
     except WarpGrowthError as exc:
         code, error = exc.exit_code, exc
     except OSError as exc:
         code, error = EXIT_INPUT, exc
+    else:
+        print(summary)
+        return EXIT_OK
     print(f"warpgrowth {args.command}: {_EXIT_LABELS[code]}: {error}", file=sys.stderr)
     return code
 

@@ -34,12 +34,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ._table import json_field, read_file, read_unit_table, write_json, write_rows, write_text, write_unit_table
+from ._table import json_field, read_file, read_unit_table, write_output, write_rows, write_unit_table
 from .errors import ConfigError, WarpGrowthError
 from .fpca import _covariance, _spectrum, eigendecompose, fit_fpca
 from .growthfit import DEFAULT_WINDOW_LENGTHS, estimate_alphas, search_interval
 from .quadrature import trapezoid_weights
-from .timeseries import Panel, TimeGrid, freeze_fields
+from .timeseries import Panel, TimeGrid, freeze_fields, freeze_integer
 from .warping import compute_warp_set
 
 #: Default simulation grid: December 1998 through July 2013 in month
@@ -80,8 +80,8 @@ class SimTruth:
     and ``eigenvalues`` are read-only arrays in normalized units on
     ``grid.points``, the grid's [0, 1] rescaling; all three must be finite,
     and the eigenfunctions orthonormal under the trapezoid quadrature. ``grid``
-    fixes the calendar months the normalized window corresponds to.
-    ConfigError names the first field that breaks a rule.
+    fixes the calendar months the normalized window corresponds to; ``n``
+    is an int. ConfigError names the first field that breaks a rule.
     """
 
     grid: TimeGrid
@@ -112,12 +112,11 @@ class SimTruth:
             gram = (phi * w) @ phi.T
             if float(np.abs(gram - np.eye(phi.shape[0])).max()) > 1e-8:
                 raise ConfigError("eigenfunctions are not orthonormal under the grid quadrature")
-        if self.n < 1:
-            raise ConfigError(f"sample size must be positive, got {self.n}")
-        if len(self.x0_range) != 2 or not (0 < self.x0_range[0] <= self.x0_range[1]):
-            raise ConfigError(f"invalid x0 range {self.x0_range}")
-        if len(self.alpha_range) != 2 or not (0 < self.alpha_range[0] <= self.alpha_range[1]):
-            raise ConfigError(f"invalid alpha range {self.alpha_range}")
+        freeze_integer(self, "n", 1, math.inf, ConfigError)
+        for key in ("x0_range", "alpha_range"):
+            ends = getattr(self, key)
+            if len(ends) != 2 or not 0 < ends[0] <= ends[1] < math.inf:
+                raise ConfigError(f"{key} must be finite, positive and nondecreasing, got {ends}")
         if not self.cap > 0:
             raise ConfigError(f"cap must be positive, got {self.cap}")
         fields = (("mean", float, mean.shape), ("eigenfunctions", float, phi.shape), ("eigenvalues", float, lam.shape))
@@ -593,10 +592,10 @@ def save_truth(truth: SimTruth, directory: str | Path) -> Path:
     """
     directory = Path(directory)
     mean_path = directory / "truth_mean.csv"
-    write_text(mean_path, write_unit_table(["mean"], [truth.mean]))
+    write_output(mean_path, write_unit_table(["mean"], [truth.mean]))
     phi_path = directory / "truth_eigenfunctions.csv"
     phi_names = [f"phi_{k + 1}" for k in range(truth.n_components)]
-    write_text(phi_path, write_unit_table(phi_names, [truth.eigenfunctions]))
+    write_output(phi_path, write_unit_table(phi_names, [truth.eigenfunctions]))
 
     manifest = {
         "t0_month": truth.grid.start_month,
@@ -610,7 +609,7 @@ def save_truth(truth: SimTruth, directory: str | Path) -> Path:
         "eigenfunctions_csv": phi_path.name,
     }
     manifest_path = directory / "truth.json"
-    write_json(manifest_path, manifest)
+    write_output(manifest_path, manifest)
     return manifest_path
 
 

@@ -17,6 +17,7 @@ by :func:`month_index`, and then checks the months and the levels.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import reprlib
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import read_table, write_rows
-from .errors import EmptyPanelError, GridError, MissingDataError, SchemaError
+from .errors import EmptyPanelError, GridError, MissingDataError, SchemaError, WarpGrowthError
 
 EPOCH_YEAR = 1987
 
@@ -119,6 +120,14 @@ def freeze_fields(obj, fields, what: str) -> None:
             raise GridError(f"{what}: {key} is {a.shape}, not {shape}")
         a.setflags(write=False)
         object.__setattr__(obj, key, a)
+
+
+def freeze_integer(obj, key: str, low: int, high: float, error: type[WarpGrowthError]) -> None:
+    """Store ``obj.<key>`` as an int; ``error`` unless it is an integer (a numpy one too, a bool not) in ``[low, high)``."""
+    value = getattr(obj, key)
+    if isinstance(value, bool) or not hasattr(value, "__index__") or not low <= operator.index(value) < high:
+        raise error(f"{key} must be an integer in [{low}, {high}), got {value!r}")
+    object.__setattr__(obj, key, operator.index(value))
 
 
 def freeze_names(obj, what: str) -> tuple[str, ...]:

@@ -23,7 +23,6 @@ one array pass; one series is a one-row panel and a one-row warp set.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -32,7 +31,7 @@ import numpy as np
 from ._table import read_unit_table, write_unit_table
 from .errors import ConfigError, GridError, NumericalError, RateError, SchemaError
 from .growthfit import WindowFits
-from .timeseries import Panel, TimeGrid, freeze_fields, freeze_names
+from .timeseries import Panel, TimeGrid, freeze_fields, freeze_integer, freeze_names
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,10 +53,7 @@ class WarpSet:
     def __post_init__(self):
         n, m = len(freeze_names(self, "warp set")), self.grid.n_points
         freeze_fields(self, (("values", float, (n, m)),), f"warp set of {n} series on {m} points")
-        t0 = self.t0_index
-        if isinstance(t0, bool) or not hasattr(t0, "__index__") or not 0 <= operator.index(t0) < m:
-            raise GridError(f"t0_index must be an integer in [0, {m}), got {t0!r}")
-        object.__setattr__(self, "t0_index", operator.index(t0))
+        freeze_integer(self, "t0_index", 0, m, GridError)
 
     @property
     def n_series(self) -> int:

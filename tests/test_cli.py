@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -89,6 +90,17 @@ class TestFitCommand:
         assert code == 2
         assert not out.exists() or not any(out.iterdir())
 
+    def test_unwritable_output_exits_2_before_the_summary(self, exp_csv, chain, tmp_path, capsys):
+        # The summary line comes only after every output is written.
+        capsys.readouterr()
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        for command in ("fit", "warp"):
+            argv = [command, "--input", exp_csv, "--output-dir", str(blocker)]
+            assert main(argv + ([] if command == "fit" else ["--fit", str(chain / "fit.json")])) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"warpgrowth {command}: input error" in captured.err
+
     @pytest.mark.parametrize("cell", ["inf", "-inf", "1e-320"])
     def test_non_finite_or_subnormal_value_exits_2(self, tmp_path, capsys, cell):
         path = tmp_path / "bad.csv"
@@ -99,12 +111,13 @@ class TestFitCommand:
         assert not out.exists()
 
     def test_bad_lengths_exit_4(self, exp_csv, tmp_path):
-        code = main(
-            ["fit", "--input", exp_csv, "--output-dir", str(tmp_path / "o"), "--window-lengths", "2"]
-        )
-        assert code == 4
+        for lengths in ("2", "a,b"):
+            code = main(
+                ["fit", "--input", exp_csv, "--output-dir", str(tmp_path / "o"), "--window-lengths", lengths]
+            )
+            assert code == 4
 
-    @pytest.mark.parametrize("window", ["x:y", "2013-07:1998-12", "2000-01:2000-01", "2000-13:2001-01"])
+    @pytest.mark.parametrize("window", ["x:y", "2013-07:1998-12", "2000-01:2000-01", "2000-13:2001-01", "5"])
     def test_bad_window_flag_exits_4(self, exp_csv, tmp_path, capsys, window):
         out = tmp_path / "o"
         assert main(["fit", "--input", exp_csv, "--output-dir", str(out), "--window", window]) == 4
@@ -563,6 +576,15 @@ class TestSimulateCommand:
         assert "configuration error: truth manifest: unknown keys ['alpha_rnage']" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_infinite_range_end_exits_4(self, tmp_path, capsys):
+        # json reads the bare token Infinity as a float.
+        manifest = save_truth(default_truth(), tmp_path / "truth")
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "x0_range": [85.0, math.inf]}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--output-dir", str(out), "--truth", str(manifest)]) == 4
+        assert "configuration error: x0_range must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("shift", [0, -5])
     def test_truth_end_not_after_start_exits_4(self, tmp_path, capsys, shift):
         manifest = save_truth(default_truth(), tmp_path / "truth")
@@ -575,6 +597,8 @@ class TestSimulateCommand:
 
     def test_requires_truth_choice(self, tmp_path):
         assert main(["simulate", "--output-dir", str(tmp_path / "o")]) == 4
+        manifest = str(tmp_path / "truth.json")
+        assert main(["simulate", "--output-dir", str(tmp_path / "o"), "--truth", manifest, "--default-truth"]) == 4
 
     def test_zero_replicates_exit_4(self, tmp_path, capsys):
         code = main(
@@ -783,6 +807,12 @@ class TestInputBoundary:
         assert main(["warp", "--input", exp_csv, "--output-dir", str(chain)]) == 2
         err = capsys.readouterr().err
         assert f"{path}: alpha_estimates.per_series[1]: 'alpha' must be float, got 'x'" in err
+
+    def test_fit_artifact_window_of_wrong_type(self, exp_csv, chain, capsys):
+        path = chain / "fit.json"
+        edit_fit(path, lambda artifact: artifact.update(window=[150, 170]))
+        assert main(["warp", "--input", exp_csv, "--output-dir", str(chain)]) == 2
+        assert f"{path}: fit artifact: 'window' must be dict, got [150, 170]" in capsys.readouterr().err
 
     def test_fit_row_missing_alpha_names_the_row(self, exp_csv, chain, capsys):
         path = chain / "fit.json"

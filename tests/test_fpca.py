@@ -118,6 +118,10 @@ class TestEigendecompose:
         with pytest.raises(NumericalError, match="non-finite"):
             eigendecompose(np.full((176, 176), entry), TimeGrid(0, 176))
 
+    def test_surface_off_the_grid_rejected(self):
+        with pytest.raises(GridError, match="grid has 6 points"):
+            eigendecompose(np.eye(5), TimeGrid(0, 6))
+
     def test_asymmetric_rejected(self):
         grid = TimeGrid(0, 3)
         g = np.array([[1.0, 0.5, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]])

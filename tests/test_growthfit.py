@@ -169,6 +169,12 @@ class TestSearchInterval:
         with pytest.raises(WindowError):
             search_interval(panel, (2,))
 
+    def test_empty_request_rejected(self):
+        with pytest.raises(WindowError, match="no series"):
+            search_interval(Panel(TimeGrid(144, 30), (), np.empty((0, 30))), (24,))
+        with pytest.raises(WindowError, match="no window lengths"):
+            search_interval(exponential_panel([0.01], n_points=30), ())
+
     def test_gappy_series_rejected(self):
         vals = 100.0 * np.exp(0.01 * np.arange(40.0))
         vals[5] = np.nan
@@ -409,6 +415,10 @@ class TestPrefixFilter:
 
 
 class TestEstimateAlphas:
+    def test_two_month_window_rejected(self):
+        with pytest.raises(WindowError, match="fewer than 3 points"):
+            estimate_alphas(exponential_panel([0.01], n_points=30), (150, 151))
+
     def test_identical_series_zero_sd(self):
         panel = exponential_panel([0.01, 0.01, 0.01], n_points=30)
         est = estimate_alphas(panel, (144, 167))

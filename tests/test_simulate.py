@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -97,6 +98,28 @@ class TestSimTruthValidation:
             identity_truth(alpha_range=(0.0, 0.01))
         with pytest.raises(ConfigError):
             identity_truth(x0_range=(100.0, 85.0))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n": 2.5}, "n must be an integer in [1, inf), got 2.5"),
+            ({"n": True}, "n must be an integer in [1, inf), got True"),
+            ({"n": 0}, "n must be an integer in [1, inf), got 0"),
+            ({"cap": 0.0}, "cap must be positive"),
+            ({"alpha_range": (0.003, math.inf)}, "alpha_range must be finite"),
+            ({"x0_range": (85.0, math.inf)}, "x0_range must be finite"),
+            ({"eigenfunctions": np.ones(176), "eigenvalues": np.ones(1)}, "eigenfunctions must be (K, 176)"),
+            ({"eigenvalues": np.array([0.2, 0.1])}, "2 eigenvalues for 10 eigenfunctions"),
+        ],
+        ids=["fractional-n", "bool-n", "zero-n", "zero-cap", "infinite-alpha", "infinite-x0", "1d-phi", "lambda-count"],
+    )
+    def test_bad_field_rejected_naming_it(self, change, message):
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            replace(default_truth(), **change)
+
+    def test_numpy_integer_n_is_an_int(self):
+        truth = replace(default_truth(), n=np.int64(5))
+        assert type(truth.n) is int and truth.n == 5
 
     def test_arrays_are_read_only(self):
         truth = default_truth()

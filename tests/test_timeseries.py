@@ -106,6 +106,18 @@ class TestParsePanel:
         with pytest.raises(SchemaError):
             parse_panel("month,A\n2000-01,100\n2000-02,101\n")
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("", "empty input"),
+            ("date\n2000-01\n2000-02\n", "no series columns"),
+            ("date,A,\n2000-01,100,5\n2000-02,101,6\n", "empty series name"),
+        ],
+    )
+    def test_header_without_series_rejected(self, text, problem):
+        with pytest.raises(SchemaError, match=problem):
+            parse_panel(text)
+
     def test_single_row_rejected(self):
         with pytest.raises(GridError):
             parse_panel("date,A\n2000-01,100\n")

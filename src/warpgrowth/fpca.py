@@ -14,10 +14,11 @@ One SVD kernel takes the spectrum from a row factor ``R`` of
 :func:`covariance_function`, and :func:`eigendecompose` feeds the kernel
 the transposed pivoted Cholesky factor of a surface of numerical rank at
 most ``m // 6`` (29 at m = 176), as the convergence sweep's covariances
-have. Every other surface goes to ``numpy.linalg.eigh``. Both routes
-share one tail for the eigenvalue floor, quadrature normalization and the
-sign rule; the acceptance suite checks :func:`eigendecompose` against a
-Jacobi oracle, and the tests check the kernel against ``eigh``.
+have; the kernel returns only the r functions its thin SVD resolves.
+Every other surface goes to ``numpy.linalg.eigh``. All routes share one
+tail for the eigenvalue floor, quadrature normalization and the sign rule;
+the acceptance suite checks :func:`eigendecompose` against a Jacobi
+oracle, and the tests check the kernel against ``eigh``.
 
 Mean and covariance sums run in name-sorted series order, so refitting a
 permuted sample reproduces the model bit for bit. :func:`score_rate_regression`
@@ -56,10 +57,10 @@ DEFAULT_GAMMAS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 #: :func:`eigendecompose` factors a weighted covariance of numerical rank at
 #: most ``m // _FACTOR_RANK_DIVISOR`` and hands any other to ``eigh``. At
-#: m = 176 (2-vCPU x86-64, numpy 2.4 with OpenBLAS) the factor path beat
-#: ``eigh`` through rank 29 at 1 and at 2 BLAS threads (2.7 against 3.0 ms a
-#: call at 2), lost from rank 36 at 2 threads (3.9 against 3.6 ms) and won
-#: through rank 44 at 1 thread. A surface it declines pays about 0.5 ms.
+#: m = 176 (2-vCPU x86-64, numpy 2.4, OpenBLAS) the factor path beat ``eigh``
+#: through rank 58 at 1 and 2 BLAS threads (rank 29: 1.1 against 2.1 ms a call
+#: at 1, 1.2 against 2.6 ms at 2) and lost at rank 88. A declined surface pays
+#: about 0.3 ms. Moving the cut-off would move surfaces between paths, and their bits.
 _FACTOR_RANK_DIVISOR = 6
 
 
@@ -168,8 +169,9 @@ def eigendecompose(g: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, np.ndarra
     Solves the symmetric eigenproblem of ``A = W^{1/2} G W^{1/2}`` with
     trapezoid weights ``W`` and maps eigenvectors back to functions
     ``phi_k = W^{-1/2} v_k``, normalized so the quadrature norm is 1.
-    Returns the full spectrum in nonincreasing order (one function per
-    grid point); negatives within rounding of zero are floored at 0.
+    Returns the full spectrum in nonincreasing order, negatives within
+    rounding of zero floored at 0, and one function per grid point (``eigh``)
+    or per factor column (the factor path below).
     This is the reference path: the acceptance suite checks it against a
     Jacobi oracle, and :func:`fit_fpca` uses it whenever n >= m.
 
@@ -177,8 +179,8 @@ def eigendecompose(g: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, np.ndarra
     stopping once the largest remaining pivot is at most
     ``tol = m * eps * max(diag(A))``. The factor is used only when
     ``r <= m // 6`` and ``max|A - L L^T| <= tol``; then the eigenvalues are
-    the squared singular values of ``L`` and the eigenvectors the right
-    singular vectors of ``L^T``, the null space completed by the full SVD.
+    the squared singular values of ``L`` and the eigenvectors the r right
+    singular vectors of the thin SVD of ``L^T``.
     By Weyl's inequality each eigenvalue of ``L L^T`` lies within
     ``m * tol = m^2 * eps * max(diag(A))`` of that of ``A``, and those past
     the numerical rank come out exactly 0, where ``eigh`` returns rounding
@@ -205,7 +207,7 @@ def eigendecompose(g: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, np.ndarra
         a = g * np.outer(sqrt_w, sqrt_w)
         factor = _low_rank_factor(a)
         if factor is not None:
-            return _factor_spectrum(factor.T, full=True)
+            return _factor_spectrum(factor.T)
         vals, vecs = _solve(np.linalg.eigh, a)
     return _spectrum(vals[::-1], vecs[:, ::-1], m)
 
@@ -283,16 +285,25 @@ def _spectrum(vals: np.ndarray, vecs: np.ndarray, m: int) -> tuple[np.ndarray, n
     return vals, np.where(flip[:, None], -phi, phi)
 
 
-def _factor_spectrum(rows: np.ndarray, full: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Spectrum of ``A = R^T R`` from the SVD of its row factor ``R`` (r x m).
+def _factor_spectrum(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectrum of ``A = R^T R`` from the thin SVD of its row factor ``R`` (r x m).
 
     The right singular vectors of ``R`` are the eigenvectors of ``A`` and its
     squared singular values the eigenvalues, so ``A`` is never solved in full.
-    Returns the spectrum padded with zeros to length m and ``min(r, m)``
-    eigenfunctions, or all ``m`` (an orthonormal completion) when ``full`` is set.
+    Returns the spectrum padded with zeros to length m and ``min(r, m)`` eigenfunctions.
     """
-    _, sv, vt = _solve(np.linalg.svd, rows, full_matrices=full)
+    _, sv, vt = _solve(np.linalg.svd, rows, full_matrices=False)
     return _spectrum(sv**2, vt.T, rows.shape[1])
+
+
+def _complete(phi: np.ndarray) -> np.ndarray:
+    """``phi``, r < m functions orthonormal under quadrature, then m - r more completing the basis.
+
+    They are the complement columns of a complete QR of the weighted ``phi``, through :func:`_spectrum`.
+    """
+    r, m = phi.shape
+    q, _ = np.linalg.qr((phi * np.sqrt(trapezoid_weights(m))).T, mode="complete")
+    return np.vstack([phi, _spectrum(np.zeros(m - r), q[:, r:], m)[1]])
 
 
 def _scores(h: np.ndarray, mu: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -336,8 +347,8 @@ def fit_fpca(
     thin SVD of the weighted centred sample instead of an eigensolve of the
     m x m covariance; the eigenvalues are padded with zeros to length m, so
     ``eigenvalues`` and ``total_variance`` mean the same on both paths.
-    Components beyond the sample rank are an orthonormal completion of the
-    null space. Scores use the same projection as :func:`project_scores`.
+    Components past the functions the SVD resolves (one per sample row or
+    factor column) complete the basis in the null space. Scores use the same projection as :func:`project_scores`.
 
     Raises
     ------
@@ -376,9 +387,7 @@ def fit_fpca(
         k = int(reached[0]) + 1 if reached.size else vals.shape[0]
     n_retained = int(k)
     if n_retained > phi.shape[0]:
-        # More components than the thin SVD gives: complete the basis. The
-        # added functions span the null space, so the spectrum is unchanged.
-        _, phi = _factor_spectrum(rows, full=True)
+        phi = _complete(phi)
 
     return FpcaModel(
         grid=warps.grid,

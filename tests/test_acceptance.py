@@ -338,11 +338,13 @@ def test_criterion_7_call_sequence_on_a_synthetic_panel():
 #: Criterion 8's commands, run into the directory ``sys.argv[1]``: the
 #: chain fit, warp, fpca and diagnose on a 20-series replicate of the default
 #: truth, a held-out fpca whose --k 21 passes its 18 in-sample series (the
-#: full-SVD completion), fit, warp and fpca on a 400-series replicate (more
-#: series than months, so the covariance is a BLAS product), the simulation
-#: study with its convergence sweep, and every eigenvalue and eigenfunction
-#: that eigendecompose returns for the truth's rank-10 surface (its factor
-#: path) and a full-rank surface (its eigh path).
+#: null-space completion of the sample's thin SVD), fit, warp and fpca on a
+#: 400-series replicate (more series than months, so the covariance is a
+#: BLAS product, of rank 10 and so factored) and an fpca --k 12 of it (the
+#: completion of the factor's 10 functions), the simulation study with its
+#: convergence sweep, and every eigenvalue and eigenfunction that
+#: eigendecompose returns for the truth's rank-10 surface (its factor path:
+#: 10 functions) and a full-rank surface (its eigh path: m functions).
 CRITERION_8_SCRIPT = """
 import dataclasses
 import sys
@@ -371,6 +373,8 @@ chain = out / "chain"
 run("diagnose", "--input", out / "chain.csv", "--output-dir", chain)
 run("fpca", "--input", chain / "warps.csv", "--output-dir", out / "held", "--fit", chain / "fit.json",
     "--exclude", "sim01,sim07", "--k", "21")
+run("fpca", "--input", out / "wide" / "warps.csv", "--output-dir", out / "wide12", "--fit", out / "wide" / "fit.json",
+    "--k", "12")
 run("simulate", "--default-truth", "--replicates", "5", "--seed", "0", "--convergence-sweep",
     "--output-dir", out / "sim")
 
@@ -380,7 +384,7 @@ full = np.exp(-np.abs(np.subtract.outer(u, u)))
 with open(out / "eigendecompose.bin", "wb") as fh:
     for g, rank in ((low, 10), (full, truth.grid.n_points)):
         vals, phi = eigendecompose(g, truth.grid)
-        assert phi.shape == g.shape and np.count_nonzero(vals) == rank, np.count_nonzero(vals)
+        assert phi.shape == (rank, truth.grid.n_points) and np.count_nonzero(vals) == rank, phi.shape
         fh.write(vals.tobytes() + phi.tobytes())
 """
 
@@ -408,6 +412,8 @@ def test_criterion_8_cli_determinism(tmp_path):
     assert listing("chain") == sorted(chain_files)
     assert listing("held") == fpca_files
     assert json.loads(one["held/fpca_model.json"])["n_retained"] == 21
+    assert listing("wide12") == fpca_files
+    assert json.loads(one["wide12/fpca_model.json"])["n_retained"] == 12
     assert listing("sim") == ["convergence.csv", "convergence.json", "sim_replicates.csv", "sim_report.json"]
     # The fitted window starts after the panel's first month, yet the warps
     # span the whole panel: a header and 176 months.

@@ -24,6 +24,7 @@ from warpgrowth.fpca import (
     score_rate_regression,
 )
 from warpgrowth.quadrature import trapezoid_weights
+from warpgrowth.simulate import default_truth
 from warpgrowth.timeseries import TimeGrid
 from warpgrowth.warping import WarpSet
 
@@ -230,6 +231,24 @@ DECLINED_SURFACES = {
 }
 
 
+def assert_orthonormal_and_signed(phi, w):
+    """Orthonormal under quadrature to 1e-12, with a nonnegative integral, exact ties ending nonnegative."""
+    assert np.abs((phi * w) @ phi.T - np.eye(len(phi))).max() <= 1e-12
+    integrals = phi @ w
+    assert np.all(integrals >= -1e-12)
+    assert np.all(phi[np.abs(integrals) <= 1e-12, -1] >= 0.0)
+
+
+def assert_completes(model, vals, phi):
+    """``model`` keeps the spectrum ``vals`` and the resolved functions ``phi`` bit for bit, completed to k functions."""
+    k, m = model.n_retained, len(vals)
+    assert model.eigenfunctions.shape == (k, m) and len(phi) < k
+    assert np.array_equal(model.eigenvalues, vals)
+    assert np.array_equal(model.eigenfunctions[: len(phi)], phi)
+    assert_orthonormal_and_signed(model.eigenfunctions, model.weights)
+    assert np.all(np.isfinite(model.scores))
+
+
 class TestLowRankFactorPath:
     """Surfaces of rank at most m // _FACTOR_RANK_DIVISOR take the pivoted Cholesky factor; every other keeps the eigh bits."""
 
@@ -252,12 +271,9 @@ class TestLowRankFactorPath:
             assert np.abs(vals - ovals).max() <= 1e-12 * lam1
             for k in range(r):
                 assert min(np.abs(phi[k] - s * ophi[k]).max() for s in (1.0, -1.0)) <= 1e-10
-        # All m functions, the completed null space included: orthonormal, and signed by the rule.
-        assert phi.shape == (m, m)
-        assert np.abs((phi * w) @ phi.T - np.eye(m)).max() <= 1e-12
-        integrals = phi @ w
-        assert np.all(integrals >= -1e-12)
-        assert np.all(phi[np.abs(integrals) <= 1e-12, -1] >= 0.0)
+        # The r functions the thin SVD resolves: orthonormal, and signed by the rule.
+        assert phi.shape == (r, m)
+        assert_orthonormal_and_signed(phi, w)
 
     @pytest.mark.parametrize("m", [12, 41, 176])
     @pytest.mark.parametrize("surface", DECLINED_SURFACES.values(), ids=DECLINED_SURFACES)
@@ -266,6 +282,16 @@ class TestLowRankFactorPath:
         vals, phi = eigendecompose(g, TimeGrid(0, m))
         ref_vals, ref_phi = eigh_path(g, m)
         assert np.array_equal(vals, ref_vals) and np.array_equal(phi, ref_phi)
+
+    @pytest.mark.parametrize("k", [12, 176])
+    def test_fit_completes_past_the_factor_rank(self, k):
+        # 200 >= m draws of the default truth: a rank-10 covariance, which eigendecompose factors.
+        truth = default_truth()
+        xi = np.random.default_rng(3).standard_normal((200, truth.n_components))
+        ws = make_warpset(truth.mean + (xi * np.sqrt(truth.eigenvalues)) @ truth.eigenfunctions)
+        vals, phi = eigendecompose(covariance_function(ws), ws.grid)
+        assert phi.shape == (10, 176)
+        assert_completes(fit_fpca(ws, k=k), vals, phi)
 
 
 def smooth_sample(n=12, m=41, seed=0):
@@ -474,6 +500,7 @@ class TestSampleSpectrum:
 
     def test_k_above_sample_rank(self):
         ws = smooth_sample(n=5, m=21, seed=9)
+        thin = fit_fpca(ws, k=5)  # the five functions the thin SVD of five rows resolves
         for k in (5, 10, 21):
             model = fit_fpca(ws, k=k)
             assert model.eigenfunctions.shape == (k, 21)
@@ -482,6 +509,8 @@ class TestSampleSpectrum:
             # Rank 4: five centred rows, one linear dependency.
             assert np.abs(model.eigenvalues[4:]).max() <= 1e-12 * model.eigenvalues[0]
             assert np.all(np.isfinite(model.scores))
+            if k > 5:
+                assert_completes(model, thin.eigenvalues, thin.eigenfunctions)
 
     def test_zero_variance_sample(self):
         t = np.linspace(0, 1, 15)

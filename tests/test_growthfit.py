@@ -143,6 +143,22 @@ class TestSearchInterval:
         res = search_interval(one_series_panel(x), (24,))
         assert res.best_window[1] <= 35
 
+    def test_decoy_stretch_ties_and_the_earliest_wins(self):
+        # Every warp has slope 0.6 on months 0-59 and slope 1 on months 60-95,
+        # then a bump: both stretches fit exactly, so the choice between the
+        # two exact models is the tie rule's. This pins today's choice, the
+        # earliest stretch, whose rates come out as 0.6 * alpha.
+        rng = np.random.default_rng(7)
+        alpha, x0 = rng.uniform(0.002, 0.012, 20), rng.uniform(4.0, 5.0, 20)
+        t = np.arange(176, dtype=float)
+        warp = np.where(t < 60, 0.6 * t, t - 24.0) + 30.0 * np.sin(np.pi * np.maximum(t - 96.0, 0.0) / 80.0) ** 2
+        panel = Panel(TimeGrid(0, 176), [f"s{i:02d}" for i in range(20)], np.exp(x0[:, None] + alpha[:, None] * warp))
+        res = search_interval(panel)
+        assert res.best_window == (0, 23) and res.mean_r2 == 1.0
+        assert np.abs(estimate_alphas(panel, res.best_window).alpha / (0.6 * alpha) - 1.0).max() <= 1e-13
+        later = estimate_alphas(panel, (60, 83))
+        assert np.all(later.r2 == 1.0) and np.abs(later.alpha / alpha - 1.0).max() <= 1e-13
+
     def test_series_order_invariance(self):
         rng = np.random.default_rng(3)
         t = np.arange(60, dtype=float)
